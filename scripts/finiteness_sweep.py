@@ -2,27 +2,30 @@
 """Sweep finiteness certificates over (r, f) and report sizes and timings.
 
 Builds the certificate at the default window 2f+2 for every supported
-pair, verifies it by full re-expansion, and prints one row per case.
+pair (1 <= r <= MAX_RANK, 1 <= f <= MAX_POWER), verifies it by full
+re-expansion, and prints one row per case.  The ``rank`` column checks
+the freeness rank: the invariant ring is free of rank f**r over the
+image of t -> t^f, so a certificate should keep exactly f**r generators.
 Use --max-r / --max-f to restrict, --window to override the window.
 """
 
 import argparse
 import time
 
-from basechange.finiteness import WindowTooSmall, finiteness_certificate
+from basechange.finiteness import MAX_POWER, MAX_RANK, WindowTooSmall, finiteness_certificate
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-r", type=int, default=3)
-    parser.add_argument("--max-f", type=int, default=3)
+    parser.add_argument("--max-r", type=int, default=MAX_RANK)
+    parser.add_argument("--max-f", type=int, default=MAX_POWER)
     parser.add_argument("--window", type=int, default=None)
     args = parser.parse_args()
 
-    print(f"{'r':>2} {'f':>2} {'window':>6} {'gens':>5} {'targets':>7} "
+    print(f"{'r':>2} {'f':>2} {'window':>6} {'gens':>5} {'rank':>5} {'targets':>7} "
           f"{'maxcoef':>7} {'verified':>8} {'seconds':>8}")
     for r in range(1, args.max_r + 1):
-        for f in range(2, args.max_f + 1):
+        for f in range(1, args.max_f + 1):
             window = args.window if args.window is not None else 2 * f + 2
             start = time.perf_counter()
             try:
@@ -33,7 +36,8 @@ def main():
                 continue
             verified = cert.verify()
             elapsed = time.perf_counter() - start
-            print(f"{r:>2} {f:>2} {window:>6} {len(cert.generators):>5} "
+            rank = "ok" if len(cert.generators) == f**r else f"!={f**r}"
+            print(f"{r:>2} {f:>2} {window:>6} {len(cert.generators):>5} {rank:>5} "
                   f"{len(cert.reductions):>7} {cert.max_coefficient_exponent():>7} "
                   f"{str(verified):>8} {elapsed:>8.2f}")
 

@@ -35,6 +35,7 @@ from .localfield import (
     NotInPsiImage,
     RamificationFiltration,
     UnsupportedExtension,
+    json_int,
     norm_level_image,
     phi,
     psi,
@@ -59,7 +60,11 @@ def format_rational_text(x: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    text = text.strip()
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _load_json_arg(value: str) -> dict:
@@ -197,12 +202,20 @@ def cmd_bc_gl2(args) -> int:
     return EXIT_OK
 
 
+def _labels(value, name: str) -> tuple:
+    """Circle labels of a kmap description: a JSON list of strings."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ValueError(f"{name} must be a list of string labels")
+    return tuple(value)
+
+
 def cmd_kmap(args) -> int:
     desc = _load_json_arg(args.map)
-    source = CircleSpace(tuple(desc["source"]))
-    target = CircleSpace(tuple(desc["target"]))
+    source = CircleSpace(_labels(desc["source"], "source"))
+    target = CircleSpace(_labels(desc["target"], "target"))
     matches = tuple(
-        (m["from"], m["to"], int(m["degree"])) for m in desc.get("matches", [])
+        (m["from"], m["to"], json_int(m["degree"], "degree"))
+        for m in desc.get("matches", [])
     )
     k0, k1 = induced_map(ProperCircleMap(source, target, matches))
     lines = ["K0:"]

@@ -29,6 +29,7 @@ from .localfield import (
     classify,
     compose_tower,
     conductor_transport,
+    json_int,
     validate_extension_filtration,
 )
 from .gl1 import CharacterLabel
@@ -102,7 +103,9 @@ class AdmissiblePair:
             quad=ext,
             quad_filtration=filt,
             xi=UnitCharacter(
-                CharacterLabel(int(xi["conductor"]), int(xi.get("index", 0))),
+                CharacterLabel(
+                    json_int(xi["conductor"], "conductor"), json_int(xi.get("index", 0), "index")
+                ),
                 unitary=bool(xi.get("unitary", True)),
             ),
             not_norm_factor=bool(flags.get("not_norm_factor", False)),

@@ -11,9 +11,15 @@ possible without ever leaving exact arithmetic.
 ``InvariantLaurentPoly`` is the S_r-invariant subring, represented in
 the orbit-sum basis: a term with weakly decreasing exponent vector
 ``lam`` stands for m_lam, the sum of the distinct monomials t^w over the
-permutations w of lam.  Addition is termwise; multiplication expands to
-the plain representation, convolves, and collects classes again.  The
-Reynolds symmetrisation (group average) is provided and is idempotent.
+permutations w of lam.  Addition is termwise; multiplication stays in
+the orbit-sum basis, using the product rule
+
+    m_a * m_b = (1/|Stab a|) * sum_{v in orbit(b)} |Stab(a+v)| * m_sort(a+v)
+
+(Macdonald, Symmetric Functions and Hall Polynomials, ch. I sections 2
+and 6), so a term pair costs |orbit(b)| vector additions instead of
+|orbit(a)| * |orbit(b)| monomial products.  The Reynolds symmetrisation
+(group average) is provided and is idempotent.
 
 ``staircase_decompose`` writes an arbitrary Laurent monomial s^q (r <= 3
 variables) over the invariant subring with respect to the free-module
@@ -29,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Mapping
 
 ExponentVector = tuple[int, ...]
@@ -56,6 +62,28 @@ def orbit(vec: Iterable[int]) -> list[ExponentVector]:
     return sorted(set(permutations(tuple(vec))))
 
 
+@lru_cache(maxsize=None)
+def _orbit_sum_product(a: ExponentVector, b: ExponentVector) -> tuple[tuple[ExponentVector, int], ...]:
+    """Integer structure constants of m_a * m_b: pairs (class, multiplicity).
+
+    The multiplicity of m_lam counts the pairs (u, v) in orbit(a) x
+    orbit(b) with u + v = lam; it is read off one orbit only, by the
+    product rule in the module docstring.  The shorter orbit, the one
+    with the larger stabiliser, is walked.  Cached because a certificate
+    multiplies the same few class pairs over and over (about 8 times
+    each at r=3, f=2).
+    """
+    stab_a, stab_b = stabilizer_order(a), stabilizer_order(b)
+    if stab_a > stab_b:
+        a, b, stab_a = b, a, stab_b
+    counts: dict[ExponentVector, int] = {}
+    for v in set(permutations(b)):
+        w = tuple(x + y for x, y in zip(a, v))
+        lam = sort_class(w)
+        counts[lam] = counts.get(lam, 0) + stabilizer_order(w)
+    return tuple((lam, n // stab_a) for lam, n in counts.items())
+
+
 class LaurentPoly:
     """Laurent polynomial over Q: {exponent tuple: nonzero Fraction}.
 
@@ -78,6 +106,15 @@ class LaurentPoly:
                     raise ValueError(f"exponent {exp} has wrong arity for {nvars} variables")
                 clean[exp] = coeff
         self.terms = clean
+
+    @staticmethod
+    def _trusted(nvars: int, terms: dict[ExponentVector, Fraction]) -> "LaurentPoly":
+        """Wrap terms that are already clean: nvars-tuples of ints mapped to
+        nonzero Fractions.  Skips the checks and coercions of __init__."""
+        poly = object.__new__(LaurentPoly)
+        poly.nvars = nvars
+        poly.terms = terms
+        return poly
 
     # -- constructors ----------------------------------------------------
 
@@ -109,10 +146,10 @@ class LaurentPoly:
                 out[exp] = s
             else:
                 out.pop(exp, None)
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly._trusted(self.nvars, out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -128,11 +165,13 @@ class LaurentPoly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly._trusted(self.nvars, out)
 
     def scale(self, c: Fraction | int) -> "LaurentPoly":
         c = Fraction(c)
-        return LaurentPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
+        if not c:
+            return LaurentPoly.zero(self.nvars)
+        return LaurentPoly._trusted(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.nvars == other.nvars and self.terms == other.terms
@@ -181,7 +220,7 @@ class LaurentPoly:
             rest = exp[:i] + (0,) + exp[i + 1:]
             coeffs.setdefault(exp[i], {})[rest] = c
         c_of = {
-            k: LaurentPoly(self.nvars, d) for k, d in coeffs.items()
+            k: LaurentPoly._trusted(self.nvars, d) for k, d in coeffs.items()
         }
         zero = LaurentPoly.zero(self.nvars)
         xj_inv = LaurentPoly.monomial(
@@ -202,8 +241,8 @@ class LaurentPoly:
         for k, poly in quots.items():
             for exp, c in poly.terms.items():
                 e = exp[:i] + (k,) + exp[i + 1:]
-                out[e] = out.get(e, Fraction(0)) + c
-        return LaurentPoly(self.nvars, out)
+                out[e] = c  # the slot-i exponent k keeps the pieces apart
+        return LaurentPoly._trusted(self.nvars, out)
 
     def __repr__(self):
         items = ", ".join(f"{e}: {c}" for e, c in sorted(self.terms.items()))
@@ -235,6 +274,15 @@ class InvariantLaurentPoly:
                 clean[exp] = coeff
         self.terms = clean
 
+    @staticmethod
+    def _trusted(r: int, terms: dict[ExponentVector, Fraction]) -> "InvariantLaurentPoly":
+        """Wrap terms that are already clean: weakly decreasing r-tuples of ints
+        mapped to nonzero Fractions.  Skips the checks and coercions of __init__."""
+        poly = object.__new__(InvariantLaurentPoly)
+        poly.r = r
+        poly.terms = terms
+        return poly
+
     # -- constructors ----------------------------------------------------
 
     @staticmethod
@@ -247,8 +295,9 @@ class InvariantLaurentPoly:
 
     @staticmethod
     def orbit_sum(lam: Iterable[int], coeff: Fraction | int = 1) -> "InvariantLaurentPoly":
-        lam = sort_class(lam)
-        return InvariantLaurentPoly(len(lam), {lam: Fraction(coeff)})
+        lam = sort_class(int(x) for x in lam)
+        coeff = Fraction(coeff)
+        return InvariantLaurentPoly._trusted(len(lam), {lam: coeff} if coeff else {})
 
     @staticmethod
     def from_laurent(poly: LaurentPoly) -> "InvariantLaurentPoly":
@@ -294,32 +343,49 @@ class InvariantLaurentPoly:
                 out[lam] = s
             else:
                 out.pop(lam, None)
-        return InvariantLaurentPoly(self.r, out)
+        return InvariantLaurentPoly._trusted(self.r, out)
 
     def __neg__(self) -> "InvariantLaurentPoly":
-        return InvariantLaurentPoly(self.r, {e: -c for e, c in self.terms.items()})
+        return InvariantLaurentPoly._trusted(self.r, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "InvariantLaurentPoly") -> "InvariantLaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "InvariantLaurentPoly") -> "InvariantLaurentPoly":
+        """Product in the orbit-sum basis, never expanding to monomials.
+
+        Each term pair contributes its integer structure constants
+        (``_orbit_sum_product``).  Both operands' coefficients are put
+        over one common denominator each, so the sums run in integers
+        and one Fraction is built per class of the product.
+        """
         self._check(other)
-        product = self.expand() * other.expand()
-        # product of symmetric polynomials is symmetric; read classes off directly
-        out = {
-            exp: c for exp, c in product.terms.items() if exp == sort_class(exp)
-        }
-        return InvariantLaurentPoly(self.r, out)
+        den_a = lcm(*(c.denominator for c in self.terms.values()))
+        den_b = lcm(*(c.denominator for c in other.terms.values()))
+        right = [(b, c.numerator * (den_b // c.denominator)) for b, c in other.terms.items()]
+        acc: dict[ExponentVector, int] = {}
+        for a, c in self.terms.items():
+            num_a = c.numerator * (den_a // c.denominator)
+            for b, num_b in right:
+                num = num_a * num_b
+                for lam, mult in _orbit_sum_product(a, b):
+                    acc[lam] = acc.get(lam, 0) + num * mult
+        den = den_a * den_b
+        return InvariantLaurentPoly._trusted(
+            self.r, {lam: Fraction(num, den) for lam, num in acc.items() if num}
+        )
 
     def scale(self, c: Fraction | int) -> "InvariantLaurentPoly":
         c = Fraction(c)
-        return InvariantLaurentPoly(self.r, {e: c * v for e, v in self.terms.items()})
+        if not c:
+            return InvariantLaurentPoly.zero(self.r)
+        return InvariantLaurentPoly._trusted(self.r, {e: c * v for e, v in self.terms.items()})
 
     def pullback(self, f: int) -> "InvariantLaurentPoly":
         """Substitute t_i -> t_i^f: every exponent vector scales by f."""
         if f < 1:
             raise ValueError("the substitution power must be >= 1")
-        return InvariantLaurentPoly(
+        return InvariantLaurentPoly._trusted(
             self.r, {tuple(f * x for x in e): c for e, c in self.terms.items()}
         )
 

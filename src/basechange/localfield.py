@@ -40,6 +40,14 @@ class NotInPsiImage(ValueError):
     """A unit-filtration level on the top field is not psi(n) for integer n."""
 
 
+def json_int(value, name: str) -> int:
+    """int(value) for a JSON input field; a list, object or null is a ValueError."""
+    try:
+        return int(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {type(value).__name__}") from None
+
+
 class MismatchedTower(ValueError):
     """Tower composition where the upper base is not the lower top field."""
 
@@ -150,20 +158,24 @@ class ExtensionData:
     def from_json(obj: dict) -> tuple["ExtensionData", "RamificationFiltration"]:
         """Parse {q, p, e, f, galois, cyclic, filtration_orders} (char_zero optional)."""
         base = LocalFieldData(
-            q=int(obj["q"]), p=int(obj["p"]), char_zero=bool(obj.get("char_zero", True))
+            q=json_int(obj["q"], "q"),
+            p=json_int(obj["p"], "p"),
+            char_zero=bool(obj.get("char_zero", True)),
         )
         ext = ExtensionData(
             base=base,
-            e=int(obj["e"]),
-            f=int(obj["f"]),
+            e=json_int(obj["e"], "e"),
+            f=json_int(obj["f"], "f"),
             galois=bool(obj.get("galois", False)),
             cyclic=bool(obj.get("cyclic", False)),
         )
         orders = obj.get("filtration_orders")
         if orders is None:
             filt = RamificationFiltration.tame_default(ext.e)
+        elif not isinstance(orders, list):
+            raise ValueError(f"filtration_orders must be a list, got {type(orders).__name__}")
         else:
-            filt = RamificationFiltration(tuple(int(g) for g in orders))
+            filt = RamificationFiltration(json_int(g, "filtration_orders") for g in orders)
         validate_extension_filtration(ext, filt)
         return ext, filt
 

@@ -90,6 +90,37 @@ def test_psi_invalid_orders(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("x", ["1/0", "7/0", " 5/0 "])
+def test_psi_zero_denominator_exits_2(capsys, x):
+    code, out, err = run(capsys, "psi", "--orders", "3", "--x", x)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: zero denominator in {x.strip()!r}"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["norm-level", "--level", "2", "--extension",
+          TAME_QUADRATIC.replace("[2]", "5")], "filtration_orders must be a list, got int"),
+        (["bc-gl1", "--max-conductor", "1", "--extension",
+          UNRAMIFIED_CUBIC.replace('"q": 3', '"q": [3]')], "q must be an integer, got list"),
+        (["norm-level", "--level", "2", "--extension",
+          TAME_QUADRATIC.replace("[2]", "[null]")], "filtration_orders must be an integer, got NoneType"),
+        (["kmap", "--map", '{"source": [["a"], "b"], "target": ["x"], "matches": []}'],
+         "source must be a list of string labels"),
+        (["kmap", "--map", '{"source": ["a"], "target": ["x"],'
+          ' "matches": [{"from": "a", "to": "x", "degree": [2]}]}'],
+         "degree must be an integer, got list"),
+    ],
+)
+def test_mistyped_json_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_norm_level(capsys):
     code, payload, _ = run_json(
         capsys, "norm-level", "--extension", TAME_QUADRATIC, "--level", "6"

@@ -1,9 +1,19 @@
+import contextlib
+import hashlib
+import io
 from fractions import Fraction
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from basechange.cli import main
 from basechange.finiteness import (
+    MAX_POWER,
+    MAX_RANK,
     WindowTooSmall,
+    _solve_exact,
     candidate_generators,
     constructive_reduction,
     expand_expression,
@@ -111,3 +121,131 @@ def test_parameter_validation():
         finiteness_certificate(2, 5, 4)
     with pytest.raises(ValueError):
         finiteness_certificate(2, 2, 0)
+
+
+# -- the sparse exact solver against a dense reference --------------------
+
+
+def dense_reference(
+    matrix: list[list[Fraction]], rhs: list[Fraction], n: int
+) -> tuple[Optional[list[Fraction]], list[int]]:
+    """Dense Fraction Gauss-Jordan with columns pivoted in order and free
+    variables set to 0: the solution (or None) and the pivot columns."""
+    m = len(matrix)
+    mat = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    pivot_cols: list[int] = []
+    row = 0
+    for col in range(n):
+        piv = next((i for i in range(row, m) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[row], mat[piv] = mat[piv], mat[row]
+        inv = 1 / mat[row][col]
+        mat[row] = [x * inv for x in mat[row]]
+        for i in range(m):
+            if i != row and mat[i][col] != 0:
+                factor = mat[i][col]
+                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[row])]
+        pivot_cols.append(col)
+        row += 1
+        if row == m:
+            break
+    if any(mat[i][n] != 0 for i in range(row, m)):
+        return None, pivot_cols
+    solution = [Fraction(0)] * n
+    for i, col in enumerate(pivot_cols):
+        solution[col] = mat[i][n]
+    return solution, pivot_cols
+
+
+def as_columns(matrix, rhs, n):
+    """Row i of the system becomes the univariate class (i,)."""
+    columns = [
+        InvariantLaurentPoly(1, {(i,): row[j] for i, row in enumerate(matrix)}) for j in range(n)
+    ]
+    return columns, InvariantLaurentPoly(1, {(i,): b for i, b in enumerate(rhs)})
+
+
+entries = st.one_of(
+    st.just(0), st.just(0), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3)
+).map(Fraction)
+
+
+@st.composite
+def linear_systems(draw):
+    """Small systems: sparse entries, columns that repeat combinations of
+    earlier ones (rank deficiency), and consistent or arbitrary targets."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    cols: list[list[Fraction]] = []
+    for _ in range(n):
+        if cols and draw(st.booleans()):
+            weights = draw(st.lists(st.integers(-2, 2), min_size=len(cols), max_size=len(cols)))
+            cols.append([sum(w * c[i] for w, c in zip(weights, cols)) for i in range(m)])
+        else:
+            cols.append(draw(st.lists(entries, min_size=m, max_size=m)))
+    if cols and draw(st.booleans()):
+        weights = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        rhs = [sum(w * c[i] for w, c in zip(weights, cols)) for i in range(m)]
+    else:
+        rhs = draw(st.lists(entries, min_size=m, max_size=m))
+    return [[cols[j][i] for j in range(n)] for i in range(m)], rhs, n
+
+
+@given(linear_systems())
+@settings(max_examples=300)
+def test_sparse_solver_matches_dense_reference(system):
+    matrix, rhs, n = system
+    columns, target = as_columns(matrix, rhs, n)
+    expected, pivot_cols = dense_reference(matrix, rhs, n)
+    got = _solve_exact(columns, target)
+    assert (got is None) == (expected is None)
+    if got is None:
+        return
+    assert len(got) == n
+    for row, b in zip(matrix, rhs):
+        assert sum(a * x for a, x in zip(row, got)) == b
+    # a column in the span of the earlier ones is free, so its variable is 0
+    for j in range(n):
+        if j not in pivot_cols:
+            assert got[j] == 0
+    assert got == expected
+
+
+def test_sparse_solver_edge_cases():
+    zero = InvariantLaurentPoly.zero(1)
+    assert _solve_exact([], zero) == []
+    assert _solve_exact([zero, zero], zero) == [0, 0]
+    assert _solve_exact([], InvariantLaurentPoly.orbit_sum((1,))) is None
+    assert _solve_exact([zero], InvariantLaurentPoly.orbit_sum((1,))) is None
+    t = InvariantLaurentPoly.orbit_sum((1,))
+    assert _solve_exact([t, t.scale(2)], t.scale(Fraction(1, 3))) == [Fraction(1, 3), 0]
+
+
+# -- pinned output and the rank oracle ------------------------------------
+
+
+# stdout sha256 of `finiteness --r R --f F --verify --format json`, recorded
+# with the dense Gauss-Jordan solver and the expand-and-collect product
+@pytest.mark.parametrize(
+    "r, f, digest",
+    [
+        (3, 2, "97dad48c947a403963d61b1eb2120fc25979973aa302e84a7b9c6be5d00861cc"),
+        (2, 4, "96a09d2b7db2fc39f6ca68cdad0c28ac5d96fb34f71fc2ef6eccf6357b3aac8c"),
+        (3, 3, "f376ec9ed546ff189ce1e1464190a6aae304e009af2a85b4e281c6211aa9db25"),
+    ],
+)
+def test_certificate_output_is_pinned(r, f, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["finiteness", "--r", str(r), "--f", str(f), "--verify", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "r, f", [(r, f) for r in range(1, MAX_RANK + 1) for f in range(1, MAX_POWER + 1)]
+)
+def test_generators_have_freeness_rank(r, f):
+    # A = Q[t^+-1]^{S_r} is free of rank f**r over its image B under t -> t^f
+    cert = finiteness_certificate(r, f, 2 * f + 2)
+    assert len(cert.generators) == f**r

@@ -93,6 +93,44 @@ def test_invariant_mul_matches_expansion(a, b):
     assert (a * b).expand() == a.expand() * b.expand()
 
 
+@st.composite
+def classes_with_repeats(draw, r):
+    """Sorted exponent vectors whose entries come from at most two values,
+    so most of them have a nontrivial stabiliser."""
+    values = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=2))
+    return sort_class(draw(st.tuples(*([st.sampled_from(values)] * r))))
+
+
+def rational_invariant_polys(r):
+    proper = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(2, 6))
+    coeffs = st.one_of(proper, st.integers(-3, 3).filter(bool).map(Fraction))
+    classes = st.one_of(classes_with_repeats(r), exponent_vectors(r).map(sort_class))
+    return st.lists(st.tuples(classes, coeffs), max_size=4).map(
+        lambda ts: InvariantLaurentPoly(r, {e: c for e, c in ts})
+    )
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=60)
+def test_orbit_sum_product_matches_expansion(r, data):
+    a = data.draw(rational_invariant_polys(r))
+    b = data.draw(rational_invariant_polys(r))
+    assert (a * b).expand() == a.expand() * b.expand()
+    zero, one = InvariantLaurentPoly.zero(r), InvariantLaurentPoly.one(r)
+    assert a * zero == zero * a == zero
+    assert a * one == one * a == a
+    assert all(type(c) is Fraction for c in (a * b).terms.values())
+
+
+def test_orbit_sum_product_with_stabilisers():
+    # m_(1,1,0) * m_(1,0,0) = m_(2,1,0) + 3 m_(1,1,1)
+    product = InvariantLaurentPoly.orbit_sum((1, 1, 0)) * InvariantLaurentPoly.orbit_sum((1, 0, 0))
+    assert product.terms == {(2, 1, 0): Fraction(1), (1, 1, 1): Fraction(3)}
+    half = InvariantLaurentPoly.orbit_sum((0, 0), Fraction(1, 2))
+    assert (half * half).terms == {(0, 0): Fraction(1, 4)}
+
+
 @given(laurent_polys(3, nterms=3, lo=-2, hi=2))
 @settings(max_examples=40)
 def test_symmetrize_idempotent(p):
