@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -82,10 +83,32 @@ def _parse_orders(text: str) -> RamificationFiltration:
     return RamificationFiltration(int(part) for part in text.split(","))
 
 
+def _render(value, indent: str = "\n") -> str:
+    """The text of json.dumps(value, indent=2), without the pure-Python encoder.
+
+    indent is the newline and spaces that open this value's line.  Lists of
+    plain ints, the bulk of a K-theory matrix, go through int.__repr__;
+    bool is an int subclass, hence the exact type test.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if not isinstance(value, (list, tuple, dict)):
+        return json.dumps(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = (f"{encode_basestring_ascii(k)}: {_render(v, inner)}" for k, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if set(map(type, value)) == {int}:
+        items = map(int.__repr__, value)
+    else:
+        items = (_render(v, inner) for v in value)
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
 def _emit(args, payload: dict, text: str) -> None:
-    rendered = (
-        json.dumps(payload, indent=2, sort_keys=False) if args.format == "json" else text
-    )
+    rendered = _render(payload) if args.format == "json" else text
     if args.output:
         Path(args.output).write_text(rendered + "\n")
     else:
@@ -209,14 +232,18 @@ def _labels(value, name: str) -> tuple:
     return tuple(value)
 
 
+def _match(m: dict) -> tuple:
+    """One kmap match: string labels "from" and "to", an integer "degree"."""
+    if not (isinstance(m["from"], str) and isinstance(m["to"], str)):
+        raise ValueError("match labels must be strings")
+    return m["from"], m["to"], json_int(m["degree"], "degree")
+
+
 def cmd_kmap(args) -> int:
     desc = _load_json_arg(args.map)
     source = CircleSpace(_labels(desc["source"], "source"))
     target = CircleSpace(_labels(desc["target"], "target"))
-    matches = tuple(
-        (m["from"], m["to"], json_int(m["degree"], "degree"))
-        for m in desc.get("matches", [])
-    )
+    matches = tuple(_match(m) for m in desc.get("matches", []))
     k0, k1 = induced_map(ProperCircleMap(source, target, matches))
     lines = ["K0:"]
     lines += ["  " + " ".join(str(v) for v in row) for row in k0.entries]

@@ -20,8 +20,10 @@ which keeps arc preimages exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence, Union
 
 from .gaussian import GaussianRational
@@ -120,6 +122,29 @@ def labels_with_conductor(q: int, c: int) -> int:
     return unit_quotient_order(q, c) - unit_quotient_order(q, c - 1)
 
 
+# Most circles TemperedDualGL1.enumerate builds.  The K-theory matrices
+# are dense, so output grows with the square of the count: 1,458 circles
+# (q=3, M=7) already render 47 MB of JSON.
+MAX_CIRCLES = 2000
+
+
+def circle_count(q: int, bound: int) -> int:
+    """Circles of the truncation at bound: 1 for bound 0, else (q-1)*q^(bound-1).
+
+    The product stops growing once it passes MAX_CIRCLES, so a huge bound
+    costs a handful of multiplications; the returned count is then only
+    known to exceed the cap.
+    """
+    if bound < 0:
+        raise ValueError("the truncation bound is nonnegative")
+    count = 1 if bound == 0 else unit_quotient_order(q, 1)
+    for _ in range(bound - 1):
+        if count > MAX_CIRCLES:
+            break
+        count *= q
+    return count
+
+
 @dataclass(frozen=True)
 class TemperedDualGL1:
     """Truncation of the GL(1) tempered dual: circles for conductor <= bound.
@@ -135,8 +160,10 @@ class TemperedDualGL1:
 
     @staticmethod
     def enumerate(q: int, bound: int) -> "TemperedDualGL1":
-        if bound < 0:
-            raise ValueError("the truncation bound is nonnegative")
+        if circle_count(q, bound) > MAX_CIRCLES:
+            raise ValueError(
+                f"conductor bound {bound} at q={q} gives more than {MAX_CIRCLES} circles"
+            )
         circles = tuple(
             CharacterLabel(c, j)
             for c in range(bound + 1)
@@ -153,8 +180,9 @@ class TemperedDualGL1:
             seen.add(label)
             if label.conductor > self.bound:
                 raise ValueError(f"label {label} exceeds the truncation bound")
-        for c in sorted({lbl.conductor for lbl in self.circles}):
-            upto = sum(1 for lbl in self.circles if lbl.conductor <= c)
+        upto = 0
+        for c, count in sorted(Counter(lbl.conductor for lbl in self.circles).items()):
+            upto += count
             if upto > unit_quotient_order(self.q, max(c, 1)):
                 raise ValueError(
                     f"more labels with conductor <= {c} than characters exist"
@@ -190,14 +218,8 @@ class Gl1BaseChange:
 
     @property
     def target_labels(self) -> tuple[CharacterLabel, ...]:
-        seen: list[CharacterLabel] = []
-        for _, tgt, _ in self.pairs:
-            if tgt not in seen:
-                seen.append(tgt)
-        for tgt in self.extra_targets:
-            if tgt not in seen:
-                seen.append(tgt)
-        return tuple(seen)
+        hits = (tgt for _, tgt, _ in self.pairs)
+        return tuple(dict.fromkeys(chain(hits, self.extra_targets)))
 
     def to_json(self) -> dict:
         return {

@@ -29,6 +29,7 @@ from .localfield import (
     classify,
     compose_tower,
     conductor_transport,
+    json_bool,
     json_int,
     validate_extension_filtration,
 )
@@ -106,10 +107,14 @@ class AdmissiblePair:
                 CharacterLabel(
                     json_int(xi["conductor"], "conductor"), json_int(xi.get("index", 0), "index")
                 ),
-                unitary=bool(xi.get("unitary", True)),
+                unitary=json_bool(xi.get("unitary", True), "unitary"),
             ),
-            not_norm_factor=bool(flags.get("not_norm_factor", False)),
-            level_one_norm_factor=bool(flags.get("level_one_norm_factor", False)),
+            not_norm_factor=json_bool(
+                flags.get("not_norm_factor", False), "not_norm_factor"
+            ),
+            level_one_norm_factor=json_bool(
+                flags.get("level_one_norm_factor", False), "level_one_norm_factor"
+            ),
         )
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from typing import Hashable, Iterable, Mapping, Optional
 
 Label = Hashable
@@ -32,23 +33,33 @@ class InsufficientSamples(ValueError):
 
 @dataclass(frozen=True)
 class CircleSpace:
-    """Ordered finite union of labeled circles; labels must be unique."""
+    """Ordered finite union of labeled circles; labels must be unique.
+
+    positions maps each label to its index in components, so lookups
+    stay constant-time however many circles there are.
+    """
 
     components: tuple[Label, ...]
     provenance: Mapping[Label, str] = field(default_factory=dict)
+    positions: Mapping[Label, int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, components: Iterable[Label], provenance: Optional[Mapping[Label, str]] = None):
         components = tuple(components)
-        if len(set(components)) != len(components):
+        positions = {label: i for i, label in enumerate(components)}
+        if len(positions) != len(components):
             raise ValueError("circle labels must be unique")
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "provenance", dict(provenance or {}))
+        object.__setattr__(self, "positions", positions)
 
     def __len__(self) -> int:
         return len(self.components)
 
     def index(self, label: Label) -> int:
-        return self.components.index(label)
+        try:
+            return self.positions[label]
+        except KeyError:
+            raise ValueError(f"{label!r} is not a circle of this space") from None
 
 
 @dataclass(frozen=True)
@@ -66,9 +77,9 @@ class ProperCircleMap:
     def __post_init__(self):
         seen_sources = set()
         for src, tgt, degree in self.matches:
-            if src not in self.source.components:
+            if src not in self.source.positions:
                 raise ValueError(f"unknown source component {src!r}")
-            if tgt not in self.target.components:
+            if tgt not in self.target.positions:
                 raise ValueError(f"unknown target component {tgt!r}")
             if degree < 1:
                 raise ValueError("circle map degrees are positive")
@@ -160,10 +171,9 @@ class KMorphism:
 
     def to_json(self) -> dict:
         triplets = [
-            [i, j, v]
+            [i, j, row[j]]
             for i, row in enumerate(self.entries)
-            for j, v in enumerate(row)
-            if v
+            for j in compress(range(len(row)), row)
         ]
         return {
             "rows": [l if isinstance(l, (str, int)) else str(l) for l in self.row_labels],
@@ -184,8 +194,9 @@ def induced_map(m: ProperCircleMap) -> tuple[KMorphism, KMorphism]:
     cols = m.target.components
     k0 = [[0] * len(cols) for _ in rows]
     k1 = [[0] * len(cols) for _ in rows]
+    row_of, col_of = m.source.positions, m.target.positions
     for src, tgt, degree in m.matches:
-        i, j = m.source.index(src), m.target.index(tgt)
+        i, j = row_of[src], col_of[tgt]
         k0[i][j] = 1
         k1[i][j] = degree
     freeze = lambda mat: tuple(tuple(row) for row in mat)

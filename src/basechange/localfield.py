@@ -41,11 +41,17 @@ class NotInPsiImage(ValueError):
 
 
 def json_int(value, name: str) -> int:
-    """int(value) for a JSON input field; a list, object or null is a ValueError."""
-    try:
-        return int(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {type(value).__name__}") from None
+    """A JSON integer input field; a string, float, bool, list, object or null is a ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def json_bool(value, name: str) -> bool:
+    """A JSON true/false input field; anything else is a ValueError."""
+    if type(value) is not bool:
+        raise ValueError(f"{name} must be true or false, got {type(value).__name__}")
+    return value
 
 
 class MismatchedTower(ValueError):
@@ -160,14 +166,14 @@ class ExtensionData:
         base = LocalFieldData(
             q=json_int(obj["q"], "q"),
             p=json_int(obj["p"], "p"),
-            char_zero=bool(obj.get("char_zero", True)),
+            char_zero=json_bool(obj.get("char_zero", True), "char_zero"),
         )
         ext = ExtensionData(
             base=base,
             e=json_int(obj["e"], "e"),
             f=json_int(obj["f"], "f"),
-            galois=bool(obj.get("galois", False)),
-            cyclic=bool(obj.get("cyclic", False)),
+            galois=json_bool(obj.get("galois", False), "galois"),
+            cyclic=json_bool(obj.get("cyclic", False), "cyclic"),
         )
         orders = obj.get("filtration_orders")
         if orders is None:

@@ -1,8 +1,12 @@
+import hashlib
 import json
+import time
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from basechange.cli import main
+from basechange.cli import _render, main
 
 UNRAMIFIED_CUBIC = '{"q": 3, "p": 3, "e": 1, "f": 3, "galois": true, "cyclic": true, "filtration_orders": []}'
 TAME_QUADRATIC = '{"q": 3, "p": 3, "e": 2, "f": 1, "galois": true, "cyclic": true, "filtration_orders": [2]}'
@@ -112,6 +116,20 @@ def test_psi_zero_denominator_exits_2(capsys, x):
         (["kmap", "--map", '{"source": ["a"], "target": ["x"],'
           ' "matches": [{"from": "a", "to": "x", "degree": [2]}]}'],
          "degree must be an integer, got list"),
+        (["bc-gl1", "--max-conductor", "1", "--extension",
+          UNRAMIFIED_CUBIC.replace('"galois": true', '"galois": "no"')],
+         "galois must be true or false, got str"),
+        (["kmap", "--map", '{"source": ["a"], "target": ["x"],'
+          ' "matches": [{"from": "a", "to": "x", "degree": "2"}]}'],
+         "degree must be an integer, got str"),
+        (["norm-level", "--level", "2", "--extension",
+          TAME_QUADRATIC.replace('"q": 3', '"q": 3.5')], "q must be an integer, got float"),
+        (["bc-gl2", "--lift", UNRAMIFIED_CUBIC, "--pair",
+          PAIR.replace('"unitary": true', '"unitary": 1')],
+         "unitary must be true or false, got int"),
+        (["kmap", "--map", '{"source": ["a"], "target": ["x"],'
+          ' "matches": [{"from": ["a"], "to": "x", "degree": 1}]}'],
+         "match labels must be strings"),
     ],
 )
 def test_mistyped_json_exits_2(capsys, argv, message):
@@ -150,6 +168,45 @@ def test_bc_gl1_unramified(capsys):
     }
     k1 = payload["k1"]["entries"]
     assert all(k1[i][i] == 3 for i in range(len(k1)))
+
+
+# stdout sha256 of `bc-gl1 --format json`, recorded with the scan-based
+# circle lookups and json.dumps(payload, indent=2)
+@pytest.mark.parametrize(
+    "extension, bound, digest",
+    [
+        ('{"q": 5, "p": 5, "e": 1, "f": 2, "galois": true, "cyclic": true,'
+         ' "filtration_orders": []}', 4,
+         "d27d4fd985894f768799cf22fae38e8875068600db005aa4633fe561a15c1b6d"),
+        ('{"q": 3, "p": 3, "e": 3, "f": 1, "galois": true, "cyclic": true,'
+         ' "filtration_orders": [3, 3]}', 5,
+         "e0bfe1e549a2ffd5e24f0a45cf624c9e8a5af98a267b2052b4d8679a63bd6512"),
+    ],
+)
+def test_bc_gl1_output_is_pinned(capsys, extension, bound, digest):
+    code, out, _ = run(
+        capsys, "bc-gl1", "--extension", extension, "--max-conductor", str(bound),
+        "--format", "json",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("bound", ["4", "1000000000"])
+def test_bc_gl1_circle_cap_exits_2(capsys, bound):
+    # q=7 gives 6 * 7**3 = 2,058 circles at bound 4, over the 2,000 cap;
+    # the huge bound must be refused without computing 7**999999999
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "bc-gl1", "--max-conductor", bound, "--extension",
+        UNRAMIFIED_CUBIC.replace('"q": 3, "p": 3', '"q": 7, "p": 7'),
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: conductor bound {bound} at q=7 gives more than 2000 circles"
+    ]
 
 
 def test_bc_gl1_tame(capsys):
@@ -271,3 +328,20 @@ def test_extension_from_file(tmp_path, capsys):
     )
     assert code == 0
     assert payload["level_F"] == 3
+
+
+_strings = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001d11e'))
+_scalars = st.none() | st.booleans() | st.integers() | st.floats() | _strings
+_int_lists = st.lists(st.integers(-(2**80), 2**80) | st.booleans())
+
+
+@given(
+    st.recursive(
+        _scalars | _int_lists,
+        lambda inner: st.lists(inner) | st.dictionaries(_strings, inner),
+        max_leaves=40,
+    )
+)
+@example([[], {}, [[]], {"": {}}, [True, 1, False], [1, None]])
+def test_render_matches_json_dumps(obj):
+    assert _render(obj) == json.dumps(obj, indent=2)

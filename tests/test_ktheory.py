@@ -34,6 +34,15 @@ def test_space_validation():
         CircleSpace(("a", "a"))
 
 
+def test_space_index():
+    s = space("a", "b", "c")
+    assert [s.index(label) for label in "abc"] == [0, 1, 2]
+    with pytest.raises(ValueError):
+        s.index("missing")
+    with pytest.raises(ValueError):
+        CircleSpace(("a", "b", "a"))
+
+
 def test_map_validation():
     s, t = space("a", "b"), space("x")
     with pytest.raises(ValueError):
