@@ -6,6 +6,9 @@ pair (1 <= r <= MAX_RANK, 1 <= f <= MAX_POWER), verifies it by full
 re-expansion, and prints one row per case.  The ``rank`` column checks
 the freeness rank: the invariant ring is free of rank f**r over the
 image of t -> t^f, so a certificate should keep exactly f**r generators.
+The ``stairs`` column counts the staircase expansions the build made
+(cache misses of ``staircase_decompose``, cleared before each case), at
+most one per class of targets modulo (f, ..., f).
 Use --max-r / --max-f to restrict, --window to override the window.
 """
 
@@ -13,6 +16,7 @@ import argparse
 import time
 
 from basechange.finiteness import MAX_POWER, MAX_RANK, WindowTooSmall, finiteness_certificate
+from basechange.laurent import staircase_decompose
 
 
 def main():
@@ -23,10 +27,11 @@ def main():
     args = parser.parse_args()
 
     print(f"{'r':>2} {'f':>2} {'window':>6} {'gens':>5} {'rank':>5} {'targets':>7} "
-          f"{'maxcoef':>7} {'verified':>8} {'seconds':>8}")
+          f"{'stairs':>6} {'maxcoef':>7} {'verified':>8} {'seconds':>8}")
     for r in range(1, args.max_r + 1):
         for f in range(1, args.max_f + 1):
             window = args.window if args.window is not None else 2 * f + 2
+            staircase_decompose.cache_clear()
             start = time.perf_counter()
             try:
                 cert = finiteness_certificate(r, f, window)
@@ -36,9 +41,10 @@ def main():
                 continue
             verified = cert.verify()
             elapsed = time.perf_counter() - start
+            stairs = staircase_decompose.cache_info().misses
             rank = "ok" if len(cert.generators) == f**r else f"!={f**r}"
             print(f"{r:>2} {f:>2} {window:>6} {len(cert.generators):>5} {rank:>5} "
-                  f"{len(cert.reductions):>7} {cert.max_coefficient_exponent():>7} "
+                  f"{len(cert.reductions):>7} {stairs:>6} {cert.max_coefficient_exponent():>7} "
                   f"{str(verified):>8} {elapsed:>8.2f}")
 
 

@@ -37,6 +37,7 @@ from .localfield import (
     RamificationFiltration,
     UnsupportedExtension,
     json_int,
+    json_object,
     norm_level_image,
     phi,
     psi,
@@ -69,11 +70,10 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _load_json_arg(value: str) -> dict:
-    """Accept inline JSON or a path to a JSON file."""
+    """Accept an inline JSON object or a path to a file holding one."""
     value = value.strip()
-    if value.startswith("{"):
-        return json.loads(value)
-    return json.loads(Path(value).read_text())
+    text = value if value.startswith("{") else Path(value).read_text()
+    return json_object(json.loads(text), "input")
 
 
 def _parse_orders(text: str) -> RamificationFiltration:
@@ -232,8 +232,9 @@ def _labels(value, name: str) -> tuple:
     return tuple(value)
 
 
-def _match(m: dict) -> tuple:
-    """One kmap match: string labels "from" and "to", an integer "degree"."""
+def _match(m) -> tuple:
+    """One kmap match: an object with string labels "from" and "to", an integer "degree"."""
+    m = json_object(m, "match")
     if not (isinstance(m["from"], str) and isinstance(m["to"], str)):
         raise ValueError("match labels must be strings")
     return m["from"], m["to"], json_int(m["degree"], "degree")
@@ -243,7 +244,10 @@ def cmd_kmap(args) -> int:
     desc = _load_json_arg(args.map)
     source = CircleSpace(_labels(desc["source"], "source"))
     target = CircleSpace(_labels(desc["target"], "target"))
-    matches = tuple(_match(m) for m in desc.get("matches", []))
+    matches = desc.get("matches", [])
+    if not isinstance(matches, list):
+        raise ValueError(f"matches must be a list, got {type(matches).__name__}")
+    matches = tuple(_match(m) for m in matches)
     k0, k1 = induced_map(ProperCircleMap(source, target, matches))
     lines = ["K0:"]
     lines += ["  " + " ".join(str(v) for v in row) for row in k0.entries]

@@ -31,18 +31,32 @@ average.  Candidates that are redundant over the earlier ones are
 pruned by small exact linear solves, and the stored expressions are
 rewritten over the pruned set.  A window violation raises
 WindowTooSmall with a suggested larger window.
+
+Translation classes.  B contains the unit u = (t_1...t_r)^f, and
+multiplying by u^k adds f*k to every exponent.  Write 1 = (1, ..., 1).
+The staircase basis is free, so staircase_decompose(q + k*1) is
+staircase_decompose(q) with every coefficient times (s_1...s_r)^k.
+Pullback, the stabiliser ratio and the pruned substitution all commute
+with that product, so the reduction of m_(lam + f*k*1) is the reduction
+of m_lam with every coefficient translated by f*k.  The certificate
+therefore reduces one representative per class, the one whose last
+entry lies in [0, f), and translates it to the other members.  The
+window test, the linear fallback and verify still see each target's own
+expression.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .laurent import (
     ExponentVector,
     InvariantLaurentPoly,
+    _orbit_sum_product,
     sort_class,
     stabilizer_order,
     staircase_basis,
@@ -275,17 +289,22 @@ class FinitenessCertificate:
         """Re-expand every stored expression and check it exactly.
 
         Also checks the B-membership witness: every coefficient exponent
-        is a multiple of f.
+        is a multiple of f.  Each expression sum_j b_j * m_gamma_j is put
+        over one common denominator D and expanded in integers with the
+        orbit-sum structure constants; it must come to D * m_lam.
         """
-        tables: Iterable[tuple[ExponentVector, Expression]] = list(
-            self.pruned.items()
-        ) + list(self.reductions.items())
-        for lam, expr in tables:
-            for coeff in expr.values():
-                for cls in coeff.terms:
-                    if any(x % self.f != 0 for x in cls):
+        f = self.f
+        for lam, expr in chain(self.pruned.items(), self.reductions.items()):
+            den = lcm(*(c.denominator for b in expr.values() for c in b.terms.values()))
+            acc: dict[ExponentVector, int] = {}
+            for gamma, coeff in expr.items():
+                for mu, c in coeff.terms.items():
+                    if any(x % f for x in mu):
                         return False
-            if expand_expression(self.r, expr) != InvariantLaurentPoly.orbit_sum(lam):
+                    num = c.numerator * (den // c.denominator)
+                    for cls, mult in _orbit_sum_product(mu, gamma):
+                        acc[cls] = acc.get(cls, 0) + num * mult
+            if {cls: n for cls, n in acc.items() if n} != {lam: den}:
                 return False
         return True
 
@@ -381,8 +400,17 @@ def finiteness_certificate(r: int, f: int, window: int) -> FinitenessCertificate
     reductions: dict[ExponentVector, Expression] = {}
     fallbacks: list[ExponentVector] = []
     kept_set = set(kept)
+    representatives: dict[ExponentVector, Expression] = {}
     for lam in sorted_tuples(r, -window, window):
-        expr = _substitute_pruned(constructive_reduction(lam, f), pruned, r)
+        shift = f * (lam[-1] // f)
+        base = tuple(x - shift for x in lam)
+        expr = representatives.get(base)
+        if expr is None:
+            expr = representatives[base] = _substitute_pruned(
+                constructive_reduction(base, f), pruned, r
+            )
+        if shift:
+            expr = {g: c.translate(shift) for g, c in expr.items()}
         in_window = all(g in kept_set for g in expr) and all(
             c.max_abs_exponent() <= coeff_window for c in expr.values()
         )

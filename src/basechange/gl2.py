@@ -31,6 +31,7 @@ from .localfield import (
     conductor_transport,
     json_bool,
     json_int,
+    json_object,
     validate_extension_filtration,
 )
 from .gl1 import CharacterLabel
@@ -97,9 +98,9 @@ class AdmissiblePair:
 
     @staticmethod
     def from_json(obj: dict) -> "AdmissiblePair":
-        ext, filt = ExtensionData.from_json(obj["quad"])
-        xi = obj["xi"]
-        flags = obj.get("flags", {})
+        ext, filt = ExtensionData.from_json(json_object(obj["quad"], "quad"))
+        xi = json_object(obj["xi"], "xi")
+        flags = json_object(obj.get("flags", {}), "flags")
         return AdmissiblePair(
             quad=ext,
             quad_filtration=filt,

@@ -389,6 +389,12 @@ class InvariantLaurentPoly:
             self.r, {tuple(f * x for x in e): c for e, c in self.terms.items()}
         )
 
+    def translate(self, k: int) -> "InvariantLaurentPoly":
+        """Add k to every exponent: the exact product with the unit m_(k,...,k)."""
+        return InvariantLaurentPoly._trusted(
+            self.r, {tuple(x + k for x in e): c for e, c in self.terms.items()}
+        )
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, InvariantLaurentPoly)

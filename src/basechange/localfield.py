@@ -54,6 +54,13 @@ def json_bool(value, name: str) -> bool:
     return value
 
 
+def json_object(value, name: str) -> dict:
+    """A JSON object input field; anything else is a ValueError."""
+    if type(value) is not dict:
+        raise ValueError(f"{name} must be an object, got {type(value).__name__}")
+    return value
+
+
 class MismatchedTower(ValueError):
     """Tower composition where the upper base is not the lower top field."""
 

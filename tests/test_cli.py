@@ -22,6 +22,11 @@ PAIR = json.dumps(
 )
 
 
+def pair_with(**fields) -> str:
+    """PAIR with some top-level fields replaced."""
+    return json.dumps({**json.loads(PAIR), **fields})
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -130,6 +135,18 @@ def test_psi_zero_denominator_exits_2(capsys, x):
         (["kmap", "--map", '{"source": ["a"], "target": ["x"],'
           ' "matches": [{"from": ["a"], "to": "x", "degree": 1}]}'],
          "match labels must be strings"),
+        (["bc-gl2", "--lift", UNRAMIFIED_CUBIC, "--pair", pair_with(flags=[])],
+         "flags must be an object, got list"),
+        (["bc-gl2", "--lift", UNRAMIFIED_CUBIC, "--pair", pair_with(xi=[2])],
+         "xi must be an object, got list"),
+        (["bc-gl2", "--lift", UNRAMIFIED_CUBIC, "--pair", pair_with(quad=[1])],
+         "quad must be an object, got list"),
+        (["kmap", "--map", '{"source": ["a"], "target": ["x"], "matches": [["a", "x", 1]]}'],
+         "match must be an object, got list"),
+        (["kmap", "--map", '{"source": ["a"], "target": ["x"], "matches": ["a"]}'],
+         "match must be an object, got str"),
+        (["kmap", "--map", '{"source": ["a"], "target": ["x"], "matches": {"from": "a"}}'],
+         "matches must be a list, got dict"),
     ],
 )
 def test_mistyped_json_exits_2(capsys, argv, message):
@@ -137,6 +154,15 @@ def test_mistyped_json_exits_2(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err.splitlines() == [f"error: {message}"]
+
+
+def test_json_file_must_hold_an_object(capsys, tmp_path):
+    path = tmp_path / "extension.json"
+    path.write_text("[3, 3, 2, 1]")
+    code, out, err = run(capsys, "norm-level", "--level", "2", "--extension", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: input must be an object, got list"]
 
 
 def test_norm_level(capsys):

@@ -1,7 +1,9 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import pytest
@@ -21,7 +23,7 @@ from basechange.finiteness import (
     linear_reduction,
     sorted_tuples,
 )
-from basechange.laurent import InvariantLaurentPoly
+from basechange.laurent import InvariantLaurentPoly, sort_class, staircase_decompose
 
 
 def test_sorted_tuples_enumeration():
@@ -235,11 +237,30 @@ def test_sparse_solver_edge_cases():
     ],
 )
 def test_certificate_output_is_pinned(r, f, digest):
+    assert certificate_digest(["--r", str(r), "--f", str(f)]) == digest
+
+
+def certificate_digest(args: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["finiteness", "--r", str(r), "--f", str(f), "--verify", "--format", "json"])
+        code = main(["finiteness", *args, "--verify", "--format", "json"])
     assert code == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+# stdout sha256 of `finiteness --r R --f F --window W --verify --format json`,
+# recorded with one constructive reduction per target and the Fraction verify;
+# wide windows hold the largest translation classes
+@pytest.mark.parametrize(
+    "r, f, window, digest",
+    [
+        (2, 4, 40, "f711c650dc70468732f7f149e8c3a88317f4669d2a55cff85eb7ec47fc36cd2a"),
+        (2, 2, 24, "ee93d3801a98dd7d781de8f3fb49a4fbfcba336a684c0aa50bb91f6bdd3deb3c"),
+        (3, 2, 7, "7a7df31d4a7fae7db6ff72957dbf2ab5ec97ade02694d4b210e0399a3983d804"),
+    ],
+)
+def test_wide_window_certificate_output_is_pinned(r, f, window, digest):
+    assert certificate_digest(["--r", str(r), "--f", str(f), "--window", str(window)]) == digest
 
 
 @pytest.mark.parametrize(
@@ -249,3 +270,140 @@ def test_generators_have_freeness_rank(r, f):
     # A = Q[t^+-1]^{S_r} is free of rank f**r over its image B under t -> t^f
     cert = finiteness_certificate(r, f, 2 * f + 2)
     assert len(cert.generators) == f**r
+
+
+# -- translation classes ---------------------------------------------------
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_constructive_reduction_commutes_with_translation(r, data):
+    f = data.draw(st.integers(1, MAX_POWER))
+    lam = sort_class(data.draw(st.tuples(*[st.integers(-5, 5)] * r)))
+    k = data.draw(st.integers(-3, 3))
+    shifted = constructive_reduction(tuple(x + f * k for x in lam), f)
+    assert shifted == {g: b.translate(f * k) for g, b in constructive_reduction(lam, f).items()}
+
+
+def test_f1_certificate_expands_one_staircase_per_translation_class():
+    # at f = 1 every m_lam of the window is its own target; the 165 classes
+    # of window 4 at r = 3 fall into 45 classes modulo (1, 1, 1)
+    staircase_decompose.cache_clear()
+    finiteness_certificate(3, 1, 4)
+    assert staircase_decompose.cache_info().misses <= 45
+
+
+# -- verify against the Fraction re-expansion -----------------------------
+
+
+def reference_verify(cert) -> bool:
+    """Re-expand every expression in Fraction arithmetic and compare."""
+    for lam, expr in list(cert.pruned.items()) + list(cert.reductions.items()):
+        if any(x % cert.f for coeff in expr.values() for cls in coeff.terms for x in cls):
+            return False
+        if expand_expression(cert.r, expr) != InvariantLaurentPoly.orbit_sum(lam):
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def real_certificate(r: int, f: int):
+    return finiteness_certificate(r, f, 2 * f + 2)
+
+
+def add_term(coeff: InvariantLaurentPoly, cls, value) -> InvariantLaurentPoly:
+    return coeff + InvariantLaurentPoly(coeff.r, {cls: Fraction(value)})
+
+
+def tamper(cert, fault: str):
+    # the first target whose expression uses two or more generators
+    lam, expr = next((t, e) for t, e in sorted(cert.reductions.items()) if len(e) >= 2)
+    gamma = min(expr)
+    coeff = expr[gamma]
+    r, f = cert.r, cert.f
+    if fault == "coefficient value":
+        cls = min(coeff.terms)
+        expr = {**expr, gamma: add_term(coeff, cls, 1)}
+    elif fault == "exponent not divisible by f":
+        expr = {**expr, gamma: add_term(coeff, (1,) + (0,) * (r - 1), 1)}
+    elif fault == "expands correctly outside B":
+        # m_lam = m_lam * m_0 is exact, but m_lam is not a coefficient in B
+        expr = {(0,) * r: InvariantLaurentPoly.orbit_sum(lam)}
+    elif fault == "empty expression":
+        expr = {}
+    elif fault == "dropped generator":
+        expr = {g: b for g, b in expr.items() if g != gamma}
+    elif fault == "extra B-term":
+        expr = {**expr, gamma: add_term(coeff, (f,) + (0,) * (r - 1), 1)}
+    return dataclasses.replace(cert, reductions={**cert.reductions, lam: expr})
+
+
+FAULTS = [
+    "coefficient value",
+    "exponent not divisible by f",
+    "expands correctly outside B",
+    "empty expression",
+    "dropped generator",
+    "extra B-term",
+]
+
+
+@pytest.mark.parametrize("r, f", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("fault", FAULTS)
+def test_verify_rejects_tampered_certificate(r, f, fault):
+    cert = real_certificate(r, f)
+    assert cert.verify()
+    bad = tamper(cert, fault)
+    assert not bad.verify()
+    assert not reference_verify(bad)
+
+
+@pytest.mark.parametrize("r, f", [(2, 3), (3, 2)])
+def test_verify_rejects_tampered_pruned_expression(r, f):
+    cert = real_certificate(r, f)
+    gamma = min(cert.pruned)
+    bad = dataclasses.replace(cert, pruned={**cert.pruned, gamma: {}})
+    assert not bad.verify()
+
+
+@st.composite
+def perturbed_expressions(draw):
+    """One real (target, expression) pair, perhaps with a few random edits:
+    a term added to, changed in or removed from some coefficient, a
+    generator dropped, or a new generator with its own coefficient."""
+    r, f = draw(st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2)]))
+    cert = real_certificate(r, f)
+    lam = draw(st.sampled_from(sorted(cert.reductions)))
+    expr = dict(cert.reductions[lam])
+    classes = st.tuples(*[st.integers(-4, 4)] * r).map(sort_class)
+    values = st.fractions(-3, 3, max_denominator=4)
+    for _ in range(draw(st.integers(0, 3))):
+        gammas = sorted(expr)
+        kind = draw(st.sampled_from(["add", "change", "remove", "drop", "new"]))
+        if kind == "new" or not gammas:
+            gamma = draw(st.sampled_from(cert.generators))
+            expr[gamma] = InvariantLaurentPoly(r, {draw(classes): draw(values)})
+            continue
+        gamma = draw(st.sampled_from(gammas))
+        terms = dict(expr[gamma].terms)
+        if kind == "drop":
+            del expr[gamma]
+            continue
+        if kind == "add":
+            cls = draw(classes)
+            if draw(st.booleans()):
+                cls = tuple(f * x for x in cls)
+            terms[cls] = terms.get(cls, 0) + draw(values)
+        elif kind == "change" and terms:
+            terms[draw(st.sampled_from(sorted(terms)))] = draw(values)
+        elif terms:
+            del terms[draw(st.sampled_from(sorted(terms)))]
+        expr[gamma] = InvariantLaurentPoly(r, terms)
+    return dataclasses.replace(cert, pruned={}, reductions={lam: expr})
+
+
+@given(perturbed_expressions())
+@settings(max_examples=200, deadline=None)
+def test_verify_matches_fraction_reference(cert):
+    assert cert.verify() == reference_verify(cert)

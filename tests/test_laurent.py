@@ -146,6 +146,13 @@ def test_pullback_scales_exponents():
     }
 
 
+@given(invariant_polys(3), st.integers(-3, 3))
+def test_translate_is_product_with_unit(poly, k):
+    unit = InvariantLaurentPoly.orbit_sum((k, k, k))
+    assert poly.translate(k) == poly * unit
+    assert poly.translate(k).translate(-k) == poly
+
+
 def test_staircase_basis():
     assert staircase_basis(1) == [(0,)]
     assert staircase_basis(2) == [(0, 0), (1, 0)]
@@ -182,3 +189,14 @@ def test_staircase_identity_r3(q):
 def test_staircase_coefficients_are_symmetric():
     for c, b in staircase_decompose((3, -2, 1)).items():
         assert b.expand().is_symmetric()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_staircase_decompose_commutes_with_translation(r, data):
+    # s^(q + k*1) = (s_1...s_r)^k * s^q, and (s_1...s_r)^k = m_(k,...,k) is invariant
+    q = data.draw(exponent_vectors(r))
+    k = data.draw(st.integers(-3, 3))
+    shifted = staircase_decompose(tuple(x + k for x in q))
+    assert shifted == {c: b.translate(k) for c, b in staircase_decompose(q).items()}
