@@ -16,13 +16,14 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .extquot import extended_quotient
 from .finiteness import WindowTooSmall, finiteness_certificate
-from .gl1 import TemperedDualGL1, bc_gl1, circle_map
+from .gl1 import MAX_CIRCLES, TemperedDualGL1, bc_gl1, circle_map
 from .gl2 import (
     AdmissiblePair,
     EvenDegree,
@@ -51,6 +52,10 @@ EXIT_OUT_OF_SCOPE = 3
 EXIT_WINDOW = 4
 
 SCOPE_ERRORS = (UnsupportedExtension, OutOfScope, NotUnramified, EvenDegree)
+
+# kmap's dense output is quadratic in its label lists; allow the largest
+# matrix bc-gl1 can reach under its own circle cap.
+MAX_KMAP_CELLS = MAX_CIRCLES**2
 
 
 def format_rational(x: Fraction) -> str:
@@ -87,24 +92,42 @@ def _render(value, indent: str = "\n") -> str:
     """The text of json.dumps(value, indent=2), without the pure-Python encoder.
 
     indent is the newline and spaces that open this value's line.  Lists of
-    plain ints, the bulk of a K-theory matrix, go through int.__repr__;
-    bool is an int subclass, hence the exact type test.
+    plain ints, the bulk of a K-theory matrix, go through int.__repr__, and
+    when at least half of one is zero its zeros are written a run at a time;
+    bool is an int subclass and False == 0.0 == 0, hence the exact type test.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
     if not isinstance(value, (list, tuple, dict)):
         return json.dumps(value)
     if not value:
         return "{}" if isinstance(value, dict) else "[]"
     inner = indent + "  "
+    sep = "," + inner
     if isinstance(value, dict):
         items = (f"{encode_basestring_ascii(k)}: {_render(v, inner)}" for k, v in value.items())
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if set(map(type, value)) == {int}:
-        items = map(int.__repr__, value)
+        return "{" + inner + sep.join(items) + indent + "}"
+    if set(map(type, value)) != {int}:
+        body = sep.join(_render(v, inner) for v in value)
+    elif 2 * value.count(0) >= len(value):
+        body = _zero_runs(value, sep)
     else:
-        items = (_render(v, inner) for v in value)
-    return "[" + inner + ("," + inner).join(items) + indent + "]"
+        body = sep.join(map(int.__repr__, value))
+    return "[" + inner + body + indent + "]"
+
+
+def _zero_runs(ints: list, sep: str) -> str:
+    """sep.join(map(int.__repr__, ints)), each run of zeros made by one multiplication."""
+    zero = "0" + sep
+    parts = []
+    start = 0
+    for k in compress(range(len(ints)), ints):
+        parts += (zero * (k - start), int.__repr__(ints[k]), sep)
+        start = k + 1
+    parts.append(zero * (len(ints) - start))
+    return "".join(parts)[: -len(sep)]
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -242,8 +265,14 @@ def _match(m) -> tuple:
 
 def cmd_kmap(args) -> int:
     desc = _load_json_arg(args.map)
-    source = CircleSpace(_labels(desc["source"], "source"))
-    target = CircleSpace(_labels(desc["target"], "target"))
+    source = _labels(desc["source"], "source")
+    target = _labels(desc["target"], "target")
+    if len(source) * len(target) > MAX_KMAP_CELLS:
+        raise ValueError(
+            f"kmap of {len(source)} x {len(target)} circles has more than"
+            f" {MAX_KMAP_CELLS} matrix cells"
+        )
+    source, target = CircleSpace(source), CircleSpace(target)
     matches = desc.get("matches", [])
     if not isinstance(matches, list):
         raise ValueError(f"matches must be a list, got {type(matches).__name__}")

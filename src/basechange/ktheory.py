@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Optional
 
 Label = Hashable
@@ -125,61 +125,87 @@ def k_groups(space: CircleSpace) -> tuple[KGroup, KGroup]:
 
 @dataclass(frozen=True)
 class KMorphism:
-    """Integer matrix of an induced K-theory map.
+    """Integer matrix of an induced K-theory map, held by its nonzero cells.
 
     rows follow the source space of the underlying circle map, columns
     the target space; column support is exactly the set of sources
-    matched to that target component.
+    matched to that target component.  cells lists (row, col, value)
+    for every nonzero entry in row-major order, so the work a matrix
+    costs grows with its nonzeros; entries is the dense view for small
+    callers.
     """
 
     row_labels: tuple[Label, ...]
     col_labels: tuple[Label, ...]
-    entries: tuple[tuple[int, ...], ...]
+    cells: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if len(self.entries) != len(self.row_labels):
-            raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != len(self.col_labels):
-                raise ValueError("column count mismatch")
+        rows, cols = len(self.row_labels), len(self.col_labels)
+        last = (-1, -1)
+        for i, j, value in self.cells:
+            if not (type(i) is int and 0 <= i < rows and type(j) is int and 0 <= j < cols):
+                raise ValueError(f"cell ({i!r}, {j!r}) is outside a {rows} x {cols} matrix")
+            if type(value) is not int or value == 0:
+                raise ValueError(f"cell ({i}, {j}) must hold a nonzero int, got {value!r}")
+            if (i, j) <= last:
+                raise ValueError("cells must be in strictly increasing (row, col) order")
+            last = (i, j)
+
+    def _dense_rows(self) -> list[list[int]]:
+        rows = [[0] * len(self.col_labels) for _ in self.row_labels]
+        for i, j, value in self.cells:
+            rows[i][j] = value
+        return rows
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self._dense_rows()))
+
+    @cached_property
+    def _lookup(self) -> tuple[dict, dict, dict]:
+        """row label -> row, col label -> col, (row, col) -> nonzero value.
+
+        A repeated label resolves to its first position.
+        """
+        def first_positions(labels):
+            return dict(zip(reversed(labels), range(len(labels) - 1, -1, -1)))
+
+        values = {(i, j): value for i, j, value in self.cells}
+        return first_positions(self.row_labels), first_positions(self.col_labels), values
 
     def entry(self, row: Label, col: Label) -> int:
-        return self.entries[self.row_labels.index(row)][self.col_labels.index(col)]
+        rows, cols, values = self._lookup
+        try:
+            return values.get((rows[row], cols[col]), 0)
+        except KeyError as exc:
+            raise ValueError(f"{exc.args[0]!r} is not a label of this matrix") from None
 
     def matmul(self, other: "KMorphism") -> "KMorphism":
         """Composite along a chain of spaces: rows stay, columns extend."""
         if self.col_labels != other.row_labels:
             raise ValueError("label mismatch in matrix composition")
-        rows = len(self.row_labels)
-        mid = len(self.col_labels)
-        cols = len(other.col_labels)
-        data = tuple(
-            tuple(
-                sum(self.entries[i][k] * other.entries[k][j] for k in range(mid))
-                for j in range(cols)
-            )
-            for i in range(rows)
-        )
-        return KMorphism(self.row_labels, other.col_labels, data)
+        other_rows: dict[int, list[tuple[int, int]]] = {}
+        for k, j, value in other.cells:
+            other_rows.setdefault(k, []).append((j, value))
+        sums: dict[tuple[int, int], int] = {}
+        for i, k, a in self.cells:
+            for j, b in other_rows.get(k, ()):
+                sums[i, j] = sums.get((i, j), 0) + a * b
+        cells = tuple((i, j, v) for (i, j), v in sorted(sums.items()) if v)
+        return KMorphism(self.row_labels, other.col_labels, cells)
 
     def is_identity(self) -> bool:
-        return self.row_labels == self.col_labels and all(
-            self.entries[i][j] == (1 if i == j else 0)
-            for i in range(len(self.row_labels))
-            for j in range(len(self.col_labels))
+        return self.row_labels == self.col_labels and self.cells == tuple(
+            (i, i, 1) for i in range(len(self.row_labels))
         )
 
     def to_json(self) -> dict:
-        triplets = [
-            [i, j, row[j]]
-            for i, row in enumerate(self.entries)
-            for j in compress(range(len(row)), row)
-        ]
+        """Schema 1: the dense entries rows and the triplets, both from the cells."""
         return {
             "rows": [l if isinstance(l, (str, int)) else str(l) for l in self.row_labels],
             "cols": [l if isinstance(l, (str, int)) else str(l) for l in self.col_labels],
-            "entries": [list(row) for row in self.entries],
-            "triplets": triplets,
+            "entries": self._dense_rows(),
+            "triplets": [list(cell) for cell in self.cells],
         }
 
 
@@ -188,19 +214,15 @@ def induced_map(m: ProperCircleMap) -> tuple[KMorphism, KMorphism]:
 
     K^1 carries the degree on each matched (source, target) entry, K^0
     carries 1 there; all other entries, in particular whole columns of
-    unmatched targets, are 0.
+    unmatched targets, are 0.  A source is matched at most once, so each
+    row holds at most one cell and sorting by row gives row-major order.
     """
     rows = m.source.components
     cols = m.target.components
-    k0 = [[0] * len(cols) for _ in rows]
-    k1 = [[0] * len(cols) for _ in rows]
     row_of, col_of = m.source.positions, m.target.positions
-    for src, tgt, degree in m.matches:
-        i, j = row_of[src], col_of[tgt]
-        k0[i][j] = 1
-        k1[i][j] = degree
-    freeze = lambda mat: tuple(tuple(row) for row in mat)
-    return KMorphism(rows, cols, freeze(k0)), KMorphism(rows, cols, freeze(k1))
+    k1 = tuple(sorted((row_of[src], col_of[tgt], degree) for src, tgt, degree in m.matches))
+    k0 = tuple((i, j, 1) for i, j, _ in k1)
+    return KMorphism(rows, cols, k0), KMorphism(rows, cols, k1)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from basechange.cli import _render, main
+from basechange.gl1 import MAX_CIRCLES
 
 UNRAMIFIED_CUBIC = '{"q": 3, "p": 3, "e": 1, "f": 3, "galois": true, "cyclic": true, "filtration_orders": []}'
 TAME_QUADRATIC = '{"q": 3, "p": 3, "e": 2, "f": 1, "galois": true, "cyclic": true, "filtration_orders": [2]}'
@@ -301,6 +303,46 @@ def test_kmap(capsys):
     assert payload["k1"]["triplets"] == [[0, 0, 2], [1, 0, 2]]
 
 
+def test_kmap_output_is_pinned(capsys):
+    # 300 x 200: unmatched sources (all-zero rows), target t0 never hit (an
+    # all-zero column), t1 hit by twelve sources; stdout sha256 recorded
+    # with dense matrix storage and dense row rendering
+    rng = random.Random(20061)
+    source = [f"s{i}" for i in range(300)]
+    target = [f"t{j}" for j in range(200)]
+    matches = [{"from": s, "to": "t1", "degree": 3} for s in source[:12]]
+    for s in source[12:]:
+        if rng.random() < 0.7:
+            matches.append(
+                {"from": s, "to": rng.choice(target[2:]), "degree": rng.randint(1, 5)}
+            )
+    desc = json.dumps({"source": source, "target": target, "matches": matches})
+    code, out, _ = run(capsys, "kmap", "--map", desc, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "70c4c706c57318efbbe29c17ff68de9a69350cf492ba46b4f9340bb9968c05ba"
+    )
+
+
+def test_kmap_size_cap(capsys):
+    # the cap is the largest matrix bc-gl1 reaches: MAX_CIRCLES ** 2 cells
+    labels = [f"c{i}" for i in range(MAX_CIRCLES + 1)]
+    desc = json.dumps({"source": labels, "target": labels[:-1], "matches": []})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "kmap", "--map", desc, "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: kmap of {MAX_CIRCLES + 1} x {MAX_CIRCLES} circles has more than"
+        f" {MAX_CIRCLES ** 2} matrix cells"
+    ]
+    desc = json.dumps({"source": labels[:MAX_CIRCLES], "target": ["x"], "matches": []})
+    code, payload, _ = run_json(capsys, "kmap", "--map", desc)
+    assert code == 0
+    assert payload["k1"]["entries"] == [[0]] * MAX_CIRCLES
+
+
 def test_finiteness(capsys):
     code, payload, _ = run_json(
         capsys, "finiteness", "--r", "1", "--f", "2", "--window", "4", "--verify"
@@ -358,7 +400,14 @@ def test_extension_from_file(tmp_path, capsys):
 
 _strings = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001d11e'))
 _scalars = st.none() | st.booleans() | st.integers() | st.floats() | _strings
-_int_lists = st.lists(st.integers(-(2**80), 2**80) | st.booleans())
+_ints = st.integers(-(2**80), 2**80)
+# long lists around and above half zeros take the zero-run path; False, 0.0
+# and -0.0 equal 0 but must keep their own spelling
+_int_lists = (
+    st.lists(_ints | st.booleans())
+    | st.lists(st.just(0) | _ints, min_size=20, max_size=80)
+    | st.lists(st.just(0) | _ints | st.sampled_from([False, 0.0, -0.0]), min_size=20, max_size=80)
+)
 
 
 @given(
@@ -369,5 +418,9 @@ _int_lists = st.lists(st.integers(-(2**80), 2**80) | st.booleans())
     )
 )
 @example([[], {}, [[]], {"": {}}, [True, 1, False], [1, None]])
+@example([[0] * 50, [0], [0, 0]])
+@example({"first": [7] + [0] * 30, "last": [0] * 30 + [-3], "one": [5, 0]})
+@example([0] * 40 + [False])
+@example([0, -0.0, 0])
 def test_render_matches_json_dumps(obj):
     assert _render(obj) == json.dumps(obj, indent=2)

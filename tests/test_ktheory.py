@@ -130,10 +130,128 @@ def test_compose_requires_matching_spaces():
         compose_maps(m1, m2)
 
 
-def test_matmul_label_check():
-    k = KMorphism(("a",), ("b",), ((2,),))
+# -- sparse cells against a dense reference --------------------------------------
+
+
+def dense_induced(m):
+    """The (K^0, K^1) matrices of m, built as full grids by label scans."""
+    rows, cols = m.source.components, m.target.components
+    k0 = [[0] * len(cols) for _ in rows]
+    k1 = [[0] * len(cols) for _ in rows]
+    for src, tgt, degree in m.matches:
+        i, j = rows.index(src), cols.index(tgt)
+        k0[i][j] = 1
+        k1[i][j] = degree
+    return tuple(map(tuple, k0)), tuple(map(tuple, k1))
+
+
+def dense_json(rows, cols, grid):
+    return {
+        "rows": list(rows),
+        "cols": list(cols),
+        "entries": [list(row) for row in grid],
+        "triplets": [[i, j, v] for i, row in enumerate(grid) for j, v in enumerate(row) if v],
+    }
+
+
+def dense_product(a, b, cols):
+    """a times b, where b has cols columns (b may have no rows)."""
+    return tuple(
+        tuple(sum(row[k] * b[k][j] for k in range(len(b))) for j in range(cols)) for row in a
+    )
+
+
+def from_grid(rows, cols, grid):
+    cells = tuple((i, j, v) for i, row in enumerate(grid) for j, v in enumerate(row) if v)
+    return KMorphism(rows, cols, cells)
+
+
+@st.composite
+def proper_maps(draw, source=None):
+    """Maps with unmatched sources, targets hit several times or never, empty
+    spaces, matches in any order, and now and then an identity."""
+    if source is None:
+        source = CircleSpace(f"s{i}" for i in range(draw(st.integers(0, 6))))
+    if draw(st.integers(0, 4)) == 0:
+        return ProperCircleMap.identity(source)
+    if draw(st.booleans()):
+        target = source
+    else:
+        target = CircleSpace(f"t{j}" for j in range(draw(st.integers(0, 6))))
+    matches = []
+    if target.components:
+        for label in source.components:
+            if draw(st.booleans()):
+                hit = draw(st.sampled_from(target.components[:2]) | st.sampled_from(target.components))
+                matches.append((label, hit, draw(st.integers(1, 4))))
+    return ProperCircleMap(source, target, tuple(draw(st.permutations(matches))))
+
+
+@given(proper_maps(), st.data())
+def test_sparse_matrices_match_dense_reference(m, data):
+    rows, cols = m.source.components, m.target.components
+    second = data.draw(proper_maps(source=m.target))
+    for k, grid, k_next, grid_next in zip(
+        induced_map(m), dense_induced(m), induced_map(second), dense_induced(second)
+    ):
+        assert k.entries == grid
+        assert k.to_json() == dense_json(rows, cols, grid)
+        assert k.is_identity() == (
+            rows == cols and all(v == (i == j) for i, row in enumerate(grid) for j, v in enumerate(row))
+        )
+        assert [[k.entry(r, c) for c in cols] for r in rows] == [list(row) for row in grid]
+        product = dense_product(grid, grid_next, len(second.target))
+        assert k.matmul(k_next).entries == product
     with pytest.raises(ValueError):
-        k.matmul(KMorphism(("x",), ("y",), ((1,),)))
+        k.entry("missing", cols[0] if cols else "missing")
+    if rows:
+        with pytest.raises(ValueError):
+            k.entry(rows[0], "missing")
+
+
+_grids = st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=4)
+)
+
+
+@given(_grids, _grids)
+def test_sparse_matmul_matches_dense_product(a, b):
+    # general integer matrices: products cancel to zero and rows fill up
+    inner = len(a[0]) if a else 0
+    cols = len(b[0]) if b else 0
+    b = b[:inner] + [[0] * cols] * (inner - len(b))
+    mid = tuple(f"m{k}" for k in range(inner))
+    left = from_grid(tuple(f"r{i}" for i in range(len(a))), mid, a)
+    right = from_grid(mid, tuple(f"c{j}" for j in range(cols)), b)
+    assert left.matmul(right).entries == dense_product(a, b, cols)
+
+
+def test_cell_validation():
+    rows, cols = ("a", "b"), ("x", "y")
+    assert KMorphism(rows, cols, ((0, 1, 2), (1, 0, -1))).entries == ((0, 2), (-1, 0))
+    for cells in (
+        ((2, 0, 1),),  # row out of range
+        ((0, -1, 1),),  # column out of range
+        ((0, 0, 0),),  # stored zero
+        ((0, 0, True),),  # bool value
+        ((0, 0, 1.0),),  # float value
+        ((1, 0, 1), (0, 1, 1)),  # rows out of order
+        ((0, 1, 1), (0, 0, 1)),  # columns out of order
+        ((0, 0, 1), (0, 0, 2)),  # repeated cell
+    ):
+        with pytest.raises(ValueError):
+            KMorphism(rows, cols, cells)
+
+
+def test_entry_on_repeated_labels_takes_first_position():
+    k = KMorphism(("a", "a"), ("x",), ((1, 0, 5),))
+    assert k.entry("a", "x") == k.entries[0][0] == 0
+
+
+def test_matmul_label_check():
+    k = KMorphism(("a",), ("b",), ((0, 0, 2),))
+    with pytest.raises(ValueError):
+        k.matmul(KMorphism(("x",), ("y",), ((0, 0, 1),)))
 
 
 # -- symmetric reduction and the winding oracle ----------------------------------
