@@ -34,7 +34,6 @@ from .extquot import (
     extended_quotient,
     fixed_component,
     partitions_of,
-    pullback_invariant,
     satake_bc,
     steinberg_curve_bc,
 )

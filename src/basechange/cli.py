@@ -130,12 +130,17 @@ def _zero_runs(ints: list, sep: str) -> str:
     return "".join(parts)[: -len(sep)]
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    rendered = _render(payload) if args.format == "json" else text
+def _emit(args, payload: dict, lines: list[str]) -> int:
+    """Write the payload (JSON, schema_version first) or the text lines."""
+    if args.format == "json":
+        rendered = _render({"schema_version": SCHEMA_VERSION, **payload})
+    else:
+        rendered = "\n".join(lines)
     if args.output:
         Path(args.output).write_text(rendered + "\n")
     else:
         print(rendered)
+    return EXIT_OK
 
 
 # -- subcommand implementations -----------------------------------------
@@ -146,9 +151,7 @@ def cmd_extquot(args) -> int:
     lines = []
     for comp in eq.components:
         lines.append(f"{'+'.join(str(p) for p in comp.partition)}: {comp.describe()}")
-    payload = {"schema_version": SCHEMA_VERSION, **eq.to_json()}
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    return _emit(args, eq.to_json(), lines)
 
 
 def cmd_psi(args) -> int:
@@ -168,25 +171,14 @@ def cmd_psi(args) -> int:
         lines.append(
             f"{format_rational_text(x)} | {format_rational_text(psi_x)} | {format_rational_text(phi_x)}"
         )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "orders": list(filt.orders),
-        "rows": rows,
-    }
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    return _emit(args, {"orders": list(filt.orders), "rows": rows}, lines)
 
 
 def cmd_norm_level(args) -> int:
     ext, filt = ExtensionData.from_json(_load_json_arg(args.extension))
     level_f = norm_level_image(ext, filt, args.level)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "level_E": args.level,
-        "level_F": level_f,
-    }
-    _emit(args, payload, f"N(U_E^{args.level}) = U_F^{level_f}")
-    return EXIT_OK
+    payload = {"level_E": args.level, "level_F": level_f}
+    return _emit(args, payload, [f"N(U_E^{args.level}) = U_F^{level_f}"])
 
 
 def cmd_bc_gl1(args) -> int:
@@ -202,7 +194,6 @@ def cmd_bc_gl1(args) -> int:
     for src, tgt, degree in bc.pairs:
         lines.append(f"({src.conductor},{src.index}) -> ({tgt.conductor},{tgt.index}) degree {degree}")
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "extension": ext.to_json(filt),
         "degree": bc.f,
         "dual": dual.to_json(),
@@ -210,8 +201,7 @@ def cmd_bc_gl1(args) -> int:
         "k0": k0.to_json(),
         "k1": k1.to_json(),
     }
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    return _emit(args, payload, lines)
 
 
 def cmd_bc_gl2(args) -> int:
@@ -238,14 +228,8 @@ def cmd_bc_gl2(args) -> int:
         f"K1 entry: {result.degree}",
         "K0 entry: 1",
     ]
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "result": result.to_json(),
-        "k0": k0.to_json(),
-        "k1": k1.to_json(),
-    }
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    payload = {"result": result.to_json(), "k0": k0.to_json(), "k1": k1.to_json()}
+    return _emit(args, payload, lines)
 
 
 def _labels(value, name: str) -> tuple:
@@ -282,13 +266,7 @@ def cmd_kmap(args) -> int:
     lines += ["  " + " ".join(str(v) for v in row) for row in k0.entries]
     lines.append("K1:")
     lines += ["  " + " ".join(str(v) for v in row) for row in k1.entries]
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "k0": k0.to_json(),
-        "k1": k1.to_json(),
-    }
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    return _emit(args, {"k0": k0.to_json(), "k1": k1.to_json()}, lines)
 
 
 def cmd_finiteness(args) -> int:
@@ -315,13 +293,7 @@ def cmd_finiteness(args) -> int:
     ]
     if verified is not None:
         lines.append(f"verified by expansion: {verified}")
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "summary": summary,
-        "certificate": cert.to_json(),
-    }
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    return _emit(args, {"summary": summary, "certificate": cert.to_json()}, lines)
 
 
 # -- parser -------------------------------------------------------------

@@ -12,7 +12,7 @@ Points carry exact Gaussian rational coordinates, with multiset
 semantics inside each symmetric-power factor, and base change for an
 extension of residue degree f raises every coordinate to the f-th
 power.  The induced pullback on the invariant Laurent coordinate ring
-substitutes t_i -> t_i^f.
+substitutes t_i -> t_i^f (``InvariantLaurentPoly.pullback``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .gaussian import GaussianRational
-from .laurent import InvariantLaurentPoly
 
 MAX_TORUS_RANK = 30  # guard: cross-check oracles get factorial-ish beyond this
 
@@ -190,13 +189,3 @@ def satake_bc(point: TorusPoint, f: int) -> TorusPoint:
     n = len(point.factors[0])
     return base_change_point(fixed_component(n, (1,) * n), point, f)
 
-
-def pullback_invariant(r: int, f: int, poly: InvariantLaurentPoly) -> InvariantLaurentPoly:
-    """Pullback of the coordinate-ring map t_i -> t_i^f on invariants.
-
-    A ring homomorphism: exponent vectors scale by f, coefficients are
-    untouched.
-    """
-    if poly.r != r:
-        raise ValueError(f"polynomial has {poly.r} variables, expected {r}")
-    return poly.pullback(f)

@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterator, Optional
 
 from .laurent import (
@@ -65,6 +65,10 @@ from .laurent import (
 
 MAX_RANK = 3
 MAX_POWER = 4
+# a certificate holds one reduction per target class in memory; the
+# widest windows in use, (r, f, window) = (2, 4, 40) with 3,321 targets
+# and (3, 4, 10) with 1,771, stay under the cap
+MAX_TARGETS = 5000
 
 
 class WindowTooSmall(ValueError):
@@ -375,7 +379,8 @@ def finiteness_certificate(r: int, f: int, window: int) -> FinitenessCertificate
 
     Raises WindowTooSmall when some in-window monomial admits no
     expression with generators and coefficients inside the window
-    bounds.
+    bounds, and ValueError, before anything is enumerated, when the
+    window holds more than MAX_TARGETS target classes.
     """
     if not 1 <= r <= MAX_RANK:
         raise ValueError(f"r must be in [1, {MAX_RANK}]")
@@ -383,6 +388,11 @@ def finiteness_certificate(r: int, f: int, window: int) -> FinitenessCertificate
         raise ValueError(f"f must be in [1, {MAX_POWER}]")
     if window < 1:
         raise ValueError("window must be >= 1")
+    targets = comb(2 * window + r, r)  # weakly decreasing r-tuples in [-window, window]
+    if targets > MAX_TARGETS:
+        raise ValueError(
+            f"window {window} at r={r} has {targets} target classes, more than {MAX_TARGETS}"
+        )
 
     coeff_window = window + f * r
     kept: list[ExponentVector] = []

@@ -1,12 +1,18 @@
 """Exact multivariate Laurent polynomials and their symmetric invariants.
 
-Two layers live here.
+Both polynomial classes share one term core: ``r`` variables and a dict
+``terms`` from exponent tuples to nonzero Fractions, with one cleaning
+constructor and the additive ring plumbing (zero, one, +, -, scale,
+equality, hashing).  The classes stay strict with each other: they are
+never equal, and mixing them in a ring operation raises TypeError, since
+a monomial and an orbit sum with the same exponents are different
+polynomials.
 
-``LaurentPoly`` is a plain dict-backed Laurent polynomial over Q in a
-fixed number of variables, with the one nonstandard primitive the rest
-of the library leans on: exact division by a difference of variables
-(x_i - x_j), which is what makes divided-difference computations
-possible without ever leaving exact arithmetic.
+``LaurentPoly`` is a plain Laurent polynomial over Q, with the one
+nonstandard primitive the rest of the library leans on: exact division
+by a difference of variables (x_i - x_j), which is what makes
+divided-difference computations possible without ever leaving exact
+arithmetic.
 
 ``InvariantLaurentPoly`` is the S_r-invariant subring, represented in
 the orbit-sum basis: a term with weakly decreasing exponent vector
@@ -21,20 +27,24 @@ and 6), so a term pair costs |orbit(b)| vector additions instead of
 |orbit(a)| * |orbit(b)| monomial products.  The Reynolds symmetrisation
 (group average) is provided and is idempotent.
 
-``staircase_decompose`` writes an arbitrary Laurent monomial s^q (r <= 3
-variables) over the invariant subring with respect to the free-module
-basis {s^c : 0 <= c_i <= r - i}.  Freeness of that basis is the
-classical statement for polynomial rings, and it survives inverting the
-product s_1*...*s_r, which is how Laurent exponents are handled.  The
-coefficients are computed by Newton-style divided differences, so they
-come out exactly and uniquely.
+``staircase_decompose`` writes an arbitrary Laurent monomial s^q in any
+number r of variables over the invariant subring with respect to the
+free-module basis {s^c : 0 <= c_i <= r - i} (Artin, Galois Theory, 1944;
+Macdonald, Notes on Schubert Polynomials, 1991, ch. 2).  Freeness of
+that basis is the classical statement for polynomial rings, and it
+survives inverting the product s_1*...*s_r, which is how Laurent
+exponents are handled.  One peel serves every r: a piece symmetric in
+s_{k+1..r} is a polynomial in s_k whose coefficients are symmetric in
+s_k..s_r, and Newton's divided differences recover them exactly and
+uniquely.  The rank cap of the finiteness certificates is theirs, not a
+limit of this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial, lcm
 from typing import Iterable, Mapping
 
@@ -84,17 +94,17 @@ def _orbit_sum_product(a: ExponentVector, b: ExponentVector) -> tuple[tuple[Expo
     return tuple((lam, n // stab_a) for lam, n in counts.items())
 
 
-class LaurentPoly:
-    """Laurent polynomial over Q: {exponent tuple: nonzero Fraction}.
+class _TermPoly:
+    """The shared core: r variables, {exponent tuple: nonzero Fraction}.
 
     Instances are immutable by convention; all operations return fresh
-    objects.
+    objects of the operand's own class.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("r", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[ExponentVector, Fraction] | None = None):
-        self.nvars = nvars
+    def __init__(self, r: int, terms: Mapping[ExponentVector, Fraction] | None = None):
+        self.r = r
         clean: dict[ExponentVector, Fraction] = {}
         if terms:
             for exp, coeff in terms.items():
@@ -102,43 +112,36 @@ class LaurentPoly:
                 if coeff == 0:
                     continue
                 exp = tuple(int(x) for x in exp)
-                if len(exp) != nvars:
-                    raise ValueError(f"exponent {exp} has wrong arity for {nvars} variables")
+                if len(exp) != r:
+                    raise ValueError(f"exponent {exp} has wrong arity for r={r}")
                 clean[exp] = coeff
         self.terms = clean
 
-    @staticmethod
-    def _trusted(nvars: int, terms: dict[ExponentVector, Fraction]) -> "LaurentPoly":
-        """Wrap terms that are already clean: nvars-tuples of ints mapped to
-        nonzero Fractions.  Skips the checks and coercions of __init__."""
-        poly = object.__new__(LaurentPoly)
-        poly.nvars = nvars
+    @classmethod
+    def _trusted(cls, r: int, terms: dict[ExponentVector, Fraction]):
+        """Wrap terms that are already clean: valid r-tuples of ints mapped
+        to nonzero Fractions.  Skips the checks and coercions of __init__."""
+        poly = object.__new__(cls)
+        poly.r = r
         poly.terms = terms
         return poly
 
-    # -- constructors ----------------------------------------------------
+    @classmethod
+    def zero(cls, r: int):
+        return cls._trusted(r, {})
 
-    @staticmethod
-    def zero(nvars: int) -> "LaurentPoly":
-        return LaurentPoly(nvars)
+    @classmethod
+    def one(cls, r: int):
+        return cls._trusted(r, {(0,) * r: Fraction(1)})
 
-    @staticmethod
-    def one(nvars: int) -> "LaurentPoly":
-        return LaurentPoly(nvars, {(0,) * nvars: Fraction(1)})
-
-    @staticmethod
-    def monomial(exp: Iterable[int], coeff: Fraction | int = 1) -> "LaurentPoly":
-        exp = tuple(int(x) for x in exp)
-        return LaurentPoly(len(exp), {exp: Fraction(coeff)})
-
-    # -- ring operations ---------------------------------------------------
-
-    def _check_arity(self, other: "LaurentPoly"):
-        if self.nvars != other.nvars:
+    def _check(self, other: "_TermPoly"):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if self.r != other.r:
             raise ValueError("variable counts differ")
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check_arity(other)
+    def __add__(self, other):
+        self._check(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
             s = out.get(exp, Fraction(0)) + c
@@ -146,16 +149,42 @@ class LaurentPoly:
                 out[exp] = s
             else:
                 out.pop(exp, None)
-        return LaurentPoly._trusted(self.nvars, out)
+        return self._trusted(self.r, out)
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
+    def __neg__(self):
+        return self._trusted(self.r, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
+    def __sub__(self, other):
         return self + (-other)
 
+    def scale(self, c: Fraction | int):
+        c = Fraction(c)
+        if not c:
+            return self.zero(self.r)
+        return self._trusted(self.r, {e: c * v for e, v in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.r == other.r and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.r, frozenset(self.terms.items())))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+
+class LaurentPoly(_TermPoly):
+    """Laurent polynomial over Q: {exponent tuple: nonzero Fraction}."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def monomial(exp: Iterable[int], coeff: Fraction | int = 1) -> "LaurentPoly":
+        exp = tuple(int(x) for x in exp)
+        return LaurentPoly(len(exp), {exp: Fraction(coeff)})
+
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check_arity(other)
+        self._check(other)
         out: dict[ExponentVector, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -165,22 +194,7 @@ class LaurentPoly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return LaurentPoly._trusted(self.nvars, out)
-
-    def scale(self, c: Fraction | int) -> "LaurentPoly":
-        c = Fraction(c)
-        if not c:
-            return LaurentPoly.zero(self.nvars)
-        return LaurentPoly._trusted(self.nvars, {e: c * v for e, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return LaurentPoly._trusted(self.r, out)
 
     # -- symmetry helpers --------------------------------------------------
 
@@ -188,20 +202,20 @@ class LaurentPoly:
         """Apply the variable substitution x_i -> x_{perm[i]}."""
         out: dict[ExponentVector, Fraction] = {}
         for exp, c in self.terms.items():
-            new = [0] * self.nvars
+            new = [0] * self.r
             for i, v in enumerate(exp):
                 new[perm[i]] = v
             out[tuple(new)] = out.get(tuple(new), Fraction(0)) + c
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly(self.r, out)
 
     def swap(self, i: int, j: int) -> "LaurentPoly":
-        perm = list(range(self.nvars))
+        perm = list(range(self.r))
         perm[i], perm[j] = perm[j], perm[i]
         return self.permuted(tuple(perm))
 
     def is_symmetric(self) -> bool:
         # adjacent transpositions generate S_r
-        return all(self.swap(i, i + 1) == self for i in range(self.nvars - 1))
+        return all(self.swap(i, i + 1) == self for i in range(self.r - 1))
 
     def divexact_diff(self, i: int, j: int) -> "LaurentPoly":
         """Exact quotient by (x_i - x_j); raises if the division is inexact.
@@ -211,7 +225,7 @@ class LaurentPoly:
         Laurent ring.
         """
         if self.is_zero():
-            return LaurentPoly.zero(self.nvars)
+            return LaurentPoly.zero(self.r)
         lo = min(e[i] for e in self.terms)
         hi = max(e[i] for e in self.terms)
         # coefficient of x_i^k, as a Laurent poly with a dummy 0 in slot i
@@ -220,11 +234,11 @@ class LaurentPoly:
             rest = exp[:i] + (0,) + exp[i + 1:]
             coeffs.setdefault(exp[i], {})[rest] = c
         c_of = {
-            k: LaurentPoly._trusted(self.nvars, d) for k, d in coeffs.items()
+            k: LaurentPoly._trusted(self.r, d) for k, d in coeffs.items()
         }
-        zero = LaurentPoly.zero(self.nvars)
+        zero = LaurentPoly.zero(self.r)
         xj_inv = LaurentPoly.monomial(
-            tuple(-1 if t == j else 0 for t in range(self.nvars))
+            tuple(-1 if t == j else 0 for t in range(self.r))
         )
         # P = (x_i - x_j) Q with Q = sum_{k=lo}^{hi-1} d_k x_i^k:
         #   d_lo = -c_lo / x_j,  d_k = (d_{k-1} - c_k)/x_j,  and d_{hi-1} = c_hi.
@@ -242,56 +256,29 @@ class LaurentPoly:
             for exp, c in poly.terms.items():
                 e = exp[:i] + (k,) + exp[i + 1:]
                 out[e] = c  # the slot-i exponent k keeps the pieces apart
-        return LaurentPoly._trusted(self.nvars, out)
+        return LaurentPoly._trusted(self.r, out)
 
     def __repr__(self):
         items = ", ".join(f"{e}: {c}" for e, c in sorted(self.terms.items()))
-        return f"LaurentPoly({self.nvars}, {{{items}}})"
+        return f"LaurentPoly({self.r}, {{{items}}})"
 
 
-class InvariantLaurentPoly:
+class InvariantLaurentPoly(_TermPoly):
     """S_r-invariant Laurent polynomial in the orbit-sum basis.
 
     ``terms`` maps weakly decreasing exponent vectors lam to the exact
     rational coefficient of the orbit sum m_lam.
     """
 
-    __slots__ = ("r", "terms")
+    __slots__ = ()
 
     def __init__(self, r: int, terms: Mapping[ExponentVector, Fraction] | None = None):
-        self.r = r
-        clean: dict[ExponentVector, Fraction] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff == 0:
-                    continue
-                exp = tuple(int(x) for x in exp)
-                if len(exp) != r:
-                    raise ValueError(f"class {exp} has wrong arity for r={r}")
-                if any(a < b for a, b in zip(exp, exp[1:])):
-                    raise ValueError(f"class {exp} is not weakly decreasing")
-                clean[exp] = coeff
-        self.terms = clean
-
-    @staticmethod
-    def _trusted(r: int, terms: dict[ExponentVector, Fraction]) -> "InvariantLaurentPoly":
-        """Wrap terms that are already clean: weakly decreasing r-tuples of ints
-        mapped to nonzero Fractions.  Skips the checks and coercions of __init__."""
-        poly = object.__new__(InvariantLaurentPoly)
-        poly.r = r
-        poly.terms = terms
-        return poly
+        super().__init__(r, terms)
+        for exp in self.terms:
+            if any(a < b for a, b in zip(exp, exp[1:])):
+                raise ValueError(f"class {exp} is not weakly decreasing")
 
     # -- constructors ----------------------------------------------------
-
-    @staticmethod
-    def zero(r: int) -> "InvariantLaurentPoly":
-        return InvariantLaurentPoly(r)
-
-    @staticmethod
-    def one(r: int) -> "InvariantLaurentPoly":
-        return InvariantLaurentPoly(r, {(0,) * r: Fraction(1)})
 
     @staticmethod
     def orbit_sum(lam: Iterable[int], coeff: Fraction | int = 1) -> "InvariantLaurentPoly":
@@ -307,7 +294,7 @@ class InvariantLaurentPoly:
             lam = sort_class(exp)
             if exp == lam:
                 out[lam] = c
-        collected = InvariantLaurentPoly(poly.nvars, out)
+        collected = InvariantLaurentPoly(poly.r, out)
         if collected.expand() != poly:
             raise ValueError("polynomial is not symmetric")
         return collected
@@ -315,7 +302,7 @@ class InvariantLaurentPoly:
     @staticmethod
     def symmetrize(poly: LaurentPoly) -> "InvariantLaurentPoly":
         """Reynolds average over S_r; idempotent on invariant input."""
-        r = poly.nvars
+        r = poly.r
         acc = LaurentPoly.zero(r)
         for perm in permutations(range(r)):
             acc = acc + poly.permuted(perm)
@@ -329,27 +316,6 @@ class InvariantLaurentPoly:
             for w in orbit(lam):
                 out[w] = c
         return LaurentPoly(self.r, out)
-
-    def _check(self, other: "InvariantLaurentPoly"):
-        if self.r != other.r:
-            raise ValueError("variable counts differ")
-
-    def __add__(self, other: "InvariantLaurentPoly") -> "InvariantLaurentPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            s = out.get(lam, Fraction(0)) + c
-            if s:
-                out[lam] = s
-            else:
-                out.pop(lam, None)
-        return InvariantLaurentPoly._trusted(self.r, out)
-
-    def __neg__(self) -> "InvariantLaurentPoly":
-        return InvariantLaurentPoly._trusted(self.r, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "InvariantLaurentPoly") -> "InvariantLaurentPoly":
-        return self + (-other)
 
     def __mul__(self, other: "InvariantLaurentPoly") -> "InvariantLaurentPoly":
         """Product in the orbit-sum basis, never expanding to monomials.
@@ -375,12 +341,6 @@ class InvariantLaurentPoly:
             self.r, {lam: Fraction(num, den) for lam, num in acc.items() if num}
         )
 
-    def scale(self, c: Fraction | int) -> "InvariantLaurentPoly":
-        c = Fraction(c)
-        if not c:
-            return InvariantLaurentPoly.zero(self.r)
-        return InvariantLaurentPoly._trusted(self.r, {e: c * v for e, v in self.terms.items()})
-
     def pullback(self, f: int) -> "InvariantLaurentPoly":
         """Substitute t_i -> t_i^f: every exponent vector scales by f."""
         if f < 1:
@@ -395,19 +355,6 @@ class InvariantLaurentPoly:
             self.r, {tuple(x + k for x in e): c for e, c in self.terms.items()}
         )
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, InvariantLaurentPoly)
-            and self.r == other.r
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.r, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def max_abs_exponent(self) -> int:
         return max((abs(x) for e in self.terms for x in e), default=0)
 
@@ -417,34 +364,39 @@ class InvariantLaurentPoly:
 
 
 def staircase_basis(r: int) -> list[ExponentVector]:
-    """The free-module basis exponents {c : 0 <= c_i <= r - i} for r <= 3."""
-    if r == 1:
-        return [(0,)]
-    if r == 2:
-        return [(0, 0), (1, 0)]
-    if r == 3:
-        return [(c1, c2, 0) for c2 in (0, 1) for c1 in (0, 1, 2)]
-    raise ValueError("staircase decomposition is implemented for r <= 3")
+    """The free-module basis exponents {c : 0 <= c_i <= r - i}: r! vectors,
+    the last entry varying slowest."""
+    return [c[::-1] for c in product(*(range(i + 1) for i in range(r)))]
 
 
-def _newton_quadratic(q1: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
-    """Coefficients (c0, c1, c2) with Q = c0 + c1*s_1 + c2*s_1^2, c_i symmetric.
+def _peel(piece: LaurentPoly, k: int) -> list[LaurentPoly]:
+    """Coefficients c_0..c_m of piece = sum_j c_j * s_k^j, with m = r-1-k.
 
-    Q must be symmetric in (s_2, s_3).  Its conjugates Q(s_2;...) and
-    Q(s_3;...) are values of one abstract quadratic, recovered by Newton
-    divided differences; all divisions are exact.
+    piece must be symmetric in s_{k+1}..s_{r-1} (0-based); each c_j comes
+    out symmetric in s_k..s_{r-1}.  The conjugates piece(s_k <-> s_i),
+    i = k..r-1, are the values at X = s_i of Q(X) = sum_j c_j X^j, so
+    Newton's divided differences over the nodes s_k..s_{r-1} give Q, and
+    every division is exact.
     """
-    q2 = q1.swap(0, 1)
-    q3 = q1.swap(0, 2)
-    d12 = (q1 - q2).divexact_diff(0, 1)
-    d23 = (q2 - q3).divexact_diff(1, 2)
-    d123 = (d12 - d23).divexact_diff(0, 2)
-    s1 = LaurentPoly.monomial((1, 0, 0))
-    s2 = LaurentPoly.monomial((0, 1, 0))
-    c2 = d123
-    c1 = d12 - (s1 + s2) * d123
-    c0 = q1 - s1 * d12 + (s1 * s2) * d123
-    return c0, c1, c2
+    column = [piece] + [piece.swap(k, i) for i in range(k + 1, piece.r)]
+    newton = [column[0]]  # newton[j] = Q[s_k, ..., s_{k+j}]
+    for j in range(1, len(column)):
+        column = [
+            (left - right).divexact_diff(k + i, k + i + j)
+            for i, (left, right) in enumerate(zip(column, column[1:]))
+        ]
+        newton.append(column[0])
+    # Horner on the Newton form Q = a_0 + (X - s_k)(a_1 + (X - s_{k+1})(a_2 + ...)),
+    # a_j = newton[j]: multiply the coefficient list by (X - s_{k+j}), add a_j
+    coeffs = [newton.pop()]
+    for j in range(len(newton) - 1, -1, -1):
+        node = LaurentPoly.monomial(tuple(int(t == k + j) for t in range(piece.r)))
+        coeffs = (
+            [newton[j] - node * coeffs[0]]
+            + [prev - node * cur for prev, cur in zip(coeffs, coeffs[1:])]
+            + [coeffs[-1]]
+        )
+    return coeffs
 
 
 @lru_cache(maxsize=None)
@@ -452,29 +404,15 @@ def staircase_decompose(q: ExponentVector) -> dict[ExponentVector, InvariantLaur
     """Write the monomial s^q as sum_c b_c * s^c over the staircase basis.
 
     The b_c are S_r-invariant Laurent polynomials, returned in the
-    orbit-sum basis.  Uniqueness comes from freeness of the basis, which
-    the tests exercise by expanding the result back.
+    orbit-sum basis and keyed in ``staircase_basis`` order.  The peel
+    runs k = r-1 down to 0 (0-based; the first step is trivial) and
+    splits every piece in powers of s_k.  Uniqueness comes from freeness
+    of the basis, which the tests exercise by expanding the result back.
     """
     q = tuple(int(x) for x in q)
-    r = len(q)
-    mono = LaurentPoly.monomial(q)
-    if r == 1:
-        return {(0,): InvariantLaurentPoly(1, {q: Fraction(1)})}
-    if r == 2:
-        b1 = (mono - mono.swap(0, 1)).divexact_diff(0, 1)
-        b0 = mono - LaurentPoly.monomial((1, 0)) * b1
-        return {
-            (0, 0): InvariantLaurentPoly.from_laurent(b0),
-            (1, 0): InvariantLaurentPoly.from_laurent(b1),
+    pieces: dict[ExponentVector, LaurentPoly] = {(): LaurentPoly.monomial(q)}
+    for k in range(len(q) - 1, -1, -1):
+        pieces = {
+            (j,) + c: coeff for c, piece in pieces.items() for j, coeff in enumerate(_peel(piece, k))
         }
-    if r == 3:
-        # peel s_2 against s_3 first, then expand each piece in powers of s_1
-        upper = (mono - mono.swap(1, 2)).divexact_diff(1, 2)
-        lower = mono - LaurentPoly.monomial((0, 1, 0)) * upper
-        out: dict[ExponentVector, InvariantLaurentPoly] = {}
-        for c2_exp, piece in ((0, lower), (1, upper)):
-            c0, c1, c2 = _newton_quadratic(piece)
-            for c1_exp, coeff in ((0, c0), (1, c1), (2, c2)):
-                out[(c1_exp, c2_exp, 0)] = InvariantLaurentPoly.from_laurent(coeff)
-        return out
-    raise ValueError("staircase decomposition is implemented for r <= 3")
+    return {c: InvariantLaurentPoly.from_laurent(b) for c, b in pieces.items()}

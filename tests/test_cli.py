@@ -359,6 +359,20 @@ def test_finiteness_window_too_small_exits_4(capsys):
     assert "window" in err
 
 
+def test_finiteness_window_cap(capsys):
+    # C(2w + r, r) target classes are counted before any is enumerated
+    start = time.perf_counter()
+    code, out, err = run(capsys, "finiteness", "--r", "3", "--f", "1", "--window", "1000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "more than 5000" in err
+    # r = 1 has 2w + 1 targets: window 2500 is the first refused
+    code, _, err = run(capsys, "finiteness", "--r", "1", "--f", "1", "--window", "2500")
+    assert code == 2
+    assert err.splitlines() == ["error: window 2500 at r=1 has 5001 target classes, more than 5000"]
+
+
 def test_output_file(tmp_path, capsys):
     out = tmp_path / "eq.json"
     code, _, _ = run(capsys, "extquot", "--n", "3", "--format", "json", "--output", str(out))

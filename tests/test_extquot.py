@@ -11,12 +11,10 @@ from basechange.extquot import (
     extended_quotient,
     fixed_component,
     partitions_of,
-    pullback_invariant,
     satake_bc,
     steinberg_curve_bc,
 )
 from basechange.gaussian import GaussianRational, I
-from basechange.laurent import InvariantLaurentPoly, sort_class
 
 
 def partition_count(n):
@@ -186,32 +184,3 @@ def test_satake_examples():
     )
     with pytest.raises(ValueError):
         satake_bc(TorusPoint.make([[gaussian(1)], [gaussian(2)]]), 2)
-
-
-# -- pullback on invariant rings -------------------------------------------------
-
-
-def test_pullback_examples():
-    t = InvariantLaurentPoly.orbit_sum((1,))
-    assert pullback_invariant(1, 2, t) == InvariantLaurentPoly.orbit_sum((2,))
-    e1 = InvariantLaurentPoly.orbit_sum((1, 0))
-    # oracle: expand and symmetrise t1^3 + t2^3 directly
-    expected = InvariantLaurentPoly.orbit_sum((3, 0))
-    assert pullback_invariant(2, 3, e1) == expected
-    one = InvariantLaurentPoly.one(2)
-    assert pullback_invariant(2, 5, one) == one
-
-
-def invariant_polys(r):
-    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
-    classes = st.tuples(*([st.integers(-6, 6)] * r)).map(sort_class)
-    return st.lists(st.tuples(classes, coeffs), max_size=3).map(
-        lambda ts: InvariantLaurentPoly(r, {e: c for e, c in ts})
-    )
-
-
-@given(invariant_polys(2), invariant_polys(2), st.integers(1, 4))
-def test_pullback_is_ring_homomorphism(a, b, f):
-    assert pullback_invariant(2, f, a + b) == pullback_invariant(2, f, a) + pullback_invariant(2, f, b)
-    assert pullback_invariant(2, f, a * b) == pullback_invariant(2, f, a) * pullback_invariant(2, f, b)
-    assert pullback_invariant(2, f, InvariantLaurentPoly.one(2)) == InvariantLaurentPoly.one(2)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,34 @@ def test_invariant_collects_and_expands():
         InvariantLaurentPoly(2, {(1, 2): Fraction(1)})
 
 
+def test_classes_stay_strict():
+    plain, inv = LaurentPoly.one(2), InvariantLaurentPoly.one(2)
+    assert plain.terms == inv.terms
+    assert plain != inv and inv != plain
+    for left, right in ((plain, inv), (inv, plain)):
+        with pytest.raises(TypeError):
+            left + right
+        with pytest.raises(TypeError):
+            left - right
+        with pytest.raises(TypeError):
+            left * right
+
+
+@pytest.mark.parametrize("cls", [LaurentPoly, InvariantLaurentPoly])
+def test_ring_operations_keep_their_class(cls):
+    a = cls(2, {(1, 0): Fraction(1, 2), (0, 0): Fraction(3)})
+    b = cls(2, {(1, 0): Fraction(-1, 2)})
+    results = [a + b, a - b, -a, a * b, a.scale(2), a.scale(0), cls.zero(2), cls.one(2)]
+    assert all(type(x) is cls for x in results)
+    assert a + b == cls(2, {(0, 0): Fraction(3)})
+    assert a - a == cls.zero(2) and (a - a).is_zero()
+    assert hash(a.scale(1)) == hash(a)
+    with pytest.raises(ValueError):
+        a + cls.one(3)
+    with pytest.raises(ValueError):
+        cls(2, {(1,): Fraction(1)})
+
+
 def test_invariant_multiplication():
     m21 = InvariantLaurentPoly.orbit_sum((2, 1))
     m10 = InvariantLaurentPoly.orbit_sum((1, 0))
@@ -146,6 +175,32 @@ def test_pullback_scales_exponents():
     }
 
 
+def test_pullback_examples():
+    t = InvariantLaurentPoly.orbit_sum((1,))
+    assert t.pullback(2) == InvariantLaurentPoly.orbit_sum((2,))
+    e1 = InvariantLaurentPoly.orbit_sum((1, 0))
+    # oracle: expand and symmetrise t1^3 + t2^3 directly
+    expected = InvariantLaurentPoly.orbit_sum((3, 0))
+    assert e1.pullback(3) == expected
+    one = InvariantLaurentPoly.one(2)
+    assert one.pullback(5) == one
+
+
+def pullback_invariant_polys(r):
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
+    classes = st.tuples(*([st.integers(-6, 6)] * r)).map(sort_class)
+    return st.lists(st.tuples(classes, coeffs), max_size=3).map(
+        lambda ts: InvariantLaurentPoly(r, {e: c for e, c in ts})
+    )
+
+
+@given(pullback_invariant_polys(2), pullback_invariant_polys(2), st.integers(1, 4))
+def test_pullback_is_ring_homomorphism(a, b, f):
+    assert (a + b).pullback(f) == a.pullback(f) + b.pullback(f)
+    assert (a * b).pullback(f) == a.pullback(f) * b.pullback(f)
+    assert InvariantLaurentPoly.one(2).pullback(f) == InvariantLaurentPoly.one(2)
+
+
 @given(invariant_polys(3), st.integers(-3, 3))
 def test_translate_is_product_with_unit(poly, k):
     unit = InvariantLaurentPoly.orbit_sum((k, k, k))
@@ -154,11 +209,13 @@ def test_translate_is_product_with_unit(poly, k):
 
 
 def test_staircase_basis():
+    for r in range(1, 5):
+        basis = staircase_basis(r)
+        assert len(basis) == len(set(basis)) == factorial(r)
+        assert all(len(c) == r and all(0 <= c[i] <= r - 1 - i for i in range(r)) for c in basis)
     assert staircase_basis(1) == [(0,)]
     assert staircase_basis(2) == [(0, 0), (1, 0)]
-    assert len(staircase_basis(3)) == 6
-    with pytest.raises(ValueError):
-        staircase_basis(4)
+    assert staircase_basis(3) == [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0)]
 
 
 def reassemble(q):
@@ -184,6 +241,13 @@ def test_staircase_identity_r2(q):
 @settings(max_examples=60, deadline=None)
 def test_staircase_identity_r3(q):
     assert reassemble(q) == LaurentPoly.monomial(q)
+
+
+@given(exponent_vectors(4, -2, 2))
+@settings(max_examples=30, deadline=None)
+def test_staircase_identity_r4(q):
+    assert reassemble(q) == LaurentPoly.monomial(q)
+    assert list(staircase_decompose(q)) == staircase_basis(4)
 
 
 def test_staircase_coefficients_are_symmetric():
