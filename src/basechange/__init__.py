@@ -34,8 +34,6 @@ from .extquot import (
     extended_quotient,
     fixed_component,
     partitions_of,
-    satake_bc,
-    steinberg_curve_bc,
 )
 from .finiteness import FinitenessCertificate, WindowTooSmall, finiteness_certificate
 from .gl1 import (
@@ -49,7 +47,6 @@ from .gl1 import (
     bc_gl1,
     bc_unramified_quasichar,
     circle_map,
-    include_weil,
     properness_check,
 )
 from .gl2 import (

@@ -8,6 +8,11 @@ diffable.
 
 Exit codes: 0 success, 2 invalid input, 3 out-of-scope mathematics,
 4 finiteness window failure.
+
+The front end is one table, COMMANDS, of implementations, help and flags.
+A small request costs less than building all seven subparsers, so main
+builds only the parser of the subcommand argv names; help, usage and
+error messages are those of the full parser.
 """
 
 from __future__ import annotations
@@ -57,6 +62,10 @@ SCOPE_ERRORS = (UnsupportedExtension, OutOfScope, NotUnramified, EvenDegree)
 # matrix bc-gl1 can reach under its own circle cap.
 MAX_KMAP_CELLS = MAX_CIRCLES**2
 
+# Python's default limit on int <-> str conversion: a rational within it can
+# always be printed back
+MAX_RATIONAL_DIGITS = 4300
+
 
 def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
@@ -67,7 +76,21 @@ def format_rational_text(x: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
+    """Read "7/2", "-3" or "1.5e3" exactly.
+
+    Fraction("1e999999999") computes 10**999999999 before anything is
+    checked, so the size is bounded first: the longer of numerator and
+    denominator as written (a decimal point counted as a digit) plus the
+    zeros the exponent adds may not pass MAX_RATIONAL_DIGITS.
+    """
     text = text.strip()
+    mantissa, _, exponent = text.lower().partition("e")
+    zeros = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if not zeros.isdecimal():  # no exponent, or one Fraction refuses
+        zeros = "0"
+    written = max(map(len, mantissa.lstrip("+-").split("/")))
+    if len(zeros) > len(str(MAX_RATIONAL_DIGITS)) or written + int(zeros) > MAX_RATIONAL_DIGITS:
+        raise ValueError(f"rational {text!r} has more than {MAX_RATIONAL_DIGITS} digits")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -137,7 +160,9 @@ def _emit(args, payload: dict, lines: list[str]) -> int:
     else:
         rendered = "\n".join(lines)
     if args.output:
-        Path(args.output).write_text(rendered + "\n")
+        with open(args.output, "w") as out:
+            out.write(rendered)
+            out.write("\n")
     else:
         print(rendered)
     return EXIT_OK
@@ -299,61 +324,70 @@ def cmd_finiteness(args) -> int:
 # -- parser -------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    common.add_argument("--output", metavar="FILE", help="write output to FILE")
+# name -> (implementation, help, its own flags); build_parser adds --format
+# and --output to each first
+COMMANDS = {
+    "extquot": (cmd_extquot, "components of (C^x)^n // S_n", (
+        ("--n", {"type": int, "required": True}),
+    )),
+    "psi": (cmd_psi, "transition function table", (
+        ("--orders", {"default": "", "help": "comma-separated ramification orders, e.g. 3,3"}),
+        ("--x", {"action": "append", "required": True, "help": "rational point, e.g. 7/2 (repeatable)"}),
+    )),
+    "norm-level": (cmd_norm_level, "norm transport of a unit-filtration level", (
+        ("--extension", {"required": True, "help": "extension JSON (inline or file path)"}),
+        ("--level", {"type": int, "required": True}),
+    )),
+    "bc-gl1": (cmd_bc_gl1, "base change on the GL(1) tempered dual", (
+        ("--extension", {"required": True, "help": "extension JSON (inline or file path)"}),
+        ("--max-conductor", {"type": int, "default": 4}),
+    )),
+    "bc-gl2": (cmd_bc_gl2, "base change of a cuspidal GL(2) circle", (
+        ("--pair", {"required": True, "help": "admissible pair JSON (inline or file path)"}),
+        ("--lift", {"required": True, "help": "unramified extension JSON (inline or file path)"}),
+    )),
+    "kmap": (cmd_kmap, "induced K-theory matrices of a circle map", (
+        ("--map", {"required": True, "help": "map JSON (inline or file path)"}),
+    )),
+    "finiteness": (cmd_finiteness, "finiteness certificate for the pullback", (
+        ("--r", {"type": int, "required": True}),
+        ("--f", {"type": int, "required": True}),
+        ("--window", {"type": int, "default": None, "help": "exponent window (default 2f+2)"}),
+        ("--verify", {"action": "store_true", "help": "re-expand every reduction"}),
+    )),
+}
 
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The argparse front end; when argv[0] names a subcommand, only its parser is built.
+
+    Building all seven costs more than a small request itself.  A lone
+    subparser gets the metavar the full set would print, so usage lines
+    and messages stay the same; with all seven built it stays unset, as
+    argparse names the action by it in "invalid choice" and "required" errors.
+    """
+    names = argv[:1] if argv and argv[0] in COMMANDS else tuple(COMMANDS)
     parser = argparse.ArgumentParser(
         prog="basechange",
         description="Exact base-change computations: extended quotients, "
         "Hasse-Herbrand transitions, GL(1)/GL(2) circle maps, K-theory matrices.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("extquot", parents=[common], help="components of (C^x)^n // S_n")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_extquot)
-
-    p = sub.add_parser("psi", parents=[common], help="transition function table")
-    p.add_argument("--orders", default="", help="comma-separated ramification orders, e.g. 3,3")
-    p.add_argument("--x", action="append", required=True, help="rational point, e.g. 7/2 (repeatable)")
-    p.set_defaults(func=cmd_psi)
-
-    p = sub.add_parser("norm-level", parents=[common], help="norm transport of a unit-filtration level")
-    p.add_argument("--extension", required=True, help="extension JSON (inline or file path)")
-    p.add_argument("--level", type=int, required=True)
-    p.set_defaults(func=cmd_norm_level)
-
-    p = sub.add_parser("bc-gl1", parents=[common], help="base change on the GL(1) tempered dual")
-    p.add_argument("--extension", required=True, help="extension JSON (inline or file path)")
-    p.add_argument("--max-conductor", type=int, default=4)
-    p.set_defaults(func=cmd_bc_gl1)
-
-    p = sub.add_parser("bc-gl2", parents=[common], help="base change of a cuspidal GL(2) circle")
-    p.add_argument("--pair", required=True, help="admissible pair JSON (inline or file path)")
-    p.add_argument("--lift", required=True, help="unramified extension JSON (inline or file path)")
-    p.set_defaults(func=cmd_bc_gl2)
-
-    p = sub.add_parser("kmap", parents=[common], help="induced K-theory matrices of a circle map")
-    p.add_argument("--map", required=True, help="map JSON (inline or file path)")
-    p.set_defaults(func=cmd_kmap)
-
-    p = sub.add_parser("finiteness", parents=[common], help="finiteness certificate for the pullback")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--f", type=int, required=True)
-    p.add_argument("--window", type=int, default=None, help="exponent window (default 2f+2)")
-    p.add_argument("--verify", action="store_true", help="re-expand every reduction")
-    p.set_defaults(func=cmd_finiteness)
-
+    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        func, help_text, flags = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
+        p.add_argument("--output", metavar="FILE", help="write output to FILE")
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except WindowTooSmall as exc:

@@ -167,25 +167,3 @@ def base_change_point(component: OrbitComponent, point: TorusPoint, f: int) -> T
         raise ValueError("point does not lie on the given component")
     return TorusPoint.make(tuple(z ** f for z in coords) for coords in point.factors)
 
-
-def steinberg_curve_bc(z: GaussianRational, f: int) -> GaussianRational:
-    """Base change on the curve of unramified twists of the Steinberg
-    representation: the Sym^1 component, where the map is z -> z^f."""
-    if f < 1:
-        raise ValueError("the residue degree f must be >= 1")
-    if z.is_zero():
-        raise ValueError("the curve lives in the punctured line")
-    return z ** f
-
-
-def satake_bc(point: TorusPoint, f: int) -> TorusPoint:
-    """Base change on the full symmetric power Sym^n (the unramified
-    principal-series component, dual to the spherical Hecke algebra):
-    coordinatewise f-th power.  The Hecke-algebra identification itself
-    is not modelled; this is the same map as base_change_point on the
-    all-ones cycle type."""
-    if len(point.factors) != 1:
-        raise ValueError("a Sym^n point has a single factor")
-    n = len(point.factors[0])
-    return base_change_point(fixed_component(n, (1,) * n), point, f)
-

@@ -50,13 +50,6 @@ class FormalWeilDegree:
     side: str = "E"
 
 
-def include_weil(degree: FormalWeilDegree, f: int) -> FormalWeilDegree:
-    """Degree of the same element seen on the base side: m -> f*m."""
-    if f < 1:
-        raise ValueError("residue degree f must be >= 1")
-    return FormalWeilDegree(f * degree.m, side="F")
-
-
 @dataclass(frozen=True)
 class UnramifiedQuasicharacter:
     """w -> z^(degree of w), determined by the nonzero parameter z."""

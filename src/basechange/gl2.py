@@ -27,7 +27,6 @@ from .localfield import (
     ExtensionData,
     RamificationFiltration,
     classify,
-    compose_tower,
     conductor_transport,
     json_bool,
     json_int,
@@ -214,9 +213,6 @@ def compositum_invariants(quad: ExtensionData, lift: ExtensionData) -> Compositu
     el_over_l = ExtensionData(
         base=lift.top_field, e=2, f=1, galois=True, cyclic=True
     )
-    lower_route = compose_tower(lift, el_over_l)
-    upper_route = compose_tower(quad, el_over_e)
-    assert (lower_route.e, lower_route.f) == (upper_route.e, upper_route.f)
     return CompositumInvariants(el_over_l=el_over_l, el_over_e=el_over_e)
 
 
@@ -261,7 +257,6 @@ def bc_gl2(pair: AdmissiblePair, lift: ExtensionData) -> Gl2BaseChange:
     # conductor transport along the unramified EL/E: the empty filtration
     unramified_filt = RamificationFiltration()
     new_conductor = conductor_transport(unramified_filt, pair.xi.conductor)
-    assert new_conductor == pair.xi.conductor
     target_pair = AdmissiblePair(
         quad=comp.el_over_l,
         quad_filtration=RamificationFiltration.tame_default(2),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from basechange.cli import _render, main
+from basechange.cli import COMMANDS, _render, build_parser, main
 from basechange.gl1 import MAX_CIRCLES
 
 UNRAMIFIED_CUBIC = '{"q": 3, "p": 3, "e": 1, "f": 3, "galois": true, "cyclic": true, "filtration_orders": []}'
@@ -71,6 +71,52 @@ def test_unknown_flag_exits_2(capsys):
     assert err.value.code == 2
 
 
+# the flags each subcommand requires, with values argparse accepts
+REQUIRED = {
+    "extquot": ["--n", "3"],
+    "psi": ["--x", "1"],
+    "norm-level": ["--extension", "{}", "--level", "1"],
+    "bc-gl1": ["--extension", "{}"],
+    "bc-gl2": ["--pair", "{}", "--lift", "{}"],
+    "kmap": ["--map", "{}"],
+    "finiteness": ["--r", "1", "--f", "1"],
+}
+INT_FLAG = {"extquot": "--n", "norm-level": "--level", "bc-gl1": "--max-conductor", "finiteness": "--r"}
+
+
+def _front_end_argvs():
+    yield from (["-h"], [], ["bogus"], ["bogus", "--n", "3"], ["--"], ["--", "psi", "--x", "1"],
+                ["--bogus"], ["--format", "json", "psi", "--x", "1"])
+    for name, required in REQUIRED.items():
+        yield from ([name, "-h"], [name], [name, "bogus"], [name, "--"], [name, "--bogus"])
+        yield [name] + required[:-2] + ["--format", "json"]  # last required flag missing
+        yield [name] + required + ["--format", "xml"]
+        yield [name] + required + ["extra"]
+        if name in INT_FLAG:
+            yield [name] + required + [INT_FLAG[name], "x"]
+
+
+def _exit(capsys, parse, argv):
+    """Exit code, stdout and stderr of parse(argv), which argparse ends by SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", list(_front_end_argvs()), ids=" ".join)
+def test_front_end_matches_full_parser(capsys, argv):
+    # main builds only the named subcommand's parser; help, usage lines and
+    # messages must be those of the parser with all seven
+    assert _exit(capsys, main, argv) == _exit(capsys, build_parser().parse_args, argv)
+
+
+def test_full_parser_offers_every_subcommand():
+    assert list(COMMANDS) == list(REQUIRED)
+    for name, required in REQUIRED.items():
+        assert build_parser().parse_args([name] + required).func is COMMANDS[name][0]
+
+
 def test_psi_examples(capsys):
     code, payload, _ = run_json(capsys, "psi", "--orders", "3", "--x", "2")
     assert code == 0
@@ -107,6 +153,23 @@ def test_psi_zero_denominator_exits_2(capsys, x):
     assert code == 2
     assert out == ""
     assert err.splitlines() == [f"error: zero denominator in {x.strip()!r}"]
+
+
+@pytest.mark.parametrize("x", ["1e5000", "1e999999999", "-2.5e-999999999"])
+def test_psi_oversized_rational_exits_2(capsys, x):
+    # refused before Fraction computes 10**exponent
+    start = time.perf_counter()
+    code, out, err = run(capsys, "psi", "--orders", "3", f"--x={x}")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: rational {x!r} has more than 4300 digits"]
+
+
+def test_psi_reads_exponents_and_fractions(capsys):
+    code, payload, _ = run_json(capsys, "psi", "--x", "1.5e3", "--x", "7/2", "--x", "1e4299")
+    assert code == 0
+    assert [row["x"] for row in payload["rows"]] == ["1500/1", "7/2", f"{10**4299}/1"]
 
 
 @pytest.mark.parametrize(
@@ -379,6 +442,15 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["n"] == 3
+    # the file holds exactly what stdout would
+    for argv in (
+        ["extquot", "--n", "5", "--format", "json"],
+        ["psi", "--orders", "3,3", "--x", "7/2", "--x", "5"],
+    ):
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--output", str(out)) == (0, "", "")
+        assert out.read_bytes() == stdout.encode()
 
 
 def test_norm_level_wild_exits_3(capsys):
@@ -412,23 +484,36 @@ def test_extension_from_file(tmp_path, capsys):
     assert payload["level_F"] == 3
 
 
-_strings = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001d11e'))
+_strings = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001d11e'), max_size=6)
 _scalars = st.none() | st.booleans() | st.integers() | st.floats() | _strings
 _ints = st.integers(-(2**80), 2**80)
-# long lists around and above half zeros take the zero-run path; False, 0.0
-# and -0.0 equal 0 but must keep their own spelling
+
+
+def _after_zero_runs(values):
+    """Lists of up to 78 entries, each value after a run of 0 to 12 zeros.
+
+    They lie around and above half zeros, so they take the zero-run path,
+    and cost a dozen draws where drawing each entry would cost up to 80.
+    """
+    pairs = st.lists(st.tuples(st.integers(0, 12), values), min_size=1, max_size=6)
+    return pairs.map(lambda pairs: [x for run, v in pairs for x in [0] * run + [v]])
+
+
+# False, 0.0 and -0.0 equal 0 but must keep their own spelling
 _int_lists = (
-    st.lists(_ints | st.booleans())
-    | st.lists(st.just(0) | _ints, min_size=20, max_size=80)
-    | st.lists(st.just(0) | _ints | st.sampled_from([False, 0.0, -0.0]), min_size=20, max_size=80)
+    st.lists(_ints | st.booleans(), max_size=4)
+    | _after_zero_runs(_ints)
+    | _after_zero_runs(_ints | st.sampled_from([False, 0.0, -0.0]))
 )
 
 
+# small containers and few leaves: larger ones made hypothesis retry a
+# quarter of its draws and spent most of the test's time generating
 @given(
     st.recursive(
         _scalars | _int_lists,
-        lambda inner: st.lists(inner) | st.dictionaries(_strings, inner),
-        max_leaves=40,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_strings, inner, max_size=4),
+        max_leaves=12,
     )
 )
 @example([[], {}, [[]], {"": {}}, [True, 1, False], [1, None]])

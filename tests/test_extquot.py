@@ -11,8 +11,6 @@ from basechange.extquot import (
     extended_quotient,
     fixed_component,
     partitions_of,
-    satake_bc,
-    steinberg_curve_bc,
 )
 from basechange.gaussian import GaussianRational, I
 
@@ -156,31 +154,38 @@ def test_unit_circle_preserved():
 
 
 def test_steinberg_examples():
-    assert steinberg_curve_bc(gaussian(2), 3) == gaussian(8)
-    assert steinberg_curve_bc(I, 4) == gaussian(1)
+    # the curve of unramified twists of Steinberg is the Sym^1 piece: z -> z^f
+    sym1 = fixed_component(1, (1,))
     # oracle: (1+i)^2 = 1 + 2i + i^2 = 2i by direct multiplication
     assert gaussian(1, 1) * gaussian(1, 1) == gaussian(0, 2)
-    assert steinberg_curve_bc(gaussian(1, 1), 2) == gaussian(0, 2)
-
-
-def test_steinberg_matches_base_change_point():
-    z = gaussian(2, -1)
-    via_point = base_change_point(
-        fixed_component(1, (1,)), TorusPoint.make([[z]]), 5
-    )
-    assert via_point == TorusPoint.make([[steinberg_curve_bc(z, 5)]])
+    # oracle: (2-i)^2 = 3-4i, (3-4i)^2 = -7-24i, (-7-24i)(2-i) = -38-41i
+    for z, f, image in (
+        (gaussian(2), 3, gaussian(8)),
+        (I, 4, gaussian(1)),
+        (gaussian(1, 1), 2, gaussian(0, 2)),
+        (gaussian(2, -1), 5, gaussian(-38, -41)),
+    ):
+        assert base_change_point(sym1, TorusPoint.make([[z]]), f) == TorusPoint.make([[image]])
+    with pytest.raises(ValueError):
+        base_change_point(sym1, TorusPoint.make([[gaussian(2)]]), 0)
+    with pytest.raises(ValueError):  # the curve lives in the punctured line
+        TorusPoint.make([[gaussian(0)]])
 
 
 def test_satake_examples():
+    # the unramified principal series is Sym^n, the piece of the identity class
+    sym3 = fixed_component(3, (1, 1, 1))
     point = TorusPoint.make([[gaussian(1), I, gaussian(2)]])
-    assert satake_bc(point, 1) == point
+    assert base_change_point(sym3, point, 1) == point
     fourth_roots = TorusPoint.make([[I, gaussian(-1), gaussian(0, -1)]])
-    assert satake_bc(fourth_roots, 4) == TorusPoint.make(
+    assert base_change_point(sym3, fourth_roots, 4) == TorusPoint.make(
         [[gaussian(1), gaussian(1), gaussian(1)]]
     )
     generic = TorusPoint.make([[gaussian(3), gaussian(Fraction(1, 3))]])
-    assert satake_bc(generic, 2) == TorusPoint.make(
+    assert base_change_point(fixed_component(2, (1, 1)), generic, 2) == TorusPoint.make(
         [[gaussian(9), gaussian(Fraction(1, 9))]]
     )
-    with pytest.raises(ValueError):
-        satake_bc(TorusPoint.make([[gaussian(1)], [gaussian(2)]]), 2)
+    with pytest.raises(ValueError):  # a Sym^2 point has a single factor
+        base_change_point(
+            fixed_component(2, (1, 1)), TorusPoint.make([[gaussian(1)], [gaussian(2)]]), 2
+        )

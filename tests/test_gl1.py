@@ -15,7 +15,6 @@ from basechange.gl1 import (
     bc_gl1,
     bc_unramified_quasichar,
     circle_map,
-    include_weil,
     labels_with_conductor,
     properness_check,
 )
@@ -45,12 +44,6 @@ def tame_quadratic(q=3, p=3):
 # -- Weil degrees and unramified quasicharacters --------------------------------
 
 
-def test_include_weil():
-    assert include_weil(FormalWeilDegree(1), 3) == FormalWeilDegree(3, side="F")
-    assert include_weil(FormalWeilDegree(0), 5).m == 0
-    assert include_weil(FormalWeilDegree(-2), 2).m == -4
-
-
 def test_bc_unramified_quasichar_examples():
     assert bc_unramified_quasichar(UnramifiedQuasicharacter(I), 2).z == GaussianRational(-1)
     assert bc_unramified_quasichar(
@@ -64,7 +57,12 @@ def test_evaluation_coherence_frozen_example():
     assert z ** 6 == GaussianRational(0, -8)
     chi = UnramifiedQuasicharacter(z)
     assert bc_unramified_quasichar(chi, 2).evaluate(3) == GaussianRational(0, -8)
-    assert chi.evaluate(include_weil(FormalWeilDegree(3), 2)) == GaussianRational(0, -8)
+    # a Weil element of E-side degree m has F-side degree f*m
+    assert chi.evaluate(FormalWeilDegree(6, side="F")) == GaussianRational(0, -8)
+    for m, f in ((1, 3), (0, 5), (-2, 2)):
+        assert bc_unramified_quasichar(chi, f).evaluate(FormalWeilDegree(m)) == chi.evaluate(
+            FormalWeilDegree(f * m, side="F")
+        )
 
 
 nonzero_gaussians = st.builds(

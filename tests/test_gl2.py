@@ -103,10 +103,14 @@ def test_compositum_trivial_lift():
     assert comp.el_over_l == ramified_quadratic(base_field())
 
 
-@given(st.integers(1, 6))
-def test_compositum_multiplicativity_both_routes(f):
-    quad = ramified_quadratic()
-    lift = unramified_lift(f)
+BASES = [(3, 3), (5, 5), (7, 7), (9, 3), (25, 5)]
+
+
+@given(st.integers(1, 6), st.sampled_from(BASES))
+def test_compositum_multiplicativity_both_routes(f, qp):
+    # both routes F -> L -> EL and F -> E -> EL give the same (e, f)
+    quad = ramified_quadratic(base_field(*qp))
+    lift = unramified_lift(f, base_field(*qp))
     comp = compositum_invariants(quad, lift)
     via_l = compose_tower(lift, comp.el_over_l)
     via_e = compose_tower(quad, comp.el_over_e)
@@ -145,6 +149,15 @@ def test_bc_gl2_degree_five():
     result = bc_gl2(make_pair(conductor=1), unramified_lift(5))
     assert result.degree == 5
     assert result.conductor == 1
+
+
+@given(st.integers(1, 8), st.sampled_from([1, 3, 5, 7]), st.sampled_from(BASES))
+def test_bc_gl2_preserves_conductor(conductor, f, qp):
+    # EL/E is unramified, so its conductor transition is the identity
+    base = base_field(*qp)
+    pair = make_pair(conductor=conductor, base=base)
+    result = bc_gl2(pair, unramified_lift(f, base))
+    assert result.conductor == result.target_pair.xi.conductor == conductor
 
 
 def test_bc_gl2_errors():
