@@ -158,18 +158,24 @@ def test_steinberg_examples():
     sym1 = fixed_component(1, (1,))
     # oracle: (1+i)^2 = 1 + 2i + i^2 = 2i by direct multiplication
     assert gaussian(1, 1) * gaussian(1, 1) == gaussian(0, 2)
-    # oracle: (2-i)^2 = 3-4i, (3-4i)^2 = -7-24i, (-7-24i)(2-i) = -38-41i
     for z, f, image in (
         (gaussian(2), 3, gaussian(8)),
         (I, 4, gaussian(1)),
         (gaussian(1, 1), 2, gaussian(0, 2)),
-        (gaussian(2, -1), 5, gaussian(-38, -41)),
     ):
         assert base_change_point(sym1, TorusPoint.make([[z]]), f) == TorusPoint.make([[image]])
     with pytest.raises(ValueError):
         base_change_point(sym1, TorusPoint.make([[gaussian(2)]]), 0)
     with pytest.raises(ValueError):  # the curve lives in the punctured line
         TorusPoint.make([[gaussian(0)]])
+
+
+def test_steinberg_matches_base_change_point():
+    z = gaussian(2, -1)
+    via_point = base_change_point(fixed_component(1, (1,)), TorusPoint.make([[z]]), 5)
+    assert via_point == TorusPoint.make([[z ** 5]])
+    # oracle: (2-i)^2 = 3-4i, (3-4i)^2 = -7-24i, (-7-24i)(2-i) = -38-41i
+    assert via_point == TorusPoint.make([[gaussian(-38, -41)]])
 
 
 def test_satake_examples():
