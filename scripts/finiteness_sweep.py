@@ -9,7 +9,9 @@ image of t -> t^f, so a certificate should keep exactly f**r generators.
 The ``stairs`` column counts the staircase expansions the build made
 (cache misses of ``staircase_decompose``, cleared before each case), at
 most one per class of targets modulo (f, ..., f).
-Use --max-r / --max-f to restrict, --window to override the window.
+Use --max-r / --max-f to restrict, --window to override the window;
+values past the certificate caps are refused with exit code 2.  A case
+whose window holds too many targets prints the reason in its row.
 """
 
 import argparse
@@ -25,6 +27,12 @@ def main():
     parser.add_argument("--max-f", type=int, default=MAX_POWER)
     parser.add_argument("--window", type=int, default=None)
     args = parser.parse_args()
+    if not 1 <= args.max_r <= MAX_RANK:
+        parser.error(f"--max-r must be in [1, {MAX_RANK}]")
+    if not 1 <= args.max_f <= MAX_POWER:
+        parser.error(f"--max-f must be in [1, {MAX_POWER}]")
+    if args.window is not None and args.window < 1:
+        parser.error("--window must be >= 1")
 
     print(f"{'r':>2} {'f':>2} {'window':>6} {'gens':>5} {'rank':>5} {'targets':>7} "
           f"{'stairs':>6} {'maxcoef':>7} {'verified':>8} {'seconds':>8}")
@@ -38,6 +46,9 @@ def main():
             except WindowTooSmall as exc:
                 print(f"{r:>2} {f:>2} {window:>6}  window too small "
                       f"(suggested {exc.suggested_window})")
+                continue
+            except ValueError as exc:  # more target classes than MAX_TARGETS
+                print(f"{r:>2} {f:>2} {window:>6}  {exc}")
                 continue
             verified = cert.verify()
             elapsed = time.perf_counter() - start

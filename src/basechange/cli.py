@@ -75,13 +75,14 @@ def format_rational_text(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
+def parse_rational(text: str, factor: int = 1) -> Fraction:
     """Read "7/2", "-3" or "1.5e3" exactly.
 
     Fraction("1e999999999") computes 10**999999999 before anything is
     checked, so the size is bounded first: the longer of numerator and
     denominator as written (a decimal point counted as a digit) plus the
-    zeros the exponent adds may not pass MAX_RATIONAL_DIGITS.
+    zeros the exponent adds may not pass MAX_RATIONAL_DIGITS, nor may that
+    count plus the digits a caller's factor adds (those of factor - 1).
     """
     text = text.strip()
     mantissa, _, exponent = text.lower().partition("e")
@@ -91,6 +92,8 @@ def parse_rational(text: str) -> Fraction:
     written = max(map(len, mantissa.lstrip("+-").split("/")))
     if len(zeros) > len(str(MAX_RATIONAL_DIGITS)) or written + int(zeros) > MAX_RATIONAL_DIGITS:
         raise ValueError(f"rational {text!r} has more than {MAX_RATIONAL_DIGITS} digits")
+    if factor > 1 and written + int(zeros) + len(str(factor - 1)) > MAX_RATIONAL_DIGITS:
+        raise ValueError(f"rational {text!r} times {factor} has more than {MAX_RATIONAL_DIGITS} digits")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -105,10 +108,16 @@ def _load_json_arg(value: str) -> dict:
 
 
 def _parse_orders(text: str) -> RamificationFiltration:
-    text = text.strip()
-    if not text:
-        return RamificationFiltration()
-    return RamificationFiltration(int(part) for part in text.split(","))
+    """Comma-separated orders; one past MAX_RATIONAL_DIGITS is refused before int() reads it."""
+    orders = []
+    for part in map(str.strip, text.split(",") if text.strip() else ()):
+        if len(part) > MAX_RATIONAL_DIGITS:
+            raise ValueError(f"ramification order {part!r} has more than {MAX_RATIONAL_DIGITS} digits")
+        try:
+            orders.append(int(part))
+        except ValueError:
+            raise ValueError(f"ramification orders {text!r}: {part!r} is not an integer") from None
+    return RamificationFiltration(orders)
 
 
 def _render(value, indent: str = "\n") -> str:
@@ -181,10 +190,11 @@ def cmd_extquot(args) -> int:
 
 def cmd_psi(args) -> int:
     filt = _parse_orders(args.orders)
+    # psi(x) <= |G_0| * x, and the denominator of phi(x) divides |G_0| times x's
+    xs = [parse_rational(text_x, filt.e) for text_x in args.x]
     rows = []
     lines = [f"orders: {list(filt.orders)}", "x | psi(x) | phi(x)"]
-    for text_x in args.x:
-        x = parse_rational(text_x)
+    for x in xs:
         psi_x, phi_x = psi(filt, x), phi(filt, x)
         rows.append(
             {

@@ -145,7 +145,8 @@ def constructive_reduction(lam: ExponentVector, f: int) -> Expression:
             continue
         w = tuple(f * ci + ai for ci, ai in zip(c, a))
         gamma = sort_class(w)
-        scaled = b_coeff.pullback(f).scale(Fraction(stabilizer_order(w), stab_lam))
+        ratio = Fraction(stabilizer_order(w), stab_lam)  # an int one keeps int coefficients
+        scaled = b_coeff.pullback(f).scale(ratio.numerator if ratio.denominator == 1 else ratio)
         acc = terms.get(gamma)
         terms[gamma] = scaled if acc is None else acc + scaled
     return {g: b for g, b in terms.items() if not b.is_zero()}

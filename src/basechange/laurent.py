@@ -1,11 +1,13 @@
 """Exact multivariate Laurent polynomials and their symmetric invariants.
 
 Both polynomial classes share one term core: ``r`` variables and a dict
-``terms`` from exponent tuples to nonzero Fractions, with one cleaning
-constructor and the additive ring plumbing (zero, one, +, -, scale,
-equality, hashing).  The classes stay strict with each other: they are
-never equal, and mixing them in a ring operation raises TypeError, since
-a monomial and an orbit sum with the same exponents are different
+``terms`` from exponent tuples to nonzero exact ints or Fractions, with
+one cleaning constructor and the additive ring plumbing (zero, one, +,
+-, scale, equality, hashing).  Ints stay ints wherever no denominator
+can appear; 2 == Fraction(2) with equal hashes, so equality, hashing and
+merging ignore the type.  The classes stay strict with each other: they
+are never equal, and mixing them in a ring operation raises TypeError,
+since a monomial and an orbit sum with the same exponents are different
 polynomials.
 
 ``LaurentPoly`` is a plain Laurent polynomial over Q, with the one
@@ -36,8 +38,8 @@ survives inverting the product s_1*...*s_r, which is how Laurent
 exponents are handled.  One peel serves every r: a piece symmetric in
 s_{k+1..r} is a polynomial in s_k whose coefficients are symmetric in
 s_k..s_r, and Newton's divided differences recover them exactly and
-uniquely.  The rank cap of the finiteness certificates is theirs, not a
-limit of this module.
+uniquely; the basis is a Z-basis, so those coefficients are ints.  The
+rank cap of the finiteness certificates is theirs, not a limit here.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from math import factorial, lcm
 from typing import Iterable, Mapping
 
 ExponentVector = tuple[int, ...]
+Coefficient = int | Fraction  # exact; never a float or a bool
 
 
 def sort_class(vec: Iterable[int]) -> ExponentVector:
@@ -94,8 +97,13 @@ def _orbit_sum_product(a: ExponentVector, b: ExponentVector) -> tuple[tuple[Expo
     return tuple((lam, n // stab_a) for lam, n in counts.items())
 
 
+def _exact(c) -> Coefficient:
+    """An int stays an int; anything else (float, bool, Fraction) becomes a Fraction."""
+    return c if type(c) is int else Fraction(c)
+
+
 class _TermPoly:
-    """The shared core: r variables, {exponent tuple: nonzero Fraction}.
+    """The shared core: r variables, {exponent tuple: nonzero exact int or Fraction}.
 
     Instances are immutable by convention; all operations return fresh
     objects of the operand's own class.
@@ -103,12 +111,12 @@ class _TermPoly:
 
     __slots__ = ("r", "terms")
 
-    def __init__(self, r: int, terms: Mapping[ExponentVector, Fraction] | None = None):
+    def __init__(self, r: int, terms: Mapping[ExponentVector, Coefficient] | None = None):
         self.r = r
-        clean: dict[ExponentVector, Fraction] = {}
+        clean: dict[ExponentVector, Coefficient] = {}
         if terms:
             for exp, coeff in terms.items():
-                coeff = Fraction(coeff)
+                coeff = _exact(coeff)
                 if coeff == 0:
                     continue
                 exp = tuple(int(x) for x in exp)
@@ -118,9 +126,9 @@ class _TermPoly:
         self.terms = clean
 
     @classmethod
-    def _trusted(cls, r: int, terms: dict[ExponentVector, Fraction]):
+    def _trusted(cls, r: int, terms: dict[ExponentVector, Coefficient]):
         """Wrap terms that are already clean: valid r-tuples of ints mapped
-        to nonzero Fractions.  Skips the checks and coercions of __init__."""
+        to nonzero ints or Fractions.  Skips the checks and coercions of __init__."""
         poly = object.__new__(cls)
         poly.r = r
         poly.terms = terms
@@ -132,7 +140,7 @@ class _TermPoly:
 
     @classmethod
     def one(cls, r: int):
-        return cls._trusted(r, {(0,) * r: Fraction(1)})
+        return cls._trusted(r, {(0,) * r: 1})
 
     def _check(self, other: "_TermPoly"):
         if type(other) is not type(self):
@@ -144,7 +152,7 @@ class _TermPoly:
         self._check(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            s = out.get(exp, Fraction(0)) + c
+            s = out.get(exp, 0) + c
             if s:
                 out[exp] = s
             else:
@@ -157,8 +165,8 @@ class _TermPoly:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c: Fraction | int):
-        c = Fraction(c)
+    def scale(self, c: Coefficient):
+        c = _exact(c)
         if not c:
             return self.zero(self.r)
         return self._trusted(self.r, {e: c * v for e, v in self.terms.items()})
@@ -174,22 +182,22 @@ class _TermPoly:
 
 
 class LaurentPoly(_TermPoly):
-    """Laurent polynomial over Q: {exponent tuple: nonzero Fraction}."""
+    """Laurent polynomial over Q: {exponent tuple: nonzero exact int or Fraction}."""
 
     __slots__ = ()
 
     @staticmethod
-    def monomial(exp: Iterable[int], coeff: Fraction | int = 1) -> "LaurentPoly":
+    def monomial(exp: Iterable[int], coeff: Coefficient = 1) -> "LaurentPoly":
         exp = tuple(int(x) for x in exp)
-        return LaurentPoly(len(exp), {exp: Fraction(coeff)})
+        return LaurentPoly(len(exp), {exp: coeff})
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        out: dict[ExponentVector, Fraction] = {}
+        out: dict[ExponentVector, Coefficient] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
@@ -199,14 +207,14 @@ class LaurentPoly(_TermPoly):
     # -- symmetry helpers --------------------------------------------------
 
     def permuted(self, perm: tuple[int, ...]) -> "LaurentPoly":
-        """Apply the variable substitution x_i -> x_{perm[i]}."""
-        out: dict[ExponentVector, Fraction] = {}
+        """Apply the variable substitution x_i -> x_{perm[i]}, a bijection on exponents."""
+        out: dict[ExponentVector, Coefficient] = {}
         for exp, c in self.terms.items():
             new = [0] * self.r
             for i, v in enumerate(exp):
                 new[perm[i]] = v
-            out[tuple(new)] = out.get(tuple(new), Fraction(0)) + c
-        return LaurentPoly(self.r, out)
+            out[tuple(new)] = c
+        return LaurentPoly._trusted(self.r, out)
 
     def swap(self, i: int, j: int) -> "LaurentPoly":
         perm = list(range(self.r))
@@ -229,7 +237,7 @@ class LaurentPoly(_TermPoly):
         lo = min(e[i] for e in self.terms)
         hi = max(e[i] for e in self.terms)
         # coefficient of x_i^k, as a Laurent poly with a dummy 0 in slot i
-        coeffs: dict[int, dict[ExponentVector, Fraction]] = {}
+        coeffs: dict[int, dict[ExponentVector, Coefficient]] = {}
         for exp, c in self.terms.items():
             rest = exp[:i] + (0,) + exp[i + 1:]
             coeffs.setdefault(exp[i], {})[rest] = c
@@ -251,7 +259,7 @@ class LaurentPoly(_TermPoly):
             prev = d
         if prev != c_of.get(hi, zero):
             raise ArithmeticError("polynomial is not divisible by (x_i - x_j)")
-        out: dict[ExponentVector, Fraction] = {}
+        out: dict[ExponentVector, Coefficient] = {}
         for k, poly in quots.items():
             for exp, c in poly.terms.items():
                 e = exp[:i] + (k,) + exp[i + 1:]
@@ -267,12 +275,12 @@ class InvariantLaurentPoly(_TermPoly):
     """S_r-invariant Laurent polynomial in the orbit-sum basis.
 
     ``terms`` maps weakly decreasing exponent vectors lam to the exact
-    rational coefficient of the orbit sum m_lam.
+    coefficient (int or Fraction) of the orbit sum m_lam.
     """
 
     __slots__ = ()
 
-    def __init__(self, r: int, terms: Mapping[ExponentVector, Fraction] | None = None):
+    def __init__(self, r: int, terms: Mapping[ExponentVector, Coefficient] | None = None):
         super().__init__(r, terms)
         for exp in self.terms:
             if any(a < b for a, b in zip(exp, exp[1:])):
@@ -281,20 +289,20 @@ class InvariantLaurentPoly(_TermPoly):
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def orbit_sum(lam: Iterable[int], coeff: Fraction | int = 1) -> "InvariantLaurentPoly":
+    def orbit_sum(lam: Iterable[int], coeff: Coefficient = 1) -> "InvariantLaurentPoly":
         lam = sort_class(int(x) for x in lam)
-        coeff = Fraction(coeff)
+        coeff = _exact(coeff)
         return InvariantLaurentPoly._trusted(len(lam), {lam: coeff} if coeff else {})
 
     @staticmethod
     def from_laurent(poly: LaurentPoly) -> "InvariantLaurentPoly":
         """Collect a symmetric plain polynomial into classes; rejects asymmetric input."""
-        out: dict[ExponentVector, Fraction] = {}
+        out: dict[ExponentVector, Coefficient] = {}
         for exp, c in poly.terms.items():
             lam = sort_class(exp)
             if exp == lam:
                 out[lam] = c
-        collected = InvariantLaurentPoly(poly.r, out)
+        collected = InvariantLaurentPoly._trusted(poly.r, out)  # sorted classes of clean terms
         if collected.expand() != poly:
             raise ValueError("polynomial is not symmetric")
         return collected
@@ -311,11 +319,11 @@ class InvariantLaurentPoly(_TermPoly):
     # -- ring operations ---------------------------------------------------
 
     def expand(self) -> LaurentPoly:
-        out: dict[ExponentVector, Fraction] = {}
+        out: dict[ExponentVector, Coefficient] = {}
         for lam, c in self.terms.items():
             for w in orbit(lam):
                 out[w] = c
-        return LaurentPoly(self.r, out)
+        return LaurentPoly._trusted(self.r, out)  # the orbits of distinct classes are disjoint
 
     def __mul__(self, other: "InvariantLaurentPoly") -> "InvariantLaurentPoly":
         """Product in the orbit-sum basis, never expanding to monomials.
@@ -323,7 +331,8 @@ class InvariantLaurentPoly(_TermPoly):
         Each term pair contributes its integer structure constants
         (``_orbit_sum_product``).  Both operands' coefficients are put
         over one common denominator each, so the sums run in integers
-        and one Fraction is built per class of the product.
+        and one Fraction is built per class of the product, none when
+        both operands have int coefficients.
         """
         self._check(other)
         den_a = lcm(*(c.denominator for c in self.terms.values()))
@@ -338,7 +347,7 @@ class InvariantLaurentPoly(_TermPoly):
                     acc[lam] = acc.get(lam, 0) + num * mult
         den = den_a * den_b
         return InvariantLaurentPoly._trusted(
-            self.r, {lam: Fraction(num, den) for lam, num in acc.items() if num}
+            self.r, {lam: Fraction(num, den) if den > 1 else num for lam, num in acc.items() if num}
         )
 
     def pullback(self, f: int) -> "InvariantLaurentPoly":

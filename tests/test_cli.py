@@ -166,6 +166,47 @@ def test_psi_oversized_rational_exits_2(capsys, x):
     assert err.splitlines() == [f"error: rational {x!r} has more than 4300 digits"]
 
 
+G0 = "100000000"  # |G_0| = 10**8, 9 digits: psi's slopes reach it
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--orders", G0, "--x", "9" * 4299],
+         f"rational '{'9' * 4299}' times {G0} has more than 4300 digits"),
+        (["--orders", G0, "--x", "1/" + "7" * 4293],
+         f"rational '1/{'7' * 4293}' times {G0} has more than 4300 digits"),
+        (["--orders", G0, "--x", "1e4292"], f"rational '1e4292' times {G0} has more than 4300 digits"),
+        (["--orders", "1" * 4301, "--x", "1"],
+         f"ramification order '{'1' * 4301}' has more than 4300 digits"),
+        (["--orders", "3,,2", "--x", "1"], "ramification orders '3,,2': '' is not an integer"),
+        (["--orders", "3,x", "--x", "1"], "ramification orders '3,x': 'x' is not an integer"),
+    ],
+)
+def test_psi_size_guard(capsys, argv, message):
+    # refused before any arithmetic, where Python's int/str limit would end the request
+    start = time.perf_counter()
+    code, out, err = run(capsys, "psi", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_psi_largest_accepted_inputs_print(capsys):
+    # |G_0| * x reaches 4,300 digits, the most Python prints
+    x = "9" * 4292
+    code, payload, _ = run_json(capsys, "psi", "--orders", G0, "--x", x, "--x", "1/" + "7" * 4292)
+    assert code == 0
+    assert len(str(int(G0) * int(x))) == 4300
+    assert payload["rows"][0] == {"x": f"{x}/1", "psi": f"{int(G0) * int(x)}/1", "phi": f"{x}/{G0}"}
+    assert payload["rows"][1]["phi"] == f"1/{int(G0) * int('7' * 4292)}"
+    g0 = str(10**4299)  # the longest order accepted
+    code, out, _ = run(capsys, "psi", "--orders", g0, "--x", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == f"1 | {g0} | 1/{g0}"
+
+
 def test_psi_reads_exponents_and_fractions(capsys):
     code, payload, _ = run_json(capsys, "psi", "--x", "1.5e3", "--x", "7/2", "--x", "1e4299")
     assert code == 0

@@ -2,8 +2,12 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -270,6 +274,53 @@ def test_generators_have_freeness_rank(r, f):
     # A = Q[t^+-1]^{S_r} is free of rank f**r over its image B under t -> t^f
     cert = finiteness_certificate(r, f, 2 * f + 2)
     assert len(cert.generators) == f**r
+
+
+@pytest.mark.parametrize(
+    "r, f", [(r, f) for r in range(1, MAX_RANK + 1) for f in range(1, MAX_POWER + 1)]
+)
+def test_certificate_coefficients_are_exact(r, f):
+    cert = finiteness_certificate(r, f, 2 * f + 2)
+    expressions = [*cert.pruned.values(), *cert.reductions.values()]
+    coefficients = [c for e in expressions for b in e.values() for c in b.terms.values()]
+    assert coefficients and all(type(c) in (int, Fraction) for c in coefficients)
+
+
+SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "finiteness_sweep.py"
+
+
+def run_sweep(*argv: str) -> subprocess.CompletedProcess:
+    src = str(SWEEP.parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, str(SWEEP), *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--max-r", str(MAX_RANK + 1)], f"--max-r must be in [1, {MAX_RANK}]"),
+        (["--max-r", "0"], f"--max-r must be in [1, {MAX_RANK}]"),
+        (["--max-f", str(MAX_POWER + 5)], f"--max-f must be in [1, {MAX_POWER}]"),
+        (["--window", "0"], "--window must be >= 1"),
+    ],
+)
+def test_sweep_refuses_values_past_the_caps(argv, message):
+    proc = run_sweep(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"finiteness_sweep.py: error: {message}"
+
+
+def test_sweep_reports_a_window_past_the_target_cap():
+    proc = run_sweep("--max-r", "2", "--max-f", "1", "--window", "60")
+    assert proc.returncode == 0 and proc.stderr == ""
+    rows = proc.stdout.splitlines()
+    assert len(rows) == 3
+    assert rows[1].split()[:5] == ["1", "1", "60", "1", "ok"]
+    assert rows[2].endswith("window 60 at r=2 has 7381 target classes, more than 5000")
 
 
 # -- translation classes ---------------------------------------------------

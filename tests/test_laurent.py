@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from math import factorial
 
@@ -149,7 +150,13 @@ def test_orbit_sum_product_matches_expansion(r, data):
     zero, one = InvariantLaurentPoly.zero(r), InvariantLaurentPoly.one(r)
     assert a * zero == zero * a == zero
     assert a * one == one * a == a
-    assert all(type(c) is Fraction for c in (a * b).terms.values())
+    # exact coefficients: int or Fraction, never a float or a bool
+    assert all(type(c) in (int, Fraction) for c in (a * b).terms.values())
+    # int operands make an int product, in either basis
+    ia, ib = (InvariantLaurentPoly(r, {e: c.numerator for e, c in p.terms.items()}) for p in (a, b))
+    assert (ia * ib).expand() == ia.expand() * ib.expand()
+    for product in (ia * ib, ia * one, ia.expand() * ib.expand()):
+        assert all(type(c) is int for c in product.terms.values())
 
 
 def test_orbit_sum_product_with_stabilisers():
@@ -158,6 +165,40 @@ def test_orbit_sum_product_with_stabilisers():
     assert product.terms == {(2, 1, 0): Fraction(1), (1, 1, 1): Fraction(3)}
     half = InvariantLaurentPoly.orbit_sum((0, 0), Fraction(1, 2))
     assert (half * half).terms == {(0, 0): Fraction(1, 4)}
+
+
+def test_constructor_keeps_ints_and_makes_the_rest_fractions():
+    poly = LaurentPoly(1, {(0,): 3, (1,): True, (2,): 0.5, (3,): Fraction(4), (4,): False})
+    assert [(type(c), c) for c in poly.terms.values()] == [
+        (int, 3), (Fraction, 1), (Fraction, Fraction(1, 2)), (Fraction, 4)
+    ]
+    assert [type(c) for c in poly.scale(True).terms.values()] == [Fraction] * 4
+    assert [type(c) for c in LaurentPoly.one(2).terms.values()] == [int]
+
+
+def integer_invariant_polys(r):
+    term = st.tuples(exponent_vectors(r).map(sort_class), st.integers(-5, 5).filter(bool))
+    return st.lists(term, max_size=4).map(lambda ts: InvariantLaurentPoly(r, dict(ts)))
+
+
+def as_fractions(poly):
+    """poly with every coefficient turned into a Fraction."""
+    return type(poly)(poly.r, {e: Fraction(c) for e, c in poly.terms.items()})
+
+
+@given(integer_invariant_polys(3), integer_invariant_polys(3), st.integers(-3, 3), st.integers(1, 3))
+def test_int_and_fraction_coefficients_agree(a, b, k, f):
+    fa, fb = as_fractions(a), as_fractions(b)
+    assert all(type(c) is Fraction for c in fa.terms.values())
+    for x, y in ((a, b), (a.expand(), b.expand())):
+        fx, fy = as_fractions(x), as_fractions(y)
+        assert fx == x and hash(fx) == hash(x)
+        for left, right in ((fx, y), (x, fy), (fx, fy)):
+            for op in (operator.add, operator.sub, operator.mul):
+                assert op(left, right) == op(x, y) and hash(op(left, right)) == hash(op(x, y))
+        assert fx.scale(k) == x.scale(k) == x.scale(Fraction(k))
+    assert fa.pullback(f) == a.pullback(f) and hash(fa.pullback(f)) == hash(a.pullback(f))
+    assert fa.translate(k) == a.translate(k) and hash(fa.translate(k)) == hash(a.translate(k))
 
 
 @given(laurent_polys(3, nterms=3, lo=-2, hi=2))
@@ -248,6 +289,15 @@ def test_staircase_identity_r3(q):
 def test_staircase_identity_r4(q):
     assert reassemble(q) == LaurentPoly.monomial(q)
     assert list(staircase_decompose(q)) == staircase_basis(4)
+
+
+@given(st.integers(1, 4).flatmap(lambda r: exponent_vectors(r, -3, 3)))
+@settings(max_examples=40, deadline=None)
+def test_staircase_coefficients_are_integers(q):
+    # the staircase basis is a Z-basis and every divided difference is exact
+    coefficients = staircase_decompose(q).values()
+    assert all(type(c) is int for b in coefficients for c in b.terms.values())
+    assert reassemble(q) == LaurentPoly.monomial(q)
 
 
 def test_staircase_coefficients_are_symmetric():
