@@ -13,7 +13,6 @@ from .localfield import (
     LocalFieldData,
     MismatchedTower,
     NotInPsiImage,
-    PiecewiseLinearFn,
     RamificationClass,
     RamificationFiltration,
     UnsupportedExtension,

@@ -38,6 +38,7 @@ from .gl2 import (
 )
 from .ktheory import CircleSpace, ProperCircleMap, induced_map
 from .localfield import (
+    MAX_RATIONAL_DIGITS,
     ExtensionData,
     NotInPsiImage,
     RamificationFiltration,
@@ -61,10 +62,6 @@ SCOPE_ERRORS = (UnsupportedExtension, OutOfScope, NotUnramified, EvenDegree)
 # kmap's dense output is quadratic in its label lists; allow the largest
 # matrix bc-gl1 can reach under its own circle cap.
 MAX_KMAP_CELLS = MAX_CIRCLES**2
-
-# Python's default limit on int <-> str conversion: a rational within it can
-# always be printed back
-MAX_RATIONAL_DIGITS = 4300
 
 
 def format_rational(x: Fraction) -> str:

@@ -115,9 +115,10 @@ def labels_with_conductor(q: int, c: int) -> int:
     return unit_quotient_order(q, c) - unit_quotient_order(q, c - 1)
 
 
-# Most circles TemperedDualGL1.enumerate builds.  The K-theory matrices
-# are dense, so output grows with the square of the count: 1,458 circles
-# (q=3, M=7) already render 47 MB of JSON.
+# Most circles TemperedDualGL1.enumerate builds.  KMorphism stores only its
+# nonzero cells, but the schema-1 JSON writes each K-theory matrix densely,
+# so output grows with the square of the count: 1,458 circles (q=3, M=7)
+# already render 47 MB of JSON.
 MAX_CIRCLES = 2000
 
 
@@ -224,21 +225,13 @@ class Gl1BaseChange:
         }
 
 
-SUPPORTED_CLASSES = (
-    RamificationClass.TRIVIAL,
-    RamificationClass.UNRAMIFIED,
-    RamificationClass.TAME_TOTALLY_RAMIFIED,
-    RamificationClass.TAME_MIXED,
-)
-
-
 def check_gl1_scope(ext: ExtensionData) -> None:
     """Raise UnsupportedExtension unless the base-change hypotheses hold.
 
     Allowed: unramified, tamely ramified (any), or totally ramified
     Galois cyclic (the wild totally ramified case needs both flags).
     """
-    if classify(ext) in SUPPORTED_CLASSES:
+    if classify(ext) is not RamificationClass.WILD:
         return
     if ext.is_totally_ramified and ext.galois and ext.cyclic:
         return
@@ -268,11 +261,11 @@ def bc_gl1(
     if dual_f.q != ext.base.q:
         raise ValueError("the dual is for a different residue field")
     collisions = collisions or {}
+    conductors = dict.fromkeys(label.conductor for label in dual_f.circles)
+    cmap = {c: conductor_transport(filt, c) for c in conductors}
     pairs = []
-    cmap: dict[int, int] = {}
     for label in dual_f.circles:
-        target_c = conductor_transport(filt, label.conductor)
-        cmap[label.conductor] = target_c
+        target_c = cmap[label.conductor]
         target = collisions.get(label, CharacterLabel(target_c, label.index))
         if target.conductor != target_c:
             raise ValueError(

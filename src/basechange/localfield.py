@@ -16,10 +16,17 @@ The two transition functions on [0, oo):
     phi(u) = integral_0^u dt / (G_0 : G_t),   with G_t = G_i for i-1 < t <= i,
 
 which is piecewise linear, increasing and concave, and its inverse psi
-(increasing and convex, integer-valued on integers).  For an unramified
-extension phi = psi = id; for a tame extension with |G_0| = e,
-psi(x) = e*x; for a cyclic totally ramified extension of prime degree p
-whose filtration jumps at t, psi(x) = x below t and t + p*(x - t) above.
+(increasing and convex, integer-valued on integers).  For a stored chain
+|G_0| = e, ..., |G_{L-1}| (|G_i| = 1 for i >= L) both are one walk over
+the prefix sums S_k = |G_1| + ... + |G_k|, k <= max(L - 1, 0):
+
+    e*phi(u) = S_k + (u - k)*|G_{k+1}|,    k = min(floor(u), max(L - 1, 0));
+    psi(x)   = k + (e*x - S_k)/|G_{k+1}|,  k the last such index with S_k <= e*x.
+
+For an unramified extension phi = psi = id; for a tame extension with
+|G_0| = e, psi(x) = e*x; for a cyclic totally ramified extension of
+prime degree p whose filtration jumps at t, psi(x) = x below t and
+t + p*(x - t) above.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Optional, Union
 
 Rational = Union[int, Fraction]
@@ -65,6 +73,15 @@ class MismatchedTower(ValueError):
     """Tower composition where the upper base is not the lower top field."""
 
 
+# Largest residue characteristic accepted: is_prime(p) then takes at most
+# 512 trial divisions, and prime_power_base stops its search here.
+MAX_RESIDUE_CHARACTERISTIC = 2**20
+
+# Python's default limit on int <-> str conversion: a number within it can
+# always be printed back
+MAX_RATIONAL_DIGITS = 4300
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -78,19 +95,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def is_power_of(q: int, p: int) -> bool:
+    """q = p^k for some k >= 1 (p >= 2), by repeated division."""
+    if q < p:
+        return False
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
 def prime_power_base(q: int) -> Optional[int]:
-    """Return p if q = p^k for a prime p and k >= 1, else None."""
+    """Return p if q = p^k for a prime p <= MAX_RESIDUE_CHARACTERISTIC and k >= 1, else None.
+
+    The smallest factor of q is its base; trial division stops at the cap.
+    """
     if q < 2:
         return None
-    for p in range(2, q + 1):
-        if p * p > q:
-            return q if is_prime(q) else None
-        if q % p == 0:
-            m = q
-            while m % p == 0:
-                m //= p
-            return p if m == 1 else None
-    return None
+    p = next((d for d in range(2, min(isqrt(q), MAX_RESIDUE_CHARACTERISTIC) + 1) if q % d == 0), q)
+    return p if p <= MAX_RESIDUE_CHARACTERISTIC and is_power_of(q, p) else None
 
 
 @dataclass(frozen=True)
@@ -107,10 +129,13 @@ class LocalFieldData:
     char_zero: bool = True
 
     def __post_init__(self):
+        if self.p > MAX_RESIDUE_CHARACTERISTIC:
+            raise ValueError(
+                f"residue characteristic p={self.p} is above {MAX_RESIDUE_CHARACTERISTIC}"
+            )
         if not is_prime(self.p):
             raise ValueError(f"residue characteristic p={self.p} is not prime")
-        base = prime_power_base(self.q)
-        if base != self.p:
+        if not is_power_of(self.q, self.p):
             raise ValueError(f"q={self.q} is not a positive power of p={self.p}")
 
     def to_json(self) -> dict:
@@ -143,7 +168,17 @@ class ExtensionData:
 
     @property
     def top_field(self) -> LocalFieldData:
-        return LocalFieldData(self.base.q ** self.f, self.base.p, self.base.char_zero)
+        """The residue field of E, of q^f elements; refused past MAX_RATIONAL_DIGITS digits.
+
+        q^f >= 2^(f*(bits of q - 1)) and 2^(10/3) > 10, so a large f is
+        refused before the power is formed.
+        """
+        q, f = self.base.q, self.f
+        if f * (q.bit_length() - 1) > 10 * MAX_RATIONAL_DIGITS // 3 or q**f >= 10**MAX_RATIONAL_DIGITS:
+            raise ValueError(
+                f"the top field's q^f = {q}^{f} has more than {MAX_RATIONAL_DIGITS} digits"
+            )
+        return LocalFieldData(q**f, self.base.p, self.base.char_zero)
 
     @property
     def is_unramified(self) -> bool:
@@ -265,77 +300,17 @@ class RamificationFiltration:
     def group_is_trivial_at(self, i: int) -> bool:
         return self.order_at(i) == 1
 
-    def phi_fn(self) -> "PiecewiseLinearFn":
-        """The concave transition function phi on [0, oo) as breakpoint data."""
-        g0 = self.e
-        length = len(self.orders)
-        xs = [Fraction(0)]
-        ys = [Fraction(0)]
-        slopes = []
-        # one segment per unit interval [i, i+1] with slope |G_{i+1}|/|G_0|;
-        # from x = max(length - 1, 0) on, the slope is constant 1/g0.
-        last = max(length - 1, 0)
-        for i in range(last):
-            slopes.append(Fraction(self.order_at(i + 1), g0))
-            xs.append(Fraction(i + 1))
-            ys.append(ys[-1] + slopes[-1])
-        slopes.append(Fraction(1, g0))
-        return PiecewiseLinearFn(tuple(zip(xs, ys)), tuple(slopes))
-
-    def psi_fn(self) -> "PiecewiseLinearFn":
-        """The convex inverse transition function psi = phi^{-1}."""
-        return self.phi_fn().inverse()
-
-
-@dataclass(frozen=True)
-class PiecewiseLinearFn:
-    """Increasing piecewise linear function on [0, oo), exact breakpoints.
-
-    breakpoints[i] = (x_i, y_i) with x_0 = 0; slopes[i] applies on
-    [x_i, x_{i+1}] and slopes[-1] extends to +oo.
-    """
-
-    breakpoints: tuple[tuple[Fraction, Fraction], ...]
-    slopes: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.breakpoints) != len(self.slopes):
-            raise ValueError("need exactly one slope per breakpoint")
-        if not self.breakpoints or self.breakpoints[0][0] != 0:
-            raise ValueError("breakpoints must start at x = 0")
-
-    def __call__(self, x: Rational) -> Fraction:
-        return self.evaluate(x)
-
-    def evaluate(self, x: Rational) -> Fraction:
-        x = Fraction(x)
-        if x < 0:
-            raise ValueError("evaluation is restricted to x >= 0")
-        i = len(self.breakpoints) - 1
-        while i > 0 and self.breakpoints[i][0] > x:
-            i -= 1
-        x0, y0 = self.breakpoints[i]
-        return y0 + self.slopes[i] * (x - x0)
-
-    def inverse(self) -> "PiecewiseLinearFn":
-        if any(s <= 0 for s in self.slopes):
-            raise ValueError("only strictly increasing functions invert")
-        pts = tuple((y, x) for (x, y) in self.breakpoints)
-        return PiecewiseLinearFn(pts, tuple(1 / s for s in self.slopes))
-
-    def is_convex(self) -> bool:
-        return all(a <= b for a, b in zip(self.slopes, self.slopes[1:]))
-
-    def is_concave(self) -> bool:
-        return all(a >= b for a, b in zip(self.slopes, self.slopes[1:]))
-
 
 def phi(filt: RamificationFiltration, u: Rational) -> Fraction:
     """Transition to the upper numbering: phi(u) = int_0^u dt/(G_0:G_t)."""
     u = Fraction(u)
     if u < 0:
         raise ValueError("phi is evaluated on u >= 0")
-    return filt.phi_fn().evaluate(u)
+    n, d = u.numerator, u.denominator
+    k = min(n // d, len(filt.orders[1:]))
+    return Fraction(
+        sum(filt.orders[1 : k + 1]) * d + (n - k * d) * filt.order_at(k + 1), d * filt.e
+    )
 
 
 def psi(filt: RamificationFiltration, x: Rational) -> Fraction:
@@ -343,7 +318,16 @@ def psi(filt: RamificationFiltration, x: Rational) -> Fraction:
     x = Fraction(x)
     if x < 0:
         raise ValueError("psi is evaluated on x >= 0")
-    return filt.psi_fn().evaluate(x)
+    d = x.denominator
+    target = filt.e * x.numerator  # e*x*d, against which each prefix sum times d is compared
+    k = reached = 0
+    for g in filt.orders[1:]:
+        if (reached + g) * d > target:
+            break
+        reached += g
+        k += 1
+    g = filt.order_at(k + 1)
+    return Fraction(k * d * g + target - reached * d, d * g)
 
 
 def validate_extension_filtration(
@@ -382,14 +366,7 @@ def norm_level_image(
     if level_e < 0:
         raise ValueError("unit filtration levels are nonnegative")
     validate_extension_filtration(ext, filt)
-    cls = classify(ext)
-    tame_or_less = cls in (
-        RamificationClass.TRIVIAL,
-        RamificationClass.UNRAMIFIED,
-        RamificationClass.TAME_TOTALLY_RAMIFIED,
-        RamificationClass.TAME_MIXED,
-    )
-    if not tame_or_less:
+    if classify(ext) is RamificationClass.WILD:
         certified = (
             ext.galois
             and ext.is_totally_ramified
@@ -447,5 +424,5 @@ def unit_quotient_order(q: int, m: int) -> int:
     if m < 1:
         raise ValueError("unit quotient U/U^m needs m >= 1")
     if prime_power_base(q) is None:
-        raise ValueError(f"q={q} is not a prime power")
+        raise ValueError(f"q={q} is not a power of a prime up to {MAX_RESIDUE_CHARACTERISTIC}")
     return (q - 1) * q ** (m - 1)

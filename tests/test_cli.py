@@ -207,6 +207,18 @@ def test_psi_largest_accepted_inputs_print(capsys):
     assert out.splitlines()[-1] == f"1 | {g0} | 1/{g0}"
 
 
+def test_psi_long_chain_is_linear(capsys):
+    # 20,000 orders 2: psi(x) = x up to 19,999, then 19,999 + 2*(x - 19,999)
+    xs = ["1", "7/2", "19999", "20001/1", "1000000"]
+    start = time.perf_counter()
+    code, payload, _ = run_json(capsys, "psi", "--orders", ",".join(["2"] * 20000),
+                                *(arg for x in xs for arg in ("--x", x)))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert [row["psi"] for row in payload["rows"]] == ["1/1", "7/2", "19999/1", "20003/1", "1980001/1"]
+    assert payload["rows"][-1]["phi"] == "1019999/2"
+
+
 def test_psi_reads_exponents_and_fractions(capsys):
     code, payload, _ = run_json(capsys, "psi", "--x", "1.5e3", "--x", "7/2", "--x", "1e4299")
     assert code == 0
@@ -492,6 +504,51 @@ def test_output_file(tmp_path, capsys):
         assert code == 0
         assert run(capsys, *argv, "--output", str(out)) == (0, "", "")
         assert out.read_bytes() == stdout.encode()
+
+
+P3_PAIR = PAIR.replace('"q": 5, "p": 5', '"q": 3, "p": 3')
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["norm-level", "--level", "1", "--extension",
+          '{"q": 2305843009213693951, "p": 2305843009213693951, "e": 1, "f": 2}'],
+         "residue characteristic p=2305843009213693951 is above 1048576"),
+        (["norm-level", "--level", "1", "--extension",
+          f'{{"q": {(2**31 - 1) ** 2}, "p": 2147483647, "e": 1, "f": 2}}'],
+         "residue characteristic p=2147483647 is above 1048576"),
+        (["bc-gl2", "--pair", P3_PAIR, "--lift", '{"q": 3, "p": 3, "e": 1, "f": 100001}'],
+         "the top field's q^f = 3^100001 has more than 4300 digits"),
+        (["bc-gl2", "--pair", P3_PAIR, "--lift", '{"q": 3, "p": 3, "e": 1, "f": 99999999}'],
+         "the top field's q^f = 3^99999999 has more than 4300 digits"),
+    ],
+)
+def test_field_size_guards_exit_2(capsys, argv, message):
+    # refused before a trial division up to sqrt(p) or p, or before 3**f is formed
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_fields_within_the_guards_run(capsys):
+    p = 1048573  # the largest prime below 2**20
+    for q in (p, p**2):
+        start = time.perf_counter()
+        code, payload, _ = run_json(
+            capsys, "norm-level", "--level", "3", "--extension",
+            f'{{"q": {q}, "p": {p}, "e": 1, "f": 2}}',
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, payload["level_F"]) == (0, 3)
+    code, payload, _ = run_json(
+        capsys, "bc-gl2", "--pair", P3_PAIR, "--lift", '{"q": 3, "p": 3, "e": 1, "f": 101}'
+    )
+    assert code == 0
+    assert payload["result"]["target_pair"]["quad"]["q"] == 3**101
 
 
 def test_norm_level_wild_exits_3(capsys):

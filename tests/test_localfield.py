@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from basechange.localfield import (
+    MAX_RESIDUE_CHARACTERISTIC,
     ExtensionData,
     LocalFieldData,
     MismatchedTower,
@@ -17,6 +18,7 @@ from basechange.localfield import (
     conductor_transport,
     norm_level_image,
     phi,
+    prime_power_base,
     psi,
     unit_quotient_order,
     validate_extension_filtration,
@@ -28,9 +30,9 @@ def field(q=3, p=3, char_zero=True):
 
 
 @st.composite
-def filtrations(draw):
+def filtrations(draw, max_length=4):
     """Divisibility chains built top-down: each order is a multiple of the next."""
-    length = draw(st.integers(min_value=0, max_value=4))
+    length = draw(st.integers(min_value=0, max_value=max_length))
     if length == 0:
         return RamificationFiltration()
     orders = [draw(st.sampled_from([2, 3, 4, 5, 7, 9]))]
@@ -54,6 +56,33 @@ def test_local_field_validation():
         LocalFieldData(8, 4)  # p not prime
     with pytest.raises(ValueError):
         LocalFieldData(1, 2)
+    with pytest.raises(ValueError):
+        LocalFieldData(0, 2)
+
+
+def test_residue_characteristic_cap():
+    # 2**61 - 1 and 2**31 - 1 are prime, but past the cap: refused before any trial division
+    for p, q in ((2**61 - 1, 2**61 - 1), (2**31 - 1, (2**31 - 1) ** 2)):
+        with pytest.raises(ValueError, match="is above"):
+            LocalFieldData(q, p)
+    p = 1048573  # the largest prime below 2**20
+    assert p < MAX_RESIDUE_CHARACTERISTIC
+    assert LocalFieldData(p**3, p).q == p**3
+    with pytest.raises(ValueError):
+        LocalFieldData(p**3 * 2, p)
+    assert prime_power_base(p**2) == p
+    assert prime_power_base((2**31 - 1) ** 2) is None  # base past the cap
+    assert prime_power_base(2**40) == 2
+    assert prime_power_base(12) is None
+
+
+def test_top_field_digit_cap():
+    # 3**9012 has 4,300 digits, 3**9013 one more
+    base = field()
+    assert len(str(ExtensionData(base, e=1, f=9012).top_field.q)) == 4300
+    for f in (9013, 100001, 99999999):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            ExtensionData(base, e=1, f=f).top_field
 
 
 def test_extension_validation():
@@ -129,26 +158,60 @@ def test_negative_arguments_rejected():
         psi(filt, Fraction(-1, 2))
 
 
-def test_phi_concave_psi_convex():
-    filt = RamificationFiltration((9, 3, 3))
-    assert filt.phi_fn().is_concave()
-    assert filt.psi_fn().is_convex()
+@given(filtrations(max_length=12))
+def test_phi_concave_psi_convex(filt):
+    # chords between samples 1/4 apart: positive, falling for phi and rising for psi
+    grid = [Fraction(i, 4) for i in range(65)]
+    for fn, trend in ((phi, -1), (psi, 1)):
+        values = [fn(filt, x) for x in grid]
+        slopes = [4 * (b - a) for a, b in zip(values, values[1:])]
+        assert all(s > 0 for s in slopes)
+        assert all(trend * (b - a) >= 0 for a, b in zip(slopes, slopes[1:]))
 
 
-def test_piecewise_linear_validation():
-    from basechange.localfield import PiecewiseLinearFn
+def reference_breakpoints(filt):
+    """phi as breakpoint data, one unit interval at a time: the points
+    (i, phi(i)) for i up to the chain length less one, slope |G_{i+1}|/|G_0|
+    on [i, i+1], and slope 1/|G_0| from the last point on."""
+    g0 = filt.e
+    points = [(Fraction(0), Fraction(0))]
+    slopes = []
+    for i in range(max(len(filt.orders) - 1, 0)):
+        slopes.append(Fraction(filt.order_at(i + 1), g0))
+        points.append((Fraction(i + 1), points[-1][1] + slopes[-1]))
+    slopes.append(Fraction(1, g0))
+    return points, slopes
 
-    with pytest.raises(ValueError):
-        PiecewiseLinearFn(((Fraction(1), Fraction(0)),), (Fraction(1),))
-    with pytest.raises(ValueError):
-        PiecewiseLinearFn(((Fraction(0), Fraction(0)),), ())
-    flat = PiecewiseLinearFn(((Fraction(0), Fraction(0)),), (Fraction(0),))
-    with pytest.raises(ValueError):
-        flat.inverse()
-    fn = RamificationFiltration((4, 2)).phi_fn()
-    with pytest.raises(ValueError):
-        fn.evaluate(-1)
-    assert fn(Fraction(3, 2)) == fn.evaluate(Fraction(3, 2))
+
+def evaluate_piecewise(points, slopes, x):
+    """The increasing function through points with slopes[i] from points[i] on."""
+    x = Fraction(x)
+    i = len(points) - 1
+    while i > 0 and points[i][0] > x:
+        i -= 1
+    x0, y0 = points[i]
+    return y0 + slopes[i] * (x - x0)
+
+
+def reference_phi(filt, u):
+    return evaluate_piecewise(*reference_breakpoints(filt), u)
+
+
+def reference_psi(filt, x):
+    """phi's breakpoints mirrored in the diagonal, its slopes inverted."""
+    points, slopes = reference_breakpoints(filt)
+    return evaluate_piecewise([(y, x) for x, y in points], [1 / s for s in slopes], x)
+
+
+@given(filtrations(max_length=12), st.lists(nonneg_rationals, max_size=8))
+def test_phi_psi_match_reference(filt, extra):
+    points, _ = reference_breakpoints(filt)
+    xs = [*range(61), *(y for _, y in points), *extra]
+    for x in xs:
+        for fn, reference in ((phi, reference_phi), (psi, reference_psi)):
+            value = fn(filt, x)
+            assert type(value) is Fraction
+            assert value == reference(filt, x)
 
 
 @given(filtrations(), nonneg_rationals)
