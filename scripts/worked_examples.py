@@ -57,7 +57,7 @@ def main():
 
     banner("GL(1) base change, tame quadratic over q=3, conductors <= 3")
     ext = ExtensionData(LocalFieldData(3, 3), e=2, f=1, galois=True, cyclic=True)
-    dual = TemperedDualGL1.enumerate(3, 3)
+    dual = TemperedDualGL1.enumerate(ext.base, 3)
     bc = bc_gl1(ext, RamificationFiltration((2,)), dual)
     print(f"  circles: {len(dual.circles)}, degree on each: {bc.f}")
     print(f"  conductor map: {bc.conductor_map}")

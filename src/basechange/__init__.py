@@ -31,7 +31,6 @@ from .extquot import (
     TorusPoint,
     base_change_point,
     extended_quotient,
-    fixed_component,
     partitions_of,
 )
 from .finiteness import FinitenessCertificate, WindowTooSmall, finiteness_certificate
@@ -64,14 +63,11 @@ from .gl2 import (
 from .ktheory import (
     CircleSpace,
     InsufficientSamples,
-    KGroup,
     KMorphism,
     ProperCircleMap,
     circle_degree_oracle,
     compose_maps,
     induced_map,
-    k_groups,
-    reduce_symmetric_component,
 )
 
 __version__ = "0.1.0"

@@ -215,7 +215,7 @@ def cmd_norm_level(args) -> int:
 
 def cmd_bc_gl1(args) -> int:
     ext, filt = ExtensionData.from_json(_load_json_arg(args.extension))
-    dual = TemperedDualGL1.enumerate(ext.base.q, args.max_conductor)
+    dual = TemperedDualGL1.enumerate(ext.base, args.max_conductor)
     bc = bc_gl1(ext, filt, dual)
     k0, k1 = induced_map(circle_map(bc))
     lines = [f"degree: {bc.f}"]

@@ -60,6 +60,9 @@ def validate_partition(parts: Sequence[int], n: int) -> tuple[int, ...]:
 class OrbitComponent:
     """One piece of the extended quotient, indexed by a partition.
 
+    from_partition(cycle_type, n) is the piece X^g / Z(g) for a
+    permutation g of S_n with that cycle type.
+
     distinct_parts lists (part size n_i, multiplicity r_i) with the
     n_i strictly decreasing; the geometric shape is the product of
     Sym^{r_i}(C^x) in that order, of dimension sum r_i.
@@ -119,11 +122,6 @@ def extended_quotient(n: int) -> ExtendedQuotient:
         raise ValueError(f"n must satisfy 1 <= n <= {MAX_TORUS_RANK}, got {n}")
     comps = tuple(OrbitComponent.from_partition(p, n) for p in partitions_of(n))
     return ExtendedQuotient(n, comps)
-
-
-def fixed_component(n: int, cycle_type: Sequence[int]) -> OrbitComponent:
-    """The piece X^g / Z(g) for a permutation g of the given cycle type."""
-    return OrbitComponent.from_partition(validate_partition(cycle_type, n), n)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .gaussian import GaussianRational
 from .ktheory import CircleSpace, ProperCircleMap
 from .localfield import (
     ExtensionData,
+    LocalFieldData,
     RamificationClass,
     RamificationFiltration,
     UnsupportedExtension,
@@ -100,8 +101,8 @@ class CharacterLabel:
         return {"conductor": self.conductor, "index": self.index}
 
 
-def labels_with_conductor(q: int, c: int) -> int:
-    """How many unit-group characters have conductor exactly c.
+def labels_with_conductor(field: LocalFieldData, c: int) -> int:
+    """How many unit-group characters of the field have conductor exactly c.
 
     Differences of the unit-quotient orders: 1 for c = 0, q - 2 for
     c = 1, (q-1)^2 * q^(c-2) beyond.
@@ -111,8 +112,8 @@ def labels_with_conductor(q: int, c: int) -> int:
     if c == 0:
         return 1
     if c == 1:
-        return unit_quotient_order(q, 1) - 1
-    return unit_quotient_order(q, c) - unit_quotient_order(q, c - 1)
+        return unit_quotient_order(field, 1) - 1
+    return unit_quotient_order(field, c) - unit_quotient_order(field, c - 1)
 
 
 # Most circles TemperedDualGL1.enumerate builds.  KMorphism stores only its
@@ -122,7 +123,7 @@ def labels_with_conductor(q: int, c: int) -> int:
 MAX_CIRCLES = 2000
 
 
-def circle_count(q: int, bound: int) -> int:
+def circle_count(field: LocalFieldData, bound: int) -> int:
     """Circles of the truncation at bound: 1 for bound 0, else (q-1)*q^(bound-1).
 
     The product stops growing once it passes MAX_CIRCLES, so a huge bound
@@ -131,42 +132,41 @@ def circle_count(q: int, bound: int) -> int:
     """
     if bound < 0:
         raise ValueError("the truncation bound is nonnegative")
-    count = 1 if bound == 0 else unit_quotient_order(q, 1)
+    count = 1 if bound == 0 else unit_quotient_order(field, 1)
     for _ in range(bound - 1):
         if count > MAX_CIRCLES:
             break
-        count *= q
+        count *= field.q
     return count
 
 
 @dataclass(frozen=True)
 class TemperedDualGL1:
-    """Truncation of the GL(1) tempered dual: circles for conductor <= bound.
+    """Truncation of the GL(1) tempered dual of base: circles for conductor <= bound.
 
     The default enumeration lists, for each conductor, exactly the
     number of characters the unit-quotient orders allow; any explicit
     circle list respecting the same bounds is also accepted.
     """
 
-    q: int
+    base: LocalFieldData
     bound: int
     circles: tuple[CharacterLabel, ...]
 
     @staticmethod
-    def enumerate(q: int, bound: int) -> "TemperedDualGL1":
-        if circle_count(q, bound) > MAX_CIRCLES:
+    def enumerate(base: LocalFieldData, bound: int) -> "TemperedDualGL1":
+        if circle_count(base, bound) > MAX_CIRCLES:
             raise ValueError(
-                f"conductor bound {bound} at q={q} gives more than {MAX_CIRCLES} circles"
+                f"conductor bound {bound} at q={base.q} gives more than {MAX_CIRCLES} circles"
             )
         circles = tuple(
             CharacterLabel(c, j)
             for c in range(bound + 1)
-            for j in range(labels_with_conductor(q, c))
+            for j in range(labels_with_conductor(base, c))
         )
-        return TemperedDualGL1(q, bound, circles)
+        return TemperedDualGL1(base, bound, circles)
 
     def __post_init__(self):
-        unit_quotient_order(self.q, 1)  # validates q is a prime power
         seen = set()
         for label in self.circles:
             if label in seen:
@@ -177,14 +177,14 @@ class TemperedDualGL1:
         upto = 0
         for c, count in sorted(Counter(lbl.conductor for lbl in self.circles).items()):
             upto += count
-            if upto > unit_quotient_order(self.q, max(c, 1)):
+            if upto > unit_quotient_order(self.base, max(c, 1)):
                 raise ValueError(
                     f"more labels with conductor <= {c} than characters exist"
                 )
 
     def to_json(self) -> dict:
         return {
-            "q": self.q,
+            "q": self.base.q,
             "M": self.bound,
             "circles": [label.to_json() for label in self.circles],
         }
@@ -258,7 +258,7 @@ def bc_gl1(
     """
     check_gl1_scope(ext)
     validate_extension_filtration(ext, filt)
-    if dual_f.q != ext.base.q:
+    if dual_f.base.q != ext.base.q:
         raise ValueError("the dual is for a different residue field")
     collisions = collisions or {}
     conductors = dict.fromkeys(label.conductor for label in dual_f.circles)

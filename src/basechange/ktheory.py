@@ -1,20 +1,22 @@
 """K-theory of finite disjoint unions of circles and of proper maps.
 
 Each circle contributes one free generator to K^0 and one to K^1, so
-the groups of a labeled union are free abelian with basis the labels.
-A proper component-matched map (every source circle goes to at most one
-target circle, with a positive winding degree) induces integer matrices:
-on K^1 the matched entry is the degree, on K^0 it is 1, everything else
-is 0.  Matrices are stored with rows indexed by the source space and
-columns by the target space, so the induced map (which is contravariant)
-reads a column as "where this target generator lands".
+the groups of a labeled union are free abelian with basis the labels,
+both of rank len(space).  A proper component-matched map (every source
+circle goes to at most one target circle, with a positive winding
+degree) induces integer matrices: on K^1 the matched entry is the
+degree, on K^0 it is 1, everything else is 0.  Matrices are stored with
+rows indexed by the source space and columns by the target space, so
+the induced map (which is contravariant) reads a column as "where this
+target generator lands".
 
-Symmetric-power components enter through a homotopy reduction: the
-n-fold symmetric power of the circle deformation-retracts onto a circle
-along the product of coordinates, and the coordinatewise f-th power map
-descends to z -> z^f there, preserving the degree.  An independent
-winding-number oracle over exact rational turn angles cross-checks the
-degree.
+A symmetric-power component is one circle here, of degree f under base
+change, for every n: the n-fold symmetric power of the circle
+deformation-retracts onto a circle along the product of coordinates, and
+the coordinatewise f-th power map descends to z -> z^f there, because the
+product of the f-th powers is the f-th power of the product.  An
+independent winding-number oracle over exact rational turn angles
+cross-checks that degree.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping, Optional
+from typing import Hashable, Iterable, Mapping
 
 Label = Hashable
 
@@ -40,16 +42,14 @@ class CircleSpace:
     """
 
     components: tuple[Label, ...]
-    provenance: Mapping[Label, str] = field(default_factory=dict)
     positions: Mapping[Label, int] = field(init=False, repr=False, compare=False)
 
-    def __init__(self, components: Iterable[Label], provenance: Optional[Mapping[Label, str]] = None):
+    def __init__(self, components: Iterable[Label]):
         components = tuple(components)
         positions = {label: i for i, label in enumerate(components)}
         if len(positions) != len(components):
             raise ValueError("circle labels must be unique")
         object.__setattr__(self, "components", components)
-        object.__setattr__(self, "provenance", dict(provenance or {}))
         object.__setattr__(self, "positions", positions)
 
     def __len__(self) -> int:
@@ -105,22 +105,6 @@ def compose_maps(first: ProperCircleMap, second: ProperCircleMap) -> ProperCircl
         if hit is not None:
             chained.append((src, hit[0], d1 * hit[1]))
     return ProperCircleMap(first.source, second.target, tuple(chained))
-
-
-@dataclass(frozen=True)
-class KGroup:
-    """Free abelian group with one generator per circle component."""
-
-    degree: int  # 0 or 1, which K-group this is
-    basis: tuple[Label, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-
-def k_groups(space: CircleSpace) -> tuple[KGroup, KGroup]:
-    return KGroup(0, space.components), KGroup(1, space.components)
 
 
 @dataclass(frozen=True)
@@ -223,28 +207,6 @@ def induced_map(m: ProperCircleMap) -> tuple[KMorphism, KMorphism]:
     k1 = tuple(sorted((row_of[src], col_of[tgt], degree) for src, tgt, degree in m.matches))
     k0 = tuple((i, j, 1) for i, j, _ in k1)
     return KMorphism(rows, cols, k0), KMorphism(rows, cols, k1)
-
-
-@dataclass(frozen=True)
-class ReducedCircle:
-    """A symmetric-power component collapsed to its homotopy circle."""
-
-    sym_power: int
-    degree: int
-    provenance: str
-
-
-def reduce_symmetric_component(n: int, f: int) -> ReducedCircle:
-    """Collapse Sym^n(T) carrying the coordinatewise f-th power map.
-
-    The product-of-coordinates retraction turns the component into one
-    circle and the map into z -> z^f, because the product of the f-th
-    powers is the f-th power of the product; the K-theory degree is
-    therefore exactly f.
-    """
-    if n < 1 or f < 1:
-        raise ValueError("need n >= 1 and f >= 1")
-    return ReducedCircle(sym_power=n, degree=f, provenance=f"Sym^{n} reduced")
 
 
 def circle_degree_oracle(f: int, samples: int) -> int:

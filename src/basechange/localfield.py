@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import isqrt
 from typing import Iterable, Optional, Union
 
 Rational = Union[int, Fraction]
@@ -74,7 +73,8 @@ class MismatchedTower(ValueError):
 
 
 # Largest residue characteristic accepted: is_prime(p) then takes at most
-# 512 trial divisions, and prime_power_base stops its search here.
+# 512 trial divisions.  LocalFieldData is the one place that checks q = p^k;
+# code holding a field only does arithmetic on q.
 MAX_RESIDUE_CHARACTERISTIC = 2**20
 
 # Python's default limit on int <-> str conversion: a number within it can
@@ -102,17 +102,6 @@ def is_power_of(q: int, p: int) -> bool:
     while q % p == 0:
         q //= p
     return q == 1
-
-
-def prime_power_base(q: int) -> Optional[int]:
-    """Return p if q = p^k for a prime p <= MAX_RESIDUE_CHARACTERISTIC and k >= 1, else None.
-
-    The smallest factor of q is its base; trial division stops at the cap.
-    """
-    if q < 2:
-        return None
-    p = next((d for d in range(2, min(isqrt(q), MAX_RESIDUE_CHARACTERISTIC) + 1) if q % d == 0), q)
-    return p if p <= MAX_RESIDUE_CHARACTERISTIC and is_power_of(q, p) else None
 
 
 @dataclass(frozen=True)
@@ -204,7 +193,12 @@ class ExtensionData:
 
     @staticmethod
     def from_json(obj: dict) -> tuple["ExtensionData", "RamificationFiltration"]:
-        """Parse {q, p, e, f, galois, cyclic, filtration_orders} (char_zero optional)."""
+        """Parse {q, p, e, f, galois, cyclic, filtration_orders} (char_zero optional).
+
+        filtration_orders may be omitted only when p does not divide e.  G_1
+        is a p-group and G_0/G_1 has order prime to p, so the chain is then
+        [e]; when p divides e, G_1 is nontrivial and no default exists.
+        """
         base = LocalFieldData(
             q=json_int(obj["q"], "q"),
             p=json_int(obj["p"], "p"),
@@ -219,6 +213,10 @@ class ExtensionData:
         )
         orders = obj.get("filtration_orders")
         if orders is None:
+            if ext.e % ext.base.p == 0:
+                raise ValueError(
+                    f"a wild extension (p={ext.base.p} divides e={ext.e}) must list filtration_orders"
+                )
             filt = RamificationFiltration.tame_default(ext.e)
         elif not isinstance(orders, list):
             raise ValueError(f"filtration_orders must be a list, got {type(orders).__name__}")
@@ -297,9 +295,6 @@ class RamificationFiltration:
             raise ValueError("lower numbering index must be >= 0")
         return self.orders[i] if i < len(self.orders) else 1
 
-    def group_is_trivial_at(self, i: int) -> bool:
-        return self.order_at(i) == 1
-
 
 def phi(filt: RamificationFiltration, u: Rational) -> Fraction:
     """Transition to the upper numbering: phi(u) = int_0^u dt/(G_0:G_t)."""
@@ -330,26 +325,15 @@ def psi(filt: RamificationFiltration, x: Rational) -> Fraction:
     return Fraction(k * d * g + target - reached * d, d * g)
 
 
-def validate_extension_filtration(
-    ext: ExtensionData, filt: RamificationFiltration
-) -> list[str]:
-    """Check filtration/extension consistency; return soft warnings.
+def validate_extension_filtration(ext: ExtensionData, filt: RamificationFiltration) -> None:
+    """Refuse a filtration whose |G_0| differs from e.
 
-    Hard error when |G_0| differs from e.  The tameness of G_0/G_1
-    (order prime to p) is only reported, not enforced.
+    The tameness of G_0/G_1 (order prime to p) is not checked.
     """
     if filt.e != ext.e:
         raise ValueError(
             f"filtration has |G_0| = {filt.e} but the extension has e = {ext.e}"
         )
-    warnings = []
-    quotient = filt.order_at(0) // filt.order_at(1)
-    if quotient % ext.base.p == 0:
-        warnings.append(
-            f"|G_0/G_1| = {quotient} is divisible by the residue characteristic "
-            f"p = {ext.base.p}; a genuine inertia chain has this quotient prime to p"
-        )
-    return warnings
 
 
 def norm_level_image(
@@ -370,7 +354,7 @@ def norm_level_image(
         certified = (
             ext.galois
             and ext.is_totally_ramified
-            and filt.group_is_trivial_at(level_e)
+            and filt.order_at(level_e) == 1
         )
         if not certified:
             raise UnsupportedExtension(
@@ -419,10 +403,8 @@ def compose_tower(lower: ExtensionData, upper: ExtensionData) -> ExtensionData:
     )
 
 
-def unit_quotient_order(q: int, m: int) -> int:
-    """Order (q-1)*q^(m-1) of the unit quotient U/U^m, m >= 1."""
+def unit_quotient_order(field: LocalFieldData, m: int) -> int:
+    """Order (q-1)*q^(m-1) of the unit quotient U/U^m of the field, m >= 1."""
     if m < 1:
         raise ValueError("unit quotient U/U^m needs m >= 1")
-    if prime_power_base(q) is None:
-        raise ValueError(f"q={q} is not a power of a prime up to {MAX_RESIDUE_CHARACTERISTIC}")
-    return (q - 1) * q ** (m - 1)
+    return (field.q - 1) * field.q ** (m - 1)

@@ -367,6 +367,49 @@ def test_bc_gl1_wild_exits_3(capsys):
     assert "UnsupportedExtension" in err
 
 
+WILD_CUBIC_WITHOUT_ORDERS = '{"q": 3, "p": 3, "e": 3, "f": 1, "galois": true, "cyclic": true}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bc-gl1", "--max-conductor", "2", "--extension", WILD_CUBIC_WITHOUT_ORDERS],
+        ["norm-level", "--level", "3", "--extension", WILD_CUBIC_WITHOUT_ORDERS],
+    ],
+)
+def test_wild_extension_without_orders_exits_2(capsys, argv):
+    # the tame chain [3] is no wild chain: it gave the map 1 -> 3, 2 -> 6,
+    # where the listed chain [3, 3] gives 1 -> 1, 2 -> 4
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: a wild extension (p=3 divides e=3) must list filtration_orders"
+    ]
+
+
+def test_tame_extension_without_orders_runs(capsys):
+    tame = TAME_QUADRATIC.replace(', "filtration_orders": [2]', "")
+    code, payload, _ = run_json(capsys, "bc-gl1", "--extension", tame, "--max-conductor", "2")
+    assert code == 0
+    assert payload["extension"]["filtration_orders"] == [2]
+    assert payload["map"]["conductor_map"] == {"0": 0, "1": 2, "2": 4}
+    code, payload, _ = run_json(capsys, "norm-level", "--extension", tame, "--level", "6")
+    assert (code, payload["level_F"]) == (0, 3)
+
+
+def test_bc_gl1_over_a_large_residue_field_is_fast(capsys):
+    # q = p^2 with p the largest prime below 2**20: the field is checked once,
+    # with no trial division up to p
+    p = 1048573
+    ext = f'{{"q": {p**2}, "p": {p}, "e": 1, "f": 1, "galois": true, "cyclic": true}}'
+    start = time.perf_counter()
+    code, payload, _ = run_json(capsys, "bc-gl1", "--max-conductor", "0", "--extension", ext)
+    assert time.perf_counter() - start < 0.05
+    assert code == 0
+    assert payload["dual"] == {"q": p**2, "M": 0, "circles": [{"conductor": 0, "index": 0}]}
+
+
 def test_bc_gl1_extension_round_trip(capsys):
     code, payload, _ = run_json(
         capsys, "bc-gl1", "--extension", UNRAMIFIED_CUBIC, "--max-conductor", "1"
@@ -560,6 +603,7 @@ def test_norm_level_wild_exits_3(capsys):
 def test_json_round_trips_module_serializers(capsys):
     from basechange.extquot import extended_quotient
     from basechange.gl1 import TemperedDualGL1
+    from basechange.localfield import LocalFieldData
 
     code, payload, _ = run_json(capsys, "extquot", "--n", "6")
     eq = payload.copy()
@@ -569,7 +613,7 @@ def test_json_round_trips_module_serializers(capsys):
     code, payload, _ = run_json(
         capsys, "bc-gl1", "--extension", UNRAMIFIED_CUBIC, "--max-conductor", "2"
     )
-    assert payload["dual"] == TemperedDualGL1.enumerate(3, 2).to_json()
+    assert payload["dual"] == TemperedDualGL1.enumerate(LocalFieldData(3, 3), 2).to_json()
 
 
 def test_extension_from_file(tmp_path, capsys):

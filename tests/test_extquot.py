@@ -9,7 +9,6 @@ from basechange.extquot import (
     TorusPoint,
     base_change_point,
     extended_quotient,
-    fixed_component,
     partitions_of,
 )
 from basechange.gaussian import GaussianRational, I
@@ -93,20 +92,20 @@ def test_component_weights_and_dimensions(n):
 
 
 def test_fixed_component_examples():
-    assert fixed_component(4, (1, 1, 1, 1)).sym_powers == (4,)
-    assert fixed_component(4, (4,)).sym_powers == (1,)
-    assert fixed_component(4, (2, 2)).sym_powers == (2,)
+    assert OrbitComponent.from_partition((1, 1, 1, 1), 4).sym_powers == (4,)
+    assert OrbitComponent.from_partition((4,), 4).sym_powers == (1,)
+    assert OrbitComponent.from_partition((2, 2), 4).sym_powers == (2,)
     with pytest.raises(ValueError):
-        fixed_component(4, (3, 2))
+        OrbitComponent.from_partition((3, 2), 4)
     with pytest.raises(ValueError):
-        fixed_component(4, (1, 3))
+        OrbitComponent.from_partition((1, 3), 4)
 
 
 # -- points and base change ----------------------------------------------------
 
 
 def test_torus_point_validation():
-    comp = fixed_component(4, (2, 1, 1))  # Sym^1 x Sym^2
+    comp = OrbitComponent.from_partition((2, 1, 1), 4)  # Sym^1 x Sym^2
     good = TorusPoint.make([[gaussian(2)], [gaussian(3), gaussian(1, 1)]])
     assert good.lies_on(comp)
     assert not TorusPoint.make([[gaussian(2)]]).lies_on(comp)
@@ -115,11 +114,11 @@ def test_torus_point_validation():
 
 
 def test_base_change_point_examples():
-    sym1 = fixed_component(1, (1,))
+    sym1 = OrbitComponent.from_partition((1,), 1)
     assert base_change_point(sym1, TorusPoint.make([[I]]), 2) == TorusPoint.make(
         [[gaussian(-1)]]
     )
-    sym2 = fixed_component(2, (1, 1))
+    sym2 = OrbitComponent.from_partition((1, 1), 2)
     point = TorusPoint.make([[gaussian(3), gaussian(Fraction(1, 3))]])
     # oracle: direct exact exponentiation of each coordinate
     assert base_change_point(sym2, point, 2) == TorusPoint.make(
@@ -130,7 +129,7 @@ def test_base_change_point_examples():
 
 @given(st.lists(nonzero_gaussians, min_size=2, max_size=2), st.permutations([0, 1]), st.integers(1, 4))
 def test_base_change_multiset_invariance(coords, perm, f):
-    comp = fixed_component(2, (1, 1))
+    comp = OrbitComponent.from_partition((1, 1), 2)
     a = TorusPoint.make([coords])
     b = TorusPoint.make([[coords[i] for i in perm]])
     assert a == b
@@ -139,7 +138,7 @@ def test_base_change_multiset_invariance(coords, perm, f):
 
 @given(nonzero_gaussians, st.integers(1, 3), st.integers(1, 3))
 def test_base_change_tower_compatibility(z, f, g):
-    comp = fixed_component(1, (1,))
+    comp = OrbitComponent.from_partition((1,), 1)
     point = TorusPoint.make([[z]])
     once = base_change_point(comp, base_change_point(comp, point, f), g)
     assert once == base_change_point(comp, point, f * g)
@@ -149,13 +148,13 @@ def test_unit_circle_preserved():
     z = GaussianRational(Fraction(3, 5), Fraction(4, 5))
     point = TorusPoint.make([[z, z.conjugate()]])
     assert point.on_unit_torus()
-    image = base_change_point(fixed_component(2, (1, 1)), point, 3)
+    image = base_change_point(OrbitComponent.from_partition((1, 1), 2), point, 3)
     assert image.on_unit_torus()
 
 
 def test_steinberg_examples():
     # the curve of unramified twists of Steinberg is the Sym^1 piece: z -> z^f
-    sym1 = fixed_component(1, (1,))
+    sym1 = OrbitComponent.from_partition((1,), 1)
     # oracle: (1+i)^2 = 1 + 2i + i^2 = 2i by direct multiplication
     assert gaussian(1, 1) * gaussian(1, 1) == gaussian(0, 2)
     for z, f, image in (
@@ -172,7 +171,8 @@ def test_steinberg_examples():
 
 def test_steinberg_matches_base_change_point():
     z = gaussian(2, -1)
-    via_point = base_change_point(fixed_component(1, (1,)), TorusPoint.make([[z]]), 5)
+    sym1 = OrbitComponent.from_partition((1,), 1)
+    via_point = base_change_point(sym1, TorusPoint.make([[z]]), 5)
     assert via_point == TorusPoint.make([[z ** 5]])
     # oracle: (2-i)^2 = 3-4i, (3-4i)^2 = -7-24i, (-7-24i)(2-i) = -38-41i
     assert via_point == TorusPoint.make([[gaussian(-38, -41)]])
@@ -180,18 +180,17 @@ def test_steinberg_matches_base_change_point():
 
 def test_satake_examples():
     # the unramified principal series is Sym^n, the piece of the identity class
-    sym3 = fixed_component(3, (1, 1, 1))
+    sym3 = OrbitComponent.from_partition((1, 1, 1), 3)
     point = TorusPoint.make([[gaussian(1), I, gaussian(2)]])
     assert base_change_point(sym3, point, 1) == point
     fourth_roots = TorusPoint.make([[I, gaussian(-1), gaussian(0, -1)]])
     assert base_change_point(sym3, fourth_roots, 4) == TorusPoint.make(
         [[gaussian(1), gaussian(1), gaussian(1)]]
     )
+    sym2 = OrbitComponent.from_partition((1, 1), 2)
     generic = TorusPoint.make([[gaussian(3), gaussian(Fraction(1, 3))]])
-    assert base_change_point(fixed_component(2, (1, 1)), generic, 2) == TorusPoint.make(
+    assert base_change_point(sym2, generic, 2) == TorusPoint.make(
         [[gaussian(9), gaussian(Fraction(1, 9))]]
     )
     with pytest.raises(ValueError):  # a Sym^2 point has a single factor
-        base_change_point(
-            fixed_component(2, (1, 1)), TorusPoint.make([[gaussian(1)], [gaussian(2)]]), 2
-        )
+        base_change_point(sym2, TorusPoint.make([[gaussian(1)], [gaussian(2)]]), 2)

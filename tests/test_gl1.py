@@ -101,28 +101,28 @@ def test_temperedness_preserved():
 
 
 def test_labels_with_conductor_sums_to_unit_quotient_order():
-    for q in (2, 3, 4, 5, 9):
+    for q, p in ((2, 2), (3, 3), (4, 2), (5, 5), (9, 3)):
         for c in range(1, 5):
-            total = sum(labels_with_conductor(q, k) for k in range(c + 1))
-            assert total == unit_quotient_order(q, c)
+            total = sum(labels_with_conductor(field(q, p), k) for k in range(c + 1))
+            assert total == unit_quotient_order(field(q, p), c)
 
 
 def test_enumerated_dual():
-    dual = TemperedDualGL1.enumerate(3, 2)
-    assert len(dual.circles) == unit_quotient_order(3, 2)
+    dual = TemperedDualGL1.enumerate(field(), 2)
+    assert len(dual.circles) == unit_quotient_order(field(), 2)
     assert dual.circles[0] == CharacterLabel(0, 0)
     assert dual.circles[1] == CharacterLabel(1, 0)
 
 
 def test_dual_validation():
     with pytest.raises(ValueError):
-        TemperedDualGL1(3, 1, (CharacterLabel(0, 0), CharacterLabel(0, 0)))
+        TemperedDualGL1(field(), 1, (CharacterLabel(0, 0), CharacterLabel(0, 0)))
     with pytest.raises(ValueError):
-        TemperedDualGL1(3, 1, (CharacterLabel(2, 0),))
+        TemperedDualGL1(field(), 1, (CharacterLabel(2, 0),))
     with pytest.raises(ValueError):
         # three labels of conductor <= 1 but only q - 1 = 2 characters exist
         TemperedDualGL1(
-            3, 1, (CharacterLabel(0, 0), CharacterLabel(1, 0), CharacterLabel(1, 1))
+            field(), 1, (CharacterLabel(0, 0), CharacterLabel(1, 0), CharacterLabel(1, 1))
         )
 
 
@@ -130,7 +130,7 @@ def test_dual_validation():
 
 
 def test_bc_gl1_unramified():
-    dual = TemperedDualGL1.enumerate(3, 2)
+    dual = TemperedDualGL1.enumerate(field(), 2)
     bc = bc_gl1(unramified(2), RamificationFiltration(), dual)
     assert bc.f == 2
     src = CharacterLabel(1, 0)
@@ -140,7 +140,7 @@ def test_bc_gl1_unramified():
 
 
 def test_bc_gl1_tame_conductor_doubling():
-    dual = TemperedDualGL1.enumerate(3, 2)
+    dual = TemperedDualGL1.enumerate(field(), 2)
     bc = bc_gl1(tame_quadratic(), RamificationFiltration((2,)), dual)
     assert bc.conductor_map == {0: 0, 1: 2, 2: 4}
     src = CharacterLabel(1, 0)
@@ -151,14 +151,14 @@ def test_bc_gl1_tame_conductor_doubling():
 def test_bc_gl1_conductor_map_matches_transition_function():
     filt = RamificationFiltration((3, 3))
     ext = ExtensionData(field(), e=3, f=1, galois=True, cyclic=True)
-    dual = TemperedDualGL1.enumerate(3, 3)
+    dual = TemperedDualGL1.enumerate(field(), 3)
     bc = bc_gl1(ext, filt, dual)
     for c, v in bc.conductor_map.items():
         assert v == conductor_transport(filt, c)
 
 
 def test_bc_gl1_scope():
-    dual = TemperedDualGL1.enumerate(3, 1)
+    dual = TemperedDualGL1.enumerate(field(), 1)
     wild_not_cyclic = ExtensionData(field(), e=3, f=1, galois=True)
     with pytest.raises(UnsupportedExtension):
         bc_gl1(wild_not_cyclic, RamificationFiltration((3,)), dual)
@@ -171,8 +171,16 @@ def test_bc_gl1_scope():
     assert bc.conductor_map[1] == 1  # psi(1) = 1 below the jump
 
 
+def test_bc_gl1_refuses_a_dual_of_another_field():
+    dual = TemperedDualGL1.enumerate(field(9, 3), 1)
+    assert dual.to_json()["q"] == 9
+    with pytest.raises(ValueError, match="different residue field"):
+        bc_gl1(unramified(2), RamificationFiltration(), dual)
+    assert len(bc_gl1(unramified(2, q=9), RamificationFiltration(), dual).pairs) == 8
+
+
 def test_bc_gl1_collision_table():
-    dual = TemperedDualGL1(3, 1, (CharacterLabel(1, 0), CharacterLabel(1, 1)))
+    dual = TemperedDualGL1(field(), 1, (CharacterLabel(1, 0), CharacterLabel(1, 1)))
     shared = CharacterLabel(1, 0)
     bc = bc_gl1(
         unramified(2),
@@ -194,7 +202,7 @@ def test_bc_gl1_collision_table():
 
 
 def test_circle_map_zero_columns_for_extra_targets():
-    dual = TemperedDualGL1.enumerate(3, 1)
+    dual = TemperedDualGL1.enumerate(field(), 1)
     extra = CharacterLabel(1, 5)
     bc = bc_gl1(unramified(3), RamificationFiltration(), dual, extra_targets=[extra])
     k0, k1 = induced_map(circle_map(bc))
@@ -242,7 +250,7 @@ def test_preimage_lengths_sum_to_arc_length(f, a, b):
 
 
 def test_properness_check_routes_by_target():
-    dual = TemperedDualGL1.enumerate(3, 1)
+    dual = TemperedDualGL1.enumerate(field(), 1)
     bc = bc_gl1(unramified(2), RamificationFiltration(), dual)
     target = CharacterLabel(1, 0)
     out = properness_check(bc, target, Arc(Fraction(0), Fraction(1, 2)))

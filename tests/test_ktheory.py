@@ -10,8 +10,6 @@ from basechange.ktheory import (
     circle_degree_oracle,
     compose_maps,
     induced_map,
-    k_groups,
-    reduce_symmetric_component,
 )
 
 
@@ -20,13 +18,12 @@ def space(*labels):
 
 
 def test_k_groups_ranks():
-    k0, k1 = k_groups(space("a"))
-    assert (k0.rank, k1.rank) == (1, 1)
-    k0, k1 = k_groups(CircleSpace(()))
-    assert (k0.rank, k1.rank) == (0, 0)
-    k0, k1 = k_groups(space(*"abcde"))
-    assert (k0.rank, k1.rank) == (5, 5)
-    assert k0.degree == 0 and k1.degree == 1
+    # K^0 and K^1 both have one generator per circle: rank len(space)
+    assert len(space("a")) == 1
+    assert len(CircleSpace(())) == 0
+    assert len(space(*"abcde")) == 5
+    k0, k1 = induced_map(ProperCircleMap.identity(space(*"abcde")))
+    assert len(k0.row_labels) == len(k1.col_labels) == 5
 
 
 def test_space_validation():
@@ -257,25 +254,15 @@ def test_matmul_label_check():
 # -- symmetric reduction and the winding oracle ----------------------------------
 
 
-def test_reduce_symmetric_component():
-    red = reduce_symmetric_component(1, 2)
-    assert red.degree == 2 and red.provenance == "Sym^1 reduced"
-    assert reduce_symmetric_component(4, 3).degree == 3
-    assert reduce_symmetric_component(2, 1).degree == 1
-    with pytest.raises(ValueError):
-        reduce_symmetric_component(0, 1)
-
-
 def test_reduction_agrees_with_unreduced_k_matrices():
-    # pre-reduction description: Sym^n with coordinatewise f-th power;
-    # its K-matrices equal those of the reduced circle z -> z^f
+    # Sym^n with the coordinatewise f-th power retracts onto the circle
+    # z -> z^f, so its K-matrices are those of one circle map of degree f
     for n in (1, 2, 5):
         for f in (1, 2, 4):
-            red = reduce_symmetric_component(n, f)
             pre = ProperCircleMap(
-                CircleSpace((f"Sym^{n}",), {f"Sym^{n}": red.provenance}),
+                CircleSpace((f"Sym^{n}",)),
                 CircleSpace((f"Sym^{n}'",)),
-                ((f"Sym^{n}", f"Sym^{n}'", red.degree),),
+                ((f"Sym^{n}", f"Sym^{n}'", circle_degree_oracle(f, 8 * f)),),
             )
             k0, k1 = induced_map(pre)
             assert k1.entries == ((f,),)
@@ -297,7 +284,7 @@ def test_circle_degree_oracle_sampling_guard():
 
 def test_rank_preserved_under_reduction():
     labels = tuple(f"Sym^{n}" for n in range(1, 6))
-    prov = {lbl: reduce_symmetric_component(n, 2).provenance for n, lbl in enumerate(labels, 1)}
-    s = CircleSpace(labels, prov)
-    k0, k1 = k_groups(s)
-    assert k0.rank == k1.rank == len(labels)
+    s = CircleSpace(labels)
+    assert len(s) == len(labels)
+    k0, k1 = induced_map(ProperCircleMap(s, s, tuple((lbl, lbl, 2) for lbl in labels)))
+    assert len(k0.row_labels) == len(k1.row_labels) == len(labels)
