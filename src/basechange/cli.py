@@ -4,7 +4,8 @@ Subcommands: extquot, psi, norm-level, bc-gl1, bc-gl2, kmap, finiteness.
 Every subcommand takes --format {text|json} and --output FILE; JSON
 output carries a top-level schema_version, exact rationals are rendered
 as "p/q" strings, and ordering is deterministic everywhere so output is
-diffable.
+diffable.  JSON is written in parts as the renderer walks the payload,
+never as one document-sized string.
 
 Exit codes: 0 success, 2 invalid input, 3 out-of-scope mathematics,
 4 finiteness window failure.
@@ -29,13 +30,7 @@ from typing import Optional, Sequence
 from .extquot import extended_quotient
 from .finiteness import WindowTooSmall, finiteness_certificate
 from .gl1 import MAX_CIRCLES, TemperedDualGL1, bc_gl1, circle_map
-from .gl2 import (
-    AdmissiblePair,
-    EvenDegree,
-    NotUnramified,
-    OutOfScope,
-    bc_gl2,
-)
+from .gl2 import AdmissiblePair, EvenDegree, NotUnramified, OutOfScope, bc_gl2
 from .ktheory import CircleSpace, ProperCircleMap, induced_map
 from .localfield import (
     MAX_RATIONAL_DIGITS,
@@ -117,34 +112,54 @@ def _parse_orders(text: str) -> RamificationFiltration:
     return RamificationFiltration(orders)
 
 
-def _render(value, indent: str = "\n") -> str:
-    """The text of json.dumps(value, indent=2), without the pure-Python encoder.
+def _render(value, parts: list, memo: dict, indent: str = "\n") -> bool:
+    """Append the text of json.dumps(value, indent=2) to parts; true if it took one leaf part.
 
-    indent is the newline and spaces that open this value's line.  Lists of
-    plain ints, the bulk of a K-theory matrix, go through int.__repr__, and
-    when at least half of one is zero its zeros are written a run at a time;
-    bool is an int subclass and False == 0.0 == 0, hence the exact type test.
+    indent is the newline and spaces that open this value's line, and no
+    level copies its children's text.  A leaf dict, each value one part, is
+    joined into one part kept in memo by (id, indent), so an object the
+    payload repeats is rendered once; the payload keeps it alive, so no id
+    is reused while memo lives.  A list of plain ints, the bulk of a
+    K-theory matrix, is one part made by int.__repr__, its zeros a run at a
+    time when at least half are zero; bool is an int subclass and
+    False == 0.0 == 0, hence the exact type test.
     """
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if type(value) is int:
-        return int.__repr__(value)
-    if not isinstance(value, (list, tuple, dict)):
-        return json.dumps(value)
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
-    inner = indent + "  "
-    sep = "," + inner
-    if isinstance(value, dict):
-        items = (f"{encode_basestring_ascii(k)}: {_render(v, inner)}" for k, v in value.items())
-        return "{" + inner + sep.join(items) + indent + "}"
-    if set(map(type, value)) != {int}:
-        body = sep.join(_render(v, inner) for v in value)
-    elif 2 * value.count(0) >= len(value):
-        body = _zero_runs(value, sep)
+        parts.append(encode_basestring_ascii(value))
+    elif type(value) is int:
+        parts.append(int.__repr__(value))
+    elif not isinstance(value, (list, tuple, dict)) or not value:
+        parts.append(json.dumps(value))
     else:
-        body = sep.join(map(int.__repr__, value))
-    return "[" + inner + body + indent + "]"
+        inner = indent + "  "
+        sep = "," + inner
+        if isinstance(value, dict):
+            key = (id(value), indent)
+            text = memo.get(key)
+            if text is not None:
+                parts.append(text)
+                return False
+            glue, start, leaf = "{" + inner, len(parts), True
+            for k, v in value.items():
+                parts.append(glue + encode_basestring_ascii(k) + ": ")
+                glue = sep
+                leaf &= _render(v, parts, memo, inner)
+            parts.append(indent + "}")
+            if leaf:
+                memo[key] = parts[start] = "".join(parts[start:])
+                del parts[start + 1 :]
+            return False
+        if set(map(type, value)) != {int}:
+            glue = "[" + inner
+            for v in value:
+                parts.append(glue)
+                glue = sep
+                _render(v, parts, memo, inner)
+            parts.append(indent + "]")
+            return False
+        body = _zero_runs(value, sep) if 2 * value.count(0) >= len(value) else sep.join(map(int.__repr__, value))
+        parts.append("[" + inner + body + indent + "]")
+    return True
 
 
 def _zero_runs(ints: list, sep: str) -> str:
@@ -160,17 +175,18 @@ def _zero_runs(ints: list, sep: str) -> str:
 
 
 def _emit(args, payload: dict, lines: list[str]) -> int:
-    """Write the payload (JSON, schema_version first) or the text lines."""
+    """Write the payload (JSON, schema_version first, in parts) or the text lines."""
     if args.format == "json":
-        rendered = _render({"schema_version": SCHEMA_VERSION, **payload})
+        parts = []
+        _render({"schema_version": SCHEMA_VERSION, **payload}, parts, {})
     else:
-        rendered = "\n".join(lines)
+        parts = ["\n".join(lines)]
+    parts.append("\n")
     if args.output:
         with open(args.output, "w") as out:
-            out.write(rendered)
-            out.write("\n")
+            out.writelines(parts)
     else:
-        print(rendered)
+        sys.stdout.writelines(parts)
     return EXIT_OK
 
 
@@ -179,9 +195,7 @@ def _emit(args, payload: dict, lines: list[str]) -> int:
 
 def cmd_extquot(args) -> int:
     eq = extended_quotient(args.n)
-    lines = []
-    for comp in eq.components:
-        lines.append(f"{'+'.join(str(p) for p in comp.partition)}: {comp.describe()}")
+    lines = [f"{'+'.join(str(p) for p in comp.partition)}: {comp.describe()}" for comp in eq.components]
     return _emit(args, eq.to_json(), lines)
 
 
@@ -192,17 +206,9 @@ def cmd_psi(args) -> int:
     rows = []
     lines = [f"orders: {list(filt.orders)}", "x | psi(x) | phi(x)"]
     for x in xs:
-        psi_x, phi_x = psi(filt, x), phi(filt, x)
-        rows.append(
-            {
-                "x": format_rational(x),
-                "psi": format_rational(psi_x),
-                "phi": format_rational(phi_x),
-            }
-        )
-        lines.append(
-            f"{format_rational_text(x)} | {format_rational_text(psi_x)} | {format_rational_text(phi_x)}"
-        )
+        values = (x, psi(filt, x), phi(filt, x))
+        rows.append(dict(zip(("x", "psi", "phi"), map(format_rational, values))))
+        lines.append(" | ".join(map(format_rational_text, values)))
     return _emit(args, {"orders": list(filt.orders), "rows": rows}, lines)
 
 
@@ -218,11 +224,10 @@ def cmd_bc_gl1(args) -> int:
     dual = TemperedDualGL1.enumerate(ext.base, args.max_conductor)
     bc = bc_gl1(ext, filt, dual)
     k0, k1 = induced_map(circle_map(bc))
-    lines = [f"degree: {bc.f}"]
-    lines.append(
-        "conductor map: "
-        + ", ".join(f"{c} -> {v}" for c, v in sorted(bc.conductor_map.items()))
-    )
+    lines = [
+        f"degree: {bc.f}",
+        "conductor map: " + ", ".join(f"{c} -> {v}" for c, v in sorted(bc.conductor_map.items())),
+    ]
     for src, tgt, degree in bc.pairs:
         lines.append(f"({src.conductor},{src.index}) -> ({tgt.conductor},{tgt.index}) degree {degree}")
     payload = {
@@ -241,15 +246,9 @@ def cmd_bc_gl2(args) -> int:
     lift, _ = ExtensionData.from_json(_load_json_arg(args.lift))
     result = bc_gl2(pair, lift)
     source = CircleSpace((f"T(E/F,c{pair.xi.conductor}.{pair.xi.label.index})",))
-    target = CircleSpace(
-        (f"T(EL/L,c{result.conductor}.{result.target_pair.xi.label.index})",)
-    )
+    target = CircleSpace((f"T(EL/L,c{result.conductor}.{result.target_pair.xi.label.index})",))
     k0, k1 = induced_map(
-        ProperCircleMap(
-            source,
-            target,
-            ((source.components[0], target.components[0], result.degree),),
-        )
+        ProperCircleMap(source, target, ((source.components[0], target.components[0], result.degree),))
     )
     lines = [
         f"degree: {result.degree}",
@@ -294,10 +293,9 @@ def cmd_kmap(args) -> int:
         raise ValueError(f"matches must be a list, got {type(matches).__name__}")
     matches = tuple(_match(m) for m in matches)
     k0, k1 = induced_map(ProperCircleMap(source, target, matches))
-    lines = ["K0:"]
-    lines += ["  " + " ".join(str(v) for v in row) for row in k0.entries]
-    lines.append("K1:")
-    lines += ["  " + " ".join(str(v) for v in row) for row in k1.entries]
+    lines = []
+    for name, k in (("K0", k0), ("K1", k1)):
+        lines += [f"{name}:"] + ["  " + " ".join(str(v) for v in row) for row in k.entries]
     return _emit(args, {"k0": k0.to_json(), "k1": k1.to_json()}, lines)
 
 

@@ -326,13 +326,23 @@ def psi(filt: RamificationFiltration, x: Rational) -> Fraction:
 
 
 def validate_extension_filtration(ext: ExtensionData, filt: RamificationFiltration) -> None:
-    """Refuse a filtration whose |G_0| differs from e.
+    """Refuse a filtration that is no inertia chain of the extension.
 
-    The tameness of G_0/G_1 (order prime to p) is not checked.
+    |G_0| must be e, G_1 is a p-group and G_0/G_1 has order prime to p.
     """
     if filt.e != ext.e:
         raise ValueError(
             f"filtration has |G_0| = {filt.e} but the extension has e = {ext.e}"
+        )
+    p, g1 = ext.base.p, filt.order_at(1)
+    rest = g1
+    while rest % p == 0:
+        rest //= p
+    if rest != 1:
+        raise ValueError(f"filtration {list(filt.orders)} has |G_1| = {g1}, not a power of p={p}")
+    if (filt.e // g1) % p == 0:
+        raise ValueError(
+            f"filtration {list(filt.orders)} has |G_0/G_1| = {filt.e // g1}, divisible by p={p}"
         )
 
 

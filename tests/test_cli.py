@@ -2,17 +2,20 @@ import hashlib
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from basechange import cli
 from basechange.cli import COMMANDS, _render, build_parser, main
 from basechange.gl1 import MAX_CIRCLES
 
 UNRAMIFIED_CUBIC = '{"q": 3, "p": 3, "e": 1, "f": 3, "galois": true, "cyclic": true, "filtration_orders": []}'
 TAME_QUADRATIC = '{"q": 3, "p": 3, "e": 2, "f": 1, "galois": true, "cyclic": true, "filtration_orders": [2]}'
 WILD_CUBIC = '{"q": 3, "p": 3, "e": 3, "f": 1, "galois": true, "filtration_orders": [3, 3]}'
+CYCLIC_WILD_CUBIC = WILD_CUBIC.replace('"galois": true', '"galois": true, "cyclic": true')
 
 PAIR = json.dumps(
     {
@@ -322,9 +325,7 @@ def test_bc_gl1_unramified(capsys):
         ('{"q": 5, "p": 5, "e": 1, "f": 2, "galois": true, "cyclic": true,'
          ' "filtration_orders": []}', 4,
          "d27d4fd985894f768799cf22fae38e8875068600db005aa4633fe561a15c1b6d"),
-        ('{"q": 3, "p": 3, "e": 3, "f": 1, "galois": true, "cyclic": true,'
-         ' "filtration_orders": [3, 3]}', 5,
-         "e0bfe1e549a2ffd5e24f0a45cf624c9e8a5af98a267b2052b4d8679a63bd6512"),
+        (CYCLIC_WILD_CUBIC, 5, "e0bfe1e549a2ffd5e24f0a45cf624c9e8a5af98a267b2052b4d8679a63bd6512"),
     ],
 )
 def test_bc_gl1_output_is_pinned(capsys, extension, bound, digest):
@@ -386,6 +387,24 @@ def test_wild_extension_without_orders_exits_2(capsys, argv):
     assert err.splitlines() == [
         "error: a wild extension (p=3 divides e=3) must list filtration_orders"
     ]
+
+
+@pytest.mark.parametrize("command", [["bc-gl1", "--max-conductor", "2"], ["norm-level", "--level", "3"]])
+@pytest.mark.parametrize(
+    "e, orders, message",
+    [
+        (3, [3], "filtration [3] has |G_0/G_1| = 3, divisible by p=3"),
+        (6, [6, 2], "filtration [6, 2] has |G_1| = 2, not a power of p=3"),
+    ],
+)
+def test_impossible_filtration_chain_exits_2(capsys, command, e, orders, message):
+    # no inertia chain has these orders: bc-gl1 printed the conductor maps
+    # 1 -> 3, 2 -> 6 and 1 -> 5, 2 -> 11 for them
+    ext = json.dumps({"q": 3, "p": 3, "e": e, "f": 1, "galois": True, "cyclic": True,
+                      "filtration_orders": orders})
+    code, out, err = run(capsys, *command, "--extension", ext)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {message}"]
 
 
 def test_tame_extension_without_orders_runs(capsys):
@@ -549,6 +568,48 @@ def test_output_file(tmp_path, capsys):
         assert out.read_bytes() == stdout.encode()
 
 
+# the pinned wide certificate, and the pinned q=3 M=5 bc-gl1 JSON, with
+# their stdout sha256 from test_finiteness and test_bc_gl1_output_is_pinned
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["finiteness", "--r", "2", "--f", "2", "--window", "24", "--verify"],
+         "ee93d3801a98dd7d781de8f3fb49a4fbfcba336a684c0aa50bb91f6bdd3deb3c"),
+        (["bc-gl1", "--extension", CYCLIC_WILD_CUBIC, "--max-conductor", "5"],
+         "e0bfe1e549a2ffd5e24f0a45cf624c9e8a5af98a267b2052b4d8679a63bd6512"),
+    ],
+)
+def test_output_file_matches_stdout_for_large_json(tmp_path, capsys, argv, digest):
+    argv = [*argv, "--format", "json"]
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+    out = tmp_path / "out.json"
+    assert run(capsys, *argv, "--output", str(out)) == (0, "", "")
+    assert out.read_bytes() == stdout.encode()
+
+
+def test_emit_memory_stays_near_the_output_size(tmp_path, monkeypatch):
+    # the parts share the payload's leaf text and no level copies its
+    # children, so rendering needs little beyond the text it writes
+    calls = []
+    monkeypatch.setattr(cli, "_emit", lambda *call: calls.append(call) or 0)
+    ext = UNRAMIFIED_CUBIC.replace('"f": 3', '"f": 2')
+    out = tmp_path / "bc.json"
+    assert main(["bc-gl1", "--extension", ext, "--max-conductor", "6", "--format", "json",
+                 "--output", str(out)]) == 0
+    monkeypatch.undo()
+    (call,) = calls
+    tracemalloc.start()
+    try:
+        assert cli._emit(*call) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(call[1]["dual"]["circles"]) == 486
+    assert peak < 1.5 * out.stat().st_size
+
+
 P3_PAIR = PAIR.replace('"q": 5, "p": 5', '"q": 3, "p": 3')
 
 
@@ -651,17 +712,37 @@ _int_lists = (
 
 # small containers and few leaves: larger ones made hypothesis retry a
 # quarter of its draws and spent most of the test's time generating
-@given(
-    st.recursive(
-        _scalars | _int_lists,
-        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_strings, inner, max_size=4),
-        max_leaves=12,
-    )
+_json = st.recursive(
+    _scalars | _int_lists,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_strings, inner, max_size=4),
+    max_leaves=12,
 )
+
+
+def _placements(x):
+    """One object x at two depths, twice at one depth, and beside and inside a non-leaf."""
+    return [x, [x, x], {"a": x, "b": {"c": [x], "d": x}}, {"leaf": x, "tree": {"in": x, "list": [[1]]}}]
+
+
+def _rendered(obj) -> str:
+    parts = []
+    _render(obj, parts, {})
+    return "".join(parts)
+
+
+LEAF = {"exponents": [1, -2], "value": "1/2"}
+INTS = [0, 0, 0, 5, 0]
+
+
+@given(_json | _json.map(_placements))
 @example([[], {}, [[]], {"": {}}, [True, 1, False], [1, None]])
+@example(_placements(LEAF))
+@example(_placements(INTS))
+@example(_placements({"k": LEAF, "v": [LEAF, INTS]}))
+@example([LEAF, {"terms": [{"coefficient": [LEAF, LEAF]}]}, {"inner": LEAF}, [[LEAF]]])
 @example([[0] * 50, [0], [0, 0]])
 @example({"first": [7] + [0] * 30, "last": [0] * 30 + [-3], "one": [5, 0]})
 @example([0] * 40 + [False])
 @example([0, -0.0, 0])
 def test_render_matches_json_dumps(obj):
-    assert _render(obj) == json.dumps(obj, indent=2)
+    assert _rendered(obj) == json.dumps(obj, indent=2)

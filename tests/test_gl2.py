@@ -30,10 +30,10 @@ def ramified_quadratic(base=None):
     return ExtensionData(base or base_field(), e=2, f=1, galois=True, cyclic=True)
 
 
-def make_pair(conductor=2, base=None, not_norm=True, level_one=False, unitary=True):
+def make_pair(conductor=2, base=None, not_norm=True, level_one=False, unitary=True, orders=(2,)):
     return AdmissiblePair(
         quad=ramified_quadratic(base),
-        quad_filtration=RamificationFiltration((2,)),
+        quad_filtration=RamificationFiltration(orders),
         xi=UnitCharacter(CharacterLabel(conductor, 0), unitary=unitary),
         not_norm_factor=not_norm,
         level_one_norm_factor=level_one,
@@ -75,7 +75,8 @@ def test_level_one_factoring_is_fine_for_unramified_pairs():
 def test_scope_failures_reported():
     report = validate_admissible(make_pair(unitary=False))
     assert any("unitary" in msg for msg in report.failures())
-    report = validate_admissible(make_pair(base=base_field(2, 2)))
+    # a quadratic extension of residue characteristic 2 is wild: G_1 = G_0
+    report = validate_admissible(make_pair(base=base_field(2, 2), orders=(2, 2)))
     assert any("odd" in msg for msg in report.failures())
     report = validate_admissible(make_pair(base=base_field(5, 5, char_zero=False)))
     assert any("characteristic 0" in msg for msg in report.failures())
@@ -168,7 +169,7 @@ def test_bc_gl2_errors():
     with pytest.raises(OutOfScope):
         bc_gl2(make_pair(not_norm=False), unramified_lift(3))
     with pytest.raises(OutOfScope):
-        bc_gl2(make_pair(base=base_field(2, 2)), unramified_lift(3, base=base_field(2, 2)))
+        bc_gl2(make_pair(base=base_field(2, 2), orders=(2, 2)), unramified_lift(3, base=base_field(2, 2)))
     with pytest.raises(OutOfScope):
         fn_field = base_field(5, 5, char_zero=False)
         bc_gl2(make_pair(base=fn_field), unramified_lift(3, base=fn_field))

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from basechange.localfield import (
@@ -113,9 +113,14 @@ def test_filtration_extension_consistency():
     with pytest.raises(ValueError):
         validate_extension_filtration(ext, RamificationFiltration((3,)))
     validate_extension_filtration(ext, RamificationFiltration((2,)))
-    # an explicit chain with |G_0/G_1| divisible by p is not refused
+    # G_1 is a p-group and G_0/G_1 has order prime to p (p = 3 here)
     wild_ext = ExtensionData(field(), e=3, f=1)
-    validate_extension_filtration(wild_ext, RamificationFiltration((3,)))
+    validate_extension_filtration(wild_ext, RamificationFiltration((3, 3)))
+    with pytest.raises(ValueError, match=r"\|G_0/G_1\| = 3, divisible by p=3"):
+        validate_extension_filtration(wild_ext, RamificationFiltration((3,)))
+    with pytest.raises(ValueError, match=r"\|G_1\| = 2, not a power of p=3"):
+        validate_extension_filtration(ExtensionData(field(), e=6, f=1), RamificationFiltration((6, 2)))
+    validate_extension_filtration(ExtensionData(field(), e=18, f=1), RamificationFiltration((18, 9, 3)))
 
 
 # -- classify ---------------------------------------------------------------
@@ -282,8 +287,11 @@ def test_norm_level_image_wild_certification():
 
 @given(filtrations(), st.integers(min_value=0, max_value=30))
 def test_norm_level_is_left_inverse_of_psi(filt, v):
-    e = filt.e
-    p = 2 if e % 2 == 0 else 3
+    # G_1 is a p-group and G_0/G_1 has order prime to p: p is read off a
+    # nontrivial G_1, or is a prime not dividing e
+    e, g1 = filt.e, filt.order_at(1)
+    p = next(p for p in (2, 3, 5, 7, 11) if (g1 % p == 0 if g1 > 1 else e % p))
+    assume(g1 in {p**k for k in range(8)} and (e // g1) % p)
     if e % p == 0:
         ext = ExtensionData(LocalFieldData(p, p), e=e, f=1, galois=True, cyclic=True)
     else:
