@@ -13,10 +13,8 @@ from .localfield import (
     LocalFieldData,
     MismatchedTower,
     NotInPsiImage,
-    RamificationClass,
     RamificationFiltration,
     UnsupportedExtension,
-    classify,
     compose_tower,
     conductor_transport,
     norm_level_image,
@@ -49,13 +47,11 @@ from .gl1 import (
 )
 from .gl2 import (
     AdmissiblePair,
-    CuspidalCircle,
     EvenDegree,
     Gl2BaseChange,
     NotUnramified,
     OutOfScope,
     UnitCharacter,
-    ValidationReport,
     bc_gl2,
     compositum_invariants,
     validate_admissible,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import stat
 import sys
 from fractions import Fraction
 from itertools import compress
@@ -93,10 +94,13 @@ def parse_rational(text: str, factor: int = 1) -> Fraction:
 
 
 def _load_json_arg(value: str) -> dict:
-    """Accept an inline JSON object or a path to a file holding one."""
+    """Inline JSON (from { or [) or the path of a regular file; a FIFO or a device may never end."""
     value = value.strip()
-    text = value if value.startswith("{") else Path(value).read_text()
-    return json_object(json.loads(text), "input")
+    if not value.startswith(("{", "[")):
+        if not stat.S_ISREG(Path(value).stat().st_mode):
+            raise ValueError(f"input path {value!r} is not a regular file")
+        value = Path(value).read_text()
+    return json_object(json.loads(value), "input")
 
 
 def _parse_orders(text: str) -> RamificationFiltration:
@@ -404,8 +408,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NotInPsiImage as exc:
         print(f"error: NotInPsiImage: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError, OSError) as exc:
+        message = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 
 

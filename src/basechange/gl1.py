@@ -31,10 +31,8 @@ from .ktheory import CircleSpace, ProperCircleMap
 from .localfield import (
     ExtensionData,
     LocalFieldData,
-    RamificationClass,
     RamificationFiltration,
     UnsupportedExtension,
-    classify,
     conductor_transport,
     unit_quotient_order,
     validate_extension_filtration,
@@ -231,7 +229,7 @@ def check_gl1_scope(ext: ExtensionData) -> None:
     Allowed: unramified, tamely ramified (any), or totally ramified
     Galois cyclic (the wild totally ramified case needs both flags).
     """
-    if classify(ext) is not RamificationClass.WILD:
+    if not ext.is_wild:
         return
     if ext.is_totally_ramified and ext.galois and ext.cyclic:
         return

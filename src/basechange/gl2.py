@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from .localfield import (
     ExtensionData,
     RamificationFiltration,
-    classify,
     conductor_transport,
     json_bool,
     json_int,
@@ -118,66 +117,25 @@ class AdmissiblePair:
         )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of the admissibility and scope checks, condition by condition."""
-
-    condition1_ok: bool  # xi does not factor through the norm
-    condition2_ok: bool  # level-one norm factoring forces an unramified extension
-    scope_failures: tuple[str, ...]
-
-    @property
-    def admissible(self) -> bool:
-        return self.condition1_ok and self.condition2_ok
-
-    @property
-    def in_scope(self) -> bool:
-        return not self.scope_failures
-
-    @property
-    def valid(self) -> bool:
-        return self.admissible and self.in_scope
-
-    def failures(self) -> list[str]:
-        out = []
-        if not self.condition1_ok:
-            out.append("condition (1): the character factors through the norm map")
-        if not self.condition2_ok:
-            out.append(
-                "condition (2): the level-one restriction factors through the norm "
-                "but the extension is not unramified"
-            )
-        out.extend(self.scope_failures)
-        return out
-
-
-def validate_admissible(pair: AdmissiblePair) -> ValidationReport:
-    """Check conditions (1) and (2) plus the totally-ramified scope."""
-    cond1 = pair.not_norm_factor
-    cond2 = (not pair.level_one_norm_factor) or pair.quad.is_unramified
-    scope = []
+def validate_admissible(pair: AdmissiblePair) -> list[str]:
+    """Messages of the failed checks: conditions (1) and (2), then the totally-ramified scope."""
+    failures = []
+    if not pair.not_norm_factor:
+        failures.append("condition (1): the character factors through the norm map")
+    if pair.level_one_norm_factor and not pair.quad.is_unramified:
+        failures.append(
+            "condition (2): the level-one restriction factors through the norm "
+            "but the extension is not unramified"
+        )
     if not pair.quad.is_totally_ramified:
-        scope.append("scope: the quadratic extension must be totally ramified")
+        failures.append("scope: the quadratic extension must be totally ramified")
     if not pair.xi.unitary:
-        scope.append("scope: the character must be unitary")
+        failures.append("scope: the character must be unitary")
     if not pair.quad.base.char_zero:
-        scope.append("scope: the base field must have characteristic 0")
+        failures.append("scope: the base field must have characteristic 0")
     if pair.quad.base.p == 2:
-        scope.append("scope: the residue characteristic must be odd")
-    return ValidationReport(cond1, cond2, tuple(scope))
-
-
-@dataclass(frozen=True)
-class CuspidalCircle:
-    """One circle of unramified twists, labeled by a selected admissible pair."""
-
-    pair: AdmissiblePair
-    torsion: int = 1
-
-    def __post_init__(self):
-        report = validate_admissible(self.pair)
-        if report.in_scope and self.torsion != 1:
-            raise ValueError("totally ramified pairs have torsion number 1")
+        failures.append("scope: the residue characteristic must be odd")
+    return failures
 
 
 @dataclass(frozen=True)
@@ -244,11 +202,9 @@ def bc_gl2(pair: AdmissiblePair, lift: ExtensionData) -> Gl2BaseChange:
     the conductor transition of the unramified extension EL/E is the
     identity.
     """
-    report = validate_admissible(pair)
-    if not report.admissible:
-        raise OutOfScope("; ".join(report.failures()))
-    if not report.in_scope:
-        raise OutOfScope("; ".join(report.scope_failures))
+    failures = validate_admissible(pair)
+    if failures:
+        raise OutOfScope("; ".join(failures))
     _check_lift(pair.quad, lift)
     if lift.f % 2 == 0:
         raise EvenDegree("the lifting extension must have odd degree")

@@ -145,25 +145,6 @@ class KMorphism:
     def entries(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self._dense_rows()))
 
-    @cached_property
-    def _lookup(self) -> tuple[dict, dict, dict]:
-        """row label -> row, col label -> col, (row, col) -> nonzero value.
-
-        A repeated label resolves to its first position.
-        """
-        def first_positions(labels):
-            return dict(zip(reversed(labels), range(len(labels) - 1, -1, -1)))
-
-        values = {(i, j): value for i, j, value in self.cells}
-        return first_positions(self.row_labels), first_positions(self.col_labels), values
-
-    def entry(self, row: Label, col: Label) -> int:
-        rows, cols, values = self._lookup
-        try:
-            return values.get((rows[row], cols[col]), 0)
-        except KeyError as exc:
-            raise ValueError(f"{exc.args[0]!r} is not a label of this matrix") from None
-
     def matmul(self, other: "KMorphism") -> "KMorphism":
         """Composite along a chain of spaces: rows stay, columns extend."""
         if self.col_labels != other.row_labels:

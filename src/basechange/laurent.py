@@ -307,15 +307,6 @@ class InvariantLaurentPoly(_TermPoly):
             raise ValueError("polynomial is not symmetric")
         return collected
 
-    @staticmethod
-    def symmetrize(poly: LaurentPoly) -> "InvariantLaurentPoly":
-        """Reynolds average over S_r; idempotent on invariant input."""
-        r = poly.r
-        acc = LaurentPoly.zero(r)
-        for perm in permutations(range(r)):
-            acc = acc + poly.permuted(perm)
-        return InvariantLaurentPoly.from_laurent(acc.scale(Fraction(1, factorial(r))))
-
     # -- ring operations ---------------------------------------------------
 
     def expand(self) -> LaurentPoly:

@@ -32,7 +32,6 @@ t + p*(x - t) above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -177,6 +176,11 @@ class ExtensionData:
     def is_totally_ramified(self) -> bool:
         return self.f == 1
 
+    @property
+    def is_wild(self) -> bool:
+        """p divides e; an unramified or trivial extension (e = 1) never is."""
+        return self.e % self.base.p == 0
+
     def to_json(self, filtration: Optional["RamificationFiltration"] = None) -> dict:
         out = {
             "q": self.base.q,
@@ -213,7 +217,7 @@ class ExtensionData:
         )
         orders = obj.get("filtration_orders")
         if orders is None:
-            if ext.e % ext.base.p == 0:
+            if ext.is_wild:
                 raise ValueError(
                     f"a wild extension (p={ext.base.p} divides e={ext.e}) must list filtration_orders"
                 )
@@ -224,31 +228,6 @@ class ExtensionData:
             filt = RamificationFiltration(json_int(g, "filtration_orders") for g in orders)
         validate_extension_filtration(ext, filt)
         return ext, filt
-
-
-class RamificationClass(Enum):
-    TRIVIAL = "trivial"
-    UNRAMIFIED = "unramified"
-    TAME_TOTALLY_RAMIFIED = "tame_totally_ramified"
-    TAME_MIXED = "tame_mixed"
-    WILD = "wild"
-
-
-def classify(ext: ExtensionData) -> RamificationClass:
-    """Deterministic ramification label from (e, f, p).
-
-    trivial iff n = 1; unramified iff e = 1; wild iff p | e; otherwise
-    tame, split by whether the extension is totally ramified.
-    """
-    if ext.n == 1:
-        return RamificationClass.TRIVIAL
-    if ext.e == 1:
-        return RamificationClass.UNRAMIFIED
-    if ext.e % ext.base.p == 0:
-        return RamificationClass.WILD
-    if ext.f == 1:
-        return RamificationClass.TAME_TOTALLY_RAMIFIED
-    return RamificationClass.TAME_MIXED
 
 
 @dataclass(frozen=True)
@@ -360,7 +339,7 @@ def norm_level_image(
     if level_e < 0:
         raise ValueError("unit filtration levels are nonnegative")
     validate_extension_filtration(ext, filt)
-    if classify(ext) is RamificationClass.WILD:
+    if ext.is_wild:
         certified = (
             ext.galois
             and ext.is_totally_ramified

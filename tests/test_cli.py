@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -268,6 +272,14 @@ def test_psi_reads_exponents_and_fractions(capsys):
          "match must be an object, got str"),
         (["kmap", "--map", '{"source": ["a"], "target": ["x"], "matches": {"from": "a"}}'],
          "matches must be a list, got dict"),
+        # inline JSON that is no object, and objects that lack a required field
+        (["norm-level", "--level", "2", "--extension", " []"], "input must be an object, got list"),
+        (["norm-level", "--level", "2", "--extension", '{"q": 3}'], "missing field 'p'"),
+        (["kmap", "--map", '{"target": ["x"]}'], "missing field 'source'"),
+        (["kmap", "--map", '{"source": ["a"], "target": ["x"], "matches": [{"from": "a", "to": "x"}]}'],
+         "missing field 'degree'"),
+        (["bc-gl2", "--lift", UNRAMIFIED_CUBIC, "--pair", json.dumps({"quad": json.loads(PAIR)["quad"]})],
+         "missing field 'xi'"),
     ],
 )
 def test_mistyped_json_exits_2(capsys, argv, message):
@@ -284,6 +296,21 @@ def test_json_file_must_hold_an_object(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.splitlines() == ["error: input must be an object, got list"]
+
+
+def test_json_path_must_be_a_regular_file(tmp_path):
+    # a FIFO without a writer blocks the reader; it is refused before it is opened
+    fifo = tmp_path / "extension.fifo"
+    os.mkfifo(fifo)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "basechange.cli", "norm-level", "--level", "2", "--extension", str(fifo)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: input path {str(fifo)!r} is not a regular file"]
 
 
 def test_norm_level(capsys):
@@ -461,6 +488,24 @@ def test_bc_gl2_even_degree_exits_3(capsys):
     code, _, err = run(capsys, "bc-gl2", "--pair", PAIR, "--lift", lift)
     assert code == 3
     assert "EvenDegree" in err
+
+
+def test_bc_gl2_failed_conditions_message_is_pinned(capsys):
+    # condition (1) fails, and so do two scope checks: all three in one line, in order
+    function_field = {"q": 5, "p": 5, "char_zero": False}
+    pair = json.loads(PAIR)
+    pair["quad"].update(function_field)
+    pair["xi"]["unitary"] = False
+    pair["flags"]["not_norm_factor"] = False
+    lift = {**function_field, "e": 1, "f": 3, "galois": True, "cyclic": True, "filtration_orders": []}
+    code, out, err = run(capsys, "bc-gl2", "--pair", json.dumps(pair), "--lift", json.dumps(lift))
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: OutOfScope: condition (1): the character factors through the norm map;"
+        " scope: the character must be unitary;"
+        " scope: the base field must have characteristic 0\n"
+    )
 
 
 def test_kmap(capsys):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from basechange.gl1 import CharacterLabel
 from basechange.gl2 import (
     AdmissiblePair,
-    CuspidalCircle,
     EvenDegree,
     NotUnramified,
     OutOfScope,
@@ -47,16 +46,18 @@ def unramified_lift(f, base=None):
 # -- admissibility -----------------------------------------------------------
 
 
+CONDITION_1 = "condition (1): the character factors through the norm map"
+CONDITION_2 = (
+    "condition (2): the level-one restriction factors through the norm "
+    "but the extension is not unramified"
+)
+
+
 def test_validate_admissible_examples():
-    assert validate_admissible(make_pair()).valid
-
-    report = validate_admissible(make_pair(not_norm=False))
-    assert not report.valid
-    assert "condition (1)" in report.failures()[0]
-
-    report = validate_admissible(make_pair(level_one=True))
-    assert not report.valid
-    assert any("condition (2)" in msg for msg in report.failures())
+    assert validate_admissible(make_pair()) == []
+    assert validate_admissible(make_pair(not_norm=False)) == [CONDITION_1]
+    assert validate_admissible(make_pair(level_one=True)) == [CONDITION_2]
+    assert validate_admissible(make_pair(not_norm=False, level_one=True)) == [CONDITION_1, CONDITION_2]
 
 
 def test_level_one_factoring_is_fine_for_unramified_pairs():
@@ -67,26 +68,23 @@ def test_level_one_factoring_is_fine_for_unramified_pairs():
         not_norm_factor=True,
         level_one_norm_factor=True,
     )
-    report = validate_admissible(pair)
-    assert report.admissible
-    assert not report.in_scope  # unramified pairs are outside the ramified scope
+    # admissible, but unramified pairs are outside the ramified scope
+    assert validate_admissible(pair) == ["scope: the quadratic extension must be totally ramified"]
 
 
 def test_scope_failures_reported():
-    report = validate_admissible(make_pair(unitary=False))
-    assert any("unitary" in msg for msg in report.failures())
+    assert validate_admissible(make_pair(unitary=False)) == ["scope: the character must be unitary"]
     # a quadratic extension of residue characteristic 2 is wild: G_1 = G_0
-    report = validate_admissible(make_pair(base=base_field(2, 2), orders=(2, 2)))
-    assert any("odd" in msg for msg in report.failures())
-    report = validate_admissible(make_pair(base=base_field(5, 5, char_zero=False)))
-    assert any("characteristic 0" in msg for msg in report.failures())
-
-
-def test_cuspidal_circle_torsion():
-    circle = CuspidalCircle(make_pair())
-    assert circle.torsion == 1
-    with pytest.raises(ValueError):
-        CuspidalCircle(make_pair(), torsion=2)
+    assert validate_admissible(make_pair(base=base_field(2, 2), orders=(2, 2))) == [
+        "scope: the residue characteristic must be odd"
+    ]
+    assert validate_admissible(make_pair(base=base_field(5, 5, char_zero=False))) == [
+        "scope: the base field must have characteristic 0"
+    ]
+    # the admissibility conditions come first, then the scope checks
+    assert validate_admissible(make_pair(not_norm=False, unitary=False)) == [
+        CONDITION_1, "scope: the character must be unitary"
+    ]
 
 
 # -- compositum invariants ------------------------------------------------------
@@ -129,7 +127,7 @@ def test_bc_gl2_example():
     assert result.target_pair.quad.f == 1
     assert result.compositum.el_over_e.f == 3
     assert result.torsion == 1
-    assert validate_admissible(result.target_pair).valid
+    assert validate_admissible(result.target_pair) == []
 
 
 def test_bc_gl2_identity_lift():

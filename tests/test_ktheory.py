@@ -196,14 +196,8 @@ def test_sparse_matrices_match_dense_reference(m, data):
         assert k.is_identity() == (
             rows == cols and all(v == (i == j) for i, row in enumerate(grid) for j, v in enumerate(row))
         )
-        assert [[k.entry(r, c) for c in cols] for r in rows] == [list(row) for row in grid]
         product = dense_product(grid, grid_next, len(second.target))
         assert k.matmul(k_next).entries == product
-    with pytest.raises(ValueError):
-        k.entry("missing", cols[0] if cols else "missing")
-    if rows:
-        with pytest.raises(ValueError):
-            k.entry(rows[0], "missing")
 
 
 _grids = st.integers(0, 4).flatmap(
@@ -238,11 +232,6 @@ def test_cell_validation():
     ):
         with pytest.raises(ValueError):
             KMorphism(rows, cols, cells)
-
-
-def test_entry_on_repeated_labels_takes_first_position():
-    k = KMorphism(("a", "a"), ("x",), ((1, 0, 5),))
-    assert k.entry("a", "x") == k.entries[0][0] == 0
 
 
 def test_matmul_label_check():

@@ -201,13 +201,6 @@ def test_int_and_fraction_coefficients_agree(a, b, k, f):
     assert fa.translate(k) == a.translate(k) and hash(fa.translate(k)) == hash(a.translate(k))
 
 
-@given(laurent_polys(3, nterms=3, lo=-2, hi=2))
-@settings(max_examples=40)
-def test_symmetrize_idempotent(p):
-    s = InvariantLaurentPoly.symmetrize(p)
-    assert InvariantLaurentPoly.symmetrize(s.expand()) == s
-
-
 def test_pullback_scales_exponents():
     poly = InvariantLaurentPoly(2, {(1, 0): Fraction(1), (2, -1): Fraction(3, 2)})
     assert poly.pullback(3).terms == {

@@ -10,10 +10,8 @@ from basechange.localfield import (
     LocalFieldData,
     MismatchedTower,
     NotInPsiImage,
-    RamificationClass,
     RamificationFiltration,
     UnsupportedExtension,
-    classify,
     compose_tower,
     conductor_transport,
     norm_level_image,
@@ -123,18 +121,16 @@ def test_filtration_extension_consistency():
     validate_extension_filtration(ExtensionData(field(), e=18, f=1), RamificationFiltration((18, 9, 3)))
 
 
-# -- classify ---------------------------------------------------------------
+# -- is_wild ----------------------------------------------------------------
 
 
-def test_classify_examples():
-    assert classify(ExtensionData(field(q=5, p=5), e=1, f=3)) is RamificationClass.UNRAMIFIED
-    assert (
-        classify(ExtensionData(field(), e=2, f=1))
-        is RamificationClass.TAME_TOTALLY_RAMIFIED
-    )
-    assert classify(ExtensionData(field(), e=3, f=1)) is RamificationClass.WILD
-    assert classify(ExtensionData(field(), e=1, f=1)) is RamificationClass.TRIVIAL
-    assert classify(ExtensionData(field(), e=2, f=2)) is RamificationClass.TAME_MIXED
+def test_is_wild_examples():
+    assert ExtensionData(field(), e=3, f=1).is_wild
+    assert ExtensionData(field(), e=6, f=2).is_wild
+    assert not ExtensionData(field(), e=2, f=1).is_wild
+    assert not ExtensionData(field(), e=2, f=2).is_wild
+    assert not ExtensionData(field(), e=1, f=3).is_wild
+    assert not ExtensionData(field(), e=1, f=1).is_wild  # the trivial extension
 
 
 # -- phi and psi -------------------------------------------------------------
