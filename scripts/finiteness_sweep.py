@@ -8,7 +8,9 @@ the freeness rank: the invariant ring is free of rank f**r over the
 image of t -> t^f, so a certificate should keep exactly f**r generators.
 The ``stairs`` column counts the staircase expansions the build made
 (cache misses of ``staircase_decompose``, cleared before each case), at
-most one per class of targets modulo (f, ..., f).
+most one per class of targets modulo (f, ..., f).  The ``fallbacks``
+column counts the targets whose constructive reduction left the window
+and went to the linear fallback.
 Use --max-r / --max-f to restrict, --window to override the window;
 values past the certificate caps are refused with exit code 2.  A case
 whose window holds too many targets prints the reason in its row.
@@ -35,7 +37,7 @@ def main():
         parser.error("--window must be >= 1")
 
     print(f"{'r':>2} {'f':>2} {'window':>6} {'gens':>5} {'rank':>5} {'targets':>7} "
-          f"{'stairs':>6} {'maxcoef':>7} {'verified':>8} {'seconds':>8}")
+          f"{'stairs':>6} {'fallbacks':>9} {'maxcoef':>7} {'verified':>8} {'seconds':>8}")
     for r in range(1, args.max_r + 1):
         for f in range(1, args.max_f + 1):
             window = args.window if args.window is not None else 2 * f + 2
@@ -55,7 +57,8 @@ def main():
             stairs = staircase_decompose.cache_info().misses
             rank = "ok" if len(cert.generators) == f**r else f"!={f**r}"
             print(f"{r:>2} {f:>2} {window:>6} {len(cert.generators):>5} {rank:>5} "
-                  f"{len(cert.reductions):>7} {stairs:>6} {cert.max_coefficient_exponent():>7} "
+                  f"{len(cert.reductions):>7} {stairs:>6} {len(cert.fallback_targets):>9} "
+                  f"{cert.max_coefficient_exponent():>7} "
                   f"{str(verified):>8} {elapsed:>8.2f}")
 
 

@@ -16,7 +16,6 @@ from basechange import (
     LocalFieldData,
     RamificationFiltration,
     TemperedDualGL1,
-    UnitCharacter,
     bc_gl1,
     bc_gl2,
     circle_map,
@@ -69,7 +68,7 @@ def main():
     pair = AdmissiblePair(
         quad=ExtensionData(LocalFieldData(5, 5), e=2, f=1, galois=True, cyclic=True),
         quad_filtration=RamificationFiltration((2,)),
-        xi=UnitCharacter(CharacterLabel(2, 0)),
+        xi=CharacterLabel(2, 0),
         not_norm_factor=True,
         level_one_norm_factor=False,
     )
@@ -78,7 +77,7 @@ def main():
     print(f"  circle degree: {result.degree}")
     print(f"  conductor: {pair.xi.conductor} -> {result.conductor}")
     print(f"  EL/L: (e, f) = ({result.target_pair.quad.e}, {result.target_pair.quad.f})")
-    print(f"  EL/E: (e, f) = ({result.compositum.el_over_e.e}, {result.compositum.el_over_e.f})")
+    print(f"  EL/E: (e, f) = ({result.el_over_e.e}, {result.el_over_e.f})")
     print(f"  K^1 acts by {result.degree}, K^0 by 1, torsion stays {result.torsion}")
 
 

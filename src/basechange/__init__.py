@@ -51,7 +51,6 @@ from .gl2 import (
     Gl2BaseChange,
     NotUnramified,
     OutOfScope,
-    UnitCharacter,
     bc_gl2,
     compositum_invariants,
     validate_admissible,

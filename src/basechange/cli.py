@@ -10,10 +10,10 @@ never as one document-sized string.
 Exit codes: 0 success, 2 invalid input, 3 out-of-scope mathematics,
 4 finiteness window failure.
 
-The front end is one table, COMMANDS, of implementations, help and flags.
-A small request costs less than building all seven subparsers, so main
-builds only the parser of the subcommand argv names; help, usage and
-error messages are those of the full parser.
+The front end is one table, COMMANDS, of help and flags; main calls the
+module's own cmd_<name>.  A small request costs less than building all
+seven subparsers, so main builds only the parser of the subcommand argv
+names; help, usage and error messages are those of the full parser.
 """
 
 from __future__ import annotations
@@ -249,8 +249,8 @@ def cmd_bc_gl2(args) -> int:
     pair = AdmissiblePair.from_json(_load_json_arg(args.pair))
     lift, _ = ExtensionData.from_json(_load_json_arg(args.lift))
     result = bc_gl2(pair, lift)
-    source = CircleSpace((f"T(E/F,c{pair.xi.conductor}.{pair.xi.label.index})",))
-    target = CircleSpace((f"T(EL/L,c{result.conductor}.{result.target_pair.xi.label.index})",))
+    source = CircleSpace((f"T(E/F,c{pair.xi.conductor}.{pair.xi.index})",))
+    target = CircleSpace((f"T(EL/L,c{result.conductor}.{result.target_pair.xi.index})",))
     k0, k1 = induced_map(
         ProperCircleMap(source, target, ((source.components[0], target.components[0], result.degree),))
     )
@@ -258,7 +258,7 @@ def cmd_bc_gl2(args) -> int:
         f"degree: {result.degree}",
         f"conductor: {result.conductor}",
         f"EL/L: e={result.target_pair.quad.e} f={result.target_pair.quad.f}",
-        f"EL/E: e={result.compositum.el_over_e.e} f={result.compositum.el_over_e.f}",
+        f"EL/E: e={result.el_over_e.e} f={result.el_over_e.f}",
         f"torsion: {result.torsion}",
         f"K1 entry: {result.degree}",
         "K0 entry: 1",
@@ -333,32 +333,32 @@ def cmd_finiteness(args) -> int:
 # -- parser -------------------------------------------------------------
 
 
-# name -> (implementation, help, its own flags); build_parser adds --format
-# and --output to each first
+# name -> (help, its own flags); build_parser adds --format and --output to
+# each first
 COMMANDS = {
-    "extquot": (cmd_extquot, "components of (C^x)^n // S_n", (
+    "extquot": ("components of (C^x)^n // S_n", (
         ("--n", {"type": int, "required": True}),
     )),
-    "psi": (cmd_psi, "transition function table", (
+    "psi": ("transition function table", (
         ("--orders", {"default": "", "help": "comma-separated ramification orders, e.g. 3,3"}),
         ("--x", {"action": "append", "required": True, "help": "rational point, e.g. 7/2 (repeatable)"}),
     )),
-    "norm-level": (cmd_norm_level, "norm transport of a unit-filtration level", (
+    "norm-level": ("norm transport of a unit-filtration level", (
         ("--extension", {"required": True, "help": "extension JSON (inline or file path)"}),
         ("--level", {"type": int, "required": True}),
     )),
-    "bc-gl1": (cmd_bc_gl1, "base change on the GL(1) tempered dual", (
+    "bc-gl1": ("base change on the GL(1) tempered dual", (
         ("--extension", {"required": True, "help": "extension JSON (inline or file path)"}),
         ("--max-conductor", {"type": int, "default": 4}),
     )),
-    "bc-gl2": (cmd_bc_gl2, "base change of a cuspidal GL(2) circle", (
+    "bc-gl2": ("base change of a cuspidal GL(2) circle", (
         ("--pair", {"required": True, "help": "admissible pair JSON (inline or file path)"}),
         ("--lift", {"required": True, "help": "unramified extension JSON (inline or file path)"}),
     )),
-    "kmap": (cmd_kmap, "induced K-theory matrices of a circle map", (
+    "kmap": ("induced K-theory matrices of a circle map", (
         ("--map", {"required": True, "help": "map JSON (inline or file path)"}),
     )),
-    "finiteness": (cmd_finiteness, "finiteness certificate for the pullback", (
+    "finiteness": ("finiteness certificate for the pullback", (
         ("--r", {"type": int, "required": True}),
         ("--f", {"type": int, "required": True}),
         ("--window", {"type": int, "default": None, "help": "exponent window (default 2f+2)"}),
@@ -384,13 +384,12 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        func, help_text, flags = COMMANDS[name]
+        help_text, flags = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
         p.add_argument("--output", metavar="FILE", help="write output to FILE")
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
-        p.set_defaults(func=func)
     return parser
 
 
@@ -398,7 +397,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except WindowTooSmall as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WINDOW

@@ -29,8 +29,10 @@ forwards (no search): decompose t^lam = s^q * t^a with s_i = t_i^f,
 expand s^q over the staircase via exact divided differences, and
 average.  Candidates that are redundant over the earlier ones are
 pruned by small exact linear solves, and the stored expressions are
-rewritten over the pruned set.  A window violation raises
-WindowTooSmall with a suggested larger window.
+rewritten over the pruned set.  A window below r(f-1), the largest
+entry of an f-restricted weight (lam_i - lam_(i+1) < f, lam_r < f), is
+refused with WindowTooSmall before anything is enumerated; a later
+window violation raises it with a suggested larger window.
 
 Translation classes.  B contains the unit u = (t_1...t_r)^f, and
 multiplying by u^k adds f*k to every exponent.  Write 1 = (1, ..., 1).
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import comb, gcd, lcm
 from typing import Iterator, Optional
 
@@ -90,18 +92,11 @@ def candidate_generators(r: int, f: int) -> list[ExponentVector]:
     exponent so pruning sees cheap candidates before expensive ones.
     """
     classes = {(-f,) * r}
-    remainders = _tuples_in_box(r, 0, f - 1)
+    remainders = list(product(range(f), repeat=r))
     for c in staircase_basis(r):
         for a in remainders:
             classes.add(sort_class(tuple(f * ci + ai for ci, ai in zip(c, a))))
     return sorted(classes, key=lambda g: (sum(abs(x) for x in g), g))
-
-
-def _tuples_in_box(r: int, lo: int, hi: int) -> list[ExponentVector]:
-    out: list[ExponentVector] = [()]
-    for _ in range(r):
-        out = [t + (v,) for t in out for v in range(lo, hi + 1)]
-    return out
 
 
 def sorted_tuples(r: int, lo: int, hi: int, total: Optional[int] = None) -> Iterator[ExponentVector]:
@@ -378,10 +373,10 @@ def _substitute_pruned(expr: Expression, pruned: dict[ExponentVector, Expression
 def finiteness_certificate(r: int, f: int, window: int) -> FinitenessCertificate:
     """Build and return the complete certificate for (r, f) at the window.
 
-    Raises WindowTooSmall when some in-window monomial admits no
-    expression with generators and coefficients inside the window
-    bounds, and ValueError, before anything is enumerated, when the
-    window holds more than MAX_TARGETS target classes.
+    Raises WindowTooSmall when the window is below r(f-1) or some
+    in-window monomial admits no expression inside the window bounds,
+    and ValueError, before anything is enumerated, when the window
+    holds more than MAX_TARGETS target classes.
     """
     if not 1 <= r <= MAX_RANK:
         raise ValueError(f"r must be in [1, {MAX_RANK}]")
@@ -389,6 +384,12 @@ def finiteness_certificate(r: int, f: int, window: int) -> FinitenessCertificate
         raise ValueError(f"f must be in [1, {MAX_POWER}]")
     if window < 1:
         raise ValueError("window must be >= 1")
+    smallest = r * (f - 1)  # the largest entry of an f-restricted generator
+    if window < smallest:
+        raise WindowTooSmall(
+            f"window {window} is below r(f-1) = {smallest} at r={r}, f={f}; retry with window {smallest}",
+            suggested_window=smallest,
+        )
     targets = comb(2 * window + r, r)  # weakly decreasing r-tuples in [-window, window]
     if targets > MAX_TARGETS:
         raise ValueError(

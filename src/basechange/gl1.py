@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Optional, Sequence, Union
 
 from .gaussian import GaussianRational
@@ -204,15 +203,6 @@ class Gl1BaseChange:
     conductor_map: dict[int, int]
     extra_targets: tuple[CharacterLabel, ...] = ()
 
-    @property
-    def source_labels(self) -> tuple[CharacterLabel, ...]:
-        return tuple(src for src, _, _ in self.pairs)
-
-    @property
-    def target_labels(self) -> tuple[CharacterLabel, ...]:
-        hits = (tgt for _, tgt, _ in self.pairs)
-        return tuple(dict.fromkeys(chain(hits, self.extra_targets)))
-
     def to_json(self) -> dict:
         return {
             "pairs": [
@@ -286,8 +276,8 @@ def circle_map(bc: Gl1BaseChange) -> "ProperCircleMap":
     appear in first-hit order followed by any explicit extra targets, so
     unmatched targets contribute visible zero columns.
     """
-    source = CircleSpace(bc.source_labels)
-    target = CircleSpace(bc.target_labels)
+    source = CircleSpace(src for src, _, _ in bc.pairs)
+    target = CircleSpace(dict.fromkeys([*(tgt for _, tgt, _ in bc.pairs), *bc.extra_targets]))
     return ProperCircleMap(source, target, bc.pairs)
 
 

@@ -48,36 +48,20 @@ class OutOfScope(ValueError):
 
 
 @dataclass(frozen=True)
-class UnitCharacter:
-    """A character label together with its unitarity flag."""
-
-    label: CharacterLabel
-    unitary: bool = True
-
-    @property
-    def conductor(self) -> int:
-        return self.label.conductor
-
-    def to_json(self) -> dict:
-        out = self.label.to_json()
-        out["unitary"] = self.unitary
-        return out
-
-
-@dataclass(frozen=True)
 class AdmissiblePair:
     """Quadratic extension plus character, with certified admissibility flags.
 
     not_norm_factor certifies that xi does not factor through the norm
     map; level_one_norm_factor records whether the restriction of xi to
-    the first unit subgroup does.
+    the first unit subgroup does; unitary certifies that xi is unitary.
     """
 
     quad: ExtensionData
     quad_filtration: RamificationFiltration
-    xi: UnitCharacter
+    xi: CharacterLabel
     not_norm_factor: bool
     level_one_norm_factor: bool
+    unitary: bool = True
 
     def __post_init__(self):
         if self.quad.n != 2:
@@ -87,7 +71,7 @@ class AdmissiblePair:
     def to_json(self) -> dict:
         return {
             "quad": self.quad.to_json(self.quad_filtration),
-            "xi": self.xi.to_json(),
+            "xi": {**self.xi.to_json(), "unitary": self.unitary},
             "flags": {
                 "not_norm_factor": self.not_norm_factor,
                 "level_one_norm_factor": self.level_one_norm_factor,
@@ -102,12 +86,10 @@ class AdmissiblePair:
         return AdmissiblePair(
             quad=ext,
             quad_filtration=filt,
-            xi=UnitCharacter(
-                CharacterLabel(
-                    json_int(xi["conductor"], "conductor"), json_int(xi.get("index", 0), "index")
-                ),
-                unitary=json_bool(xi.get("unitary", True), "unitary"),
+            xi=CharacterLabel(
+                json_int(xi["conductor"], "conductor"), json_int(xi.get("index", 0), "index")
             ),
+            unitary=json_bool(xi.get("unitary", True), "unitary"),
             not_norm_factor=json_bool(
                 flags.get("not_norm_factor", False), "not_norm_factor"
             ),
@@ -129,22 +111,13 @@ def validate_admissible(pair: AdmissiblePair) -> list[str]:
         )
     if not pair.quad.is_totally_ramified:
         failures.append("scope: the quadratic extension must be totally ramified")
-    if not pair.xi.unitary:
+    if not pair.unitary:
         failures.append("scope: the character must be unitary")
     if not pair.quad.base.char_zero:
         failures.append("scope: the base field must have characteristic 0")
     if pair.quad.base.p == 2:
         failures.append("scope: the residue characteristic must be odd")
     return failures
-
-
-@dataclass(frozen=True)
-class CompositumInvariants:
-    el_over_l: ExtensionData
-    el_over_e: ExtensionData
-
-    def to_json(self) -> dict:
-        return {"EL/L": self.el_over_l.to_json(), "EL/E": self.el_over_e.to_json()}
 
 
 def _check_lift(quad: ExtensionData, lift: ExtensionData) -> None:
@@ -154,9 +127,9 @@ def _check_lift(quad: ExtensionData, lift: ExtensionData) -> None:
         raise OutOfScope("the pair and the lifting extension have different base fields")
 
 
-def compositum_invariants(quad: ExtensionData, lift: ExtensionData) -> CompositumInvariants:
-    """Invariants of EL/L and EL/E for totally ramified quadratic E/F
-    and unramified L/F.
+def compositum_invariants(quad: ExtensionData, lift: ExtensionData) -> tuple[ExtensionData, ExtensionData]:
+    """The pair (EL/L, EL/E) for totally ramified quadratic E/F and
+    unramified L/F.
 
     EL/E is unramified of degree f(L/F); EL/L is quadratic totally
     ramified, forced by multiplicativity of e and f along both routes
@@ -171,7 +144,7 @@ def compositum_invariants(quad: ExtensionData, lift: ExtensionData) -> Compositu
     el_over_l = ExtensionData(
         base=lift.top_field, e=2, f=1, galois=True, cyclic=True
     )
-    return CompositumInvariants(el_over_l=el_over_l, el_over_e=el_over_e)
+    return el_over_l, el_over_e
 
 
 @dataclass(frozen=True)
@@ -181,7 +154,8 @@ class Gl2BaseChange:
     target_pair: AdmissiblePair
     degree: int
     conductor: int
-    compositum: CompositumInvariants
+    el_over_l: ExtensionData
+    el_over_e: ExtensionData
     torsion: int = 1
 
     def to_json(self) -> dict:
@@ -189,7 +163,7 @@ class Gl2BaseChange:
             "target_pair": self.target_pair.to_json(),
             "degree": self.degree,
             "conductor": self.conductor,
-            "compositum": self.compositum.to_json(),
+            "compositum": {"EL/L": self.el_over_l.to_json(), "EL/E": self.el_over_e.to_json()},
             "torsion": self.torsion,
         }
 
@@ -209,24 +183,22 @@ def bc_gl2(pair: AdmissiblePair, lift: ExtensionData) -> Gl2BaseChange:
     if lift.f % 2 == 0:
         raise EvenDegree("the lifting extension must have odd degree")
 
-    comp = compositum_invariants(pair.quad, lift)
+    el_over_l, el_over_e = compositum_invariants(pair.quad, lift)
     # conductor transport along the unramified EL/E: the empty filtration
     unramified_filt = RamificationFiltration()
     new_conductor = conductor_transport(unramified_filt, pair.xi.conductor)
     target_pair = AdmissiblePair(
-        quad=comp.el_over_l,
+        quad=el_over_l,
         quad_filtration=RamificationFiltration.tame_default(2),
-        xi=UnitCharacter(
-            CharacterLabel(new_conductor, pair.xi.label.index),
-            unitary=pair.xi.unitary,
-        ),
+        xi=CharacterLabel(new_conductor, pair.xi.index),
         not_norm_factor=True,  # the transported pair is again admissible
         level_one_norm_factor=False,
+        unitary=pair.unitary,
     )
     return Gl2BaseChange(
         target_pair=target_pair,
         degree=lift.f,
         conductor=new_conductor,
-        compositum=comp,
-        torsion=1,
+        el_over_l=el_over_l,
+        el_over_e=el_over_e,
     )

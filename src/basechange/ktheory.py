@@ -55,12 +55,6 @@ class CircleSpace:
     def __len__(self) -> int:
         return len(self.components)
 
-    def index(self, label: Label) -> int:
-        try:
-            return self.positions[label]
-        except KeyError:
-            raise ValueError(f"{label!r} is not a circle of this space") from None
-
 
 @dataclass(frozen=True)
 class ProperCircleMap:
@@ -86,12 +80,6 @@ class ProperCircleMap:
             if src in seen_sources:
                 raise ValueError(f"source component {src!r} matched twice")
             seen_sources.add(src)
-
-    @staticmethod
-    def identity(space: CircleSpace) -> "ProperCircleMap":
-        return ProperCircleMap(
-            space, space, tuple((lbl, lbl, 1) for lbl in space.components)
-        )
 
 
 def compose_maps(first: ProperCircleMap, second: ProperCircleMap) -> ProperCircleMap:
@@ -158,11 +146,6 @@ class KMorphism:
                 sums[i, j] = sums.get((i, j), 0) + a * b
         cells = tuple((i, j, v) for (i, j), v in sorted(sums.items()) if v)
         return KMorphism(self.row_labels, other.col_labels, cells)
-
-    def is_identity(self) -> bool:
-        return self.row_labels == self.col_labels and self.cells == tuple(
-            (i, i, 1) for i in range(len(self.row_labels))
-        )
 
     def to_json(self) -> dict:
         """Schema 1: the dense entries rows and the triplets, both from the cells."""

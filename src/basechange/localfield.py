@@ -314,10 +314,7 @@ def validate_extension_filtration(ext: ExtensionData, filt: RamificationFiltrati
             f"filtration has |G_0| = {filt.e} but the extension has e = {ext.e}"
         )
     p, g1 = ext.base.p, filt.order_at(1)
-    rest = g1
-    while rest % p == 0:
-        rest //= p
-    if rest != 1:
+    if g1 != 1 and not is_power_of(g1, p):
         raise ValueError(f"filtration {list(filt.orders)} has |G_1| = {g1}, not a power of p={p}")
     if (filt.e // g1) % p == 0:
         raise ValueError(

@@ -22,7 +22,7 @@ from basechange.gl1 import (
     bc_unramified_quasichar,
     circle_map,
 )
-from basechange.gl2 import AdmissiblePair, UnitCharacter, bc_gl2
+from basechange.gl2 import AdmissiblePair, bc_gl2
 from basechange.ktheory import (
     CircleSpace,
     ProperCircleMap,
@@ -190,7 +190,7 @@ def test_criterion_07_gl2_theorem():
             pair = AdmissiblePair(
                 quad=ExtensionData(LocalFieldData(5, 5), e=2, f=1, galois=True, cyclic=True),
                 quad_filtration=RamificationFiltration((2,)),
-                xi=UnitCharacter(CharacterLabel(conductor, 0)),
+                xi=CharacterLabel(conductor, 0),
                 not_norm_factor=True,
                 level_one_norm_factor=False,
             )

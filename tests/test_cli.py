@@ -121,7 +121,16 @@ def test_front_end_matches_full_parser(capsys, argv):
 def test_full_parser_offers_every_subcommand():
     assert list(COMMANDS) == list(REQUIRED)
     for name, required in REQUIRED.items():
-        assert build_parser().parse_args([name] + required).func is COMMANDS[name][0]
+        assert build_parser().parse_args([name] + required).command == name
+        assert callable(getattr(cli, "cmd_" + name.replace("-", "_")))
+
+
+def test_main_calls_the_module_binding_of_the_subcommand(monkeypatch):
+    # one binding per subcommand, so a wrapper set on the module is what main runs
+    calls = []
+    monkeypatch.setattr(cli, "cmd_psi", lambda args: calls.append(args.x) or 0)
+    assert main(["psi", "--x", "7/2"]) == 0
+    assert calls == [["7/2"]]
 
 
 def test_psi_examples(capsys):
@@ -580,6 +589,14 @@ def test_finiteness_window_too_small_exits_4(capsys):
     code, _, err = run(capsys, "finiteness", "--r", "1", "--f", "3", "--window", "1")
     assert code == 4
     assert "window" in err
+    # the suggested window r(f-1) = 6 is the smallest that builds; window + f = 5 is not
+    code, out, err = run(capsys, "finiteness", "--r", "2", "--f", "4", "--window", "1")
+    assert (code, out) == (4, "")
+    assert err.splitlines() == [
+        "error: window 1 is below r(f-1) = 6 at r=2, f=4; retry with window 6"
+    ]
+    assert run(capsys, "finiteness", "--r", "2", "--f", "4", "--window", "5")[0] == 4
+    assert run(capsys, "finiteness", "--r", "2", "--f", "4", "--window", "6")[0] == 0
 
 
 def test_finiteness_window_cap(capsys):
@@ -681,6 +698,17 @@ def test_field_size_guards_exit_2(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err.splitlines() == [f"error: {message}"]
+
+
+def test_even_lift_is_refused_before_its_top_field(capsys):
+    # EvenDegree is checked before the compositum forms 3**100000
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "bc-gl2", "--pair", P3_PAIR, "--lift", '{"q": 3, "p": 3, "e": 1, "f": 100000}'
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["error: EvenDegree: the lifting extension must have odd degree"]
 
 
 def test_fields_within_the_guards_run(capsys):

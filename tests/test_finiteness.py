@@ -74,6 +74,22 @@ def test_window_too_small_univariate():
     assert err.value.suggested_window > 1
 
 
+@pytest.mark.parametrize(
+    "r, f", [(r, f) for r in range(1, MAX_RANK + 1) for f in range(1, MAX_POWER + 1)]
+)
+def test_smallest_window_is_the_largest_generator_entry(r, f):
+    # every window below r(f-1) is refused with r(f-1) as the suggestion, and
+    # the suggestion builds, keeping a generator whose largest entry is r(f-1)
+    smallest = r * (f - 1)
+    for window in range(1, smallest):
+        with pytest.raises(WindowTooSmall) as err:
+            finiteness_certificate(r, f, window)
+        assert err.value.suggested_window == smallest
+    cert = finiteness_certificate(r, f, max(1, smallest))
+    assert max(max(g) for g in cert.generators) == smallest
+    assert cert.verify()
+
+
 def test_r2_f2_certificate_has_at_most_four_generators():
     cert = finiteness_certificate(2, 2, 4)
     assert len(cert.generators) <= 4
@@ -267,6 +283,27 @@ def test_wide_window_certificate_output_is_pinned(r, f, window, digest):
     assert certificate_digest(["--r", str(r), "--f", str(f), "--window", str(window)]) == digest
 
 
+# stdout sha256 of `finiteness --r R --f F [--window W] --verify --format json`
+# for certificates whose linear fallback fires, with the fallback count;
+# window None is the default 2f+2
+@pytest.mark.parametrize(
+    "r, f, window, fallbacks, digest",
+    [
+        (2, 3, 4, 5, "979fefa78081e3397d5b54d22de7569a535d183be78f0ea0efd1cf356190a56a"),
+        (3, 3, 6, 108, "cf4d44d296203d8da3463db32aac64b635c9d7f0dd3f6825f002e1a34fbb8894"),
+        (3, 4, None, 151, "fbf7afcbf008653bad8fee96e6bcab29d66f696cdbd49bbe200ecfbfe53e2acb"),
+    ],
+)
+def test_fallback_certificate_output_is_pinned(r, f, window, fallbacks, digest):
+    flags = ["--r", str(r), "--f", str(f)]
+    if window is None:
+        window = 2 * f + 2
+    else:
+        flags += ["--window", str(window)]
+    assert len(finiteness_certificate(r, f, window).fallback_targets) == fallbacks
+    assert certificate_digest(flags) == digest
+
+
 @pytest.mark.parametrize(
     "r, f", [(r, f) for r in range(1, MAX_RANK + 1) for f in range(1, MAX_POWER + 1)]
 )
@@ -312,6 +349,17 @@ def test_sweep_refuses_values_past_the_caps(argv, message):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1] == f"finiteness_sweep.py: error: {message}"
+
+
+def test_sweep_counts_fallbacks():
+    proc = run_sweep("--max-r", "2", "--max-f", "3", "--window", "4")
+    assert proc.returncode == 0 and proc.stderr == ""
+    header, *rows = proc.stdout.splitlines()
+    column = header.split().index("fallbacks")
+    assert {tuple(row.split()[:2]): row.split()[column] for row in rows} == {
+        ("1", "1"): "0", ("1", "2"): "0", ("1", "3"): "0",
+        ("2", "1"): "0", ("2", "2"): "0", ("2", "3"): "5",
+    }
 
 
 def test_sweep_reports_a_window_past_the_target_cap():

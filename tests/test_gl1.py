@@ -188,7 +188,7 @@ def test_bc_gl1_collision_table():
         dual,
         collisions={CharacterLabel(1, 1): shared},
     )
-    assert bc.target_labels == (shared,)
+    assert circle_map(bc).target.components == (shared,)
     k0, k1 = induced_map(circle_map(bc))
     assert k1.entries == ((2,), (2,))
     assert k0.entries == ((1,), (1,))

@@ -8,7 +8,6 @@ from basechange.gl2 import (
     EvenDegree,
     NotUnramified,
     OutOfScope,
-    UnitCharacter,
     bc_gl2,
     compositum_invariants,
     validate_admissible,
@@ -33,9 +32,10 @@ def make_pair(conductor=2, base=None, not_norm=True, level_one=False, unitary=Tr
     return AdmissiblePair(
         quad=ramified_quadratic(base),
         quad_filtration=RamificationFiltration(orders),
-        xi=UnitCharacter(CharacterLabel(conductor, 0), unitary=unitary),
+        xi=CharacterLabel(conductor, 0),
         not_norm_factor=not_norm,
         level_one_norm_factor=level_one,
+        unitary=unitary,
     )
 
 
@@ -64,7 +64,7 @@ def test_level_one_factoring_is_fine_for_unramified_pairs():
     pair = AdmissiblePair(
         quad=ExtensionData(base_field(), e=1, f=2, galois=True, cyclic=True),
         quad_filtration=RamificationFiltration(),
-        xi=UnitCharacter(CharacterLabel(1, 0)),
+        xi=CharacterLabel(1, 0),
         not_norm_factor=True,
         level_one_norm_factor=True,
     )
@@ -91,15 +91,15 @@ def test_scope_failures_reported():
 
 
 def test_compositum_invariants_example():
-    comp = compositum_invariants(ramified_quadratic(), unramified_lift(3))
-    assert (comp.el_over_l.e, comp.el_over_l.f) == (2, 1)
-    assert (comp.el_over_e.e, comp.el_over_e.f) == (1, 3)
+    el_over_l, el_over_e = compositum_invariants(ramified_quadratic(), unramified_lift(3))
+    assert (el_over_l.e, el_over_l.f) == (2, 1)
+    assert (el_over_e.e, el_over_e.f) == (1, 3)
 
 
 def test_compositum_trivial_lift():
-    comp = compositum_invariants(ramified_quadratic(), unramified_lift(1))
-    assert (comp.el_over_e.e, comp.el_over_e.f) == (1, 1)
-    assert comp.el_over_l == ramified_quadratic(base_field())
+    el_over_l, el_over_e = compositum_invariants(ramified_quadratic(), unramified_lift(1))
+    assert (el_over_e.e, el_over_e.f) == (1, 1)
+    assert el_over_l == ramified_quadratic(base_field())
 
 
 BASES = [(3, 3), (5, 5), (7, 7), (9, 3), (25, 5)]
@@ -110,9 +110,9 @@ def test_compositum_multiplicativity_both_routes(f, qp):
     # both routes F -> L -> EL and F -> E -> EL give the same (e, f)
     quad = ramified_quadratic(base_field(*qp))
     lift = unramified_lift(f, base_field(*qp))
-    comp = compositum_invariants(quad, lift)
-    via_l = compose_tower(lift, comp.el_over_l)
-    via_e = compose_tower(quad, comp.el_over_e)
+    el_over_l, el_over_e = compositum_invariants(quad, lift)
+    via_l = compose_tower(lift, el_over_l)
+    via_e = compose_tower(quad, el_over_e)
     assert (via_l.e, via_l.f) == (via_e.e, via_e.f) == (2, f)
 
 
@@ -125,7 +125,7 @@ def test_bc_gl2_example():
     assert result.conductor == 2
     assert result.target_pair.quad.e == 2
     assert result.target_pair.quad.f == 1
-    assert result.compositum.el_over_e.f == 3
+    assert result.el_over_e.f == 3
     assert result.torsion == 1
     assert validate_admissible(result.target_pair) == []
 
@@ -177,7 +177,7 @@ def test_bc_gl2_errors():
 
 def test_bc_gl2_unitarity_preserved():
     result = bc_gl2(make_pair(), unramified_lift(3))
-    assert result.target_pair.xi.unitary
+    assert result.target_pair.unitary
 
 
 @given(st.sampled_from([1, 3, 5]), st.sampled_from([1, 3, 5]))
