@@ -4,8 +4,10 @@
 Builds the certificate at the default window 2f+2 for every supported
 pair (1 <= r <= MAX_RANK, 1 <= f <= MAX_POWER), verifies it by full
 re-expansion, and prints one row per case.  The ``rank`` column checks
-the freeness rank: the invariant ring is free of rank f**r over the
-image of t -> t^f, so a certificate should keep exactly f**r generators.
+the freeness basis: the invariant ring is free of rank f**r over the
+image of t -> t^f, with the f-restricted weights (lam_i - lam_(i+1) < f,
+0 <= lam_r < f) as a basis, so it reads ``ok`` only when a certificate
+keeps exactly those f**r generators.
 The ``stairs`` column counts the staircase expansions the build made
 (cache misses of ``staircase_decompose``, cleared before each case), at
 most one per class of targets modulo (f, ..., f).  The ``fallbacks``
@@ -18,6 +20,7 @@ whose window holds too many targets prints the reason in its row.
 
 import argparse
 import time
+from itertools import product
 
 from basechange.finiteness import MAX_POWER, MAX_RANK, WindowTooSmall, finiteness_certificate
 from basechange.laurent import staircase_decompose
@@ -55,7 +58,10 @@ def main():
             verified = cert.verify()
             elapsed = time.perf_counter() - start
             stairs = staircase_decompose.cache_info().misses
-            rank = "ok" if len(cert.generators) == f**r else f"!={f**r}"
+            # lam_i is the sum of a_i..a_r for a in [0, f)^r
+            restricted = sorted(tuple(sum(a[i:]) for i in range(r))
+                                for a in product(range(f), repeat=r))
+            rank = "ok" if sorted(cert.generators) == restricted else "no"
             print(f"{r:>2} {f:>2} {window:>6} {len(cert.generators):>5} {rank:>5} "
                   f"{len(cert.reductions):>7} {stairs:>6} {len(cert.fallback_targets):>9} "
                   f"{cert.max_coefficient_exponent():>7} "

@@ -100,7 +100,10 @@ def _load_json_arg(value: str) -> dict:
         if not stat.S_ISREG(Path(value).stat().st_mode):
             raise ValueError(f"input path {value!r} is not a regular file")
         value = Path(value).read_text()
-    return json_object(json.loads(value), "input")
+    try:
+        return json_object(json.loads(value), "input")
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise ValueError("input JSON is nested too deeply") from None
 
 
 def _parse_orders(text: str) -> RamificationFiltration:

@@ -28,11 +28,14 @@ The per-monomial expressions come from the same free-basis argument run
 forwards (no search): decompose t^lam = s^q * t^a with s_i = t_i^f,
 expand s^q over the staircase via exact divided differences, and
 average.  Candidates that are redundant over the earlier ones are
-pruned by small exact linear solves, and the stored expressions are
-rewritten over the pruned set.  A window below r(f-1), the largest
-entry of an f-restricted weight (lam_i - lam_(i+1) < f, lam_r < f), is
-refused with WindowTooSmall before anything is enumerated; a later
-window violation raises it with a suggested larger window.
+pruned, and the stored expressions are rewritten over the pruned set.
+Pruning and the linear fallback, for a target whose expression leaves
+the window, share one triangular reduction over the f-restricted
+weights (lam_i - lam_(i+1) < f, 0 <= lam_r < f), a B-basis of A
+(Steinberg, Nagoya Math. J. 22, 1963; see linear_reduction).  A window
+below r(f-1), the largest entry of a restricted weight, is refused with
+WindowTooSmall before anything is enumerated; a later window violation
+raises it with a suggested larger window.
 
 Translation classes.  B contains the unit u = (t_1...t_r)^f, and
 multiplying by u^k adds f*k to every exponent.  Write 1 = (1, ..., 1).
@@ -52,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
-from math import comb, gcd, lcm
+from math import comb, lcm
 from typing import Iterator, Optional
 
 from .laurent import (
@@ -99,28 +102,17 @@ def candidate_generators(r: int, f: int) -> list[ExponentVector]:
     return sorted(classes, key=lambda g: (sum(abs(x) for x in g), g))
 
 
-def sorted_tuples(r: int, lo: int, hi: int, total: Optional[int] = None) -> Iterator[ExponentVector]:
-    """Weakly decreasing r-tuples with entries in [lo, hi], optionally of fixed sum."""
+def sorted_tuples(r: int, lo: int, hi: int) -> Iterator[ExponentVector]:
+    """Weakly decreasing r-tuples with entries in [lo, hi]."""
 
-    def rec(length: int, cap: int, remaining: Optional[int]) -> Iterator[tuple[int, ...]]:
+    def rec(length: int, cap: int) -> Iterator[tuple[int, ...]]:
         if length == 0:
-            if remaining is None or remaining == 0:
-                yield ()
+            yield ()
             return
         for v in range(cap, lo - 1, -1):
-            if remaining is not None:
-                rest = remaining - v
-                if rest < (length - 1) * lo or rest > (length - 1) * v:
-                    continue
-                yield from ((v,) + t for t in rec(length - 1, v, rest))
-            else:
-                yield from ((v,) + t for t in rec(length - 1, v, None))
+            yield from ((v,) + t for t in rec(length - 1, v))
 
-    yield from rec(r, hi, total)
-
-
-def residue_pattern(vec: ExponentVector, f: int) -> ExponentVector:
-    return tuple(sorted(x % f for x in vec))
+    yield from rec(r, hi)
 
 
 def constructive_reduction(lam: ExponentVector, f: int) -> Expression:
@@ -147,121 +139,49 @@ def constructive_reduction(lam: ExponentVector, f: int) -> Expression:
     return {g: b for g, b in terms.items() if not b.is_zero()}
 
 
-def expand_expression(r: int, expr: Expression) -> InvariantLaurentPoly:
-    total = InvariantLaurentPoly.zero(r)
-    for gamma, coeff in expr.items():
-        total = total + coeff * InvariantLaurentPoly.orbit_sum(gamma)
-    return total
-
-
-def _solve_exact(columns: list[InvariantLaurentPoly], target: InvariantLaurentPoly) -> Optional[list[Fraction]]:
-    """One exact solution x of sum_j x_j * columns[j] = target, or None.
-
-    Sparse, fraction-free elimination.  Every class of the joint support
-    is one row {column: int}, with the target as column n, scaled to
-    integers by the lcm of its denominators.  Columns are eliminated in
-    their given order, so the pivot columns are the leftmost independent
-    set, and free variables are set to 0: that solution is unique,
-    whichever rows serve as pivots.  A row waits in the bucket of its
-    leading column and is touched only when that column is eliminated;
-    a row left with nothing but its target entry makes the system
-    inconsistent.  Back-substitution is the only step with Fractions.
-    """
-    n = len(columns)
-    entries: dict[ExponentVector, dict[int, Fraction]] = {}
-    for j, col in enumerate(columns):
-        for cls, c in col.terms.items():
-            entries.setdefault(cls, {})[j] = c
-    for cls, c in target.terms.items():
-        entries.setdefault(cls, {})[n] = c
-    buckets: dict[int, list[dict[int, int]]] = {}
-    for row in entries.values():
-        den = lcm(*(c.denominator for c in row.values()))
-        buckets.setdefault(min(row), []).append(
-            {j: c.numerator * (den // c.denominator) for j, c in row.items()}
-        )
-    if n in buckets:
-        return None
-    pivots: list[tuple[int, dict[int, int]]] = []
-    for col in range(n):
-        bucket = buckets.pop(col, None)
-        if bucket is None:
-            continue
-        pivot = min(bucket, key=len)
-        pivots.append((col, pivot))
-        p = pivot[col]
-        for row in bucket:
-            if row is pivot:
-                continue
-            g = gcd(p, row[col])
-            u, v = p // g, row.pop(col) // g
-            new = {j: u * x for j, x in row.items()} if u != 1 else row
-            for j, x in pivot.items():
-                if j != col:
-                    y = new.get(j, 0) - v * x
-                    if y:
-                        new[j] = y
-                    else:
-                        del new[j]
-            if not new:
-                continue
-            content = gcd(*new.values())
-            if content != 1:
-                new = {j: x // content for j, x in new.items()}
-            lead = min(new)
-            if lead == n:
-                return None
-            buckets.setdefault(lead, []).append(new)
-    solution = [Fraction(0)] * n
-    for col, row in reversed(pivots):
-        value = Fraction(row.get(n, 0))
-        for j, a in row.items():
-            if j != col and j != n and solution[j]:
-                value -= a * solution[j]
-        solution[col] = value / row[col]
-    return solution
-
-
 def linear_reduction(
     target: ExponentVector,
     generators: list[ExponentVector],
     f: int,
     coeff_bound: int,
 ) -> Optional[Expression]:
-    """Search for m_target = sum b_j g_j with B-monomial exponents <= coeff_bound.
+    """Express m_target over f-restricted generators by a triangular walk, or None.
 
-    Columns are the products (pullback monomial class f*mu) * m_gamma
-    whose degree and residue pattern match the target; both filters are
-    exact invariants of such products.
+    Split lam = lam0 + f*mu with lam0 restricted: lam0_r = lam_r mod f,
+    and lam0_i - lam0_(i+1) = (lam_i - lam_(i+1)) mod f.  Then
+    m_lam0 * m_(f*mu) is m_lam plus classes of the same degree that are
+    lexicographically smaller (Macdonald, Symmetric Functions and Hall
+    Polynomials, ch. I sections 2 and 6).  So the walk pops the largest
+    class of the remainder, records its coefficient on (lam0, f*mu) and
+    subtracts the rest of that product.  All it subtracts later lies
+    below, so each recorded coefficient is final: the result is the
+    unique expression over the restricted basis, and None means that
+    expression uses a class outside ``generators`` or a B-exponent beyond
+    coeff_bound.
     """
     r = len(target)
-    degree = sum(target)
-    pattern = residue_pattern(target, f)
-    columns: list[InvariantLaurentPoly] = []
-    labels: list[tuple[ExponentVector, ExponentVector]] = []
-    mu_hi = coeff_bound // f
-    for gamma in generators:
-        if residue_pattern(gamma, f) != pattern:
-            continue
-        gap = degree - sum(gamma)
-        if gap % f != 0:
-            continue
-        gen_poly = InvariantLaurentPoly.orbit_sum(gamma)
-        for mu in sorted_tuples(r, -mu_hi, mu_hi, total=gap // f):
-            scaled_mu = tuple(f * x for x in mu)
-            columns.append(InvariantLaurentPoly.orbit_sum(scaled_mu) * gen_poly)
-            labels.append((gamma, scaled_mu))
-    solution = _solve_exact(columns, InvariantLaurentPoly.orbit_sum(target))
-    if solution is None:
-        return None
-    expr: Expression = {}
-    for x, (gamma, scaled_mu) in zip(solution, labels):
-        if x == 0:
-            continue
-        piece = InvariantLaurentPoly(r, {scaled_mu: x})
-        acc = expr.get(gamma)
-        expr[gamma] = piece if acc is None else acc + piece
-    return {g: b for g, b in expr.items() if not b.is_zero()}
+    available = set(generators)
+    remainder: dict[ExponentVector, int] = {target: 1}
+    expr: dict[ExponentVector, dict[ExponentVector, int]] = {}
+    while remainder:
+        lam = max(remainder)
+        c = remainder.pop(lam)
+        rest = [lam[-1] % f]
+        for i in range(r - 2, -1, -1):
+            rest.append(rest[-1] + (lam[i] - lam[i + 1]) % f)
+        lam0 = tuple(reversed(rest))
+        f_mu = tuple(x - y for x, y in zip(lam, lam0))
+        if lam0 not in available or max(map(abs, f_mu)) > coeff_bound:
+            return None
+        expr.setdefault(lam0, {})[f_mu] = c
+        for cls, mult in _orbit_sum_product(f_mu, lam0):
+            if cls != lam:
+                n = remainder.get(cls, 0) - c * mult
+                if n:
+                    remainder[cls] = n
+                else:
+                    del remainder[cls]
+    return {g: InvariantLaurentPoly(r, terms) for g, terms in expr.items()}
 
 
 @dataclass
@@ -353,7 +273,7 @@ class FinitenessCertificate:
         }
 
 
-def _substitute_pruned(expr: Expression, pruned: dict[ExponentVector, Expression], r: int) -> Expression:
+def _substitute_pruned(expr: Expression, pruned: dict[ExponentVector, Expression]) -> Expression:
     out: Expression = {}
 
     def add(gamma: ExponentVector, coeff: InvariantLaurentPoly):
@@ -419,7 +339,7 @@ def finiteness_certificate(r: int, f: int, window: int) -> FinitenessCertificate
         expr = representatives.get(base)
         if expr is None:
             expr = representatives[base] = _substitute_pruned(
-                constructive_reduction(base, f), pruned, r
+                constructive_reduction(base, f), pruned
             )
         if shift:
             expr = {g: c.translate(shift) for g, c in expr.items()}

@@ -26,8 +26,7 @@ the orbit-sum basis, using the product rule
 
 (Macdonald, Symmetric Functions and Hall Polynomials, ch. I sections 2
 and 6), so a term pair costs |orbit(b)| vector additions instead of
-|orbit(a)| * |orbit(b)| monomial products.  The Reynolds symmetrisation
-(group average) is provided and is idempotent.
+|orbit(a)| * |orbit(b)| monomial products.
 
 ``staircase_decompose`` writes an arbitrary Laurent monomial s^q in any
 number r of variables over the invariant subring with respect to the
@@ -220,10 +219,6 @@ class LaurentPoly(_TermPoly):
         perm = list(range(self.r))
         perm[i], perm[j] = perm[j], perm[i]
         return self.permuted(tuple(perm))
-
-    def is_symmetric(self) -> bool:
-        # adjacent transpositions generate S_r
-        return all(self.swap(i, i + 1) == self for i in range(self.r - 1))
 
     def divexact_diff(self, i: int, j: int) -> "LaurentPoly":
         """Exact quotient by (x_i - x_j); raises if the division is inexact.

@@ -322,6 +322,35 @@ def test_json_path_must_be_a_regular_file(tmp_path):
     assert proc.stderr.splitlines() == [f"error: input path {str(fifo)!r} is not a regular file"]
 
 
+# argv before the JSON value, one per flag that reads JSON
+JSON_FLAGS = [
+    ("norm-level", "--level", "2", "--extension"),
+    ("bc-gl1", "--extension"),
+    ("bc-gl2", "--lift", UNRAMIFIED_CUBIC, "--pair"),
+    ("bc-gl2", "--pair", PAIR, "--lift"),
+    ("kmap", "--map"),
+]
+
+
+@pytest.mark.parametrize("depth", [1_000, 100_000])
+@pytest.mark.parametrize("from_file", [False, True])
+@pytest.mark.parametrize("prefix", JSON_FLAGS)
+def test_deeply_nested_json_exits_2(capsys, tmp_path, prefix, from_file, depth):
+    # the decoder recurses once per nesting level; how deep it gets before
+    # refusing depends on the Python version, but it never ends in a traceback
+    value = '{"q": ' + "[" * depth + "]" * depth + "}"
+    if from_file:
+        path = tmp_path / "deep.json"
+        path.write_text(value)
+        value = str(path)
+    code, out, err = run(capsys, *prefix, value)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if depth == 100_000:
+        assert err == "error: input JSON is nested too deeply\n"
+
+
 def test_norm_level(capsys):
     code, payload, _ = run_json(
         capsys, "norm-level", "--extension", TAME_QUADRATIC, "--level", "6"

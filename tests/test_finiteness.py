@@ -7,8 +7,8 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from pathlib import Path
-from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -19,21 +19,40 @@ from basechange.finiteness import (
     MAX_POWER,
     MAX_RANK,
     WindowTooSmall,
-    _solve_exact,
     candidate_generators,
     constructive_reduction,
-    expand_expression,
     finiteness_certificate,
     linear_reduction,
     sorted_tuples,
 )
-from basechange.laurent import InvariantLaurentPoly, sort_class, staircase_decompose
+from basechange.laurent import (
+    InvariantLaurentPoly,
+    _orbit_sum_product,
+    sort_class,
+    staircase_decompose,
+)
+
+
+def expand_expression(r: int, expr) -> InvariantLaurentPoly:
+    """sum_j b_j * m_gamma_j, multiplied out with InvariantLaurentPoly.__mul__."""
+    total = InvariantLaurentPoly.zero(r)
+    for gamma, coeff in expr.items():
+        total = total + coeff * InvariantLaurentPoly.orbit_sum(gamma)
+    return total
+
+
+def restricted_weights(r: int, f: int) -> list[tuple[int, ...]]:
+    """The f-restricted weights, lam_i - lam_(i+1) < f and 0 <= lam_r < f, sorted:
+    the sums from the right of the vectors a in [0, f)^r."""
+    return sorted(tuple(sum(a[i:]) for i in range(r)) for a in product(range(f), repeat=r))
 
 
 def test_sorted_tuples_enumeration():
     assert list(sorted_tuples(2, 0, 1)) == [(1, 1), (1, 0), (0, 0)]
-    assert list(sorted_tuples(2, -1, 1, total=0)) == [(1, -1), (0, 0)]
-    assert all(sum(t) == 3 for t in sorted_tuples(3, -2, 4, total=3))
+    assert list(sorted_tuples(3, -1, 1)) == [
+        (1, 1, 1), (1, 1, 0), (1, 1, -1), (1, 0, 0), (1, 0, -1),
+        (1, -1, -1), (0, 0, 0), (0, 0, -1), (0, -1, -1), (-1, -1, -1),
+    ]
 
 
 def test_candidates_include_remainder_classes_and_inverse_product():
@@ -145,102 +164,30 @@ def test_parameter_validation():
         finiteness_certificate(2, 2, 0)
 
 
-# -- the sparse exact solver against a dense reference --------------------
+# -- the triangular reduction ---------------------------------------------
 
 
-def dense_reference(
-    matrix: list[list[Fraction]], rhs: list[Fraction], n: int
-) -> tuple[Optional[list[Fraction]], list[int]]:
-    """Dense Fraction Gauss-Jordan with columns pivoted in order and free
-    variables set to 0: the solution (or None) and the pivot columns."""
-    m = len(matrix)
-    mat = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    pivot_cols: list[int] = []
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, m) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [x * inv for x in mat[row]]
-        for i in range(m):
-            if i != row and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[row])]
-        pivot_cols.append(col)
-        row += 1
-        if row == m:
-            break
-    if any(mat[i][n] != 0 for i in range(row, m)):
-        return None, pivot_cols
-    solution = [Fraction(0)] * n
-    for i, col in enumerate(pivot_cols):
-        solution[col] = mat[i][n]
-    return solution, pivot_cols
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_restricted_times_pullback_is_triangular(data):
+    # m_lam0 * m_(f*mu) = m_(lam0 + f*mu) + lower classes of the same degree,
+    # for every restricted lam0 and every dominant mu, the last entry negative too
+    r, f = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    f_mu = tuple(f * x for x in sort_class(data.draw(st.tuples(*[st.integers(-3, 3)] * r))))
+    for lam0 in restricted_weights(r, f):
+        top = tuple(x + y for x, y in zip(lam0, f_mu))
+        terms = dict(_orbit_sum_product(f_mu, lam0))
+        assert terms.pop(top) == 1
+        assert all(cls < top and sum(cls) == sum(top) for cls in terms)
 
 
-def as_columns(matrix, rhs, n):
-    """Row i of the system becomes the univariate class (i,)."""
-    columns = [
-        InvariantLaurentPoly(1, {(i,): row[j] for i, row in enumerate(matrix)}) for j in range(n)
-    ]
-    return columns, InvariantLaurentPoly(1, {(i,): b for i, b in enumerate(rhs)})
-
-
-entries = st.one_of(
-    st.just(0), st.just(0), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3)
-).map(Fraction)
-
-
-@st.composite
-def linear_systems(draw):
-    """Small systems: sparse entries, columns that repeat combinations of
-    earlier ones (rank deficiency), and consistent or arbitrary targets."""
-    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
-    cols: list[list[Fraction]] = []
-    for _ in range(n):
-        if cols and draw(st.booleans()):
-            weights = draw(st.lists(st.integers(-2, 2), min_size=len(cols), max_size=len(cols)))
-            cols.append([sum(w * c[i] for w, c in zip(weights, cols)) for i in range(m)])
-        else:
-            cols.append(draw(st.lists(entries, min_size=m, max_size=m)))
-    if cols and draw(st.booleans()):
-        weights = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
-        rhs = [sum(w * c[i] for w, c in zip(weights, cols)) for i in range(m)]
-    else:
-        rhs = draw(st.lists(entries, min_size=m, max_size=m))
-    return [[cols[j][i] for j in range(n)] for i in range(m)], rhs, n
-
-
-@given(linear_systems())
-@settings(max_examples=300)
-def test_sparse_solver_matches_dense_reference(system):
-    matrix, rhs, n = system
-    columns, target = as_columns(matrix, rhs, n)
-    expected, pivot_cols = dense_reference(matrix, rhs, n)
-    got = _solve_exact(columns, target)
-    assert (got is None) == (expected is None)
-    if got is None:
-        return
-    assert len(got) == n
-    for row, b in zip(matrix, rhs):
-        assert sum(a * x for a, x in zip(row, got)) == b
-    # a column in the span of the earlier ones is free, so its variable is 0
-    for j in range(n):
-        if j not in pivot_cols:
-            assert got[j] == 0
-    assert got == expected
-
-
-def test_sparse_solver_edge_cases():
-    zero = InvariantLaurentPoly.zero(1)
-    assert _solve_exact([], zero) == []
-    assert _solve_exact([zero, zero], zero) == [0, 0]
-    assert _solve_exact([], InvariantLaurentPoly.orbit_sum((1,))) is None
-    assert _solve_exact([zero], InvariantLaurentPoly.orbit_sum((1,))) is None
-    t = InvariantLaurentPoly.orbit_sum((1,))
-    assert _solve_exact([t, t.scale(2)], t.scale(Fraction(1, 3))) == [Fraction(1, 3), 0]
+@pytest.mark.parametrize("r, f, window", [(2, 2, 6), (3, 2, 6), (2, 4, 10), (3, 4, 10)])
+def test_triangular_reduction_matches_the_staircase_path(r, f, window):
+    # the stored reductions come from constructive_reduction over the staircase
+    # (all but the fallback targets); over a basis both paths give the one expression
+    cert = finiteness_certificate(r, f, window)
+    for lam, expr in cert.reductions.items():
+        assert linear_reduction(lam, cert.generators, f, cert.coefficient_window) == expr
 
 
 # -- pinned output and the rank oracle ------------------------------------
@@ -308,9 +255,11 @@ def test_fallback_certificate_output_is_pinned(r, f, window, fallbacks, digest):
     "r, f", [(r, f) for r in range(1, MAX_RANK + 1) for f in range(1, MAX_POWER + 1)]
 )
 def test_generators_have_freeness_rank(r, f):
-    # A = Q[t^+-1]^{S_r} is free of rank f**r over its image B under t -> t^f
+    # A = Q[t^+-1]^{S_r} is free of rank f**r over its image B under t -> t^f,
+    # with the restricted weights as a basis
     cert = finiteness_certificate(r, f, 2 * f + 2)
     assert len(cert.generators) == f**r
+    assert sorted(cert.generators) == restricted_weights(r, f)
 
 
 @pytest.mark.parametrize(
