@@ -5,7 +5,8 @@ Every subcommand takes --format {text|json} and --output FILE; JSON
 output carries a top-level schema_version, exact rationals are rendered
 as "p/q" strings, and ordering is deterministic everywhere so output is
 diffable.  JSON is written in parts as the renderer walks the payload,
-never as one document-sized string.
+never as one document-sized string; the dense rows of a K-theory matrix
+are written from its nonzero cells, not read entry by entry.
 
 Exit codes: 0 success, 2 invalid input, 3 out-of-scope mathematics,
 4 finiteness window failure.
@@ -23,8 +24,9 @@ import json
 import stat
 import sys
 from fractions import Fraction
-from itertools import compress
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -32,7 +34,7 @@ from .extquot import extended_quotient
 from .finiteness import WindowTooSmall, finiteness_certificate
 from .gl1 import MAX_CIRCLES, TemperedDualGL1, bc_gl1, circle_map
 from .gl2 import AdmissiblePair, EvenDegree, NotUnramified, OutOfScope, bc_gl2
-from .ktheory import CircleSpace, ProperCircleMap, induced_map
+from .ktheory import CircleSpace, DenseRows, ProperCircleMap, induced_map
 from .localfield import (
     MAX_RATIONAL_DIGITS,
     ExtensionData,
@@ -126,10 +128,10 @@ def _render(value, parts: list, memo: dict, indent: str = "\n") -> bool:
     level copies its children's text.  A leaf dict, each value one part, is
     joined into one part kept in memo by (id, indent), so an object the
     payload repeats is rendered once; the payload keeps it alive, so no id
-    is reused while memo lives.  A list of plain ints, the bulk of a
-    K-theory matrix, is one part made by int.__repr__, its zeros a run at a
-    time when at least half are zero; bool is an int subclass and
-    False == 0.0 == 0, hence the exact type test.
+    is reused while memo lives.  A list of plain ints is one part made by
+    int.__repr__; bool is an int subclass and False == 0.0 == 0, hence the
+    exact type test.  The rows of a K-theory matrix, a DenseRows, are
+    written from its cells by _render_dense.
     """
     if isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
@@ -156,6 +158,9 @@ def _render(value, parts: list, memo: dict, indent: str = "\n") -> bool:
                 memo[key] = parts[start] = "".join(parts[start:])
                 del parts[start + 1 :]
             return False
+        if type(value) is DenseRows:
+            _render_dense(value, parts, memo, indent)
+            return False
         if set(map(type, value)) != {int}:
             glue = "[" + inner
             for v in value:
@@ -164,21 +169,42 @@ def _render(value, parts: list, memo: dict, indent: str = "\n") -> bool:
                 _render(v, parts, memo, inner)
             parts.append(indent + "]")
             return False
-        body = _zero_runs(value, sep) if 2 * value.count(0) >= len(value) else sep.join(map(int.__repr__, value))
-        parts.append("[" + inner + body + indent + "]")
+        parts.append("[" + inner + sep.join(map(int.__repr__, value)) + indent + "]")
     return True
 
 
-def _zero_runs(ints: list, sep: str) -> str:
-    """sep.join(map(int.__repr__, ints)), each run of zeros made by one multiplication."""
-    zero = "0" + sep
-    parts = []
-    start = 0
-    for k in compress(range(len(ints)), ints):
-        parts += (zero * (k - start), int.__repr__(ints[k]), sep)
-        start = k + 1
-    parts.append(zero * (len(ints) - start))
-    return "".join(parts)[: -len(sep)]
+def _render_dense(rows: DenseRows, parts: list, memo: dict, indent: str) -> None:
+    """Append the text of a nonempty DenseRows, each row spliced from one all-zero row.
+
+    memo keeps the all-zero row per (column count, indent).  A row without
+    cells is that string again; in a row with cells, the zero of column j
+    at len("[" + row_indent) + j * len("0," + row_indent) is replaced by
+    the cell's value.  The cells come in strictly increasing (row, col)
+    order, so one pass over them cuts each row left to right.
+    """
+    inner = indent + "  "
+    row_indent = inner + "  "
+    key = ("zero row", rows.cols, inner)
+    zero = memo.get(key)
+    if zero is None:
+        body = ("," + row_indent).join("0" * rows.cols)
+        zero = memo[key] = "[" + row_indent + body + inner + "]" if rows.cols else "[]"
+    sep = "," + inner
+    first, start, step = len(parts), len("[" + row_indent), len("0," + row_indent)
+    done = 0
+    for i, cells in groupby(rows.cells, itemgetter(0)):
+        pieces, cut = [], 0
+        for _, j, value in cells:
+            at = start + j * step
+            pieces += (zero[cut:at], int.__repr__(value))
+            cut = at + 1
+        pieces.append(zero[cut:])
+        parts += (sep, zero) * (i - done)
+        parts += (sep, "".join(pieces))
+        done = i + 1
+    parts += (sep, zero) * (len(rows) - done)
+    parts[first] = "[" + inner
+    parts.append(indent + "]")
 
 
 def _emit(args, payload: dict, lines: list[str]) -> int:

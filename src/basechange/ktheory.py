@@ -152,9 +152,26 @@ class KMorphism:
         return {
             "rows": [l if isinstance(l, (str, int)) else str(l) for l in self.row_labels],
             "cols": [l if isinstance(l, (str, int)) else str(l) for l in self.col_labels],
-            "entries": self._dense_rows(),
+            "entries": DenseRows(self._dense_rows(), len(self.col_labels), self.cells),
             "triplets": [list(cell) for cell in self.cells],
         }
+
+
+class DenseRows(list):
+    """The dense rows of a KMorphism, a plain list to ==, json.dumps and any reader.
+
+    It also keeps the column count and the cells the rows were filled
+    from, in strictly increasing (row, col) order, so cli._render writes
+    each row as an all-zero row with those cells spliced in instead of
+    reading every entry.  The rows must not be changed after it is made.
+    """
+
+    __slots__ = ("cols", "cells")
+
+    def __init__(self, rows: list[list[int]], cols: int, cells: tuple[tuple[int, int, int], ...]):
+        super().__init__(rows)
+        self.cols = cols
+        self.cells = cells
 
 
 def induced_map(m: ProperCircleMap) -> tuple[KMorphism, KMorphism]:

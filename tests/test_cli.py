@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from basechange import cli
 from basechange.cli import COMMANDS, _render, build_parser, main
 from basechange.gl1 import MAX_CIRCLES
+from basechange.ktheory import DenseRows, induced_map
+from test_ktheory import _grids, from_grid, proper_maps
 
 UNRAMIFIED_CUBIC = '{"q": 3, "p": 3, "e": 1, "f": 3, "galois": true, "cyclic": true, "filtration_orders": []}'
 TAME_QUADRATIC = '{"q": 3, "p": 3, "e": 2, "f": 1, "galois": true, "cyclic": true, "filtration_orders": [2]}'
@@ -797,8 +799,8 @@ _ints = st.integers(-(2**80), 2**80)
 def _after_zero_runs(values):
     """Lists of up to 78 entries, each value after a run of 0 to 12 zeros.
 
-    They lie around and above half zeros, so they take the zero-run path,
-    and cost a dozen draws where drawing each entry would cost up to 80.
+    They are mostly zeros, as a dense K-theory row is, and cost a dozen
+    draws where drawing each entry would cost up to 80.
     """
     pairs = st.lists(st.tuples(st.integers(0, 12), values), min_size=1, max_size=6)
     return pairs.map(lambda pairs: [x for run, v in pairs for x in [0] * run + [v]])
@@ -848,3 +850,21 @@ INTS = [0, 0, 0, 5, 0]
 @example([0, -0.0, 0])
 def test_render_matches_json_dumps(obj):
     assert _rendered(obj) == json.dumps(obj, indent=2)
+
+
+def _grid_map(grid):
+    cols = len(grid[0]) if grid else 0
+    return from_grid(tuple(f"r{i}" for i in range(len(grid))), tuple(f"c{j}" for j in range(cols)), grid)
+
+
+# several cells a row, negative values, 0 x n and n x 0 shapes
+_kmorphisms = _grids.map(_grid_map) | proper_maps().flatmap(lambda m: st.sampled_from(induced_map(m)))
+
+
+@given(_kmorphisms)
+@example(_grid_map([[-7] + [0] * 9 + [2**70, 3], [0] * 12, [0] * 11 + [1]]))
+def test_render_writes_k_matrices_from_their_cells(k):
+    x = k.to_json()
+    assert type(x["entries"]) is DenseRows
+    assert _rendered(x) == json.dumps(x, indent=2)
+    assert _rendered(_placements(x)) == json.dumps(_placements(x), indent=2)
