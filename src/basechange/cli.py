@@ -4,9 +4,10 @@ Subcommands: extquot, psi, norm-level, bc-gl1, bc-gl2, kmap, finiteness.
 Every subcommand takes --format {text|json} and --output FILE; JSON
 output carries a top-level schema_version, exact rationals are rendered
 as "p/q" strings, and ordering is deterministic everywhere so output is
-diffable.  JSON is written in parts as the renderer walks the payload,
-never as one document-sized string; the dense rows of a K-theory matrix
-are written from its nonzero cells, not read entry by entry.
+diffable.  JSON goes to its destination while the renderer walks the
+payload, a few thousand parts at a time, never as one document-sized
+string; the dense rows of a K-theory matrix are written from its nonzero
+cells, which is all the payload holds of it.
 
 Exit codes: 0 success, 2 invalid input, 3 out-of-scope mathematics,
 4 finiteness window failure.
@@ -23,6 +24,7 @@ import argparse
 import json
 import stat
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
@@ -60,6 +62,9 @@ SCOPE_ERRORS = (UnsupportedExtension, OutOfScope, NotUnramified, EvenDegree)
 # kmap's dense output is quadratic in its label lists; allow the largest
 # matrix bc-gl1 can reach under its own circle cap.
 MAX_KMAP_CELLS = MAX_CIRCLES**2
+
+# parts the renderer holds before it writes them out and starts again
+FLUSH_PARTS = 4096
 
 
 def format_rational(x: Fraction) -> str:
@@ -121,22 +126,28 @@ def _parse_orders(text: str) -> RamificationFiltration:
     return RamificationFiltration(orders)
 
 
-def _render(value, parts: list, memo: dict, indent: str = "\n") -> bool:
-    """Append the text of json.dumps(value, indent=2) to parts; true if it took one leaf part.
+def _render(value, parts: list, memo: dict, write, indent: str = "\n") -> bool:
+    """Render json.dumps(value, indent=2) into parts and write; true if it took one leaf part.
 
-    indent is the newline and spaces that open this value's line, and no
-    level copies its children's text.  A leaf dict, each value one part, is
-    joined into one part kept in memo by (id, indent), so an object the
-    payload repeats is rendered once; the payload keeps it alive, so no id
-    is reused while memo lives.  A list of plain ints is one part made by
-    int.__repr__; bool is an int subclass and False == 0.0 == 0, hence the
-    exact type test.  The rows of a K-theory matrix, a DenseRows, are
-    written from its cells by _render_dense.
+    The text goes into parts.  A non-leaf list passes parts to write and
+    empties it once it holds more than FLUSH_PARTS, as _render_dense does
+    after each row with a cell; what is left in parts at the end follows
+    what write was given.  indent is the newline and spaces that open
+    this value's line, and no level copies its children's text.  A
+    leaf dict, each value one part, is joined into one part kept in memo
+    by (id, indent), so an object the payload repeats is rendered once;
+    the payload keeps it alive, so no id is reused while memo lives.  The
+    join never spans a write, as a dict with a non-leaf child is never
+    joined.  A list of plain ints is one part made by int.__repr__; bool
+    is an int subclass and False == 0.0 == 0, hence the exact type test.
     """
     if isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
     elif type(value) is int:
         parts.append(int.__repr__(value))
+    elif type(value) is DenseRows:
+        _render_dense(value, parts, memo, write, indent)
+        return False
     elif not isinstance(value, (list, tuple, dict)) or not value:
         parts.append(json.dumps(value))
     else:
@@ -152,36 +163,41 @@ def _render(value, parts: list, memo: dict, indent: str = "\n") -> bool:
             for k, v in value.items():
                 parts.append(glue + encode_basestring_ascii(k) + ": ")
                 glue = sep
-                leaf &= _render(v, parts, memo, inner)
+                leaf &= _render(v, parts, memo, write, inner)
             parts.append(indent + "}")
             if leaf:
                 memo[key] = parts[start] = "".join(parts[start:])
                 del parts[start + 1 :]
-            return False
-        if type(value) is DenseRows:
-            _render_dense(value, parts, memo, indent)
             return False
         if set(map(type, value)) != {int}:
             glue = "[" + inner
             for v in value:
                 parts.append(glue)
                 glue = sep
-                _render(v, parts, memo, inner)
+                _render(v, parts, memo, write, inner)
+                if len(parts) > FLUSH_PARTS:
+                    write(parts)
+                    parts.clear()
             parts.append(indent + "]")
             return False
         parts.append("[" + inner + sep.join(map(int.__repr__, value)) + indent + "]")
     return True
 
 
-def _render_dense(rows: DenseRows, parts: list, memo: dict, indent: str) -> None:
-    """Append the text of a nonempty DenseRows, each row spliced from one all-zero row.
+def _render_dense(rows: DenseRows, parts: list, memo: dict, write, indent: str) -> None:
+    """Render a DenseRows into parts and write, each row spliced from one all-zero row.
 
     memo keeps the all-zero row per (column count, indent).  A row without
-    cells is that string again; in a row with cells, the zero of column j
-    at len("[" + row_indent) + j * len("0," + row_indent) is replaced by
-    the cell's value.  The cells come in strictly increasing (row, col)
-    order, so one pass over them cuts each row left to right.
+    cells is that string again; a row with cells is written as the pieces
+    of that string around its values, with the zero of column j at
+    len("[" + row_indent) + j * len("0," + row_indent) left out, and no
+    row is joined.  The cells come in strictly increasing (row, col)
+    order, so one pass over them cuts each row left to right.  Each row is
+    followed by a separator, and the last one becomes the closing bracket.
     """
+    if not rows.rows:
+        parts.append("[]")
+        return
     inner = indent + "  "
     row_indent = inner + "  "
     key = ("zero row", rows.cols, inner)
@@ -190,36 +206,35 @@ def _render_dense(rows: DenseRows, parts: list, memo: dict, indent: str) -> None
         body = ("," + row_indent).join("0" * rows.cols)
         zero = memo[key] = "[" + row_indent + body + inner + "]" if rows.cols else "[]"
     sep = "," + inner
-    first, start, step = len(parts), len("[" + row_indent), len("0," + row_indent)
+    start, step = len("[" + row_indent), len("0," + row_indent)
+    parts.append("[" + inner)
     done = 0
     for i, cells in groupby(rows.cells, itemgetter(0)):
-        pieces, cut = [], 0
+        parts += (zero, sep) * (i - done)
+        cut = 0
         for _, j, value in cells:
             at = start + j * step
-            pieces += (zero[cut:at], int.__repr__(value))
+            parts += (zero[cut:at], int.__repr__(value))
             cut = at + 1
-        pieces.append(zero[cut:])
-        parts += (sep, zero) * (i - done)
-        parts += (sep, "".join(pieces))
+        parts.append(zero[cut:])
+        write(parts)
+        parts.clear()
+        parts.append(sep)
         done = i + 1
-    parts += (sep, zero) * (len(rows) - done)
-    parts[first] = "[" + inner
-    parts.append(indent + "]")
+    parts += (zero, sep) * (rows.rows - done)
+    parts[-1] = indent + "]"
 
 
 def _emit(args, payload: dict, lines: list[str]) -> int:
-    """Write the payload (JSON, schema_version first, in parts) or the text lines."""
-    if args.format == "json":
-        parts = []
-        _render({"schema_version": SCHEMA_VERSION, **payload}, parts, {})
-    else:
-        parts = ["\n".join(lines)]
-    parts.append("\n")
-    if args.output:
-        with open(args.output, "w") as out:
-            out.writelines(parts)
-    else:
-        sys.stdout.writelines(parts)
+    """Write the payload (JSON, schema_version first, as it renders) or the text lines."""
+    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
+        if args.format == "json":
+            parts = []
+            _render({"schema_version": SCHEMA_VERSION, **payload}, parts, {}, out.writelines)
+        else:
+            parts = ["\n".join(lines)]
+        parts.append("\n")
+        out.writelines(parts)
     return EXIT_OK
 
 
@@ -327,8 +342,9 @@ def cmd_kmap(args) -> int:
     matches = tuple(_match(m) for m in matches)
     k0, k1 = induced_map(ProperCircleMap(source, target, matches))
     lines = []
-    for name, k in (("K0", k0), ("K1", k1)):
-        lines += [f"{name}:"] + ["  " + " ".join(str(v) for v in row) for row in k.entries]
+    if args.format == "text":  # JSON rows come from the cells, not from entries
+        for name, k in (("K0", k0), ("K1", k1)):
+            lines += [f"{name}:"] + ["  " + " ".join(str(v) for v in row) for row in k.entries]
     return _emit(args, {"k0": k0.to_json(), "k1": k1.to_json()}, lines)
 
 

@@ -114,9 +114,9 @@ def labels_with_conductor(field: LocalFieldData, c: int) -> int:
 
 
 # Most circles TemperedDualGL1.enumerate builds.  KMorphism stores only its
-# nonzero cells, but the schema-1 JSON writes each K-theory matrix densely,
-# so output grows with the square of the count: 1,458 circles (q=3, M=7)
-# already render 47 MB of JSON.
+# nonzero cells and the CLI streams the JSON, so memory stays small, but
+# schema 1 writes each K-theory matrix densely and output grows with the
+# square of the count: 1,458 circles (q=3, M=7) write 47 MB of JSON.
 MAX_CIRCLES = 2000
 
 

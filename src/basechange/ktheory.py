@@ -123,15 +123,9 @@ class KMorphism:
                 raise ValueError("cells must be in strictly increasing (row, col) order")
             last = (i, j)
 
-    def _dense_rows(self) -> list[list[int]]:
-        rows = [[0] * len(self.col_labels) for _ in self.row_labels]
-        for i, j, value in self.cells:
-            rows[i][j] = value
-        return rows
-
     @cached_property
     def entries(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self._dense_rows()))
+        return tuple(map(tuple, DenseRows(len(self.row_labels), len(self.col_labels), self.cells)))
 
     def matmul(self, other: "KMorphism") -> "KMorphism":
         """Composite along a chain of spaces: rows stay, columns extend."""
@@ -148,30 +142,37 @@ class KMorphism:
         return KMorphism(self.row_labels, other.col_labels, cells)
 
     def to_json(self) -> dict:
-        """Schema 1: the dense entries rows and the triplets, both from the cells."""
+        """Schema 1: the dense entries, as a DenseRows over the cells, and the triplets."""
         return {
             "rows": [l if isinstance(l, (str, int)) else str(l) for l in self.row_labels],
             "cols": [l if isinstance(l, (str, int)) else str(l) for l in self.col_labels],
-            "entries": DenseRows(self._dense_rows(), len(self.col_labels), self.cells),
+            "entries": DenseRows(len(self.row_labels), len(self.col_labels), self.cells),
             "triplets": [list(cell) for cell in self.cells],
         }
 
 
-class DenseRows(list):
-    """The dense rows of a KMorphism, a plain list to ==, json.dumps and any reader.
+class DenseRows:
+    """The dense rows of a matrix, held only as its shape and its nonzero cells.
 
-    It also keeps the column count and the cells the rows were filled
-    from, in strictly increasing (row, col) order, so cli._render writes
-    each row as an all-zero row with those cells spliced in instead of
-    reading every entry.  The rows must not be changed after it is made.
+    Iterating yields each row as a new list of ints, so list(rows) or
+    json.dumps(payload, default=list) give the plain rows; cli._render
+    writes each row as an all-zero row with its cells spliced in, and no
+    dense copy is ever built for it.  The cells are (row, col, value) in
+    strictly increasing (row, col) order, as KMorphism keeps them.
     """
 
-    __slots__ = ("cols", "cells")
+    __slots__ = ("rows", "cols", "cells")
 
-    def __init__(self, rows: list[list[int]], cols: int, cells: tuple[tuple[int, int, int], ...]):
-        super().__init__(rows)
+    def __init__(self, rows: int, cols: int, cells: tuple[tuple[int, int, int], ...]):
+        self.rows = rows
         self.cols = cols
         self.cells = cells
+
+    def __iter__(self):
+        dense = [[0] * self.cols for _ in range(self.rows)]
+        for i, j, value in self.cells:
+            dense[i][j] = value
+        return iter(dense)
 
 
 def induced_map(m: ProperCircleMap) -> tuple[KMorphism, KMorphism]:

@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from basechange import cli
 from basechange.cli import COMMANDS, _render, build_parser, main
 from basechange.gl1 import MAX_CIRCLES
-from basechange.ktheory import DenseRows, induced_map
+from basechange.ktheory import DenseRows, KMorphism, induced_map
 from test_ktheory import _grids, from_grid, proper_maps
 
 UNRAMIFIED_CUBIC = '{"q": 3, "p": 3, "e": 1, "f": 3, "galois": true, "cyclic": true, "filtration_orders": []}'
@@ -682,25 +683,42 @@ def test_output_file_matches_stdout_for_large_json(tmp_path, capsys, argv, diges
     assert out.read_bytes() == stdout.encode()
 
 
-def test_emit_memory_stays_near_the_output_size(tmp_path, monkeypatch):
-    # the parts share the payload's leaf text and no level copies its
-    # children, so rendering needs little beyond the text it writes
-    calls = []
-    monkeypatch.setattr(cli, "_emit", lambda *call: calls.append(call) or 0)
-    ext = UNRAMIFIED_CUBIC.replace('"f": 3', '"f": 2')
-    out = tmp_path / "bc.json"
-    assert main(["bc-gl1", "--extension", ext, "--max-conductor", "6", "--format", "json",
-                 "--output", str(out)]) == 0
-    monkeypatch.undo()
-    (call,) = calls
+UNRAMIFIED_QUADRATIC = UNRAMIFIED_CUBIC.replace('"f": 3', '"f": 2')
+
+
+def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
-        assert cli._emit(*call) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_emit_memory_stays_near_the_output_size(tmp_path, monkeypatch):
+    # the text goes out a few thousand parts at a time and the K-matrix
+    # rows come from their cells, so rendering holds little of what it
+    # writes (about 0.1x here)
+    calls = []
+    monkeypatch.setattr(cli, "_emit", lambda *call: calls.append(call) or 0)
+    out = tmp_path / "bc.json"
+    assert main(["bc-gl1", "--extension", UNRAMIFIED_QUADRATIC, "--max-conductor", "6",
+                 "--format", "json", "--output", str(out)]) == 0
+    monkeypatch.undo()
+    (call,) = calls
+    peak = _traced_peak(lambda: cli._emit(*call))
     assert len(call[1]["dual"]["circles"]) == 486
-    assert peak < 1.5 * out.stat().st_size
+    assert peak < 0.25 * out.stat().st_size
+
+
+def test_bc_gl1_memory_stays_below_its_dense_matrices(tmp_path):
+    # the whole request reads about 0.3x of its output; a dense copy of
+    # each 486 x 486 K-matrix in to_json would add about 0.35x apiece
+    out = tmp_path / "bc.json"
+    argv = ["bc-gl1", "--extension", UNRAMIFIED_QUADRATIC, "--max-conductor", "6",
+            "--format", "json", "--output", str(out)]
+    peak = _traced_peak(lambda: main(argv))
+    assert peak < 0.5 * out.stat().st_size
 
 
 P3_PAIR = PAIR.replace('"q": 5, "p": 5', '"q": 3, "p": 3')
@@ -828,10 +846,15 @@ def _placements(x):
     return [x, [x, x], {"a": x, "b": {"c": [x], "d": x}}, {"leaf": x, "tree": {"in": x, "list": [[1]]}}]
 
 
+def _streamed(obj) -> tuple[str, int]:
+    """The rendered text of obj and the number of writes it took."""
+    written, parts = [], []
+    _render(obj, parts, {}, lambda chunk: written.append("".join(chunk)))
+    return "".join(written + parts), len(written)
+
+
 def _rendered(obj) -> str:
-    parts = []
-    _render(obj, parts, {})
-    return "".join(parts)
+    return _streamed(obj)[0]
 
 
 LEAF = {"exponents": [1, -2], "value": "1/2"}
@@ -866,5 +889,46 @@ _kmorphisms = _grids.map(_grid_map) | proper_maps().flatmap(lambda m: st.sampled
 def test_render_writes_k_matrices_from_their_cells(k):
     x = k.to_json()
     assert type(x["entries"]) is DenseRows
-    assert _rendered(x) == json.dumps(x, indent=2)
-    assert _rendered(_placements(x)) == json.dumps(_placements(x), indent=2)
+    assert list(x["entries"]) == [list(row) for row in k.entries]
+    assert _rendered(x) == json.dumps(x, indent=2, default=list)
+    assert _rendered(_placements(x)) == json.dumps(_placements(x), indent=2, default=list)
+    with patch.object(cli, "FLUSH_PARTS", 1):
+        assert _rendered(_placements(x)) == json.dumps(_placements(x), indent=2, default=list)
+
+
+# K-matrices with empty leading and trailing rows, 0 x n, n x 0 and 0 x 0
+EDGE_MATRICES = [
+    _grid_map([[0, 0, 0], [0, 0, 0], [0, 5, 0], [-1, 0, 2**70], [0, 0, 0]]),
+    _grid_map([[0, 0], [0, 0]]),
+    _grid_map([[], [], []]),
+    _grid_map([]),
+    KMorphism((), ("c0", "c1"), ()),
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["finiteness", "--r", "2", "--f", "2", "--window", "8", "--verify"],
+        ["bc-gl1", "--extension", UNRAMIFIED_QUADRATIC, "--max-conductor", "3"],
+        ["kmap", "--map", json.dumps({"source": ["a", "b", "c", "d"], "target": ["x", "y"],
+                                      "matches": [{"from": "b", "to": "y", "degree": 3}]})],
+    ],
+)
+def test_json_streamed_a_part_at_a_time_is_unchanged(monkeypatch, tmp_path, capsys, argv):
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_emit", lambda *call: calls.append(call) or 0)
+        assert main([*argv, "--format", "json"]) == 0
+    payload = {"schema_version": cli.SCHEMA_VERSION, **calls[0][1]}
+    expected = json.dumps(payload, indent=2, default=list)
+    monkeypatch.setattr(cli, "FLUSH_PARTS", 1)
+    text, writes = _streamed(payload)
+    assert text == expected and writes > 1
+    for x in [payload] + [k.to_json() for k in EDGE_MATRICES]:
+        assert _rendered(_placements(x)) == json.dumps(_placements(x), indent=2, default=list)
+    code, stdout, _ = run(capsys, *argv, "--format", "json")
+    assert (code, stdout) == (0, expected + "\n")
+    out = tmp_path / "out.json"
+    assert run(capsys, *argv, "--format", "json", "--output", str(out)) == (0, "", "")
+    assert out.read_text() == stdout
