@@ -8,11 +8,6 @@ the freeness basis: the invariant ring is free of rank f**r over the
 image of t -> t^f, with the f-restricted weights (lam_i - lam_(i+1) < f,
 0 <= lam_r < f) as a basis, so it reads ``ok`` only when a certificate
 keeps exactly those f**r generators.
-The ``stairs`` column counts the staircase expansions the build made
-(cache misses of ``staircase_decompose``, cleared before each case), at
-most one per class of targets modulo (f, ..., f).  The ``fallbacks``
-column counts the targets whose constructive reduction left the window
-and went to the linear fallback.
 Use --max-r / --max-f to restrict, --window to override the window;
 values past the certificate caps are refused with exit code 2.  A case
 whose window holds too many targets prints the reason in its row.
@@ -23,7 +18,6 @@ import time
 from itertools import product
 
 from basechange.finiteness import MAX_POWER, MAX_RANK, WindowTooSmall, finiteness_certificate
-from basechange.laurent import staircase_decompose
 
 
 def main():
@@ -40,11 +34,10 @@ def main():
         parser.error("--window must be >= 1")
 
     print(f"{'r':>2} {'f':>2} {'window':>6} {'gens':>5} {'rank':>5} {'targets':>7} "
-          f"{'stairs':>6} {'fallbacks':>9} {'maxcoef':>7} {'verified':>8} {'seconds':>8}")
+          f"{'maxcoef':>7} {'verified':>8} {'seconds':>8}")
     for r in range(1, args.max_r + 1):
         for f in range(1, args.max_f + 1):
             window = args.window if args.window is not None else 2 * f + 2
-            staircase_decompose.cache_clear()
             start = time.perf_counter()
             try:
                 cert = finiteness_certificate(r, f, window)
@@ -57,14 +50,12 @@ def main():
                 continue
             verified = cert.verify()
             elapsed = time.perf_counter() - start
-            stairs = staircase_decompose.cache_info().misses
             # lam_i is the sum of a_i..a_r for a in [0, f)^r
             restricted = sorted(tuple(sum(a[i:]) for i in range(r))
                                 for a in product(range(f), repeat=r))
             rank = "ok" if sorted(cert.generators) == restricted else "no"
             print(f"{r:>2} {f:>2} {window:>6} {len(cert.generators):>5} {rank:>5} "
-                  f"{len(cert.reductions):>7} {stairs:>6} {len(cert.fallback_targets):>9} "
-                  f"{cert.max_coefficient_exponent():>7} "
+                  f"{len(cert.reductions):>7} {cert.max_coefficient_exponent():>7} "
                   f"{str(verified):>8} {elapsed:>8.2f}")
 
 

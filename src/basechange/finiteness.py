@@ -24,30 +24,26 @@ m_sort(a + f*c).  The inverse (t_1...t_r)^{-f} of the f-th power of the
 full product, which lies in B and shifts exponents into range, is
 carried along as a candidate and always reduces away.
 
-The per-monomial expressions come from the same free-basis argument run
-forwards (no search): decompose t^lam = s^q * t^a with s_i = t_i^f,
-expand s^q over the staircase via exact divided differences, and
-average.  Candidates that are redundant over the earlier ones are
-pruned, and the stored expressions are rewritten over the pruned set.
-Pruning and the linear fallback, for a target whose expression leaves
-the window, share one triangular reduction over the f-restricted
+Every expression comes from one triangular walk over the f-restricted
 weights (lam_i - lam_(i+1) < f, 0 <= lam_r < f), a B-basis of A
-(Steinberg, Nagoya Math. J. 22, 1963; see linear_reduction).  A window
-below r(f-1), the largest entry of a restricted weight, is refused with
-WindowTooSmall before anything is enumerated; a later window violation
-raises it with a suggested larger window.
+(Steinberg, Nagoya Math. J. 22, 1963; see linear_reduction), so each
+m_lam has exactly one; the same walk prunes the candidates down to the
+restricted weights.  A window below r(f-1), their largest entry, is
+refused with WindowTooSmall before anything is enumerated; a target
+whose expression leaves the window raises it with a larger window.
 
-Translation classes.  B contains the unit u = (t_1...t_r)^f, and
-multiplying by u^k adds f*k to every exponent.  Write 1 = (1, ..., 1).
-The staircase basis is free, so staircase_decompose(q + k*1) is
-staircase_decompose(q) with every coefficient times (s_1...s_r)^k.
-Pullback, the stabiliser ratio and the pruned substitution all commute
-with that product, so the reduction of m_(lam + f*k*1) is the reduction
-of m_lam with every coefficient translated by f*k.  The certificate
-therefore reduces one representative per class, the one whose last
-entry lies in [0, f), and translates it to the other members.  The
-window test, the linear fallback and verify still see each target's own
-expression.
+Translation classes.  B holds the unit u = (t_1...t_r)^f, and u^k adds
+f*k to every exponent.  That keeps the restricted part of a class and
+the order of classes of one degree, so the walk for m_(lam + f*k*1)
+with 1 = (1, ..., 1) is the walk for m_lam with every coefficient
+translated by f*k.  The certificate walks one representative per class,
+the one whose last entry lies in [0, f), and translates its expression
+to the other members; the window test and verify see each target's own.
+
+constructive_reduction runs the free-basis argument forwards instead
+(t^lam = s^q * t^a with s_i = t_i^f, s^q expanded over the staircase by
+exact divided differences, then averaged): the builder does not use it,
+it is the reference the tests compare the walk with.
 """
 
 from __future__ import annotations
@@ -120,7 +116,9 @@ def constructive_reduction(lam: ExponentVector, f: int) -> Expression:
 
     Exact and search-free; coefficients are invariant Laurent
     polynomials whose exponents are all multiples of f (the B-membership
-    witness).
+    witness).  The certificate builder does not call this; it is the
+    tests' staircase reference, kept here while the benchmark tracer
+    wraps it by name, and free to move to the tests after that.
     """
     r = len(lam)
     a = tuple(x % f for x in lam)
@@ -157,7 +155,8 @@ def linear_reduction(
     below, so each recorded coefficient is final: the result is the
     unique expression over the restricted basis, and None means that
     expression uses a class outside ``generators`` or a B-exponent beyond
-    coeff_bound.
+    coeff_bound.  The certificate builds every stored expression with
+    this walk, the pruned candidates' and the targets'.
     """
     r = len(target)
     available = set(generators)
@@ -188,9 +187,10 @@ def linear_reduction(
 class FinitenessCertificate:
     """Generators plus a complete in-window reduction table.
 
-    reductions[lam] expresses the orbit sum m_lam over ``generators``
-    with coefficients in the pullback subring; ``pruned`` records the
-    removed candidates with their own expressions, and
+    reductions[lam] expresses the orbit sum m_lam over ``generators``,
+    the f-restricted weights, with coefficients in the pullback subring;
+    it is the one such expression, from linear_reduction.  ``pruned``
+    records the removed candidates with their own expressions, and
     ``coefficient_window`` bounds every exponent appearing in any
     coefficient.
     """
@@ -203,6 +203,7 @@ class FinitenessCertificate:
     inverse_product: ExponentVector
     pruned: dict[ExponentVector, Expression]
     reductions: dict[ExponentVector, Expression]
+    # always empty; the benchmark's finiteness.fallback_targets counter reads it
     fallback_targets: list[ExponentVector] = field(default_factory=list)
 
     def verify(self) -> bool:
@@ -273,23 +274,6 @@ class FinitenessCertificate:
         }
 
 
-def _substitute_pruned(expr: Expression, pruned: dict[ExponentVector, Expression]) -> Expression:
-    out: Expression = {}
-
-    def add(gamma: ExponentVector, coeff: InvariantLaurentPoly):
-        acc = out.get(gamma)
-        out[gamma] = coeff if acc is None else acc + coeff
-
-    for gamma, coeff in expr.items():
-        replacement = pruned.get(gamma)
-        if replacement is None:
-            add(gamma, coeff)
-        else:
-            for inner_gamma, inner_coeff in replacement.items():
-                add(inner_gamma, coeff * inner_coeff)
-    return {g: b for g, b in out.items() if not b.is_zero()}
-
-
 def finiteness_certificate(r: int, f: int, window: int) -> FinitenessCertificate:
     """Build and return the complete certificate for (r, f) at the window.
 
@@ -329,32 +313,25 @@ def finiteness_certificate(r: int, f: int, window: int) -> FinitenessCertificate
         else:
             pruned[gamma] = expr
 
+    # a shift to a target in the window moves exponents by at most window + f - 1,
+    # so a representative past this bound fails coeff_window for its whole class
+    class_bound = coeff_window + window + f - 1
     reductions: dict[ExponentVector, Expression] = {}
-    fallbacks: list[ExponentVector] = []
-    kept_set = set(kept)
-    representatives: dict[ExponentVector, Expression] = {}
+    representatives: dict[ExponentVector, Optional[Expression]] = {}
     for lam in sorted_tuples(r, -window, window):
         shift = f * (lam[-1] // f)
         base = tuple(x - shift for x in lam)
         expr = representatives.get(base)
         if expr is None:
-            expr = representatives[base] = _substitute_pruned(
-                constructive_reduction(base, f), pruned
-            )
-        if shift:
+            expr = representatives[base] = linear_reduction(base, kept, f, class_bound)
+        if expr is not None and shift:
             expr = {g: c.translate(shift) for g, c in expr.items()}
-        in_window = all(g in kept_set for g in expr) and all(
-            c.max_abs_exponent() <= coeff_window for c in expr.values()
-        )
-        if not in_window:
-            expr = linear_reduction(lam, kept, f, coeff_window)
-            fallbacks.append(lam)
-            if expr is None:
-                raise WindowTooSmall(
-                    f"no expression for class {lam} with generators and coefficients "
-                    f"inside window {window}; retry with window {window + f}",
-                    suggested_window=window + f,
-                )
+        if expr is None or any(c.max_abs_exponent() > coeff_window for c in expr.values()):
+            raise WindowTooSmall(
+                f"no expression for class {lam} with generators and coefficients "
+                f"inside window {window}; retry with window {window + f}",
+                suggested_window=window + f,
+            )
         reductions[lam] = expr
 
     return FinitenessCertificate(
@@ -366,5 +343,4 @@ def finiteness_certificate(r: int, f: int, window: int) -> FinitenessCertificate
         inverse_product=(-f,) * r,
         pruned=pruned,
         reductions=reductions,
-        fallback_targets=fallbacks,
     )

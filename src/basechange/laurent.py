@@ -39,6 +39,10 @@ s_{k+1..r} is a polynomial in s_k whose coefficients are symmetric in
 s_k..s_r, and Newton's divided differences recover them exactly and
 uniquely; the basis is a Z-basis, so those coefficients are ints.  The
 rank cap of the finiteness certificates is theirs, not a limit here.
+
+``LaurentPoly`` and ``staircase_decompose`` only serve the staircase
+reference finiteness.constructive_reduction, not the certificate builder;
+they can move to the tests once the benchmark tracer stops naming them.
 """
 
 from __future__ import annotations

@@ -310,15 +310,19 @@ def test_json_file_must_hold_an_object(capsys, tmp_path):
     assert err.splitlines() == ["error: input must be an object, got list"]
 
 
+def cli_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_json_path_must_be_a_regular_file(tmp_path):
     # a FIFO without a writer blocks the reader; it is refused before it is opened
     fifo = tmp_path / "extension.fifo"
     os.mkfifo(fifo)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "basechange.cli", "norm-level", "--level", "2", "--extension", str(fifo)],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=cli_env(), timeout=60,
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -684,6 +688,27 @@ def test_output_file_matches_stdout_for_large_json(tmp_path, capsys, argv, diges
 
 
 UNRAMIFIED_QUADRATIC = UNRAMIFIED_CUBIC.replace('"f": 3', '"f": 2')
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extquot", "--n", "30"],
+        ["bc-gl1", "--extension", UNRAMIFIED_QUADRATIC, "--max-conductor", "6", "--format", "json"],
+    ],
+)
+def test_a_reader_that_closes_the_pipe_early_ends_the_request_quietly(argv):
+    # both outputs are far larger than a pipe buffer, so writes fail once
+    # the reader has gone; that is the reader's choice, not an input fault
+    with subprocess.Popen(
+        [sys.executable, "-m", "basechange.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
+    ) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+    assert proc.returncode == 0
+    assert stderr == b""
 
 
 def _traced_peak(call) -> int:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from basechange import finiteness
 from basechange.cli import main
 from basechange.finiteness import (
     MAX_POWER,
@@ -25,12 +26,7 @@ from basechange.finiteness import (
     linear_reduction,
     sorted_tuples,
 )
-from basechange.laurent import (
-    InvariantLaurentPoly,
-    _orbit_sum_product,
-    sort_class,
-    staircase_decompose,
-)
+from basechange.laurent import InvariantLaurentPoly, _orbit_sum_product, sort_class
 
 
 def expand_expression(r: int, expr) -> InvariantLaurentPoly:
@@ -181,13 +177,32 @@ def test_restricted_times_pullback_is_triangular(data):
         assert all(cls < top and sum(cls) == sum(top) for cls in terms)
 
 
+def staircase_reference(lam, f: int, pruned):
+    """The staircase path: constructive_reduction(lam, f) with every pruned
+    candidate replaced by its own expression over the generators."""
+    one = InvariantLaurentPoly.one(len(lam))
+    out = {}
+    for gamma, coeff in constructive_reduction(lam, f).items():
+        for inner, inner_coeff in pruned.get(gamma, {gamma: one}).items():
+            term = coeff * inner_coeff
+            out[inner] = out[inner] + term if inner in out else term
+    return {g: b for g, b in out.items() if not b.is_zero()}
+
+
 @pytest.mark.parametrize("r, f, window", [(2, 2, 6), (3, 2, 6), (2, 4, 10), (3, 4, 10)])
 def test_triangular_reduction_matches_the_staircase_path(r, f, window):
-    # the stored reductions come from constructive_reduction over the staircase
-    # (all but the fallback targets); over a basis both paths give the one expression
+    # wherever the staircase path stays over the generators inside the window,
+    # it gives the stored expression: over a basis there is only one
     cert = finiteness_certificate(r, f, window)
+    generators, compared = set(cert.generators), 0
     for lam, expr in cert.reductions.items():
-        assert linear_reduction(lam, cert.generators, f, cert.coefficient_window) == expr
+        reference = staircase_reference(lam, f, cert.pruned)
+        if set(reference) <= generators and all(
+            b.max_abs_exponent() <= cert.coefficient_window for b in reference.values()
+        ):
+            assert reference == expr
+            compared += 1
+    assert compared > len(cert.reductions) // 2
 
 
 # -- pinned output and the rank oracle ------------------------------------
@@ -231,23 +246,21 @@ def test_wide_window_certificate_output_is_pinned(r, f, window, digest):
 
 
 # stdout sha256 of `finiteness --r R --f F [--window W] --verify --format json`
-# for certificates whose linear fallback fires, with the fallback count;
-# window None is the default 2f+2
+# for certificates where the staircase path leaves the window for some
+# targets (5, 108 and 151 of them), recorded when those targets went to a
+# linear fallback; window None is the default 2f+2
 @pytest.mark.parametrize(
-    "r, f, window, fallbacks, digest",
+    "r, f, window, digest",
     [
-        (2, 3, 4, 5, "979fefa78081e3397d5b54d22de7569a535d183be78f0ea0efd1cf356190a56a"),
-        (3, 3, 6, 108, "cf4d44d296203d8da3463db32aac64b635c9d7f0dd3f6825f002e1a34fbb8894"),
-        (3, 4, None, 151, "fbf7afcbf008653bad8fee96e6bcab29d66f696cdbd49bbe200ecfbfe53e2acb"),
+        (2, 3, 4, "979fefa78081e3397d5b54d22de7569a535d183be78f0ea0efd1cf356190a56a"),
+        (3, 3, 6, "cf4d44d296203d8da3463db32aac64b635c9d7f0dd3f6825f002e1a34fbb8894"),
+        (3, 4, None, "fbf7afcbf008653bad8fee96e6bcab29d66f696cdbd49bbe200ecfbfe53e2acb"),
     ],
 )
-def test_fallback_certificate_output_is_pinned(r, f, window, fallbacks, digest):
+def test_fallback_certificate_output_is_pinned(r, f, window, digest):
     flags = ["--r", str(r), "--f", str(f)]
-    if window is None:
-        window = 2 * f + 2
-    else:
+    if window is not None:
         flags += ["--window", str(window)]
-    assert len(finiteness_certificate(r, f, window).fallback_targets) == fallbacks
     assert certificate_digest(flags) == digest
 
 
@@ -300,17 +313,6 @@ def test_sweep_refuses_values_past_the_caps(argv, message):
     assert proc.stderr.splitlines()[-1] == f"finiteness_sweep.py: error: {message}"
 
 
-def test_sweep_counts_fallbacks():
-    proc = run_sweep("--max-r", "2", "--max-f", "3", "--window", "4")
-    assert proc.returncode == 0 and proc.stderr == ""
-    header, *rows = proc.stdout.splitlines()
-    column = header.split().index("fallbacks")
-    assert {tuple(row.split()[:2]): row.split()[column] for row in rows} == {
-        ("1", "1"): "0", ("1", "2"): "0", ("1", "3"): "0",
-        ("2", "1"): "0", ("2", "2"): "0", ("2", "3"): "5",
-    }
-
-
 def test_sweep_reports_a_window_past_the_target_cap():
     proc = run_sweep("--max-r", "2", "--max-f", "1", "--window", "60")
     assert proc.returncode == 0 and proc.stderr == ""
@@ -334,12 +336,36 @@ def test_constructive_reduction_commutes_with_translation(r, data):
     assert shifted == {g: b.translate(f * k) for g, b in constructive_reduction(lam, f).items()}
 
 
-def test_f1_certificate_expands_one_staircase_per_translation_class():
+@pytest.mark.parametrize("r", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_linear_reduction_commutes_with_translation(r, data):
+    # the certificate walks one representative per class and translates its
+    # expression to the other members; the bound is never reached here
+    f = data.draw(st.integers(1, MAX_POWER))
+    lam = sort_class(data.draw(st.tuples(*[st.integers(-5, 5)] * r)))
+    k = data.draw(st.integers(-3, 3))
+    basis = restricted_weights(r, f)
+    expr = linear_reduction(lam, basis, f, 10**6)
+    assert expr is not None
+    shifted = linear_reduction(tuple(x + f * k for x in lam), basis, f, 10**6)
+    assert shifted == {g: b.translate(f * k) for g, b in expr.items()}
+
+
+def test_f1_certificate_expands_one_staircase_per_translation_class(monkeypatch):
     # at f = 1 every m_lam of the window is its own target; the 165 classes
-    # of window 4 at r = 3 fall into 45 classes modulo (1, 1, 1)
-    staircase_decompose.cache_clear()
-    finiteness_certificate(3, 1, 4)
-    assert staircase_decompose.cache_info().misses <= 45
+    # of window 4 at r = 3 fall into 45 classes modulo (1, 1, 1), and the
+    # builder walks once per class besides once per pruning candidate
+    walks = []
+
+    def counted(target, *rest):
+        walks.append(target)
+        return linear_reduction(target, *rest)
+
+    monkeypatch.setattr(finiteness, "linear_reduction", counted)
+    cert = finiteness_certificate(3, 1, 4)
+    assert len(cert.reductions) == 165
+    assert len(walks) - len(candidate_generators(3, 1)) <= 45
 
 
 # -- verify against the Fraction re-expansion -----------------------------
