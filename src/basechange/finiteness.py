@@ -12,25 +12,23 @@ with exponents bounded by a window, an exact expression
 
 with all coefficients exact rationals.
 
-Generating set.  Symmetrised monomials with exponents in [0, f) alone
-do not generate (already for r = f = 2 the class (2,1) is outside their
-B-span, by a parity count), so candidates are drawn from the free-basis
-product: t^(a + f*c) with 0 <= a_i < f and c in the staircase
-0 <= c_i <= r - i.  Plainly, the t-Laurent ring is free over the
-f-th-power Laurent ring with basis t^a, and that ring is free over B
-with the staircase basis; averaging over S_r (a B-linear projection
-onto A) turns the combined basis into the module generators
-m_sort(a + f*c).  The inverse (t_1...t_r)^{-f} of the f-th power of the
-full product, which lies in B and shifts exponents into range, is
-carried along as a candidate and always reduces away.
+Generating set.  The generators are the f^r f-restricted weights
+(lam_i - lam_(i+1) < f, 0 <= lam_r < f; lam_i = a_i + ... + a_r for a
+in [0, f)^r), a B-basis of A (Steinberg, Nagoya Math. J. 22, 1963; see
+linear_reduction): they are listed, not searched for, and each m_lam
+has exactly one expression over them, from one triangular walk.  (The
+symmetrised [0, f) box alone does not generate: at r = f = 2 the
+restricted class (2,1) is outside its B-span, by a parity count.)  A
+window below r(f-1), their largest entry, is refused with WindowTooSmall
+before anything is enumerated; a target whose expression leaves the
+window raises it with a larger window.
 
-Every expression comes from one triangular walk over the f-restricted
-weights (lam_i - lam_(i+1) < f, 0 <= lam_r < f), a B-basis of A
-(Steinberg, Nagoya Math. J. 22, 1963; see linear_reduction), so each
-m_lam has exactly one; the same walk prunes the candidates down to the
-restricted weights.  A window below r(f-1), their largest entry, is
-refused with WindowTooSmall before anything is enumerated; a target
-whose expression leaves the window raises it with a larger window.
+Schema 1 also lists the free-basis candidates m_sort(a + f*c), with
+0 <= a_i < f and c in the staircase 0 <= c_i <= r - i (the t-Laurent
+ring is free over the f-th-power ring with basis t^a, and that is free
+over B with the staircase basis), plus the inverse product (-f, ..., -f)
+of B.  to_json derives both: ``pruned`` pairs each in-window candidate
+that is not a generator with its own target's reduction.
 
 Translation classes.  B holds the unit u = (t_1...t_r)^f, and u^k adds
 f*k to every exponent.  That keeps the restricted part of a class and
@@ -50,8 +48,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, product
-from math import comb, lcm
+from itertools import combinations_with_replacement, product
+from math import comb
 from typing import Iterator, Optional
 
 from .laurent import (
@@ -84,31 +82,23 @@ Expression = dict[ExponentVector, InvariantLaurentPoly]  # generator class -> B-
 
 
 def candidate_generators(r: int, f: int) -> list[ExponentVector]:
-    """Candidate module generators, smallest first.
+    """Schema 1's free-basis candidate classes, sorted.
 
     sort(a + f*c) over remainders a in [0, f)^r and staircase c, plus
-    the inverse product class (-f, ..., -f).  Ordered by total absolute
-    exponent so pruning sees cheap candidates before expensive ones.
+    the inverse product class (-f, ..., -f); to_json lists the in-window
+    ones that are not generators as ``pruned``.
     """
     classes = {(-f,) * r}
     remainders = list(product(range(f), repeat=r))
     for c in staircase_basis(r):
         for a in remainders:
             classes.add(sort_class(tuple(f * ci + ai for ci, ai in zip(c, a))))
-    return sorted(classes, key=lambda g: (sum(abs(x) for x in g), g))
+    return sorted(classes)
 
 
 def sorted_tuples(r: int, lo: int, hi: int) -> Iterator[ExponentVector]:
-    """Weakly decreasing r-tuples with entries in [lo, hi]."""
-
-    def rec(length: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if length == 0:
-            yield ()
-            return
-        for v in range(cap, lo - 1, -1):
-            yield from ((v,) + t for t in rec(length - 1, v))
-
-    yield from rec(r, hi)
+    """Weakly decreasing r-tuples with entries in [lo, hi], lexicographically largest first."""
+    return combinations_with_replacement(range(hi, lo - 1, -1), r)
 
 
 def constructive_reduction(lam: ExponentVector, f: int) -> Expression:
@@ -137,13 +127,8 @@ def constructive_reduction(lam: ExponentVector, f: int) -> Expression:
     return {g: b for g, b in terms.items() if not b.is_zero()}
 
 
-def linear_reduction(
-    target: ExponentVector,
-    generators: list[ExponentVector],
-    f: int,
-    coeff_bound: int,
-) -> Optional[Expression]:
-    """Express m_target over f-restricted generators by a triangular walk, or None.
+def linear_reduction(target: ExponentVector, f: int, coeff_bound: int) -> Optional[Expression]:
+    """Express m_target over the f-restricted weights by a triangular walk, or None.
 
     Split lam = lam0 + f*mu with lam0 restricted: lam0_r = lam_r mod f,
     and lam0_i - lam0_(i+1) = (lam_i - lam_(i+1)) mod f.  Then
@@ -154,12 +139,10 @@ def linear_reduction(
     subtracts the rest of that product.  All it subtracts later lies
     below, so each recorded coefficient is final: the result is the
     unique expression over the restricted basis, and None means that
-    expression uses a class outside ``generators`` or a B-exponent beyond
-    coeff_bound.  The certificate builds every stored expression with
-    this walk, the pruned candidates' and the targets'.
+    expression has a B-exponent beyond coeff_bound.  The certificate
+    builds every stored expression with this walk.
     """
     r = len(target)
-    available = set(generators)
     remainder: dict[ExponentVector, int] = {target: 1}
     expr: dict[ExponentVector, dict[ExponentVector, int]] = {}
     while remainder:
@@ -170,7 +153,7 @@ def linear_reduction(
             rest.append(rest[-1] + (lam[i] - lam[i + 1]) % f)
         lam0 = tuple(reversed(rest))
         f_mu = tuple(x - y for x, y in zip(lam, lam0))
-        if lam0 not in available or max(map(abs, f_mu)) > coeff_bound:
+        if max(map(abs, f_mu)) > coeff_bound:
             return None
         expr.setdefault(lam0, {})[f_mu] = c
         for cls, mult in _orbit_sum_product(f_mu, lam0):
@@ -189,10 +172,10 @@ class FinitenessCertificate:
 
     reductions[lam] expresses the orbit sum m_lam over ``generators``,
     the f-restricted weights, with coefficients in the pullback subring;
-    it is the one such expression, from linear_reduction.  ``pruned``
-    records the removed candidates with their own expressions, and
+    it is the one such expression, from linear_reduction.
     ``coefficient_window`` bounds every exponent appearing in any
-    coefficient.
+    coefficient.  Schema 1's ``pruned`` and ``inverse_product`` are
+    derived in to_json, not stored.
     """
 
     r: int
@@ -200,8 +183,6 @@ class FinitenessCertificate:
     window: int
     coefficient_window: int
     generators: list[ExponentVector]
-    inverse_product: ExponentVector
-    pruned: dict[ExponentVector, Expression]
     reductions: dict[ExponentVector, Expression]
     # always empty; the benchmark's finiteness.fallback_targets counter reads it
     fallback_targets: list[ExponentVector] = field(default_factory=list)
@@ -209,23 +190,24 @@ class FinitenessCertificate:
     def verify(self) -> bool:
         """Re-expand every stored expression and check it exactly.
 
-        Also checks the B-membership witness: every coefficient exponent
-        is a multiple of f.  Each expression sum_j b_j * m_gamma_j is put
-        over one common denominator D and expanded in integers with the
-        orbit-sum structure constants; it must come to D * m_lam.
+        Every expression must be over ``generators`` and carry the
+        B-membership witness: every coefficient exponent is a multiple
+        of f.  Each expression sum_j b_j * m_gamma_j is expanded with
+        the orbit-sum structure constants, in exact int or Fraction
+        arithmetic; it must come to m_lam.
         """
-        f = self.f
-        for lam, expr in chain(self.pruned.items(), self.reductions.items()):
-            den = lcm(*(c.denominator for b in expr.values() for c in b.terms.values()))
-            acc: dict[ExponentVector, int] = {}
+        f, generators = self.f, set(self.generators)
+        for lam, expr in self.reductions.items():
+            acc: dict[ExponentVector, Fraction | int] = {}
             for gamma, coeff in expr.items():
+                if gamma not in generators:
+                    return False
                 for mu, c in coeff.terms.items():
                     if any(x % f for x in mu):
                         return False
-                    num = c.numerator * (den // c.denominator)
                     for cls, mult in _orbit_sum_product(mu, gamma):
-                        acc[cls] = acc.get(cls, 0) + num * mult
-            if {cls: n for cls, n in acc.items() if n} != {lam: den}:
+                        acc[cls] = acc.get(cls, 0) + c * mult
+            if {cls: n for cls, n in acc.items() if n} != {lam: 1}:
                 return False
         return True
 
@@ -257,16 +239,19 @@ class FinitenessCertificate:
                 for gamma in sorted(expr)
             ]
 
+        generators = set(self.generators)
+        pruned = [
+            g for g in candidate_generators(self.r, self.f)
+            if max(map(abs, g)) <= self.window and g not in generators
+        ]
         return {
             "r": self.r,
             "f": self.f,
             "window": self.window,
             "coefficient_window": self.coefficient_window,
             "generators": [list(g) for g in self.generators],
-            "inverse_product": list(self.inverse_product),
-            "pruned": [
-                {"class": list(g), "terms": expr_json(e)} for g, e in sorted(self.pruned.items())
-            ],
+            "inverse_product": [-self.f] * self.r,
+            "pruned": [{"class": list(g), "terms": expr_json(self.reductions[g])} for g in pruned],
             "reductions": [
                 {"target": list(t), "terms": expr_json(e)}
                 for t, e in sorted(self.reductions.items())
@@ -301,18 +286,6 @@ def finiteness_certificate(r: int, f: int, window: int) -> FinitenessCertificate
         )
 
     coeff_window = window + f * r
-    kept: list[ExponentVector] = []
-    pruned: dict[ExponentVector, Expression] = {}
-    for gamma in candidate_generators(r, f):
-        if max(abs(x) for x in gamma) > window:
-            continue  # outside the window; never available
-        bound = max(abs(x) for x in gamma) + f * r
-        expr = linear_reduction(gamma, kept, f, min(bound, coeff_window))
-        if expr is None:
-            kept.append(gamma)
-        else:
-            pruned[gamma] = expr
-
     # a shift to a target in the window moves exponents by at most window + f - 1,
     # so a representative past this bound fails coeff_window for its whole class
     class_bound = coeff_window + window + f - 1
@@ -323,7 +296,7 @@ def finiteness_certificate(r: int, f: int, window: int) -> FinitenessCertificate
         base = tuple(x - shift for x in lam)
         expr = representatives.get(base)
         if expr is None:
-            expr = representatives[base] = linear_reduction(base, kept, f, class_bound)
+            expr = representatives[base] = linear_reduction(base, f, class_bound)
         if expr is not None and shift:
             expr = {g: c.translate(shift) for g, c in expr.items()}
         if expr is None or any(c.max_abs_exponent() > coeff_window for c in expr.values()):
@@ -334,13 +307,7 @@ def finiteness_certificate(r: int, f: int, window: int) -> FinitenessCertificate
             )
         reductions[lam] = expr
 
-    return FinitenessCertificate(
-        r=r,
-        f=f,
-        window=window,
-        coefficient_window=coeff_window,
-        generators=kept,
-        inverse_product=(-f,) * r,
-        pruned=pruned,
-        reductions=reductions,
-    )
+    # lam_i = a_i + ... + a_r, in schema 1's candidate order (degree, then lam)
+    restricted = (tuple(sum(a[i:]) for i in range(r)) for a in product(range(f), repeat=r))
+    generators = sorted(restricted, key=lambda g: (sum(g), g))
+    return FinitenessCertificate(r, f, window, coeff_window, generators, reductions)

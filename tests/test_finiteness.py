@@ -114,24 +114,38 @@ def test_r2_f2_certificate_has_at_most_four_generators():
 
 
 def test_pruned_candidates_carry_valid_expressions():
+    # schema 1's pruned list: each in-window candidate that is not a generator,
+    # written with its own class's reduction, which verifies
     cert = finiteness_certificate(2, 2, 6)
-    assert cert.pruned, "some candidate must be redundant"
-    for gamma, expr in cert.pruned.items():
+    payload = cert.to_json()
+    pruned = payload["pruned"]
+    targets = {tuple(entry["target"]): entry["terms"] for entry in payload["reductions"]}
+    assert pruned, "some candidate must be redundant"
+    for entry in pruned:
+        gamma = tuple(entry["class"])
+        assert gamma not in cert.generators and entry["terms"] == targets[gamma]
+        expr = cert.reductions[gamma]
         assert expand_expression(2, expr) == InvariantLaurentPoly.orbit_sum(gamma)
         assert set(expr) <= set(cert.generators)
     # the inverse product class reduces into the subring itself
-    assert (-2, -2) in cert.pruned
+    assert [-2, -2] in [entry["class"] for entry in pruned]
 
 
 def test_linear_reduction_finds_known_identity():
     # m_(3,0) = (t1^2 + t2^2) * m_(1,0) - m_(2,1)
-    expr = linear_reduction((3, 0), [(0, 0), (1, 0), (1, 1), (2, 1)], 2, 6)
+    expr = linear_reduction((3, 0), 2, 6)
     assert expr is not None
+    assert set(expr) == {(1, 0), (2, 1)}
     assert expand_expression(2, expr) == InvariantLaurentPoly.orbit_sum((3, 0))
+    # a B-exponent past the bound is the one way the walk fails
+    assert linear_reduction((3, 0), 2, 1) is None
 
 
 def test_linear_reduction_respects_parity_obstruction():
-    assert linear_reduction((2, 1), [(0, 0), (1, 0), (1, 1)], 2, 10) is None
+    # (2, 1) is outside the B-span of the [0, 2) box by a parity count; it is
+    # a restricted weight at f = 2, so it is a generator and its own expression
+    assert linear_reduction((2, 1), 2, 0) == {(2, 1): InvariantLaurentPoly.one(2)}
+    assert (2, 1) in finiteness_certificate(2, 2, 2).generators
 
 
 def test_coefficient_window_is_respected():
@@ -177,13 +191,13 @@ def test_restricted_times_pullback_is_triangular(data):
         assert all(cls < top and sum(cls) == sum(top) for cls in terms)
 
 
-def staircase_reference(lam, f: int, pruned):
-    """The staircase path: constructive_reduction(lam, f) with every pruned
+def staircase_reference(lam, f: int, cert):
+    """The staircase path: constructive_reduction(lam, f) with every in-window
     candidate replaced by its own expression over the generators."""
     one = InvariantLaurentPoly.one(len(lam))
     out = {}
     for gamma, coeff in constructive_reduction(lam, f).items():
-        for inner, inner_coeff in pruned.get(gamma, {gamma: one}).items():
+        for inner, inner_coeff in cert.reductions.get(gamma, {gamma: one}).items():
             term = coeff * inner_coeff
             out[inner] = out[inner] + term if inner in out else term
     return {g: b for g, b in out.items() if not b.is_zero()}
@@ -196,7 +210,7 @@ def test_triangular_reduction_matches_the_staircase_path(r, f, window):
     cert = finiteness_certificate(r, f, window)
     generators, compared = set(cert.generators), 0
     for lam, expr in cert.reductions.items():
-        reference = staircase_reference(lam, f, cert.pruned)
+        reference = staircase_reference(lam, f, cert)
         if set(reference) <= generators and all(
             b.max_abs_exponent() <= cert.coefficient_window for b in reference.values()
         ):
@@ -280,8 +294,7 @@ def test_generators_have_freeness_rank(r, f):
 )
 def test_certificate_coefficients_are_exact(r, f):
     cert = finiteness_certificate(r, f, 2 * f + 2)
-    expressions = [*cert.pruned.values(), *cert.reductions.values()]
-    coefficients = [c for e in expressions for b in e.values() for c in b.terms.values()]
+    coefficients = [c for e in cert.reductions.values() for b in e.values() for c in b.terms.values()]
     assert coefficients and all(type(c) in (int, Fraction) for c in coefficients)
 
 
@@ -345,17 +358,17 @@ def test_linear_reduction_commutes_with_translation(r, data):
     f = data.draw(st.integers(1, MAX_POWER))
     lam = sort_class(data.draw(st.tuples(*[st.integers(-5, 5)] * r)))
     k = data.draw(st.integers(-3, 3))
-    basis = restricted_weights(r, f)
-    expr = linear_reduction(lam, basis, f, 10**6)
+    expr = linear_reduction(lam, f, 10**6)
     assert expr is not None
-    shifted = linear_reduction(tuple(x + f * k for x in lam), basis, f, 10**6)
+    assert set(expr) <= set(restricted_weights(r, f))
+    shifted = linear_reduction(tuple(x + f * k for x in lam), f, 10**6)
     assert shifted == {g: b.translate(f * k) for g, b in expr.items()}
 
 
 def test_f1_certificate_expands_one_staircase_per_translation_class(monkeypatch):
     # at f = 1 every m_lam of the window is its own target; the 165 classes
     # of window 4 at r = 3 fall into 45 classes modulo (1, 1, 1), and the
-    # builder walks once per class besides once per pruning candidate
+    # builder walks once per class and nowhere else
     walks = []
 
     def counted(target, *rest):
@@ -365,7 +378,7 @@ def test_f1_certificate_expands_one_staircase_per_translation_class(monkeypatch)
     monkeypatch.setattr(finiteness, "linear_reduction", counted)
     cert = finiteness_certificate(3, 1, 4)
     assert len(cert.reductions) == 165
-    assert len(walks) - len(candidate_generators(3, 1)) <= 45
+    assert len(walks) <= 45
 
 
 # -- verify against the Fraction re-expansion -----------------------------
@@ -373,7 +386,9 @@ def test_f1_certificate_expands_one_staircase_per_translation_class(monkeypatch)
 
 def reference_verify(cert) -> bool:
     """Re-expand every expression in Fraction arithmetic and compare."""
-    for lam, expr in list(cert.pruned.items()) + list(cert.reductions.items()):
+    for lam, expr in cert.reductions.items():
+        if not set(expr) <= set(cert.generators):
+            return False
         if any(x % cert.f for coeff in expr.values() for cls in coeff.terms for x in cls):
             return False
         if expand_expression(cert.r, expr) != InvariantLaurentPoly.orbit_sum(lam):
@@ -391,6 +406,14 @@ def add_term(coeff: InvariantLaurentPoly, cls, value) -> InvariantLaurentPoly:
 
 
 def tamper(cert, fault: str):
+    if fault == "trivial expression over a non-generator":
+        # m_lam = 1 * m_lam is exact, with m_lam itself as the generator
+        lam = next(t for t in sorted(cert.reductions) if t not in cert.generators)
+        one = InvariantLaurentPoly.one(cert.r)
+        return dataclasses.replace(cert, reductions={**cert.reductions, lam: {lam: one}})
+    if fault == "generator missing from the list":
+        gamma = max(cert.generators)
+        return dataclasses.replace(cert, generators=[g for g in cert.generators if g != gamma])
     # the first target whose expression uses two or more generators
     lam, expr = next((t, e) for t, e in sorted(cert.reductions.items()) if len(e) >= 2)
     gamma = min(expr)
@@ -420,6 +443,8 @@ FAULTS = [
     "empty expression",
     "dropped generator",
     "extra B-term",
+    "trivial expression over a non-generator",
+    "generator missing from the list",
 ]
 
 
@@ -431,14 +456,6 @@ def test_verify_rejects_tampered_certificate(r, f, fault):
     bad = tamper(cert, fault)
     assert not bad.verify()
     assert not reference_verify(bad)
-
-
-@pytest.mark.parametrize("r, f", [(2, 3), (3, 2)])
-def test_verify_rejects_tampered_pruned_expression(r, f):
-    cert = real_certificate(r, f)
-    gamma = min(cert.pruned)
-    bad = dataclasses.replace(cert, pruned={**cert.pruned, gamma: {}})
-    assert not bad.verify()
 
 
 @st.composite
@@ -474,7 +491,7 @@ def perturbed_expressions(draw):
         elif terms:
             del terms[draw(st.sampled_from(sorted(terms)))]
         expr[gamma] = InvariantLaurentPoly(r, terms)
-    return dataclasses.replace(cert, pruned={}, reductions={lam: expr})
+    return dataclasses.replace(cert, reductions={lam: expr})
 
 
 @given(perturbed_expressions())
