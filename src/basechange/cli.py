@@ -23,15 +23,17 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import stat
 import sys
+from collections.abc import Sequence
 from contextlib import nullcontext
 from fractions import Fraction
+from functools import partial
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Optional, Sequence
 
 from .extquot import extended_quotient
 from .finiteness import WindowTooSmall, finiteness_certificate
@@ -420,18 +422,22 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     subparser gets the metavar the full set would print, so usage lines
     and messages stay the same; with all seven built it stays unset, as
     argparse names the action by it in "invalid choice" and "required" errors.
+    The terminal width HelpFormatter would find is asked for once, not per
+    argument, and the subcommands' prog is given, not rendered from a usage.
     """
     names = argv[:1] if argv and argv[0] in COMMANDS else tuple(COMMANDS)
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="basechange",
         description="Exact base-change computations: extended quotients, "
         "Hasse-Herbrand transitions, GL(1)/GL(2) circle maps, K-theory matrices.",
+        formatter_class=formatter,
     )
     metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar, prog=parser.prog)
     for name in names:
         help_text, flags = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
         p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
         p.add_argument("--output", metavar="FILE", help="write output to FILE")
         for flag, kwargs in flags:
@@ -439,7 +445,7 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
     try:

@@ -17,10 +17,10 @@ substitutes t_i -> t_i^f (``InvariantLaurentPoly.pullback``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .gaussian import GaussianRational
+from .value import Value
 
 MAX_TORUS_RANK = 30  # guard: cross-check oracles get factorial-ish beyond this
 
@@ -56,8 +56,7 @@ def validate_partition(parts: Sequence[int], n: int) -> tuple[int, ...]:
     return parts
 
 
-@dataclass(frozen=True)
-class OrbitComponent:
+class OrbitComponent(Value):
     """One piece of the extended quotient, indexed by a partition.
 
     from_partition(cycle_type, n) is the piece X^g / Z(g) for a
@@ -65,11 +64,15 @@ class OrbitComponent:
 
     distinct_parts lists (part size n_i, multiplicity r_i) with the
     n_i strictly decreasing; the geometric shape is the product of
-    Sym^{r_i}(C^x) in that order, of dimension sum r_i.
+    Sym^{r_i}(C^x) in that order, of dimension sum r_i.  One is built per
+    partition, so __init__ is written out.
     """
 
-    partition: tuple[int, ...]
-    distinct_parts: tuple[tuple[int, int], ...]
+    __slots__ = ("partition", "distinct_parts")
+
+    def __init__(self, partition: tuple[int, ...], distinct_parts: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "distinct_parts", distinct_parts)
 
     @staticmethod
     def from_partition(parts: Sequence[int], n: int | None = None) -> "OrbitComponent":
@@ -105,12 +108,10 @@ class OrbitComponent:
         }
 
 
-@dataclass(frozen=True)
-class ExtendedQuotient:
+class ExtendedQuotient(Value):
     """All components of (C^x)^n // S_n, in reverse-lexicographic order."""
 
-    n: int
-    components: tuple[OrbitComponent, ...]
+    __slots__ = ("n", "components")
 
     def to_json(self) -> dict:
         return {"n": self.n, "components": [c.to_json() for c in self.components]}
@@ -124,15 +125,14 @@ def extended_quotient(n: int) -> ExtendedQuotient:
     return ExtendedQuotient(n, comps)
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(Value):
     """A point of a component: one multiset of coordinates per factor.
 
     Coordinates are nonzero Gaussian rationals; each factor's tuple is
     stored sorted by a fixed key so equality is multiset equality.
     """
 
-    factors: tuple[tuple[GaussianRational, ...], ...]
+    __slots__ = ("factors",)
 
     @staticmethod
     def make(coords_per_factor: Iterable[Iterable[GaussianRational]]) -> "TorusPoint":

@@ -46,11 +46,10 @@ it is the reference the tests compare the walk with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb
-from typing import Iterator, Optional
 
 from .laurent import (
     ExponentVector,
@@ -61,6 +60,7 @@ from .laurent import (
     staircase_basis,
     staircase_decompose,
 )
+from .value import Value
 
 MAX_RANK = 3
 MAX_POWER = 4
@@ -127,7 +127,7 @@ def constructive_reduction(lam: ExponentVector, f: int) -> Expression:
     return {g: b for g, b in terms.items() if not b.is_zero()}
 
 
-def linear_reduction(target: ExponentVector, f: int, coeff_bound: int) -> Optional[Expression]:
+def linear_reduction(target: ExponentVector, f: int, coeff_bound: int) -> Expression | None:
     """Express m_target over the f-restricted weights by a triangular walk, or None.
 
     Split lam = lam0 + f*mu with lam0 restricted: lam0_r = lam_r mod f,
@@ -166,37 +166,43 @@ def linear_reduction(target: ExponentVector, f: int, coeff_bound: int) -> Option
     return {g: InvariantLaurentPoly(r, terms) for g, terms in expr.items()}
 
 
-@dataclass
-class FinitenessCertificate:
+class FinitenessCertificate(Value):
     """Generators plus a complete in-window reduction table.
 
     reductions[lam] expresses the orbit sum m_lam over ``generators``,
     the f-restricted weights, with coefficients in the pullback subring;
     it is the one such expression, from linear_reduction.
     ``coefficient_window`` bounds every exponent appearing in any
-    coefficient.  Schema 1's ``pruned`` and ``inverse_product`` are
-    derived in to_json, not stored.
+    coefficient.  ``fallback_targets`` is always empty; the benchmark's
+    finiteness.fallback_targets counter reads it.  Schema 1's ``pruned``
+    and ``inverse_product`` are derived in to_json, not stored.  A
+    certificate can be edited, so unlike the other records it has no hash.
     """
 
-    r: int
-    f: int
-    window: int
-    coefficient_window: int
-    generators: list[ExponentVector]
-    reductions: dict[ExponentVector, Expression]
-    # always empty; the benchmark's finiteness.fallback_targets counter reads it
-    fallback_targets: list[ExponentVector] = field(default_factory=list)
+    __slots__ = ("r", "f", "window", "coefficient_window", "generators", "reductions", "fallback_targets")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
     def verify(self) -> bool:
-        """Re-expand every stored expression and check it exactly.
+        """Check that the certificate is complete and re-expand every expression exactly.
 
-        Every expression must be over ``generators`` and carry the
-        B-membership witness: every coefficient exponent is a multiple
-        of f.  Each expression sum_j b_j * m_gamma_j is expanded with
-        the orbit-sum structure constants, in exact int or Fraction
+        ``generators`` must be f^r distinct f-restricted weights, which
+        are then all of them, and ``reductions`` must hold exactly the
+        comb(2w + r, r) weakly decreasing classes in [-w, w], w the
+        window.  Every expression must be over ``generators`` and carry
+        the B-membership witness: every coefficient exponent is a
+        multiple of f.  Each expression sum_j b_j * m_gamma_j is expanded
+        with the orbit-sum structure constants, in exact int or Fraction
         arithmetic; it must come to m_lam.
         """
-        f, generators = self.f, set(self.generators)
+        r, f, generators = self.r, self.f, set(self.generators)
+        restricted = [g for g in generators if len(g) == r and 0 <= g[-1] < f
+                      and all(0 <= a - b < f for a, b in zip(g, g[1:]))]
+        if not len(restricted) == len(self.generators) == f**r:
+            return False
+        if self.reductions.keys() != set(sorted_tuples(r, -self.window, self.window)):
+            return False
         for lam, expr in self.reductions.items():
             acc: dict[ExponentVector, Fraction | int] = {}
             for gamma, coeff in expr.items():
@@ -290,7 +296,7 @@ def finiteness_certificate(r: int, f: int, window: int) -> FinitenessCertificate
     # so a representative past this bound fails coeff_window for its whole class
     class_bound = coeff_window + window + f - 1
     reductions: dict[ExponentVector, Expression] = {}
-    representatives: dict[ExponentVector, Optional[Expression]] = {}
+    representatives: dict[ExponentVector, Expression | None] = {}
     for lam in sorted_tuples(r, -window, window):
         shift = f * (lam[-1] // f)
         base = tuple(x - shift for x in lam)
@@ -310,4 +316,4 @@ def finiteness_certificate(r: int, f: int, window: int) -> FinitenessCertificate
     # lam_i = a_i + ... + a_r, in schema 1's candidate order (degree, then lam)
     restricted = (tuple(sum(a[i:]) for i in range(r)) for a in product(range(f), repeat=r))
     generators = sorted(restricted, key=lambda g: (sum(g), g))
-    return FinitenessCertificate(r, f, window, coeff_window, generators, reductions)
+    return FinitenessCertificate(r, f, window, coeff_window, generators, reductions, [])

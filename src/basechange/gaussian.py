@@ -9,11 +9,11 @@ coordinates must be decidable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
-RationalLike = Union[int, Fraction]
+from .value import Value
+
+RationalLike = int | Fraction
 
 
 def _frac(x: RationalLike) -> Fraction:
@@ -24,12 +24,10 @@ def _frac(x: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(Value):
     """An element of Q(i), stored as exact real and imaginary parts."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("re", "im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
         object.__setattr__(self, "re", _frac(re))

@@ -21,9 +21,9 @@ which keeps arc preimages exact.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from functools import total_ordering
 
 from .gaussian import GaussianRational
 from .ktheory import CircleSpace, ProperCircleMap
@@ -36,29 +36,26 @@ from .localfield import (
     unit_quotient_order,
     validate_extension_filtration,
 )
+from .value import Value
 
-Rational = Union[int, Fraction]
 
-
-@dataclass(frozen=True)
-class FormalWeilDegree:
+class FormalWeilDegree(Value):
     """The integer degree of an abstract Weil element, tagged by field side."""
 
-    m: int
-    side: str = "E"
+    __slots__ = ("m", "side")
+    _defaults = {"side": "E"}
 
 
-@dataclass(frozen=True)
-class UnramifiedQuasicharacter:
+class UnramifiedQuasicharacter(Value):
     """w -> z^(degree of w), determined by the nonzero parameter z."""
 
-    z: GaussianRational
+    __slots__ = ("z",)
 
     def __post_init__(self):
         if self.z.is_zero():
             raise ValueError("the parameter of a quasicharacter is nonzero")
 
-    def evaluate(self, degree: Union[int, FormalWeilDegree]) -> GaussianRational:
+    def evaluate(self, degree: int | FormalWeilDegree) -> GaussianRational:
         m = degree.m if isinstance(degree, FormalWeilDegree) else int(degree)
         return self.z ** m
 
@@ -76,20 +73,35 @@ def bc_unramified_quasichar(
     return UnramifiedQuasicharacter(chi.z ** f)
 
 
-@dataclass(frozen=True, order=True)
-class CharacterLabel:
+@total_ordering
+class CharacterLabel(Value):
     """Opaque name (conductor, index) for a unit-group character.
 
     conductor 0 is the unramified family; the index enumerates the
     finitely many characters of each conductor and carries no structure.
+    Labels order by (conductor, index); bc-gl1's per-circle methods are written out.
     """
 
-    conductor: int
-    index: int
+    __slots__ = ("conductor", "index")
 
-    def __post_init__(self):
-        if self.conductor < 0 or self.index < 0:
+    def __init__(self, conductor: int, index: int):
+        if conductor < 0 or index < 0:
             raise ValueError("conductor and index are nonnegative")
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is CharacterLabel:
+            return self.conductor == other.conductor and self.index == other.index
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.conductor, self.index))
+
+    def __lt__(self, other):
+        if other.__class__ is CharacterLabel:
+            return (self.conductor, self.index) < (other.conductor, other.index)
+        return NotImplemented
 
     def __str__(self) -> str:
         return f"c{self.conductor}.{self.index}"
@@ -137,8 +149,7 @@ def circle_count(field: LocalFieldData, bound: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class TemperedDualGL1:
+class TemperedDualGL1(Value):
     """Truncation of the GL(1) tempered dual of base: circles for conductor <= bound.
 
     The default enumeration lists, for each conductor, exactly the
@@ -146,9 +157,7 @@ class TemperedDualGL1:
     circle list respecting the same bounds is also accepted.
     """
 
-    base: LocalFieldData
-    bound: int
-    circles: tuple[CharacterLabel, ...]
+    __slots__ = ("base", "bound", "circles")
 
     @staticmethod
     def enumerate(base: LocalFieldData, bound: int) -> "TemperedDualGL1":
@@ -187,8 +196,7 @@ class TemperedDualGL1:
         }
 
 
-@dataclass(frozen=True)
-class Gl1BaseChange:
+class Gl1BaseChange(Value):
     """Component-matched description of base change on a truncated dual.
 
     pairs lists (source label, target label, circle degree f); the
@@ -198,10 +206,8 @@ class Gl1BaseChange:
     zero columns.
     """
 
-    f: int
-    pairs: tuple[tuple[CharacterLabel, CharacterLabel, int], ...]
-    conductor_map: dict[int, int]
-    extra_targets: tuple[CharacterLabel, ...] = ()
+    __slots__ = ("f", "pairs", "conductor_map", "extra_targets")
+    _defaults = {"extra_targets": ()}
 
     def to_json(self) -> dict:
         return {
@@ -233,7 +239,7 @@ def bc_gl1(
     ext: ExtensionData,
     filt: RamificationFiltration,
     dual_f: TemperedDualGL1,
-    collisions: Optional[dict[CharacterLabel, CharacterLabel]] = None,
+    collisions: dict[CharacterLabel, CharacterLabel] | None = None,
     extra_targets: Sequence[CharacterLabel] = (),
 ) -> Gl1BaseChange:
     """Transport every circle of the truncated dual through base change.
@@ -281,12 +287,10 @@ def circle_map(bc: Gl1BaseChange) -> "ProperCircleMap":
     return ProperCircleMap(source, target, bc.pairs)
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(Value):
     """Closed arc on a circle, endpoints in exact rational turns."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
     def __post_init__(self):
         if self.hi < self.lo:

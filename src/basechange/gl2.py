@@ -21,8 +21,6 @@ number (order of the unramified twist stabiliser) stays 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .localfield import (
     ExtensionData,
     RamificationFiltration,
@@ -33,6 +31,7 @@ from .localfield import (
     validate_extension_filtration,
 )
 from .gl1 import CharacterLabel
+from .value import Value
 
 
 class NotUnramified(ValueError):
@@ -47,8 +46,7 @@ class OutOfScope(ValueError):
     """Outside the supported scope (char 0, p != 2, totally ramified pair)."""
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
+class AdmissiblePair(Value):
     """Quadratic extension plus character, with certified admissibility flags.
 
     not_norm_factor certifies that xi does not factor through the norm
@@ -56,12 +54,8 @@ class AdmissiblePair:
     the first unit subgroup does; unitary certifies that xi is unitary.
     """
 
-    quad: ExtensionData
-    quad_filtration: RamificationFiltration
-    xi: CharacterLabel
-    not_norm_factor: bool
-    level_one_norm_factor: bool
-    unitary: bool = True
+    __slots__ = ("quad", "quad_filtration", "xi", "not_norm_factor", "level_one_norm_factor", "unitary")
+    _defaults = {"unitary": True}
 
     def __post_init__(self):
         if self.quad.n != 2:
@@ -147,16 +141,11 @@ def compositum_invariants(quad: ExtensionData, lift: ExtensionData) -> tuple[Ext
     return el_over_l, el_over_e
 
 
-@dataclass(frozen=True)
-class Gl2BaseChange:
+class Gl2BaseChange(Value):
     """Result of base change along an unramified odd-degree lift."""
 
-    target_pair: AdmissiblePair
-    degree: int
-    conductor: int
-    el_over_l: ExtensionData
-    el_over_e: ExtensionData
-    torsion: int = 1
+    __slots__ = ("target_pair", "degree", "conductor", "el_over_l", "el_over_e", "torsion")
+    _defaults = {"torsion": 1}
 
     def to_json(self) -> dict:
         return {

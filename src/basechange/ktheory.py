@@ -21,10 +21,11 @@ cross-checks that degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Hashable, Iterable
 from fractions import Fraction
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping
+
+from .value import Value
 
 Label = Hashable
 
@@ -33,16 +34,16 @@ class InsufficientSamples(ValueError):
     """The winding-number oracle needs at least 4f sample points."""
 
 
-@dataclass(frozen=True)
-class CircleSpace:
+class CircleSpace(Value):
     """Ordered finite union of labeled circles; labels must be unique.
 
     positions maps each label to its index in components, so lookups
-    stay constant-time however many circles there are.
+    stay constant-time however many circles there are; it is derived, so
+    equality, hashing and repr see components only.
     """
 
-    components: tuple[Label, ...]
-    positions: Mapping[Label, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("components", "positions")
+    _fields = ("components",)
 
     def __init__(self, components: Iterable[Label]):
         components = tuple(components)
@@ -56,17 +57,14 @@ class CircleSpace:
         return len(self.components)
 
 
-@dataclass(frozen=True)
-class ProperCircleMap:
+class ProperCircleMap(Value):
     """Component-matched map between circle spaces with winding degrees.
 
     matches holds (source label, target label, degree >= 1); a source
     appears at most once, a target may receive several sources.
     """
 
-    source: CircleSpace
-    target: CircleSpace
-    matches: tuple[tuple[Label, Label, int], ...]
+    __slots__ = ("source", "target", "matches")
 
     def __post_init__(self):
         seen_sources = set()
@@ -95,8 +93,7 @@ def compose_maps(first: ProperCircleMap, second: ProperCircleMap) -> ProperCircl
     return ProperCircleMap(first.source, second.target, tuple(chained))
 
 
-@dataclass(frozen=True)
-class KMorphism:
+class KMorphism(Value):
     """Integer matrix of an induced K-theory map, held by its nonzero cells.
 
     rows follow the source space of the underlying circle map, columns
@@ -104,12 +101,11 @@ class KMorphism:
     matched to that target component.  cells lists (row, col, value)
     for every nonzero entry in row-major order, so the work a matrix
     costs grows with its nonzeros; entries is the dense view for small
-    callers.
+    callers, computed once and kept in the instance __dict__.
     """
 
-    row_labels: tuple[Label, ...]
-    col_labels: tuple[Label, ...]
-    cells: tuple[tuple[int, int, int], ...]
+    __slots__ = ("row_labels", "col_labels", "cells", "__dict__")
+    _fields = __slots__[:3]
 
     def __post_init__(self):
         rows, cols = len(self.row_labels), len(self.col_labels)

@@ -47,11 +47,11 @@ they can move to the tests once the benchmark tracer stops naming them.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, lcm
-from typing import Iterable, Mapping
 
 ExponentVector = tuple[int, ...]
 Coefficient = int | Fraction  # exact; never a float or a bool

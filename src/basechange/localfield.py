@@ -31,11 +31,12 @@ t + p*(x - t) above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Optional, Union
 
-Rational = Union[int, Fraction]
+from .value import Value
+
+Rational = int | Fraction
 
 
 class UnsupportedExtension(ValueError):
@@ -103,8 +104,7 @@ def is_power_of(q: int, p: int) -> bool:
     return q == 1
 
 
-@dataclass(frozen=True)
-class LocalFieldData:
+class LocalFieldData(Value):
     """Residue invariants of a nonarchimedean local field.
 
     q is the residue cardinality (a positive power of p), p the residue
@@ -112,9 +112,8 @@ class LocalFieldData:
     function fields; only the GL(2) cuspidal layer cares.
     """
 
-    q: int
-    p: int
-    char_zero: bool = True
+    __slots__ = ("q", "p", "char_zero")
+    _defaults = {"char_zero": True}
 
     def __post_init__(self):
         if self.p > MAX_RESIDUE_CHARACTERISTIC:
@@ -130,19 +129,15 @@ class LocalFieldData:
         return {"q": self.q, "p": self.p, "char_zero": self.char_zero}
 
 
-@dataclass(frozen=True)
-class ExtensionData:
+class ExtensionData(Value):
     """A finite extension E/F known through (e, f) and Galois flags.
 
     e is the ramification index, f the residue degree, n = e*f the
     degree.  cyclic implies galois.
     """
 
-    base: LocalFieldData
-    e: int
-    f: int
-    galois: bool = False
-    cyclic: bool = False
+    __slots__ = ("base", "e", "f", "galois", "cyclic")
+    _defaults = {"galois": False, "cyclic": False}
 
     def __post_init__(self):
         if self.e < 1 or self.f < 1:
@@ -181,7 +176,7 @@ class ExtensionData:
         """p divides e; an unramified or trivial extension (e = 1) never is."""
         return self.e % self.base.p == 0
 
-    def to_json(self, filtration: Optional["RamificationFiltration"] = None) -> dict:
+    def to_json(self, filtration: RamificationFiltration | None = None) -> dict:
         out = {
             "q": self.base.q,
             "p": self.base.p,
@@ -230,8 +225,7 @@ class ExtensionData:
         return ext, filt
 
 
-@dataclass(frozen=True)
-class RamificationFiltration:
+class RamificationFiltration(Value):
     """Orders |G_0| >= |G_1| >= ... of the lower-numbering inertia chain.
 
     Constructed from any weakly decreasing divisibility chain of positive
@@ -240,7 +234,7 @@ class RamificationFiltration:
     order is 1.
     """
 
-    orders: tuple[int, ...]
+    __slots__ = ("orders",)
 
     def __init__(self, orders: Iterable[int] = ()):
         orders = tuple(int(g) for g in orders)

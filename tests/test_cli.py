@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -119,6 +120,31 @@ def test_front_end_matches_full_parser(capsys, argv):
     # main builds only the named subcommand's parser; help, usage lines and
     # messages must be those of the parser with all seven
     assert _exit(capsys, main, argv) == _exit(capsys, build_parser().parse_args, argv)
+
+
+def _stock_parser():
+    """build_parser's full parser built the plain argparse way.
+
+    Every formatter asks the terminal for its width, and add_subparsers
+    renders a usage line for the subcommands' prog.
+    """
+    parser = argparse.ArgumentParser(prog="basechange", description=build_parser().description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
+        p.add_argument("--output", metavar="FILE", help="write output to FILE")
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+    return parser
+
+
+@pytest.mark.parametrize("columns", ["50", "100"])
+def test_front_end_matches_a_stock_parser(capsys, monkeypatch, columns):
+    # help, usage and error bytes at a narrow and a wide terminal
+    monkeypatch.setenv("COLUMNS", columns)
+    for argv in _front_end_argvs():
+        assert _exit(capsys, main, argv) == _exit(capsys, _stock_parser().parse_args, argv), argv
 
 
 def test_full_parser_offers_every_subcommand():

@@ -1,6 +1,7 @@
 import contextlib
-import dataclasses
+import copy
 import hashlib
+import importlib.util
 import io
 import os
 import subprocess
@@ -335,6 +336,25 @@ def test_sweep_reports_a_window_past_the_target_cap():
     assert rows[2].endswith("window 60 at r=2 has 7381 target classes, more than 5000")
 
 
+def test_sweep_rank_rejects_generators_that_are_not_restricted(monkeypatch, capsys):
+    # the column checks the inequalities, so f**r generators that are not
+    # the restricted weights read "no" whatever formula listed them
+    spec = importlib.util.spec_from_file_location("finiteness_sweep", SWEEP)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+
+    def shifted(r, f, window):
+        cert = finiteness_certificate(r, f, window)
+        top = max(cert.generators)
+        return with_fields(cert, generators=[g for g in cert.generators if g != top] + [tuple(x + f for x in top)])
+
+    monkeypatch.setattr(sweep, "finiteness_certificate", shifted)
+    monkeypatch.setattr(sys, "argv", [str(SWEEP), "--max-r", "2", "--max-f", "2"])
+    sweep.main()
+    rows = [row.split() for row in capsys.readouterr().out.splitlines()[1:]]
+    assert [(row[3], row[4]) for row in rows] == [("1", "no"), ("2", "no"), ("1", "no"), ("4", "no")]
+
+
 # -- translation classes ---------------------------------------------------
 
 
@@ -385,7 +405,16 @@ def test_f1_certificate_expands_one_staircase_per_translation_class(monkeypatch)
 
 
 def reference_verify(cert) -> bool:
-    """Re-expand every expression in Fraction arithmetic and compare."""
+    """Re-expand every expression in Fraction arithmetic and compare.
+
+    The generators must be the restricted weights, and the table must
+    hold every sorted class of [-window, window]^r.
+    """
+    r, w = cert.r, cert.window
+    if sorted(cert.generators) != restricted_weights(r, cert.f):
+        return False
+    if set(cert.reductions) != {sort_class(v) for v in product(range(-w, w + 1), repeat=r)}:
+        return False
     for lam, expr in cert.reductions.items():
         if not set(expr) <= set(cert.generators):
             return False
@@ -401,6 +430,14 @@ def real_certificate(r: int, f: int):
     return finiteness_certificate(r, f, 2 * f + 2)
 
 
+def with_fields(cert, **fields):
+    """A copy of cert with some fields set; the rest are shared with cert."""
+    twin = copy.copy(cert)
+    for name, value in fields.items():
+        setattr(twin, name, value)
+    return twin
+
+
 def add_term(coeff: InvariantLaurentPoly, cls, value) -> InvariantLaurentPoly:
     return coeff + InvariantLaurentPoly(coeff.r, {cls: Fraction(value)})
 
@@ -410,10 +447,17 @@ def tamper(cert, fault: str):
         # m_lam = 1 * m_lam is exact, with m_lam itself as the generator
         lam = next(t for t in sorted(cert.reductions) if t not in cert.generators)
         one = InvariantLaurentPoly.one(cert.r)
-        return dataclasses.replace(cert, reductions={**cert.reductions, lam: {lam: one}})
+        return with_fields(cert, reductions={**cert.reductions, lam: {lam: one}})
     if fault == "generator missing from the list":
         gamma = max(cert.generators)
-        return dataclasses.replace(cert, generators=[g for g in cert.generators if g != gamma])
+        return with_fields(cert, generators=[g for g in cert.generators if g != gamma])
+    if fault == "extra generator":
+        return with_fields(cert, generators=cert.generators + [(9,) * cert.r])
+    if fault == "empty reduction table":
+        return with_fields(cert, reductions={})
+    if fault == "target missing from the table":
+        lam = min(cert.reductions)
+        return with_fields(cert, reductions={t: e for t, e in cert.reductions.items() if t != lam})
     # the first target whose expression uses two or more generators
     lam, expr = next((t, e) for t, e in sorted(cert.reductions.items()) if len(e) >= 2)
     gamma = min(expr)
@@ -433,7 +477,7 @@ def tamper(cert, fault: str):
         expr = {g: b for g, b in expr.items() if g != gamma}
     elif fault == "extra B-term":
         expr = {**expr, gamma: add_term(coeff, (f,) + (0,) * (r - 1), 1)}
-    return dataclasses.replace(cert, reductions={**cert.reductions, lam: expr})
+    return with_fields(cert, reductions={**cert.reductions, lam: expr})
 
 
 FAULTS = [
@@ -445,6 +489,9 @@ FAULTS = [
     "extra B-term",
     "trivial expression over a non-generator",
     "generator missing from the list",
+    "extra generator",
+    "empty reduction table",
+    "target missing from the table",
 ]
 
 
@@ -460,9 +507,10 @@ def test_verify_rejects_tampered_certificate(r, f, fault):
 
 @st.composite
 def perturbed_expressions(draw):
-    """One real (target, expression) pair, perhaps with a few random edits:
-    a term added to, changed in or removed from some coefficient, a
-    generator dropped, or a new generator with its own coefficient."""
+    """A real certificate with one (target, expression) pair perhaps given a
+    few random edits: a term added to, changed in or removed from some
+    coefficient, a generator dropped, or a new generator with its own
+    coefficient.  The rest of the table stays, so the certificate is complete."""
     r, f = draw(st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2)]))
     cert = real_certificate(r, f)
     lam = draw(st.sampled_from(sorted(cert.reductions)))
@@ -491,7 +539,7 @@ def perturbed_expressions(draw):
         elif terms:
             del terms[draw(st.sampled_from(sorted(terms)))]
         expr[gamma] = InvariantLaurentPoly(r, terms)
-    return dataclasses.replace(cert, reductions={lam: expr})
+    return with_fields(cert, reductions={**cert.reductions, lam: expr})
 
 
 @given(perturbed_expressions())
