@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Sweep finiteness certificates over (r, f) and report sizes and timings.
 
-Builds the certificate at the default window 2f+2 for every supported
+Builds the certificate at the builder's default window for every supported
 pair (1 <= r <= MAX_RANK, 1 <= f <= MAX_POWER), verifies it by full
 re-expansion, and prints one row per case.  The ``rank`` column checks
 the freeness basis: the invariant ring is free of rank f**r over the
@@ -12,13 +12,14 @@ inequalities: the check states the definition, not the formula
 finiteness_certificate lists the weights by.
 Use --max-r / --max-f to restrict, --window to override the window;
 values past the certificate caps are refused with exit code 2.  A case
-whose window holds too many targets prints the reason in its row.
+the builder refuses (a window below r(f-1), or one holding more targets
+than MAX_TARGETS) prints the reason in its row.
 """
 
 import argparse
 import time
 
-from basechange.finiteness import MAX_POWER, MAX_RANK, WindowTooSmall, finiteness_certificate
+from basechange.finiteness import MAX_POWER, MAX_RANK, finiteness_certificate
 
 
 def main():
@@ -38,16 +39,11 @@ def main():
           f"{'maxcoef':>7} {'verified':>8} {'seconds':>8}")
     for r in range(1, args.max_r + 1):
         for f in range(1, args.max_f + 1):
-            window = args.window if args.window is not None else 2 * f + 2
             start = time.perf_counter()
             try:
-                cert = finiteness_certificate(r, f, window)
-            except WindowTooSmall as exc:
-                print(f"{r:>2} {f:>2} {window:>6}  window too small "
-                      f"(suggested {exc.suggested_window})")
-                continue
-            except ValueError as exc:  # more target classes than MAX_TARGETS
-                print(f"{r:>2} {f:>2} {window:>6}  {exc}")
+                cert = finiteness_certificate(r, f, args.window)
+            except ValueError as exc:  # WindowTooSmall included; the message names the window
+                print(f"{r:>2} {f:>2}  {exc}")
                 continue
             verified = cert.verify()
             elapsed = time.perf_counter() - start
@@ -55,7 +51,7 @@ def main():
             restricted = all(len(g) == r and 0 <= g[-1] < f
                              and all(0 <= a - b < f for a, b in zip(g, g[1:])) for g in gens)
             rank = "ok" if restricted and len(gens) == len(cert.generators) == f**r else "no"
-            print(f"{r:>2} {f:>2} {window:>6} {len(cert.generators):>5} {rank:>5} "
+            print(f"{r:>2} {f:>2} {cert.window:>6} {len(cert.generators):>5} {rank:>5} "
                   f"{len(cert.reductions):>7} {cert.max_coefficient_exponent():>7} "
                   f"{str(verified):>8} {elapsed:>8.2f}")
 

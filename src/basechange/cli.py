@@ -352,8 +352,7 @@ def cmd_kmap(args) -> int:
 
 
 def cmd_finiteness(args) -> int:
-    window = args.window if args.window is not None else 2 * args.f + 2
-    cert = finiteness_certificate(args.r, args.f, window)
+    cert = finiteness_certificate(args.r, args.f, args.window)
     verified = cert.verify() if args.verify else None
     summary = {
         "r": cert.r,

@@ -41,7 +41,8 @@ to the other members; the window test and verify see each target's own.
 constructive_reduction runs the free-basis argument forwards instead
 (t^lam = s^q * t^a with s_i = t_i^f, s^q expanded over the staircase by
 exact divided differences, then averaged): the builder does not use it,
-it is the reference the tests compare the walk with.
+it is the reference the tests compare the walk with, and the only part
+of this module that works in laurent's polynomial classes.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from math import comb
 
 from .laurent import (
     ExponentVector,
-    InvariantLaurentPoly,
     _orbit_sum_product,
     sort_class,
     stabilizer_order,
@@ -78,7 +78,7 @@ class WindowTooSmall(ValueError):
         self.suggested_window = suggested_window
 
 
-Expression = dict[ExponentVector, InvariantLaurentPoly]  # generator class -> B-coefficient
+Expression = dict[ExponentVector, dict[ExponentVector, int]]  # generator -> {B-class: coefficient}
 
 
 def candidate_generators(r: int, f: int) -> list[ExponentVector]:
@@ -101,20 +101,19 @@ def sorted_tuples(r: int, lo: int, hi: int) -> Iterator[ExponentVector]:
     return combinations_with_replacement(range(hi, lo - 1, -1), r)
 
 
-def constructive_reduction(lam: ExponentVector, f: int) -> Expression:
+def constructive_reduction(lam: ExponentVector, f: int) -> dict:
     """Express m_lam over the full candidate set, with coefficients in B.
 
-    Exact and search-free; coefficients are invariant Laurent
-    polynomials whose exponents are all multiples of f (the B-membership
-    witness).  The certificate builder does not call this; it is the
-    tests' staircase reference, kept here while the benchmark tracer
+    Exact and search-free; coefficients are InvariantLaurentPoly values
+    whose exponents are all multiples of f (the B-membership witness).
+    The certificate builder does not call this; it is the tests'
+    staircase reference, kept here while the benchmark tracer
     wraps it by name, and free to move to the tests after that.
     """
-    r = len(lam)
     a = tuple(x % f for x in lam)
     q = tuple((x - ai) // f for x, ai in zip(lam, a))
     stab_lam = stabilizer_order(lam)
-    terms: Expression = {}
+    terms = {}
     for c, b_coeff in staircase_decompose(q).items():
         if b_coeff.is_zero():
             continue
@@ -127,8 +126,8 @@ def constructive_reduction(lam: ExponentVector, f: int) -> Expression:
     return {g: b for g, b in terms.items() if not b.is_zero()}
 
 
-def linear_reduction(target: ExponentVector, f: int, coeff_bound: int) -> Expression | None:
-    """Express m_target over the f-restricted weights by a triangular walk, or None.
+def linear_reduction(target: ExponentVector, f: int) -> Expression:
+    """Express m_target over the f-restricted weights by a triangular walk.
 
     Split lam = lam0 + f*mu with lam0 restricted: lam0_r = lam_r mod f,
     and lam0_i - lam0_(i+1) = (lam_i - lam_(i+1)) mod f.  Then
@@ -138,13 +137,13 @@ def linear_reduction(target: ExponentVector, f: int, coeff_bound: int) -> Expres
     class of the remainder, records its coefficient on (lam0, f*mu) and
     subtracts the rest of that product.  All it subtracts later lies
     below, so each recorded coefficient is final: the result is the
-    unique expression over the restricted basis, and None means that
-    expression has a B-exponent beyond coeff_bound.  The certificate
-    builds every stored expression with this walk.
+    unique expression over the restricted basis.  The walk ends, as a
+    degree holds finitely many weakly decreasing classes below target.
+    The certificate builds every stored expression with this walk.
     """
     r = len(target)
     remainder: dict[ExponentVector, int] = {target: 1}
-    expr: dict[ExponentVector, dict[ExponentVector, int]] = {}
+    expr: Expression = {}
     while remainder:
         lam = max(remainder)
         c = remainder.pop(lam)
@@ -153,8 +152,6 @@ def linear_reduction(target: ExponentVector, f: int, coeff_bound: int) -> Expres
             rest.append(rest[-1] + (lam[i] - lam[i + 1]) % f)
         lam0 = tuple(reversed(rest))
         f_mu = tuple(x - y for x, y in zip(lam, lam0))
-        if max(map(abs, f_mu)) > coeff_bound:
-            return None
         expr.setdefault(lam0, {})[f_mu] = c
         for cls, mult in _orbit_sum_product(f_mu, lam0):
             if cls != lam:
@@ -163,7 +160,7 @@ def linear_reduction(target: ExponentVector, f: int, coeff_bound: int) -> Expres
                     remainder[cls] = n
                 else:
                     del remainder[cls]
-    return {g: InvariantLaurentPoly(r, terms) for g, terms in expr.items()}
+    return expr
 
 
 class FinitenessCertificate(Value):
@@ -175,28 +172,27 @@ class FinitenessCertificate(Value):
     ``coefficient_window`` bounds every exponent appearing in any
     coefficient.  ``fallback_targets`` is always empty; the benchmark's
     finiteness.fallback_targets counter reads it.  Schema 1's ``pruned``
-    and ``inverse_product`` are derived in to_json, not stored.  A
-    certificate can be edited, so unlike the other records it has no hash.
+    and ``inverse_product`` are derived in to_json, not stored.  Like
+    every record it is immutable; holding a dict, it has no hash.
     """
 
     __slots__ = ("r", "f", "window", "coefficient_window", "generators", "reductions", "fallback_targets")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def verify(self) -> bool:
         """Check that the certificate is complete and re-expand every expression exactly.
 
-        ``generators`` must be f^r distinct f-restricted weights, which
-        are then all of them, and ``reductions`` must hold exactly the
-        comb(2w + r, r) weakly decreasing classes in [-w, w], w the
-        window.  Every expression must be over ``generators`` and carry
-        the B-membership witness: every coefficient exponent is a
-        multiple of f.  Each expression sum_j b_j * m_gamma_j is expanded
-        with the orbit-sum structure constants, in exact int or Fraction
-        arithmetic; it must come to m_lam.
+        ``generators`` must be f^r distinct f-restricted weights given
+        as tuples, which are then all of them, and ``reductions`` must
+        hold exactly the comb(2w + r, r) weakly decreasing classes in
+        [-w, w], w the window.  Every expression must be over
+        ``generators`` and carry the B-membership witness: every
+        coefficient exponent is a multiple of f, and at most
+        ``coefficient_window`` in absolute value.  Each expression
+        sum_j b_j * m_gamma_j is expanded with the orbit-sum structure
+        constants, in exact int or Fraction arithmetic; it must come to m_lam.
         """
-        r, f, generators = self.r, self.f, set(self.generators)
+        r, f, bound = self.r, self.f, self.coefficient_window
+        generators = {g for g in self.generators if type(g) is tuple}  # the count below refuses a list
         restricted = [g for g in generators if len(g) == r and 0 <= g[-1] < f
                       and all(0 <= a - b < f for a, b in zip(g, g[1:]))]
         if not len(restricted) == len(self.generators) == f**r:
@@ -208,8 +204,8 @@ class FinitenessCertificate(Value):
             for gamma, coeff in expr.items():
                 if gamma not in generators:
                     return False
-                for mu, c in coeff.terms.items():
-                    if any(x % f for x in mu):
+                for mu, c in coeff.items():
+                    if any(x % f or abs(x) > bound for x in mu):
                         return False
                     for cls, mult in _orbit_sum_product(mu, gamma):
                         acc[cls] = acc.get(cls, 0) + c * mult
@@ -219,7 +215,7 @@ class FinitenessCertificate(Value):
 
     def max_coefficient_exponent(self) -> int:
         return max(
-            (c.max_abs_exponent() for e in self.reductions.values() for c in e.values()),
+            (abs(x) for e in self.reductions.values() for c in e.values() for mu in c for x in mu),
             default=0,
         )
 
@@ -239,7 +235,7 @@ class FinitenessCertificate(Value):
                 {
                     "generator": list(gamma),
                     "coefficient": [
-                        term_json(cls, c) for cls, c in sorted(expr[gamma].terms.items())
+                        term_json(cls, c) for cls, c in sorted(expr[gamma].items())
                     ],
                 }
                 for gamma in sorted(expr)
@@ -265,8 +261,8 @@ class FinitenessCertificate(Value):
         }
 
 
-def finiteness_certificate(r: int, f: int, window: int) -> FinitenessCertificate:
-    """Build and return the complete certificate for (r, f) at the window.
+def finiteness_certificate(r: int, f: int, window: int | None = None) -> FinitenessCertificate:
+    """Build and return the complete certificate for (r, f) at the window, 2f+2 by default.
 
     Raises WindowTooSmall when the window is below r(f-1) or some
     in-window monomial admits no expression inside the window bounds,
@@ -277,6 +273,8 @@ def finiteness_certificate(r: int, f: int, window: int) -> FinitenessCertificate
         raise ValueError(f"r must be in [1, {MAX_RANK}]")
     if not 1 <= f <= MAX_POWER:
         raise ValueError(f"f must be in [1, {MAX_POWER}]")
+    if window is None:
+        window = 2 * f + 2
     if window < 1:
         raise ValueError("window must be >= 1")
     smallest = r * (f - 1)  # the largest entry of an f-restricted generator
@@ -292,20 +290,18 @@ def finiteness_certificate(r: int, f: int, window: int) -> FinitenessCertificate
         )
 
     coeff_window = window + f * r
-    # a shift to a target in the window moves exponents by at most window + f - 1,
-    # so a representative past this bound fails coeff_window for its whole class
-    class_bound = coeff_window + window + f - 1
     reductions: dict[ExponentVector, Expression] = {}
-    representatives: dict[ExponentVector, Expression | None] = {}
+    representatives: dict[ExponentVector, Expression] = {}
     for lam in sorted_tuples(r, -window, window):
         shift = f * (lam[-1] // f)
         base = tuple(x - shift for x in lam)
         expr = representatives.get(base)
         if expr is None:
-            expr = representatives[base] = linear_reduction(base, f, class_bound)
-        if expr is not None and shift:
-            expr = {g: c.translate(shift) for g, c in expr.items()}
-        if expr is None or any(c.max_abs_exponent() > coeff_window for c in expr.values()):
+            expr = representatives[base] = linear_reduction(base, f)
+        if shift:
+            expr = {g: {tuple(x + shift for x in mu): c for mu, c in coeff.items()}
+                    for g, coeff in expr.items()}
+        if any(abs(x) > coeff_window for coeff in expr.values() for mu in coeff for x in mu):
             raise WindowTooSmall(
                 f"no expression for class {lam} with generators and coefficients "
                 f"inside window {window}; retry with window {window + f}",
@@ -316,4 +312,4 @@ def finiteness_certificate(r: int, f: int, window: int) -> FinitenessCertificate
     # lam_i = a_i + ... + a_r, in schema 1's candidate order (degree, then lam)
     restricted = (tuple(sum(a[i:]) for i in range(r)) for a in product(range(f), repeat=r))
     generators = sorted(restricted, key=lambda g: (sum(g), g))
-    return FinitenessCertificate(r, f, window, coeff_window, generators, reductions, [])
+    return FinitenessCertificate(r, f, window, coeff_window, generators, reductions, ())

@@ -40,9 +40,11 @@ s_k..s_r, and Newton's divided differences recover them exactly and
 uniquely; the basis is a Z-basis, so those coefficients are ints.  The
 rank cap of the finiteness certificates is theirs, not a limit here.
 
-``LaurentPoly`` and ``staircase_decompose`` only serve the staircase
-reference finiteness.constructive_reduction, not the certificate builder;
-they can move to the tests once the benchmark tracer stops naming them.
+``LaurentPoly``, ``InvariantLaurentPoly`` and ``staircase_decompose``
+only serve the staircase reference finiteness.constructive_reduction; the
+certificate builder keeps plain {class: int} tables and takes only
+``_orbit_sum_product`` and the class helpers from here.  The three can
+move to the tests once the benchmark tracer stops naming them.
 """
 
 from __future__ import annotations
@@ -347,15 +349,6 @@ class InvariantLaurentPoly(_TermPoly):
         return InvariantLaurentPoly._trusted(
             self.r, {tuple(f * x for x in e): c for e, c in self.terms.items()}
         )
-
-    def translate(self, k: int) -> "InvariantLaurentPoly":
-        """Add k to every exponent: the exact product with the unit m_(k,...,k)."""
-        return InvariantLaurentPoly._trusted(
-            self.r, {tuple(x + k for x in e): c for e, c in self.terms.items()}
-        )
-
-    def max_abs_exponent(self) -> int:
-        return max((abs(x) for e in self.terms for x in e), default=0)
 
     def __repr__(self):
         items = ", ".join(f"m{list(e)}: {c}" for e, c in sorted(self.terms.items()))

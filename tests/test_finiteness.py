@@ -1,5 +1,4 @@
 import contextlib
-import copy
 import hashlib
 import importlib.util
 import io
@@ -20,6 +19,7 @@ from basechange.cli import main
 from basechange.finiteness import (
     MAX_POWER,
     MAX_RANK,
+    FinitenessCertificate,
     WindowTooSmall,
     candidate_generators,
     constructive_reduction,
@@ -31,11 +31,21 @@ from basechange.laurent import InvariantLaurentPoly, _orbit_sum_product, sort_cl
 
 
 def expand_expression(r: int, expr) -> InvariantLaurentPoly:
-    """sum_j b_j * m_gamma_j, multiplied out with InvariantLaurentPoly.__mul__."""
+    """sum_j b_j * m_gamma_j for {B-class: coefficient} tables b_j, multiplied
+    out with InvariantLaurentPoly.__mul__."""
     total = InvariantLaurentPoly.zero(r)
     for gamma, coeff in expr.items():
-        total = total + coeff * InvariantLaurentPoly.orbit_sum(gamma)
+        total = total + InvariantLaurentPoly(r, coeff) * InvariantLaurentPoly.orbit_sum(gamma)
     return total
+
+
+def table(expr) -> dict:
+    """A polynomial-valued expression as the certificate's {generator: {B-class: coefficient}}."""
+    return {gamma: b.terms for gamma, b in expr.items()}
+
+
+def max_exponent(coeff) -> int:
+    return max(abs(x) for cls in coeff for x in cls)
 
 
 def restricted_weights(r: int, f: int) -> list[tuple[int, ...]]:
@@ -64,7 +74,7 @@ def test_constructive_reduction_is_exact():
     for lam in [(3, 0), (4, 1), (6, -5), (0, -3), (5, 2, -1), (2, 2, 2)]:
         f = 2
         expr = constructive_reduction(lam, f)
-        assert expand_expression(len(lam), expr) == InvariantLaurentPoly.orbit_sum(lam)
+        assert expand_expression(len(lam), table(expr)) == InvariantLaurentPoly.orbit_sum(lam)
         for coeff in expr.values():
             assert all(x % f == 0 for cls in coeff.terms for x in cls)
 
@@ -73,9 +83,7 @@ def test_univariate_certificates_match_hand_computation():
     cert = finiteness_certificate(1, 2, 4)
     assert cert.generators == [(0,), (1,)]
     # t^3 = (t^2) * t
-    assert cert.reductions[(3,)] == {
-        (1,): InvariantLaurentPoly(1, {(2,): Fraction(1)})
-    }
+    assert cert.reductions[(3,)] == {(1,): {(2,): 1}}
     assert cert.verify()
 
     cert = finiteness_certificate(1, 3, 6)
@@ -134,18 +142,15 @@ def test_pruned_candidates_carry_valid_expressions():
 
 def test_linear_reduction_finds_known_identity():
     # m_(3,0) = (t1^2 + t2^2) * m_(1,0) - m_(2,1)
-    expr = linear_reduction((3, 0), 2, 6)
-    assert expr is not None
-    assert set(expr) == {(1, 0), (2, 1)}
+    expr = linear_reduction((3, 0), 2)
+    assert expr == {(1, 0): {(2, 0): 1}, (2, 1): {(0, 0): -1}}
     assert expand_expression(2, expr) == InvariantLaurentPoly.orbit_sum((3, 0))
-    # a B-exponent past the bound is the one way the walk fails
-    assert linear_reduction((3, 0), 2, 1) is None
 
 
 def test_linear_reduction_respects_parity_obstruction():
     # (2, 1) is outside the B-span of the [0, 2) box by a parity count; it is
     # a restricted weight at f = 2, so it is a generator and its own expression
-    assert linear_reduction((2, 1), 2, 0) == {(2, 1): InvariantLaurentPoly.one(2)}
+    assert linear_reduction((2, 1), 2) == {(2, 1): {(0, 0): 1}}
     assert (2, 1) in finiteness_certificate(2, 2, 2).generators
 
 
@@ -154,7 +159,7 @@ def test_coefficient_window_is_respected():
     assert cert.max_coefficient_exponent() <= cert.coefficient_window
     for expr in cert.reductions.values():
         for coeff in expr.values():
-            assert coeff.max_abs_exponent() <= cert.coefficient_window
+            assert max_exponent(coeff) <= cert.coefficient_window
 
 
 def test_certificate_json_shape():
@@ -195,13 +200,14 @@ def test_restricted_times_pullback_is_triangular(data):
 def staircase_reference(lam, f: int, cert):
     """The staircase path: constructive_reduction(lam, f) with every in-window
     candidate replaced by its own expression over the generators."""
-    one = InvariantLaurentPoly.one(len(lam))
+    r = len(lam)
+    one = {(0,) * r: 1}
     out = {}
     for gamma, coeff in constructive_reduction(lam, f).items():
         for inner, inner_coeff in cert.reductions.get(gamma, {gamma: one}).items():
-            term = coeff * inner_coeff
+            term = coeff * InvariantLaurentPoly(r, inner_coeff)
             out[inner] = out[inner] + term if inner in out else term
-    return {g: b for g, b in out.items() if not b.is_zero()}
+    return table({g: b for g, b in out.items() if not b.is_zero()})
 
 
 @pytest.mark.parametrize("r, f, window", [(2, 2, 6), (3, 2, 6), (2, 4, 10), (3, 4, 10)])
@@ -213,7 +219,7 @@ def test_triangular_reduction_matches_the_staircase_path(r, f, window):
     for lam, expr in cert.reductions.items():
         reference = staircase_reference(lam, f, cert)
         if set(reference) <= generators and all(
-            b.max_abs_exponent() <= cert.coefficient_window for b in reference.values()
+            max_exponent(b) <= cert.coefficient_window for b in reference.values()
         ):
             assert reference == expr
             compared += 1
@@ -284,8 +290,9 @@ def test_fallback_certificate_output_is_pinned(r, f, window, digest):
 )
 def test_generators_have_freeness_rank(r, f):
     # A = Q[t^+-1]^{S_r} is free of rank f**r over its image B under t -> t^f,
-    # with the restricted weights as a basis
-    cert = finiteness_certificate(r, f, 2 * f + 2)
+    # with the restricted weights as a basis; the default window is 2f+2
+    cert = finiteness_certificate(r, f)
+    assert cert.window == 2 * f + 2
     assert len(cert.generators) == f**r
     assert sorted(cert.generators) == restricted_weights(r, f)
 
@@ -294,9 +301,10 @@ def test_generators_have_freeness_rank(r, f):
     "r, f", [(r, f) for r in range(1, MAX_RANK + 1) for f in range(1, MAX_POWER + 1)]
 )
 def test_certificate_coefficients_are_exact(r, f):
+    # the walk subtracts integer structure constants from 1, so every coefficient is an int
     cert = finiteness_certificate(r, f, 2 * f + 2)
-    coefficients = [c for e in cert.reductions.values() for b in e.values() for c in b.terms.values()]
-    assert coefficients and all(type(c) in (int, Fraction) for c in coefficients)
+    coefficients = [c for e in cert.reductions.values() for b in e.values() for c in b.values()]
+    assert coefficients and all(type(c) is int for c in coefficients)
 
 
 SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "finiteness_sweep.py"
@@ -346,7 +354,7 @@ def test_sweep_rank_rejects_generators_that_are_not_restricted(monkeypatch, caps
     def shifted(r, f, window):
         cert = finiteness_certificate(r, f, window)
         top = max(cert.generators)
-        return with_fields(cert, generators=[g for g in cert.generators if g != top] + [tuple(x + f for x in top)])
+        return rebuilt(cert, generators=[g for g in cert.generators if g != top] + [tuple(x + f for x in top)])
 
     monkeypatch.setattr(sweep, "finiteness_certificate", shifted)
     monkeypatch.setattr(sys, "argv", [str(SWEEP), "--max-r", "2", "--max-f", "2"])
@@ -365,8 +373,9 @@ def test_constructive_reduction_commutes_with_translation(r, data):
     f = data.draw(st.integers(1, MAX_POWER))
     lam = sort_class(data.draw(st.tuples(*[st.integers(-5, 5)] * r)))
     k = data.draw(st.integers(-3, 3))
+    unit = InvariantLaurentPoly.orbit_sum((f * k,) * r)
     shifted = constructive_reduction(tuple(x + f * k for x in lam), f)
-    assert shifted == {g: b.translate(f * k) for g, b in constructive_reduction(lam, f).items()}
+    assert shifted == {g: b * unit for g, b in constructive_reduction(lam, f).items()}
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -374,15 +383,15 @@ def test_constructive_reduction_commutes_with_translation(r, data):
 @settings(max_examples=30, deadline=None)
 def test_linear_reduction_commutes_with_translation(r, data):
     # the certificate walks one representative per class and translates its
-    # expression to the other members; the bound is never reached here
+    # expression to the other members: the product with the unit m_(fk,...,fk)
     f = data.draw(st.integers(1, MAX_POWER))
     lam = sort_class(data.draw(st.tuples(*[st.integers(-5, 5)] * r)))
     k = data.draw(st.integers(-3, 3))
-    expr = linear_reduction(lam, f, 10**6)
-    assert expr is not None
+    expr = linear_reduction(lam, f)
     assert set(expr) <= set(restricted_weights(r, f))
-    shifted = linear_reduction(tuple(x + f * k for x in lam), f, 10**6)
-    assert shifted == {g: b.translate(f * k) for g, b in expr.items()}
+    unit = InvariantLaurentPoly.orbit_sum((f * k,) * r)
+    shifted = linear_reduction(tuple(x + f * k for x in lam), f)
+    assert shifted == {g: (InvariantLaurentPoly(r, b) * unit).terms for g, b in expr.items()}
 
 
 def test_f1_certificate_expands_one_staircase_per_translation_class(monkeypatch):
@@ -401,6 +410,30 @@ def test_f1_certificate_expands_one_staircase_per_translation_class(monkeypatch)
     assert len(walks) <= 45
 
 
+def test_expression_past_the_coefficient_window_exits_4(monkeypatch, capsys):
+    # no walk leaves the window w + f*r at any window the builder accepts, so
+    # one is made to: every expression gains a B-term (f(w + r + 1), 0), which
+    # even the first target, translated by at least 0, carries past the window
+    r, f, window = 2, 2, 6
+
+    def stretched(target, f):
+        expr = linear_reduction(target, f)
+        gamma = min(expr)
+        return {**expr, gamma: {**expr[gamma], (f * (window + r + 1), 0): 1}}
+
+    monkeypatch.setattr(finiteness, "linear_reduction", stretched)
+    with pytest.raises(WindowTooSmall) as err:
+        finiteness_certificate(r, f, window)
+    assert err.value.suggested_window == window + f
+    code = main(["finiteness", "--r", str(r), "--f", str(f), "--window", str(window)])
+    out, stderr = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert stderr.splitlines() == [
+        "error: no expression for class (6, 6) with generators and coefficients"
+        " inside window 6; retry with window 8"
+    ]
+
+
 # -- verify against the Fraction re-expansion -----------------------------
 
 
@@ -408,7 +441,8 @@ def reference_verify(cert) -> bool:
     """Re-expand every expression in Fraction arithmetic and compare.
 
     The generators must be the restricted weights, and the table must
-    hold every sorted class of [-window, window]^r.
+    hold every sorted class of [-window, window]^r.  Every coefficient
+    exponent must be a multiple of f inside the coefficient window.
     """
     r, w = cert.r, cert.window
     if sorted(cert.generators) != restricted_weights(r, cert.f):
@@ -418,7 +452,8 @@ def reference_verify(cert) -> bool:
     for lam, expr in cert.reductions.items():
         if not set(expr) <= set(cert.generators):
             return False
-        if any(x % cert.f for coeff in expr.values() for cls in coeff.terms for x in cls):
+        if any(x % cert.f or abs(x) > cert.coefficient_window
+               for coeff in expr.values() for cls in coeff for x in cls):
             return False
         if expand_expression(cert.r, expr) != InvariantLaurentPoly.orbit_sum(lam):
             return False
@@ -430,54 +465,59 @@ def real_certificate(r: int, f: int):
     return finiteness_certificate(r, f, 2 * f + 2)
 
 
-def with_fields(cert, **fields):
-    """A copy of cert with some fields set; the rest are shared with cert."""
-    twin = copy.copy(cert)
-    for name, value in fields.items():
-        setattr(twin, name, value)
-    return twin
+def rebuilt(cert, **fields):
+    """A certificate built through the constructor from cert's fields, some replaced."""
+    kept = {name: getattr(cert, name) for name in FinitenessCertificate.__slots__ if name not in fields}
+    return FinitenessCertificate(**kept, **fields)
 
 
-def add_term(coeff: InvariantLaurentPoly, cls, value) -> InvariantLaurentPoly:
-    return coeff + InvariantLaurentPoly(coeff.r, {cls: Fraction(value)})
+def nonzero(coeff: dict) -> dict:
+    return {cls: c for cls, c in coeff.items() if c}
+
+
+def add_term(coeff: dict, cls, value) -> dict:
+    return nonzero({**coeff, cls: coeff.get(cls, 0) + Fraction(value)})
 
 
 def tamper(cert, fault: str):
     if fault == "trivial expression over a non-generator":
         # m_lam = 1 * m_lam is exact, with m_lam itself as the generator
         lam = next(t for t in sorted(cert.reductions) if t not in cert.generators)
-        one = InvariantLaurentPoly.one(cert.r)
-        return with_fields(cert, reductions={**cert.reductions, lam: {lam: one}})
+        return rebuilt(cert, reductions={**cert.reductions, lam: {lam: {(0,) * cert.r: 1}}})
     if fault == "generator missing from the list":
         gamma = max(cert.generators)
-        return with_fields(cert, generators=[g for g in cert.generators if g != gamma])
+        return rebuilt(cert, generators=[g for g in cert.generators if g != gamma])
     if fault == "extra generator":
-        return with_fields(cert, generators=cert.generators + [(9,) * cert.r])
+        return rebuilt(cert, generators=cert.generators + [(9,) * cert.r])
+    if fault == "generator given as a list":
+        return rebuilt(cert, generators=[list(g) for g in cert.generators])
+    if fault == "coefficient window below the largest exponent":
+        return rebuilt(cert, coefficient_window=cert.max_coefficient_exponent() - 1)
     if fault == "empty reduction table":
-        return with_fields(cert, reductions={})
+        return rebuilt(cert, reductions={})
     if fault == "target missing from the table":
         lam = min(cert.reductions)
-        return with_fields(cert, reductions={t: e for t, e in cert.reductions.items() if t != lam})
+        return rebuilt(cert, reductions={t: e for t, e in cert.reductions.items() if t != lam})
     # the first target whose expression uses two or more generators
     lam, expr = next((t, e) for t, e in sorted(cert.reductions.items()) if len(e) >= 2)
     gamma = min(expr)
     coeff = expr[gamma]
     r, f = cert.r, cert.f
     if fault == "coefficient value":
-        cls = min(coeff.terms)
+        cls = min(coeff)
         expr = {**expr, gamma: add_term(coeff, cls, 1)}
     elif fault == "exponent not divisible by f":
         expr = {**expr, gamma: add_term(coeff, (1,) + (0,) * (r - 1), 1)}
     elif fault == "expands correctly outside B":
         # m_lam = m_lam * m_0 is exact, but m_lam is not a coefficient in B
-        expr = {(0,) * r: InvariantLaurentPoly.orbit_sum(lam)}
+        expr = {(0,) * r: {lam: 1}}
     elif fault == "empty expression":
         expr = {}
     elif fault == "dropped generator":
         expr = {g: b for g, b in expr.items() if g != gamma}
     elif fault == "extra B-term":
         expr = {**expr, gamma: add_term(coeff, (f,) + (0,) * (r - 1), 1)}
-    return with_fields(cert, reductions={**cert.reductions, lam: expr})
+    return rebuilt(cert, reductions={**cert.reductions, lam: expr})
 
 
 FAULTS = [
@@ -490,6 +530,8 @@ FAULTS = [
     "trivial expression over a non-generator",
     "generator missing from the list",
     "extra generator",
+    "generator given as a list",
+    "coefficient window below the largest exponent",
     "empty reduction table",
     "target missing from the table",
 ]
@@ -522,10 +564,10 @@ def perturbed_expressions(draw):
         kind = draw(st.sampled_from(["add", "change", "remove", "drop", "new"]))
         if kind == "new" or not gammas:
             gamma = draw(st.sampled_from(cert.generators))
-            expr[gamma] = InvariantLaurentPoly(r, {draw(classes): draw(values)})
+            expr[gamma] = nonzero({draw(classes): draw(values)})
             continue
         gamma = draw(st.sampled_from(gammas))
-        terms = dict(expr[gamma].terms)
+        terms = dict(expr[gamma])
         if kind == "drop":
             del expr[gamma]
             continue
@@ -538,8 +580,8 @@ def perturbed_expressions(draw):
             terms[draw(st.sampled_from(sorted(terms)))] = draw(values)
         elif terms:
             del terms[draw(st.sampled_from(sorted(terms)))]
-        expr[gamma] = InvariantLaurentPoly(r, terms)
-    return with_fields(cert, reductions={**cert.reductions, lam: expr})
+        expr[gamma] = nonzero(terms)
+    return rebuilt(cert, reductions={**cert.reductions, lam: expr})
 
 
 @given(perturbed_expressions())
