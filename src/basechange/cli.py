@@ -7,7 +7,8 @@ as "p/q" strings, and ordering is deterministic everywhere so output is
 diffable.  JSON goes to its destination while the renderer walks the
 payload, a few thousand parts at a time, never as one document-sized
 string; the dense rows of a K-theory matrix are written from its nonzero
-cells, which is all the payload holds of it.
+cells, which is all the payload holds of it, and a finiteness
+certificate's reductions per translation class, each from one template.
 
 Exit codes: 0 success, 2 invalid input, 3 out-of-scope mathematics,
 4 finiteness window failure.
@@ -36,7 +37,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .extquot import extended_quotient
-from .finiteness import WindowTooSmall, finiteness_certificate
+from .finiteness import ReductionRows, WindowTooSmall, finiteness_certificate
 from .gl1 import MAX_CIRCLES, TemperedDualGL1, bc_gl1, circle_map
 from .gl2 import AdmissiblePair, EvenDegree, NotUnramified, OutOfScope, bc_gl2
 from .ktheory import CircleSpace, DenseRows, ProperCircleMap, induced_map
@@ -129,50 +130,40 @@ def _parse_orders(text: str) -> RamificationFiltration:
     return RamificationFiltration(orders)
 
 
-def _render(value, parts: list, memo: dict, write, indent: str = "\n") -> bool:
-    """Render json.dumps(value, indent=2) into parts and write; true if it took one leaf part.
+def _render(value, parts: list, memo: dict, write, indent: str = "\n") -> None:
+    """Render json.dumps(value, indent=2) into parts and write.
 
     The text goes into parts.  A non-leaf list passes parts to write and
     empties it once it holds more than FLUSH_PARTS, as _render_dense does
     after each row with a cell; what is left in parts at the end follows
     what write was given.  indent is the newline and spaces that open
-    this value's line, and no level copies its children's text.  A
-    leaf dict, each value one part, is joined into one part kept in memo
-    by (id, indent), so an object the payload repeats is rendered once;
-    the payload keeps it alive, so no id is reused while memo lives.  The
-    join never spans a write, as a dict with a non-leaf child is never
-    joined.  A list of plain ints is one part made by int.__repr__; bool
-    is an int subclass and False == 0.0 == 0, hence the exact type test.
+    this value's line, and no level copies its children's text.  memo is
+    _render_dense's.  A list of plain ints is one part made by
+    int.__repr__; bool is an int subclass and False == 0.0 == 0, hence
+    the exact type test.
     """
     if isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
     elif type(value) is int:
         parts.append(int.__repr__(value))
-    elif type(value) is DenseRows:
-        _render_dense(value, parts, memo, write, indent)
-        return False
     elif not isinstance(value, (list, tuple, dict)) or not value:
-        parts.append(json.dumps(value))
+        if type(value) is DenseRows:
+            _render_dense(value, parts, memo, write, indent)
+        elif type(value) is ReductionRows:
+            _render_reductions(value, parts, write, indent)
+        else:
+            parts.append(json.dumps(value))
     else:
         inner = indent + "  "
         sep = "," + inner
         if isinstance(value, dict):
-            key = (id(value), indent)
-            text = memo.get(key)
-            if text is not None:
-                parts.append(text)
-                return False
-            glue, start, leaf = "{" + inner, len(parts), True
+            glue = "{" + inner
             for k, v in value.items():
                 parts.append(glue + encode_basestring_ascii(k) + ": ")
                 glue = sep
-                leaf &= _render(v, parts, memo, write, inner)
+                _render(v, parts, memo, write, inner)
             parts.append(indent + "}")
-            if leaf:
-                memo[key] = parts[start] = "".join(parts[start:])
-                del parts[start + 1 :]
-            return False
-        if set(map(type, value)) != {int}:
+        elif set(map(type, value)) != {int}:
             glue = "[" + inner
             for v in value:
                 parts.append(glue)
@@ -182,9 +173,8 @@ def _render(value, parts: list, memo: dict, write, indent: str = "\n") -> bool:
                     write(parts)
                     parts.clear()
             parts.append(indent + "]")
-            return False
-        parts.append("[" + inner + sep.join(map(int.__repr__, value)) + indent + "]")
-    return True
+        else:
+            parts.append("[" + inner + sep.join(map(int.__repr__, value)) + indent + "]")
 
 
 def _render_dense(rows: DenseRows, parts: list, memo: dict, write, indent: str) -> None:
@@ -226,6 +216,42 @@ def _render_dense(rows: DenseRows, parts: list, memo: dict, write, indent: str) 
         done = i + 1
     parts += (zero, sep) * (rows.rows - done)
     parts[-1] = indent + "]"
+
+
+def _render_reductions(rows: ReductionRows, parts: list, write, indent: str) -> None:
+    """Render a ReductionRows into parts and write, one %-template per translation class.
+
+    u^k adds f*k to a target and to every exponent of its coefficients.
+    The first member of a class, keyed by the target less its shift
+    f * (lam_r // f), is rendered at this list's inner indent with its
+    target and exponents as %d slots; each member is that template filled
+    with its target and the first member's exponents moved by the
+    difference of the shifts.  Each member counts as the parts its
+    template took, so write gets them as often as from a plain list.
+    """
+    f, inner, classes, held_parts = rows.f, indent + "  ", {}, 0
+    glue, sep = "[" + inner, "," + inner
+    for lam in sorted(rows.reductions):
+        shift = f * (lam[-1] // f)
+        key = tuple(map(shift.__rsub__, lam))
+        if key not in classes:
+            entry, slots = rows.entry(lam), []
+            entry["target"] = ["%d"] * len(lam)
+            for term in entry["terms"]:
+                for coefficient in term["coefficient"]:
+                    slots += map(shift.__rsub__, coefficient["exponents"])
+                    coefficient["exponents"] = ["%d"] * len(lam)
+            held, tail = [], []
+            _render(entry, tail, {}, held.extend, inner)
+            classes[key] = "".join(held + tail).replace('"%d"', "%d"), slots, len(held) + len(tail)
+        text, slots, size = classes[key]
+        parts += (glue, text % (*lam, *map(shift.__add__, slots)))
+        glue, held_parts = sep, held_parts + size
+        if held_parts > FLUSH_PARTS:
+            write(parts)
+            parts.clear()
+            held_parts = 0
+    parts.append(indent + "]" if rows.reductions else "[]")
 
 
 def _emit(args, payload: dict, lines: list[str]) -> int:

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 from math import comb
 
 from .laurent import (
@@ -172,8 +172,10 @@ class FinitenessCertificate(Value):
     ``coefficient_window`` bounds every exponent appearing in any
     coefficient.  ``fallback_targets`` is always empty; the benchmark's
     finiteness.fallback_targets counter reads it.  Schema 1's ``pruned``
-    and ``inverse_product`` are derived in to_json, not stored.  Like
-    every record it is immutable; holding a dict, it has no hash.
+    and ``inverse_product`` are derived in to_json, not stored; its
+    ``reductions`` is a view the CLI writes from one template per
+    translation class.  Like every record it is immutable; holding a
+    dict, it has no hash.
     """
 
     __slots__ = ("r", "f", "window", "coefficient_window", "generators", "reductions", "fallback_targets")
@@ -184,29 +186,39 @@ class FinitenessCertificate(Value):
         ``generators`` must be f^r distinct f-restricted weights given
         as tuples, which are then all of them, and ``reductions`` must
         hold exactly the comb(2w + r, r) weakly decreasing classes in
-        [-w, w], w the window.  Every expression must be over
-        ``generators`` and carry the B-membership witness: every
+        [-w, w], w the window.  Generator, target and B-class entries
+        must be ints, coefficients ints or Fractions (2.0 == 2 passes the
+        rest).  Every expression must be over ``generators`` and carry the
+        B-membership witness, checked once per distinct B-class: every
         coefficient exponent is a multiple of f, and at most
         ``coefficient_window`` in absolute value.  Each expression
         sum_j b_j * m_gamma_j is expanded with the orbit-sum structure
         constants, in exact int or Fraction arithmetic; it must come to m_lam.
         """
         r, f, bound = self.r, self.f, self.coefficient_window
-        generators = {g for g in self.generators if type(g) is tuple}  # the count below refuses a list
+        generators = {g for g in self.generators if type(g) is tuple and {*map(type, g)} <= {int}}
         restricted = [g for g in generators if len(g) == r and 0 <= g[-1] < f
                       and all(0 <= a - b < f for a, b in zip(g, g[1:]))]
         if not len(restricted) == len(self.generators) == f**r:
             return False
         if self.reductions.keys() != set(sorted_tuples(r, -self.window, self.window)):
             return False
+        coeffs = [coeff for expr in self.reductions.values() for coeff in expr.values()]
+        entries = chain(*self.reductions, *chain(*self.reductions.values()), *chain(*coeffs))
+        values = chain(*map(dict.values, coeffs))
+        if {*map(type, entries)} - {int} or {*map(type, values)} - {int, Fraction}:
+            return False
+        passed: set[ExponentVector] = set()  # B-classes whose witness holds; all ints, so == is exact
         for lam, expr in self.reductions.items():
             acc: dict[ExponentVector, Fraction | int] = {}
             for gamma, coeff in expr.items():
                 if gamma not in generators:
                     return False
                 for mu, c in coeff.items():
-                    if any(x % f or abs(x) > bound for x in mu):
-                        return False
+                    if mu not in passed:
+                        if any(x % f or abs(x) > bound for x in mu):
+                            return False
+                        passed.add(mu)
                     for cls, mult in _orbit_sum_product(mu, gamma):
                         acc[cls] = acc.get(cls, 0) + c * mult
             if {cls: n for cls, n in acc.items() if n} != {lam: 1}:
@@ -220,27 +232,7 @@ class FinitenessCertificate(Value):
         )
 
     def to_json(self) -> dict:
-        # A certificate repeats few distinct coefficient terms (290 in the
-        # 3,427 of r=3, f=2, window 7), so equal terms share one JSON object.
-        shared: dict[tuple[ExponentVector, Fraction], dict] = {}
-
-        def term_json(cls: ExponentVector, c: Fraction) -> dict:
-            term = shared.get((cls, c))
-            if term is None:
-                term = shared[cls, c] = {"exponents": list(cls), "value": f"{c.numerator}/{c.denominator}"}
-            return term
-
-        def expr_json(expr: Expression) -> list[dict]:
-            return [
-                {
-                    "generator": list(gamma),
-                    "coefficient": [
-                        term_json(cls, c) for cls, c in sorted(expr[gamma].items())
-                    ],
-                }
-                for gamma in sorted(expr)
-            ]
-
+        """Schema 1, with ``reductions`` a ReductionRows over the table."""
         generators = set(self.generators)
         pruned = [
             g for g in candidate_generators(self.r, self.f)
@@ -253,12 +245,34 @@ class FinitenessCertificate(Value):
             "coefficient_window": self.coefficient_window,
             "generators": [list(g) for g in self.generators],
             "inverse_product": [-self.f] * self.r,
-            "pruned": [{"class": list(g), "terms": expr_json(self.reductions[g])} for g in pruned],
-            "reductions": [
-                {"target": list(t), "terms": expr_json(e)}
-                for t, e in sorted(self.reductions.items())
-            ],
+            "pruned": [{"class": list(g), "terms": _terms_json(self.reductions[g])} for g in pruned],
+            "reductions": ReductionRows(self.f, self.reductions),
         }
+
+
+def _terms_json(expr: Expression) -> list[dict]:
+    """Schema 1's terms of one expression: sorted generators, each with its sorted coefficient."""
+    return [{"generator": list(gamma), "coefficient": [
+        {"exponents": list(mu), "value": f"{c.numerator}/{c.denominator}"} for mu, c in sorted(expr[gamma].items())
+    ]} for gamma in sorted(expr)]
+
+
+class ReductionRows(Value):
+    """Schema 1's reductions as f and the table: iterating yields each sorted target's entry.
+
+    So list(rows) and json.dumps(payload, default=list) give the plain
+    entries.  cli._render writes one template per translation class: its
+    members are translates of one expression, as the builder makes them
+    (and as the expression is unique, in any table that verifies).
+    """
+
+    __slots__ = ("f", "reductions")
+
+    def entry(self, target: ExponentVector) -> dict:
+        return {"target": list(target), "terms": _terms_json(self.reductions[target])}
+
+    def __iter__(self) -> Iterator[dict]:
+        return map(self.entry, sorted(self.reductions))
 
 
 def finiteness_certificate(r: int, f: int, window: int | None = None) -> FinitenessCertificate:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from basechange import cli
 from basechange.cli import COMMANDS, _render, build_parser, main
+from basechange.finiteness import finiteness_certificate
 from basechange.gl1 import MAX_CIRCLES
 from basechange.ktheory import DenseRows, KMorphism, induced_map
 from test_ktheory import _grids, from_grid, proper_maps
@@ -721,6 +722,7 @@ UNRAMIFIED_QUADRATIC = UNRAMIFIED_CUBIC.replace('"f": 3', '"f": 2')
     [
         ["extquot", "--n", "30"],
         ["bc-gl1", "--extension", UNRAMIFIED_QUADRATIC, "--max-conductor", "6", "--format", "json"],
+        ["finiteness", "--r", "2", "--f", "4", "--window", "40", "--verify", "--format", "json"],
     ],
 )
 def test_a_reader_that_closes_the_pipe_early_ends_the_request_quietly(argv):
@@ -945,6 +947,43 @@ def test_render_writes_k_matrices_from_their_cells(k):
     assert _rendered(_placements(x)) == json.dumps(_placements(x), indent=2, default=list)
     with patch.object(cli, "FLUSH_PARTS", 1):
         assert _rendered(_placements(x)) == json.dumps(_placements(x), indent=2, default=list)
+
+
+def _emitted(capsys, payload) -> str:
+    assert cli._emit(argparse.Namespace(format="json", output=None), payload, []) == 0
+    return capsys.readouterr().out
+
+
+def _assert_same_text(text: str, expected: str) -> None:
+    """Equal texts, or a failure naming the first differing line (a diff of megabytes takes minutes)."""
+    if text != expected:
+        lines = zip(text.splitlines(), expected.splitlines())
+        first = next(((n, a, b) for n, (a, b) in enumerate(lines, 1) if a != b), "only the lengths")
+        pytest.fail(f"texts differ, first at (line, got, expected): {first}")
+
+
+def _certificate_payload(r, f, window=None) -> dict:
+    return {"certificate": finiteness_certificate(r, f, window).to_json()}
+
+
+# every default certificate, wide and smallest windows, f = 1; when r >= 2
+# the class of (w, ..., w, -w) has no member in the window whose last entry
+# lies in [0, f), so its template comes from a member shifted down
+@pytest.mark.parametrize(
+    "r, f, window",
+    [(r, f, None) for r in range(1, 4) for f in range(1, 5)]
+    + [(2, 2, 24), (1, 3, 200), (1, 1, 5), (2, 1, 6), (3, 3, 6), (2, 4, 6)],
+)
+def test_certificate_reductions_render_as_the_stock_encoder_writes_them(capsys, r, f, window):
+    payload = _certificate_payload(r, f, window)
+    rows = payload["certificate"]["reductions"]
+    expected = json.dumps({"schema_version": 1, **payload}, indent=2, default=list) + "\n"
+    _assert_same_text(_emitted(capsys, payload), expected)
+    if r >= 2:
+        assert any(tuple(x - f * (t[-1] // f) for x in t) not in rows.reductions for t in rows.reductions)
+    if (r, f, window) == (2, 2, 24):
+        with patch.object(cli, "FLUSH_PARTS", 1):
+            _assert_same_text(_emitted(capsys, payload), expected)
 
 
 # K-matrices with empty leading and trailing rows, 0 x n, n x 0 and 0 x 0

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import json
 import os
 import subprocess
 import sys
@@ -167,8 +168,31 @@ def test_certificate_json_shape():
     payload = cert.to_json()
     assert payload["generators"][0] == [0, 0]
     assert payload["inverse_product"] == [-2, -2]
-    some = payload["reductions"][0]["terms"]
+    some = next(iter(payload["reductions"]))["terms"]
     assert all("/" in term["coefficient"][0]["value"] for term in some if term["coefficient"])
+
+
+def schema1_terms(expr) -> list[dict]:
+    """Schema 1's terms as to_json wrote them when it built the list itself."""
+    return [
+        {
+            "generator": list(gamma),
+            "coefficient": [
+                {"exponents": list(cls), "value": f"{c.numerator}/{c.denominator}"}
+                for cls, c in sorted(expr[gamma].items())
+            ],
+        }
+        for gamma in sorted(expr)
+    ]
+
+
+@pytest.mark.parametrize("r, f, window", [(1, 3, None), (2, 2, 6), (2, 4, 6), (3, 2, None)])
+def test_reduction_rows_iterate_as_the_plain_entries(r, f, window):
+    cert = finiteness_certificate(r, f, window)
+    rows = cert.to_json()["reductions"]
+    plain = [{"target": list(t), "terms": schema1_terms(e)} for t, e in sorted(cert.reductions.items())]
+    assert list(rows) == plain
+    assert json.loads(json.dumps(rows, default=list)) == plain
 
 
 def test_parameter_validation():
@@ -441,11 +465,24 @@ def reference_verify(cert) -> bool:
     """Re-expand every expression in Fraction arithmetic and compare.
 
     The generators must be the restricted weights, and the table must
-    hold every sorted class of [-window, window]^r.  Every coefficient
-    exponent must be a multiple of f inside the coefficient window.
+    hold every sorted class of [-window, window]^r.  Every entry of a
+    generator, target or class is an int and every coefficient an int or
+    a Fraction.  Every coefficient exponent must be a multiple of f
+    inside the coefficient window.
     """
     r, w = cert.r, cert.window
     if sorted(cert.generators) != restricted_weights(r, cert.f):
+        return False
+    entries = [x for g in cert.generators for x in g]
+    for lam, expr in cert.reductions.items():
+        entries += lam
+        for gamma, coeff in expr.items():
+            entries += gamma
+            for cls, c in coeff.items():
+                entries += cls
+                if type(c) not in (int, Fraction):
+                    return False
+    if any(type(x) is not int for x in entries):
         return False
     if set(cert.reductions) != {sort_class(v) for v in product(range(-w, w + 1), repeat=r)}:
         return False
@@ -582,6 +619,36 @@ def perturbed_expressions(draw):
             del terms[draw(st.sampled_from(sorted(terms)))]
         expr[gamma] = nonzero(terms)
     return rebuilt(cert, reductions={**cert.reductions, lam: expr})
+
+
+def floated(cert, **edits):
+    """cert with every coefficient (values), generator (generators), expression
+    key (gammas), B-class (classes) or target (targets) made of floats, or
+    with True for each coefficient 1 (bools)."""
+    def expr(e):
+        return {
+            tuple(map(float, g)) if "gammas" in edits else g: {
+                tuple(map(float, mu)) if "classes" in edits else mu:
+                float(c) if "values" in edits else (True if "bools" in edits and c == 1 else c)
+                for mu, c in coeff.items()
+            }
+            for g, coeff in e.items()
+        }
+    generators = [tuple(map(float, g)) for g in cert.generators] if "generators" in edits else cert.generators
+    reductions = {tuple(map(float, t)) if "targets" in edits else t: expr(e) for t, e in cert.reductions.items()}
+    return rebuilt(cert, generators=generators, reductions=reductions)
+
+
+@pytest.mark.parametrize("part", ["values", "generators", "bools", "gammas", "classes", "targets"])
+def test_verify_rejects_floats_and_bools(part):
+    # a float 2.0 equals 2 and a bool True equals 1, so each of these expands
+    # to the right sum; the certificate promises exact ints and Fractions
+    cert = finiteness_certificate(2, 2, 6)
+    assert cert.verify() and reference_verify(cert)
+    assert floated(cert) == cert
+    bad = floated(cert, **{part: True})
+    assert not bad.verify()
+    assert not reference_verify(bad)
 
 
 @given(perturbed_expressions())
