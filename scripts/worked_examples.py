@@ -75,7 +75,7 @@ def main():
     lift = ExtensionData(LocalFieldData(5, 5), e=1, f=3, galois=True, cyclic=True)
     result = bc_gl2(pair, lift)
     print(f"  circle degree: {result.degree}")
-    print(f"  conductor: {pair.xi.conductor} -> {result.conductor}")
+    print(f"  conductor: {pair.xi.conductor} -> {result.target_pair.xi.conductor}")
     print(f"  EL/L: (e, f) = ({result.target_pair.quad.e}, {result.target_pair.quad.f})")
     print(f"  EL/E: (e, f) = ({result.el_over_e.e}, {result.el_over_e.f})")
     print(f"  K^1 acts by {result.degree}, K^0 by 1, torsion stays {result.torsion}")

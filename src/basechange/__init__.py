@@ -35,7 +35,6 @@ from .finiteness import FinitenessCertificate, WindowTooSmall, finiteness_certif
 from .gl1 import (
     Arc,
     CharacterLabel,
-    FormalWeilDegree,
     Gl1BaseChange,
     TemperedDualGL1,
     UnramifiedQuasicharacter,

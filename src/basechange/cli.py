@@ -6,9 +6,10 @@ output carries a top-level schema_version, exact rationals are rendered
 as "p/q" strings, and ordering is deterministic everywhere so output is
 diffable.  JSON goes to its destination while the renderer walks the
 payload, a few thousand parts at a time, never as one document-sized
-string; the dense rows of a K-theory matrix are written from its nonzero
-cells, which is all the payload holds of it, and a finiteness
-certificate's reductions per translation class, each from one template.
+string.  A K-theory matrix and a finiteness certificate stand in their
+own payloads as the dense entries and the reductions: the matrix's rows
+are written from its nonzero cells, the certificate's reductions per
+translation class, each from one template.
 
 Exit codes: 0 success, 2 invalid input, 3 out-of-scope mathematics,
 4 finiteness window failure.
@@ -34,13 +35,12 @@ from functools import partial
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from pathlib import Path
 
 from .extquot import extended_quotient
-from .finiteness import ReductionRows, WindowTooSmall, finiteness_certificate
+from .finiteness import FinitenessCertificate, WindowTooSmall, finiteness_certificate
 from .gl1 import MAX_CIRCLES, TemperedDualGL1, bc_gl1, circle_map
 from .gl2 import AdmissiblePair, EvenDegree, NotUnramified, OutOfScope, bc_gl2
-from .ktheory import CircleSpace, DenseRows, ProperCircleMap, induced_map
+from .ktheory import CircleSpace, KMorphism, ProperCircleMap, induced_map
 from .localfield import (
     MAX_RATIONAL_DIGITS,
     ExtensionData,
@@ -108,9 +108,10 @@ def _load_json_arg(value: str) -> dict:
     """Inline JSON (from { or [) or the path of a regular file; a FIFO or a device may never end."""
     value = value.strip()
     if not value.startswith(("{", "[")):
-        if not stat.S_ISREG(Path(value).stat().st_mode):
+        if not stat.S_ISREG(os.stat(value).st_mode):
             raise ValueError(f"input path {value!r} is not a regular file")
-        value = Path(value).read_text()
+        with open(value) as file:
+            value = file.read()
     try:
         return json_object(json.loads(value), "input")
     except RecursionError:  # the decoder recurses once per nesting level
@@ -130,15 +131,16 @@ def _parse_orders(text: str) -> RamificationFiltration:
     return RamificationFiltration(orders)
 
 
-def _render(value, parts: list, memo: dict, write, indent: str = "\n") -> None:
+def _render(value, parts: list, write, indent: str = "\n") -> None:
     """Render json.dumps(value, indent=2) into parts and write.
 
     The text goes into parts.  A non-leaf list passes parts to write and
     empties it once it holds more than FLUSH_PARTS, as _render_dense does
     after each row with a cell; what is left in parts at the end follows
     what write was given.  indent is the newline and spaces that open
-    this value's line, and no level copies its children's text.  memo is
-    _render_dense's.  A list of plain ints is one part made by
+    this value's line, and no level copies its children's text.  A
+    KMorphism stands for its dense rows, a FinitenessCertificate for its
+    reductions list.  A list of plain ints is one part made by
     int.__repr__; bool is an int subclass and False == 0.0 == 0, hence
     the exact type test.
     """
@@ -147,9 +149,9 @@ def _render(value, parts: list, memo: dict, write, indent: str = "\n") -> None:
     elif type(value) is int:
         parts.append(int.__repr__(value))
     elif not isinstance(value, (list, tuple, dict)) or not value:
-        if type(value) is DenseRows:
-            _render_dense(value, parts, memo, write, indent)
-        elif type(value) is ReductionRows:
+        if type(value) is KMorphism:
+            _render_dense(value, parts, write, indent)
+        elif type(value) is FinitenessCertificate:
             _render_reductions(value, parts, write, indent)
         else:
             parts.append(json.dumps(value))
@@ -161,14 +163,14 @@ def _render(value, parts: list, memo: dict, write, indent: str = "\n") -> None:
             for k, v in value.items():
                 parts.append(glue + encode_basestring_ascii(k) + ": ")
                 glue = sep
-                _render(v, parts, memo, write, inner)
+                _render(v, parts, write, inner)
             parts.append(indent + "}")
         elif set(map(type, value)) != {int}:
             glue = "[" + inner
             for v in value:
                 parts.append(glue)
                 glue = sep
-                _render(v, parts, memo, write, inner)
+                _render(v, parts, write, inner)
                 if len(parts) > FLUSH_PARTS:
                     write(parts)
                     parts.clear()
@@ -177,32 +179,28 @@ def _render(value, parts: list, memo: dict, write, indent: str = "\n") -> None:
             parts.append("[" + inner + sep.join(map(int.__repr__, value)) + indent + "]")
 
 
-def _render_dense(rows: DenseRows, parts: list, memo: dict, write, indent: str) -> None:
-    """Render a DenseRows into parts and write, each row spliced from one all-zero row.
+def _render_dense(k: KMorphism, parts: list, write, indent: str) -> None:
+    """Render a KMorphism's dense rows into parts and write, each spliced from one all-zero row.
 
-    memo keeps the all-zero row per (column count, indent).  A row without
-    cells is that string again; a row with cells is written as the pieces
-    of that string around its values, with the zero of column j at
+    A row without cells is that string again; a row with cells is written
+    as the pieces of that string around its values, with the zero of column j at
     len("[" + row_indent) + j * len("0," + row_indent) left out, and no
     row is joined.  The cells come in strictly increasing (row, col)
     order, so one pass over them cuts each row left to right.  Each row is
     followed by a separator, and the last one becomes the closing bracket.
     """
-    if not rows.rows:
+    rows, cols = len(k.row_labels), len(k.col_labels)
+    if not rows:
         parts.append("[]")
         return
     inner = indent + "  "
     row_indent = inner + "  "
-    key = ("zero row", rows.cols, inner)
-    zero = memo.get(key)
-    if zero is None:
-        body = ("," + row_indent).join("0" * rows.cols)
-        zero = memo[key] = "[" + row_indent + body + inner + "]" if rows.cols else "[]"
+    zero = "[" + row_indent + ("," + row_indent).join("0" * cols) + inner + "]" if cols else "[]"
     sep = "," + inner
     start, step = len("[" + row_indent), len("0," + row_indent)
     parts.append("[" + inner)
     done = 0
-    for i, cells in groupby(rows.cells, itemgetter(0)):
+    for i, cells in groupby(k.cells, itemgetter(0)):
         parts += (zero, sep) * (i - done)
         cut = 0
         for _, j, value in cells:
@@ -214,12 +212,12 @@ def _render_dense(rows: DenseRows, parts: list, memo: dict, write, indent: str) 
         parts.clear()
         parts.append(sep)
         done = i + 1
-    parts += (zero, sep) * (rows.rows - done)
+    parts += (zero, sep) * (rows - done)
     parts[-1] = indent + "]"
 
 
-def _render_reductions(rows: ReductionRows, parts: list, write, indent: str) -> None:
-    """Render a ReductionRows into parts and write, one %-template per translation class.
+def _render_reductions(cert: FinitenessCertificate, parts: list, write, indent: str) -> None:
+    """Render a certificate's reductions into parts and write, one %-template per translation class.
 
     u^k adds f*k to a target and to every exponent of its coefficients.
     The first member of a class, keyed by the target less its shift
@@ -228,21 +226,24 @@ def _render_reductions(rows: ReductionRows, parts: list, write, indent: str) -> 
     with its target and the first member's exponents moved by the
     difference of the shifts.  Each member counts as the parts its
     template took, so write gets them as often as from a plain list.
+    The members of a class must be translates of one expression: they are
+    as the builder makes them, and as the expression is unique, in any
+    table that verifies.
     """
-    f, inner, classes, held_parts = rows.f, indent + "  ", {}, 0
+    f, inner, classes, held_parts = cert.f, indent + "  ", {}, 0
     glue, sep = "[" + inner, "," + inner
-    for lam in sorted(rows.reductions):
+    for lam in sorted(cert.reductions):
         shift = f * (lam[-1] // f)
         key = tuple(map(shift.__rsub__, lam))
         if key not in classes:
-            entry, slots = rows.entry(lam), []
+            entry, slots = cert.entry(lam), []
             entry["target"] = ["%d"] * len(lam)
             for term in entry["terms"]:
                 for coefficient in term["coefficient"]:
                     slots += map(shift.__rsub__, coefficient["exponents"])
                     coefficient["exponents"] = ["%d"] * len(lam)
             held, tail = [], []
-            _render(entry, tail, {}, held.extend, inner)
+            _render(entry, tail, held.extend, inner)
             classes[key] = "".join(held + tail).replace('"%d"', "%d"), slots, len(held) + len(tail)
         text, slots, size = classes[key]
         parts += (glue, text % (*lam, *map(shift.__add__, slots)))
@@ -251,7 +252,7 @@ def _render_reductions(rows: ReductionRows, parts: list, write, indent: str) -> 
             write(parts)
             parts.clear()
             held_parts = 0
-    parts.append(indent + "]" if rows.reductions else "[]")
+    parts.append(indent + "]" if cert.reductions else "[]")
 
 
 def _emit(args, payload: dict, lines: list[str]) -> int:
@@ -259,7 +260,7 @@ def _emit(args, payload: dict, lines: list[str]) -> int:
     with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
         if args.format == "json":
             parts = []
-            _render({"schema_version": SCHEMA_VERSION, **payload}, parts, {}, out.writelines)
+            _render({"schema_version": SCHEMA_VERSION, **payload}, parts, out.writelines)
         else:
             parts = ["\n".join(lines)]
         parts.append("\n")
@@ -323,13 +324,13 @@ def cmd_bc_gl2(args) -> int:
     lift, _ = ExtensionData.from_json(_load_json_arg(args.lift))
     result = bc_gl2(pair, lift)
     source = CircleSpace((f"T(E/F,c{pair.xi.conductor}.{pair.xi.index})",))
-    target = CircleSpace((f"T(EL/L,c{result.conductor}.{result.target_pair.xi.index})",))
+    target = CircleSpace((f"T(EL/L,c{result.target_pair.xi.conductor}.{result.target_pair.xi.index})",))
     k0, k1 = induced_map(
         ProperCircleMap(source, target, ((source.components[0], target.components[0], result.degree),))
     )
     lines = [
         f"degree: {result.degree}",
-        f"conductor: {result.conductor}",
+        f"conductor: {result.target_pair.xi.conductor}",
         f"EL/L: e={result.target_pair.quad.e} f={result.target_pair.quad.f}",
         f"EL/E: e={result.el_over_e.e} f={result.el_over_e.f}",
         f"torsion: {result.torsion}",

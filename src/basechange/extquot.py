@@ -45,13 +45,13 @@ def partitions_of(n: int) -> list[tuple[int, ...]]:
     return list(gen(n, n))
 
 
-def validate_partition(parts: Sequence[int], n: int) -> tuple[int, ...]:
-    parts = tuple(int(p) for p in parts)
-    if not parts or any(p < 1 for p in parts):
-        raise ValueError(f"{parts} is not a partition: parts must be positive")
+def validate_partition(parts: Sequence[int], n: int | None = None) -> tuple[int, ...]:
+    parts = tuple(parts)
+    if not parts or any(type(p) is not int or p < 1 for p in parts):
+        raise ValueError(f"{parts} is not a partition: parts must be positive ints")
     if any(a < b for a, b in zip(parts, parts[1:])):
         raise ValueError(f"{parts} is not weakly decreasing")
-    if sum(parts) != n:
+    if n is not None and sum(parts) != n:
         raise ValueError(f"{parts} does not sum to {n}")
     return parts
 
@@ -76,7 +76,7 @@ class OrbitComponent(Value):
 
     @staticmethod
     def from_partition(parts: Sequence[int], n: int | None = None) -> "OrbitComponent":
-        parts = validate_partition(parts, sum(parts) if n is None else n)
+        parts = validate_partition(parts, n)
         distinct: list[tuple[int, int]] = []
         for p in parts:
             if distinct and distinct[-1][0] == p:

@@ -170,15 +170,16 @@ class FinitenessCertificate(Value):
     the f-restricted weights, with coefficients in the pullback subring;
     it is the one such expression, from linear_reduction.
     ``coefficient_window`` bounds every exponent appearing in any
-    coefficient.  ``fallback_targets`` is always empty; the benchmark's
-    finiteness.fallback_targets counter reads it.  Schema 1's ``pruned``
-    and ``inverse_product`` are derived in to_json, not stored; its
-    ``reductions`` is a view the CLI writes from one template per
-    translation class.  Like every record it is immutable; holding a
-    dict, it has no hash.
+    coefficient.  ``fallback_targets`` is always empty, a class constant
+    the benchmark's finiteness.fallback_targets counter reads.  Schema 1's
+    ``pruned`` and ``inverse_product`` are derived in to_json, not stored.
+    Iterating yields each sorted target's schema-1 entry, so the
+    certificate is its own ``reductions`` list.  Like every record it is
+    immutable; holding a dict, it has no hash.
     """
 
-    __slots__ = ("r", "f", "window", "coefficient_window", "generators", "reductions", "fallback_targets")
+    __slots__ = ("r", "f", "window", "coefficient_window", "generators", "reductions")
+    fallback_targets = ()
 
     def verify(self) -> bool:
         """Check that the certificate is complete and re-expand every expression exactly.
@@ -231,8 +232,14 @@ class FinitenessCertificate(Value):
             default=0,
         )
 
+    def entry(self, target: ExponentVector) -> dict:
+        return {"target": list(target), "terms": _terms_json(self.reductions[target])}
+
+    def __iter__(self) -> Iterator[dict]:
+        return map(self.entry, sorted(self.reductions))
+
     def to_json(self) -> dict:
-        """Schema 1, with ``reductions`` a ReductionRows over the table."""
+        """Schema 1, with ``reductions`` the certificate itself."""
         generators = set(self.generators)
         pruned = [
             g for g in candidate_generators(self.r, self.f)
@@ -246,7 +253,7 @@ class FinitenessCertificate(Value):
             "generators": [list(g) for g in self.generators],
             "inverse_product": [-self.f] * self.r,
             "pruned": [{"class": list(g), "terms": _terms_json(self.reductions[g])} for g in pruned],
-            "reductions": ReductionRows(self.f, self.reductions),
+            "reductions": self,
         }
 
 
@@ -255,24 +262,6 @@ def _terms_json(expr: Expression) -> list[dict]:
     return [{"generator": list(gamma), "coefficient": [
         {"exponents": list(mu), "value": f"{c.numerator}/{c.denominator}"} for mu, c in sorted(expr[gamma].items())
     ]} for gamma in sorted(expr)]
-
-
-class ReductionRows(Value):
-    """Schema 1's reductions as f and the table: iterating yields each sorted target's entry.
-
-    So list(rows) and json.dumps(payload, default=list) give the plain
-    entries.  cli._render writes one template per translation class: its
-    members are translates of one expression, as the builder makes them
-    (and as the expression is unique, in any table that verifies).
-    """
-
-    __slots__ = ("f", "reductions")
-
-    def entry(self, target: ExponentVector) -> dict:
-        return {"target": list(target), "terms": _terms_json(self.reductions[target])}
-
-    def __iter__(self) -> Iterator[dict]:
-        return map(self.entry, sorted(self.reductions))
 
 
 def finiteness_certificate(r: int, f: int, window: int | None = None) -> FinitenessCertificate:
@@ -326,4 +315,4 @@ def finiteness_certificate(r: int, f: int, window: int | None = None) -> Finiten
     # lam_i = a_i + ... + a_r, in schema 1's candidate order (degree, then lam)
     restricted = (tuple(sum(a[i:]) for i in range(r)) for a in product(range(f), repeat=r))
     generators = sorted(restricted, key=lambda g: (sum(g), g))
-    return FinitenessCertificate(r, f, window, coeff_window, generators, reductions, ())
+    return FinitenessCertificate(r, f, window, coeff_window, generators, reductions)

@@ -11,7 +11,7 @@ us, and base change to a degree-(e, f) extension acts by
     c -> psi(c)       on conductors (the convex transition function),
     (c, j) -> (psi(c), j)   on labels.
 
-Formal Weil degrees make the exponent identity testable: a Weil element
+Integer Weil degrees make the exponent identity testable: a Weil element
 of E-side degree m has F-side degree f*m, so an unramified
 quasicharacter with parameter z pulls back to the one with parameter
 z^f.  Angles are exact rational turns (fractions of a full revolution),
@@ -39,13 +39,6 @@ from .localfield import (
 from .value import Value
 
 
-class FormalWeilDegree(Value):
-    """The integer degree of an abstract Weil element, tagged by field side."""
-
-    __slots__ = ("m", "side")
-    _defaults = {"side": "E"}
-
-
 class UnramifiedQuasicharacter(Value):
     """w -> z^(degree of w), determined by the nonzero parameter z."""
 
@@ -55,8 +48,7 @@ class UnramifiedQuasicharacter(Value):
         if self.z.is_zero():
             raise ValueError("the parameter of a quasicharacter is nonzero")
 
-    def evaluate(self, degree: int | FormalWeilDegree) -> GaussianRational:
-        m = degree.m if isinstance(degree, FormalWeilDegree) else int(degree)
+    def evaluate(self, m: int) -> GaussianRational:
         return self.z ** m
 
     @property

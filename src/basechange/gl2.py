@@ -142,17 +142,20 @@ def compositum_invariants(quad: ExtensionData, lift: ExtensionData) -> tuple[Ext
 
 
 class Gl2BaseChange(Value):
-    """Result of base change along an unramified odd-degree lift."""
+    """Result of base change along an unramified odd-degree lift.
 
-    __slots__ = ("target_pair", "degree", "conductor", "el_over_l", "el_over_e", "torsion")
-    _defaults = {"torsion": 1}
+    to_json reads EL/L and the conductor off the target pair; the torsion is always 1.
+    """
+
+    __slots__ = ("target_pair", "degree", "el_over_e")
+    torsion = 1
 
     def to_json(self) -> dict:
         return {
             "target_pair": self.target_pair.to_json(),
             "degree": self.degree,
-            "conductor": self.conductor,
-            "compositum": {"EL/L": self.el_over_l.to_json(), "EL/E": self.el_over_e.to_json()},
+            "conductor": self.target_pair.xi.conductor,
+            "compositum": {"EL/L": self.target_pair.quad.to_json(), "EL/E": self.el_over_e.to_json()},
             "torsion": self.torsion,
         }
 
@@ -161,7 +164,7 @@ def bc_gl2(pair: AdmissiblePair, lift: ExtensionData) -> Gl2BaseChange:
     """Base change of a cuspidal circle along unramified odd-degree L/F.
 
     Returns the target pair (EL/L, xi composed with the EL/E norm), the
-    circle degree f(L/F), and the conductor, which is preserved because
+    circle degree f(L/F) and EL/E.  The conductor is preserved because
     the conductor transition of the unramified extension EL/E is the
     identity.
     """
@@ -174,20 +177,13 @@ def bc_gl2(pair: AdmissiblePair, lift: ExtensionData) -> Gl2BaseChange:
 
     el_over_l, el_over_e = compositum_invariants(pair.quad, lift)
     # conductor transport along the unramified EL/E: the empty filtration
-    unramified_filt = RamificationFiltration()
-    new_conductor = conductor_transport(unramified_filt, pair.xi.conductor)
+    conductor = conductor_transport(RamificationFiltration(), pair.xi.conductor)
     target_pair = AdmissiblePair(
         quad=el_over_l,
         quad_filtration=RamificationFiltration.tame_default(2),
-        xi=CharacterLabel(new_conductor, pair.xi.index),
+        xi=CharacterLabel(conductor, pair.xi.index),
         not_norm_factor=True,  # the transported pair is again admissible
         level_one_norm_factor=False,
         unitary=pair.unitary,
     )
-    return Gl2BaseChange(
-        target_pair=target_pair,
-        degree=lift.f,
-        conductor=new_conductor,
-        el_over_l=el_over_l,
-        el_over_e=el_over_e,
-    )
+    return Gl2BaseChange(target_pair=target_pair, degree=lift.f, el_over_e=el_over_e)

@@ -100,8 +100,9 @@ class KMorphism(Value):
     the target space; column support is exactly the set of sources
     matched to that target component.  cells lists (row, col, value)
     for every nonzero entry in row-major order, so the work a matrix
-    costs grows with its nonzeros; entries is the dense view for small
-    callers, computed once and kept in the instance __dict__.
+    costs grows with its nonzeros.  Iterating yields each dense row as a
+    new list of ints; entries is that view as tuples for small callers,
+    computed once and kept in the instance __dict__.
     """
 
     __slots__ = ("row_labels", "col_labels", "cells", "__dict__")
@@ -119,9 +120,15 @@ class KMorphism(Value):
                 raise ValueError("cells must be in strictly increasing (row, col) order")
             last = (i, j)
 
+    def __iter__(self):
+        dense = [[0] * len(self.col_labels) for _ in self.row_labels]
+        for i, j, value in self.cells:
+            dense[i][j] = value
+        return iter(dense)
+
     @cached_property
     def entries(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, DenseRows(len(self.row_labels), len(self.col_labels), self.cells)))
+        return tuple(map(tuple, self))
 
     def matmul(self, other: "KMorphism") -> "KMorphism":
         """Composite along a chain of spaces: rows stay, columns extend."""
@@ -138,37 +145,13 @@ class KMorphism(Value):
         return KMorphism(self.row_labels, other.col_labels, cells)
 
     def to_json(self) -> dict:
-        """Schema 1: the dense entries, as a DenseRows over the cells, and the triplets."""
+        """Schema 1: the triplets, and the dense entries, which are the matrix itself."""
         return {
             "rows": [l if isinstance(l, (str, int)) else str(l) for l in self.row_labels],
             "cols": [l if isinstance(l, (str, int)) else str(l) for l in self.col_labels],
-            "entries": DenseRows(len(self.row_labels), len(self.col_labels), self.cells),
+            "entries": self,
             "triplets": [list(cell) for cell in self.cells],
         }
-
-
-class DenseRows:
-    """The dense rows of a matrix, held only as its shape and its nonzero cells.
-
-    Iterating yields each row as a new list of ints, so list(rows) or
-    json.dumps(payload, default=list) give the plain rows; cli._render
-    writes each row as an all-zero row with its cells spliced in, and no
-    dense copy is ever built for it.  The cells are (row, col, value) in
-    strictly increasing (row, col) order, as KMorphism keeps them.
-    """
-
-    __slots__ = ("rows", "cols", "cells")
-
-    def __init__(self, rows: int, cols: int, cells: tuple[tuple[int, int, int], ...]):
-        self.rows = rows
-        self.cols = cols
-        self.cells = cells
-
-    def __iter__(self):
-        dense = [[0] * self.cols for _ in range(self.rows)]
-        for i, j, value in self.cells:
-            dense[i][j] = value
-        return iter(dense)
 
 
 def induced_map(m: ProperCircleMap) -> tuple[KMorphism, KMorphism]:

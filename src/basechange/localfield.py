@@ -229,7 +229,8 @@ class RamificationFiltration(Value):
     """Orders |G_0| >= |G_1| >= ... of the lower-numbering inertia chain.
 
     Constructed from any weakly decreasing divisibility chain of positive
-    integers; trailing 1-entries are normalised away, so the empty tuple
+    ints (a float, string or bool is refused, not truncated); trailing
+    1-entries are normalised away, so the empty tuple
     means trivial inertia (unramified).  Beyond the stored range every
     order is 1.
     """
@@ -237,10 +238,10 @@ class RamificationFiltration(Value):
     __slots__ = ("orders",)
 
     def __init__(self, orders: Iterable[int] = ()):
-        orders = tuple(int(g) for g in orders)
+        orders = tuple(orders)
         for g in orders:
-            if g < 1:
-                raise ValueError("ramification group orders must be positive")
+            if type(g) is not int or g < 1:
+                raise ValueError(f"ramification group orders must be positive ints, got {g!r}")
         for a, b in zip(orders, orders[1:]):
             if a < b:
                 raise ValueError(f"orders must be weakly decreasing, got {orders}")

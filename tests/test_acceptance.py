@@ -196,7 +196,7 @@ def test_criterion_07_gl2_theorem():
             )
             lift = ExtensionData(LocalFieldData(5, 5), e=1, f=lift_f, galois=True, cyclic=True)
             result = bc_gl2(pair, lift)
-            ok = ok and result.conductor == conductor
+            ok = ok and result.target_pair.xi.conductor == conductor
             ok = ok and result.degree == lift_f
             ok = ok and result.target_pair.quad.e == 2
             source = CircleSpace(("T_source",))

@@ -101,6 +101,12 @@ def test_fixed_component_examples():
         OrbitComponent.from_partition((1, 3), 4)
 
 
+def test_partition_parts_must_be_ints():
+    # a float part is refused, not truncated, and before the parts are summed
+    with pytest.raises(ValueError, match="positive ints"):
+        OrbitComponent.from_partition([3.0, 1.0])
+
+
 # -- points and base change ----------------------------------------------------
 
 

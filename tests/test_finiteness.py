@@ -190,6 +190,7 @@ def schema1_terms(expr) -> list[dict]:
 def test_reduction_rows_iterate_as_the_plain_entries(r, f, window):
     cert = finiteness_certificate(r, f, window)
     rows = cert.to_json()["reductions"]
+    assert rows is cert
     plain = [{"target": list(t), "terms": schema1_terms(e)} for t, e in sorted(cert.reductions.items())]
     assert list(rows) == plain
     assert json.loads(json.dumps(rows, default=list)) == plain

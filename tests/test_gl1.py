@@ -8,7 +8,6 @@ from basechange.gaussian import GaussianRational, I
 from basechange.gl1 import (
     Arc,
     CharacterLabel,
-    FormalWeilDegree,
     TemperedDualGL1,
     UnramifiedQuasicharacter,
     arc_preimage,
@@ -49,9 +48,7 @@ def test_include_weil():
     # changed character takes the same value on it from either side
     chi = UnramifiedQuasicharacter(GaussianRational(1, 1))
     for m, f in ((1, 3), (0, 5), (-2, 2)):
-        assert bc_unramified_quasichar(chi, f).evaluate(FormalWeilDegree(m)) == chi.evaluate(
-            FormalWeilDegree(f * m, side="F")
-        )
+        assert bc_unramified_quasichar(chi, f).evaluate(m) == chi.evaluate(f * m)
 
 
 def test_bc_unramified_quasichar_examples():
@@ -67,7 +64,13 @@ def test_evaluation_coherence_frozen_example():
     assert z ** 6 == GaussianRational(0, -8)
     chi = UnramifiedQuasicharacter(z)
     assert bc_unramified_quasichar(chi, 2).evaluate(3) == GaussianRational(0, -8)
-    assert chi.evaluate(FormalWeilDegree(6, side="F")) == GaussianRational(0, -8)
+    assert chi.evaluate(6) == GaussianRational(0, -8)
+
+
+def test_evaluate_refuses_a_non_integer_degree():
+    # a Weil degree is an integer: 2.9 is refused, not truncated to 2
+    with pytest.raises(TypeError):
+        UnramifiedQuasicharacter(GaussianRational(1, 1)).evaluate(2.9)
 
 
 nonzero_gaussians = st.builds(

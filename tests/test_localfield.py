@@ -106,6 +106,13 @@ def test_filtration_normalisation_and_validation():
         RamificationFiltration((4, 0))
 
 
+@pytest.mark.parametrize("orders", [(2.7, 1.2), ("4", "2"), (True,)], ids=["float", "str", "bool"])
+def test_filtration_refuses_non_int_orders(orders):
+    # each was once truncated or coerced: to (2,), (4, 2) and ()
+    with pytest.raises(ValueError, match="positive ints"):
+        RamificationFiltration(orders)
+
+
 def test_filtration_extension_consistency():
     ext = ExtensionData(field(), e=2, f=1)
     with pytest.raises(ValueError):
