@@ -52,7 +52,7 @@ def main():
                              and all(0 <= a - b < f for a, b in zip(g, g[1:])) for g in gens)
             rank = "ok" if restricted and len(gens) == len(cert.generators) == f**r else "no"
             print(f"{r:>2} {f:>2} {cert.window:>6} {len(cert.generators):>5} {rank:>5} "
-                  f"{len(cert.reductions):>7} {cert.max_coefficient_exponent():>7} "
+                  f"{len(cert):>7} {cert.max_coefficient_exponent():>7} "
                   f"{str(verified):>8} {elapsed:>8.2f}")
 
 

@@ -8,8 +8,8 @@ diffable.  JSON goes to its destination while the renderer walks the
 payload, a few thousand parts at a time, never as one document-sized
 string.  A K-theory matrix and a finiteness certificate stand in their
 own payloads as the dense entries and the reductions: the matrix's rows
-are written from its nonzero cells, the certificate's reductions per
-translation class, each from one template.
+are written from its nonzero cells, the certificate's reductions from
+one template per stored translation class.
 
 Exit codes: 0 success, 2 invalid input, 3 out-of-scope mathematics,
 4 finiteness window failure.
@@ -219,40 +219,32 @@ def _render_dense(k: KMorphism, parts: list, write, indent: str) -> None:
 def _render_reductions(cert: FinitenessCertificate, parts: list, write, indent: str) -> None:
     """Render a certificate's reductions into parts and write, one %-template per translation class.
 
-    u^k adds f*k to a target and to every exponent of its coefficients.
-    The first member of a class, keyed by the target less its shift
-    f * (lam_r // f), is rendered at this list's inner indent with its
-    target and exponents as %d slots; each member is that template filled
-    with its target and the first member's exponents moved by the
-    difference of the shifts.  Each member counts as the parts its
-    template took, so write gets them as often as from a plain list.
-    The members of a class must be translates of one expression: they are
-    as the builder makes them, and as the expression is unique, in any
-    table that verifies.
+    cert.entry(key) is rendered at this list's inner indent with its target
+    and exponents as %d slots, and filled per member (target, key, shift)
+    with the target and the exponents moved by the shift.  A member counts
+    as the parts its template took, so write gets them as from a plain list.
     """
-    f, inner, classes, held_parts = cert.f, indent + "  ", {}, 0
+    inner, templates, held_parts = indent + "  ", {}, 0
     glue, sep = "[" + inner, "," + inner
-    for lam in sorted(cert.reductions):
-        shift = f * (lam[-1] // f)
-        key = tuple(map(shift.__rsub__, lam))
-        if key not in classes:
-            entry, slots = cert.entry(lam), []
+    for lam, key, shift in sorted(cert.members()):
+        if key not in templates:
+            entry, slots = cert.entry(key), []
             entry["target"] = ["%d"] * len(lam)
             for term in entry["terms"]:
                 for coefficient in term["coefficient"]:
-                    slots += map(shift.__rsub__, coefficient["exponents"])
+                    slots += coefficient["exponents"]
                     coefficient["exponents"] = ["%d"] * len(lam)
             held, tail = [], []
             _render(entry, tail, held.extend, inner)
-            classes[key] = "".join(held + tail).replace('"%d"', "%d"), slots, len(held) + len(tail)
-        text, slots, size = classes[key]
+            templates[key] = "".join(held + tail).replace('"%d"', "%d"), slots, len(held) + len(tail)
+        text, slots, size = templates[key]
         parts += (glue, text % (*lam, *map(shift.__add__, slots)))
         glue, held_parts = sep, held_parts + size
         if held_parts > FLUSH_PARTS:
             write(parts)
             parts.clear()
             held_parts = 0
-    parts.append(indent + "]" if cert.reductions else "[]")
+    parts.append(indent + "]" if glue == sep else "[]")
 
 
 def _emit(args, payload: dict, lines: list[str]) -> int:
@@ -387,7 +379,7 @@ def cmd_finiteness(args) -> int:
         "window": cert.window,
         "coefficient_window": cert.coefficient_window,
         "generator_count": len(cert.generators),
-        "reduction_count": len(cert.reductions),
+        "reduction_count": len(cert),
         "max_coefficient_exponent": cert.max_coefficient_exponent(),
     }
     if verified is not None:
@@ -395,7 +387,7 @@ def cmd_finiteness(args) -> int:
     lines = [
         f"generators ({len(cert.generators)}): "
         + ", ".join(str(list(g)) for g in cert.generators),
-        f"reductions: {len(cert.reductions)} monomial classes within window {cert.window}",
+        f"reductions: {len(cert)} monomial classes within window {cert.window}",
         f"max coefficient exponent: {summary['max_coefficient_exponent']}"
         f" (allowed {cert.coefficient_window})",
     ]

@@ -34,9 +34,9 @@ Translation classes.  B holds the unit u = (t_1...t_r)^f, and u^k adds
 f*k to every exponent.  That keeps the restricted part of a class and
 the order of classes of one degree, so the walk for m_(lam + f*k*1)
 with 1 = (1, ..., 1) is the walk for m_lam with every coefficient
-translated by f*k.  The certificate walks one representative per class,
-the one whose last entry lies in [0, f), and translates its expression
-to the other members; the window test and verify see each target's own.
+translated by f*k.  A certificate stores one walk per class, keyed by
+the member whose last entry lies in [0, f); the window test and verify
+check every member's exponents.
 
 constructive_reduction runs the free-basis argument forwards instead
 (t^lam = s^q * t^a with s_i = t_i^f, s^q expanded over the staircase by
@@ -64,9 +64,9 @@ from .value import Value
 
 MAX_RANK = 3
 MAX_POWER = 4
-# a certificate holds one reduction per target class in memory; the
-# widest windows in use, (r, f, window) = (2, 4, 40) with 3,321 targets
-# and (3, 4, 10) with 1,771, stay under the cap
+# a certificate is written and window-checked per target; the widest
+# windows in use, (r, f, window) = (2, 4, 40) with 3,321 targets and
+# (3, 4, 10) with 1,771, stay under the cap
 MAX_TARGETS = 5000
 
 
@@ -163,80 +163,95 @@ def linear_reduction(target: ExponentVector, f: int) -> Expression:
     return expr
 
 
-class FinitenessCertificate(Value):
-    """Generators plus a complete in-window reduction table.
+def _class_of(lam: ExponentVector, f: int) -> tuple[ExponentVector, int]:
+    """lam's class key, lam less its shift f * (lam_r // f), and that shift."""
+    shift = f * (lam[-1] // f)
+    return tuple(x - shift for x in lam), shift
 
-    reductions[lam] expresses the orbit sum m_lam over ``generators``,
-    the f-restricted weights, with coefficients in the pullback subring;
-    it is the one such expression, from linear_reduction.
-    ``coefficient_window`` bounds every exponent appearing in any
-    coefficient.  ``fallback_targets`` is always empty, a class constant
-    the benchmark's finiteness.fallback_targets counter reads.  Schema 1's
-    ``pruned`` and ``inverse_product`` are derived in to_json, not stored.
-    Iterating yields each sorted target's schema-1 entry, so the
-    certificate is its own ``reductions`` list.  Like every record it is
-    immutable; holding a dict, it has no hash.
+
+class FinitenessCertificate(Value):
+    """Generators plus one expression per translation class of the window.
+
+    classes[key] is linear_reduction(key, f), the one expression of m_key
+    over ``generators``, the f-restricted weights, with coefficients in
+    the pullback subring; expression(lam) moves it by lam's shift, and
+    ``reductions`` derives every target's.  ``coefficient_window`` bounds
+    every exponent in any target's coefficients; ``fallback_targets`` is
+    always empty, for the benchmark's counter.  It iterates as schema 1's
+    sorted ``reductions`` list, and its length is the target count.
     """
 
-    __slots__ = ("r", "f", "window", "coefficient_window", "generators", "reductions")
+    __slots__ = ("r", "f", "window", "coefficient_window", "generators", "classes")
     fallback_targets = ()
 
-    def verify(self) -> bool:
-        """Check that the certificate is complete and re-expand every expression exactly.
+    def members(self) -> Iterator[tuple[ExponentVector, ExponentVector, int]]:
+        """(target, key, shift) for every target of the window, the largest first."""
+        return ((lam, *_class_of(lam, self.f)) for lam in sorted_tuples(self.r, -self.window, self.window))
 
-        ``generators`` must be f^r distinct f-restricted weights given
-        as tuples, which are then all of them, and ``reductions`` must
-        hold exactly the comb(2w + r, r) weakly decreasing classes in
-        [-w, w], w the window.  Generator, target and B-class entries
-        must be ints, coefficients ints or Fractions (2.0 == 2 passes the
-        rest).  Every expression must be over ``generators`` and carry the
-        B-membership witness, checked once per distinct B-class: every
-        coefficient exponent is a multiple of f, and at most
-        ``coefficient_window`` in absolute value.  Each expression
-        sum_j b_j * m_gamma_j is expanded with the orbit-sum structure
-        constants, in exact int or Fraction arithmetic; it must come to m_lam.
+    def expression(self, target: ExponentVector) -> Expression:
+        key, shift = _class_of(target, self.f)
+        return {g: {tuple(x + shift for x in mu): c for mu, c in coeff.items()}
+                for g, coeff in self.classes[key].items()}
+
+    @property
+    def reductions(self) -> dict[ExponentVector, Expression]:
+        return {lam: self.expression(lam) for lam, _, _ in self.members()}
+
+    def __len__(self) -> int:
+        return comb(2 * self.window + self.r, self.r)
+
+    def verify(self) -> bool:
+        """Check that the certificate is complete and re-expand every class's expression exactly.
+
+        ``generators`` must be the f^r f-restricted weights, as distinct
+        tuples, and ``classes`` keyed by exactly the keys of the
+        comb(2w + r, r) targets, w the window.  Generator, key and B-class
+        entries must be ints, coefficients ints or Fractions (2.0 == 2
+        passes the rest).  Every coefficient exponent must be a multiple
+        of f, and every target's at most ``coefficient_window`` in
+        absolute value.  Each class's sum_j b_j * m_gamma_j, over
+        ``generators``, is expanded with the orbit-sum structure constants
+        in exact arithmetic and must come to m_key; multiplying by u^k is
+        exact, so each target's comes to its own m_lam.
         """
-        r, f, bound = self.r, self.f, self.coefficient_window
+        r, f = self.r, self.f
         generators = {g for g in self.generators if type(g) is tuple and {*map(type, g)} <= {int}}
         restricted = [g for g in generators if len(g) == r and 0 <= g[-1] < f
                       and all(0 <= a - b < f for a, b in zip(g, g[1:]))]
         if not len(restricted) == len(self.generators) == f**r:
             return False
-        if self.reductions.keys() != set(sorted_tuples(r, -self.window, self.window)):
+        if self.classes.keys() != {key for _, key, _ in self.members()}:
             return False
-        coeffs = [coeff for expr in self.reductions.values() for coeff in expr.values()]
-        entries = chain(*self.reductions, *chain(*self.reductions.values()), *chain(*coeffs))
+        coeffs = [coeff for expr in self.classes.values() for coeff in expr.values()]
+        entries = chain(*self.classes, *chain(*self.classes.values()), *chain(*coeffs))
         values = chain(*map(dict.values, coeffs))
         if {*map(type, entries)} - {int} or {*map(type, values)} - {int, Fraction}:
             return False
-        passed: set[ExponentVector] = set()  # B-classes whose witness holds; all ints, so == is exact
-        for lam, expr in self.reductions.items():
+        if self.max_coefficient_exponent() > self.coefficient_window:
+            return False
+        for key, expr in self.classes.items():
             acc: dict[ExponentVector, Fraction | int] = {}
             for gamma, coeff in expr.items():
-                if gamma not in generators:
+                if gamma not in generators or any(x % f for mu in coeff for x in mu):
                     return False
                 for mu, c in coeff.items():
-                    if mu not in passed:
-                        if any(x % f or abs(x) > bound for x in mu):
-                            return False
-                        passed.add(mu)
                     for cls, mult in _orbit_sum_product(mu, gamma):
                         acc[cls] = acc.get(cls, 0) + c * mult
-            if {cls: n for cls, n in acc.items() if n} != {lam: 1}:
+            if {cls: n for cls, n in acc.items() if n} != {key: 1}:
                 return False
         return True
 
     def max_coefficient_exponent(self) -> int:
-        return max(
-            (abs(x) for e in self.reductions.values() for c in e.values() for mu in c for x in mu),
-            default=0,
-        )
+        """The largest |exponent| in any target's coefficients: its class's extremes moved by its shift."""
+        exponents = {key: {x for b in expr.values() for mu in b for x in mu} for key, expr in self.classes.items()}
+        ends = {key: (min(xs), max(xs)) for key, xs in exponents.items() if xs}
+        return max((abs(x + shift) for _, key, shift in self.members() for x in ends.get(key, ())), default=0)
 
     def entry(self, target: ExponentVector) -> dict:
-        return {"target": list(target), "terms": _terms_json(self.reductions[target])}
+        return {"target": list(target), "terms": _terms_json(self.expression(target))}
 
     def __iter__(self) -> Iterator[dict]:
-        return map(self.entry, sorted(self.reductions))
+        return map(self.entry, sorted(sorted_tuples(self.r, -self.window, self.window)))
 
     def to_json(self) -> dict:
         """Schema 1, with ``reductions`` the certificate itself."""
@@ -252,7 +267,7 @@ class FinitenessCertificate(Value):
             "coefficient_window": self.coefficient_window,
             "generators": [list(g) for g in self.generators],
             "inverse_product": [-self.f] * self.r,
-            "pruned": [{"class": list(g), "terms": _terms_json(self.reductions[g])} for g in pruned],
+            "pruned": [{"class": list(g), "terms": _terms_json(self.expression(g))} for g in pruned],
             "reductions": self,
         }
 
@@ -293,26 +308,19 @@ def finiteness_certificate(r: int, f: int, window: int | None = None) -> Finiten
         )
 
     coeff_window = window + f * r
-    reductions: dict[ExponentVector, Expression] = {}
-    representatives: dict[ExponentVector, Expression] = {}
+    classes: dict[ExponentVector, Expression] = {}
     for lam in sorted_tuples(r, -window, window):
-        shift = f * (lam[-1] // f)
-        base = tuple(x - shift for x in lam)
-        expr = representatives.get(base)
-        if expr is None:
-            expr = representatives[base] = linear_reduction(base, f)
-        if shift:
-            expr = {g: {tuple(x + shift for x in mu): c for mu, c in coeff.items()}
-                    for g, coeff in expr.items()}
-        if any(abs(x) > coeff_window for coeff in expr.values() for mu in coeff for x in mu):
+        key, shift = _class_of(lam, f)
+        if key not in classes:
+            classes[key] = linear_reduction(key, f)
+        if any(abs(x + shift) > coeff_window for coeff in classes[key].values() for mu in coeff for x in mu):
             raise WindowTooSmall(
                 f"no expression for class {lam} with generators and coefficients "
                 f"inside window {window}; retry with window {window + f}",
                 suggested_window=window + f,
             )
-        reductions[lam] = expr
 
     # lam_i = a_i + ... + a_r, in schema 1's candidate order (degree, then lam)
     restricted = (tuple(sum(a[i:]) for i in range(r)) for a in product(range(f), repeat=r))
     generators = sorted(restricted, key=lambda g: (sum(g), g))
-    return FinitenessCertificate(r, f, window, coeff_window, generators, reductions)
+    return FinitenessCertificate(r, f, window, coeff_window, generators, classes)

@@ -19,7 +19,7 @@ RationalLike = int | Fraction
 def _frac(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if type(x) is int:  # not bool: True == 1, but no value is silently coerced
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
@@ -76,7 +76,7 @@ class GaussianRational(Value):
         return self * _coerce(other).inverse()
 
     def __pow__(self, k: int) -> "GaussianRational":
-        if not isinstance(k, int):
+        if type(k) is not int:
             raise TypeError("exponent must be an integer")
         base = self
         if k < 0:
@@ -124,11 +124,7 @@ class GaussianRational(Value):
 
 
 def _coerce(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
-    raise TypeError(f"cannot interpret {type(x).__name__} as a Gaussian rational")
+    return x if isinstance(x, GaussianRational) else GaussianRational(x)  # _frac refuses the rest
 
 
 I = GaussianRational(0, 1)

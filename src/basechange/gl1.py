@@ -60,6 +60,8 @@ def bc_unramified_quasichar(
     chi: UnramifiedQuasicharacter, f: int
 ) -> UnramifiedQuasicharacter:
     """Base change of an unramified quasicharacter: parameter z -> z^f."""
+    if type(f) is not int:
+        raise TypeError("residue degree f must be an int")
     if f < 1:
         raise ValueError("residue degree f must be >= 1")
     return UnramifiedQuasicharacter(chi.z ** f)

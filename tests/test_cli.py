@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from basechange import cli
 from basechange.cli import COMMANDS, _render, build_parser, main
-from basechange.finiteness import finiteness_certificate
+from basechange.finiteness import FinitenessCertificate, finiteness_certificate
 from basechange.gl1 import MAX_CIRCLES
 from basechange.ktheory import KMorphism, induced_map
 from test_ktheory import _grids, from_grid, proper_maps
@@ -967,12 +967,12 @@ def _certificate_payload(r, f, window=None) -> dict:
 
 
 # every default certificate, wide and smallest windows, f = 1; when r >= 2
-# the class of (w, ..., w, -w) has no member in the window whose last entry
-# lies in [0, f), so its template comes from a member shifted down
+# the class of (w, ..., w, -w) has a key outside the window, so its template
+# comes from no member; at (2, 2, 6) a hand-edited class table renders too
 @pytest.mark.parametrize(
     "r, f, window",
     [(r, f, None) for r in range(1, 4) for f in range(1, 5)]
-    + [(2, 2, 24), (1, 3, 200), (1, 1, 5), (2, 1, 6), (3, 3, 6), (2, 4, 6)],
+    + [(2, 2, 24), (1, 3, 200), (1, 1, 5), (2, 1, 6), (3, 3, 6), (2, 4, 6), (2, 2, 6)],
 )
 def test_certificate_reductions_render_as_the_stock_encoder_writes_them(capsys, r, f, window):
     payload = _certificate_payload(r, f, window)
@@ -980,10 +980,20 @@ def test_certificate_reductions_render_as_the_stock_encoder_writes_them(capsys, 
     expected = json.dumps({"schema_version": 1, **payload}, indent=2, default=list) + "\n"
     _assert_same_text(_emitted(capsys, payload), expected)
     if r >= 2:
-        assert any(tuple(x - f * (t[-1] // f) for x in t) not in rows.reductions for t in rows.reductions)
+        targets = [lam for lam, _, _ in rows.members()]
+        assert any(key not in targets for _, key, _ in rows.members())
     if (r, f, window) == (2, 2, 24):
         with patch.object(cli, "FLUSH_PARTS", 1):
             _assert_same_text(_emitted(capsys, payload), expected)
+    if (r, f, window) == (2, 2, 6):
+        # the class of (6, 4), key (2, 0) and shift 4, gets an expression no walk
+        # gives; every member renders from it, through _emit as through iteration
+        fields = {name: getattr(rows, name) for name in FinitenessCertificate.__slots__}
+        edited = FinitenessCertificate(**{**fields, "classes": {**rows.classes, (2, 0): {(1, 0): {(4, -12): 5}}}})
+        assert not edited.verify() and edited.expression((6, 4)) == {(1, 0): {(8, -8): 5}}
+        payload = {"certificate": edited.to_json()}
+        expected = json.dumps({"schema_version": 1, **payload}, indent=2, default=list) + "\n"
+        _assert_same_text(_emitted(capsys, payload), expected)
 
 
 # K-matrices with empty leading and trailing rows, 0 x n, n x 0 and 0 x 0

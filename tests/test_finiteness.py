@@ -134,7 +134,7 @@ def test_pruned_candidates_carry_valid_expressions():
     for entry in pruned:
         gamma = tuple(entry["class"])
         assert gamma not in cert.generators and entry["terms"] == targets[gamma]
-        expr = cert.reductions[gamma]
+        expr = cert.expression(gamma)
         assert expand_expression(2, expr) == InvariantLaurentPoly.orbit_sum(gamma)
         assert set(expr) <= set(cert.generators)
     # the inverse product class reduces into the subring itself
@@ -222,14 +222,14 @@ def test_restricted_times_pullback_is_triangular(data):
         assert all(cls < top and sum(cls) == sum(top) for cls in terms)
 
 
-def staircase_reference(lam, f: int, cert):
+def staircase_reference(lam, f: int, reductions):
     """The staircase path: constructive_reduction(lam, f) with every in-window
     candidate replaced by its own expression over the generators."""
     r = len(lam)
     one = {(0,) * r: 1}
     out = {}
     for gamma, coeff in constructive_reduction(lam, f).items():
-        for inner, inner_coeff in cert.reductions.get(gamma, {gamma: one}).items():
+        for inner, inner_coeff in reductions.get(gamma, {gamma: one}).items():
             term = coeff * InvariantLaurentPoly(r, inner_coeff)
             out[inner] = out[inner] + term if inner in out else term
     return table({g: b for g, b in out.items() if not b.is_zero()})
@@ -240,15 +240,15 @@ def test_triangular_reduction_matches_the_staircase_path(r, f, window):
     # wherever the staircase path stays over the generators inside the window,
     # it gives the stored expression: over a basis there is only one
     cert = finiteness_certificate(r, f, window)
-    generators, compared = set(cert.generators), 0
-    for lam, expr in cert.reductions.items():
-        reference = staircase_reference(lam, f, cert)
+    generators, compared, reductions = set(cert.generators), 0, cert.reductions
+    for lam, expr in reductions.items():
+        reference = staircase_reference(lam, f, reductions)
         if set(reference) <= generators and all(
             max_exponent(b) <= cert.coefficient_window for b in reference.values()
         ):
             assert reference == expr
             compared += 1
-    assert compared > len(cert.reductions) // 2
+    assert compared > len(cert) // 2
 
 
 # -- pinned output and the rank oracle ------------------------------------
@@ -419,10 +419,21 @@ def test_linear_reduction_commutes_with_translation(r, data):
     assert shifted == {g: (InvariantLaurentPoly(r, b) * unit).terms for g, b in expr.items()}
 
 
+@pytest.mark.parametrize("r, f, window", [(2, 2, 24), (2, 3, 12), (3, 2, 7), (1, 4, 200)])
+def test_every_target_expression_is_its_own_walk(r, f, window):
+    # the expression over the restricted basis is unique, so each target's
+    # own walk checks the class expression translated to it, without translating
+    cert = finiteness_certificate(r, f, window)
+    targets = [lam for lam, _, _ in cert.members()]
+    assert len(targets) == len(cert) > len(cert.classes)
+    for lam in targets:
+        assert cert.expression(lam) == linear_reduction(lam, f)
+
+
 def test_f1_certificate_expands_one_staircase_per_translation_class(monkeypatch):
     # at f = 1 every m_lam of the window is its own target; the 165 classes
     # of window 4 at r = 3 fall into 45 classes modulo (1, 1, 1), and the
-    # builder walks once per class and nowhere else
+    # builder walks once per class, stores one expression each and no more
     walks = []
 
     def counted(target, *rest):
@@ -431,8 +442,8 @@ def test_f1_certificate_expands_one_staircase_per_translation_class(monkeypatch)
 
     monkeypatch.setattr(finiteness, "linear_reduction", counted)
     cert = finiteness_certificate(3, 1, 4)
-    assert len(cert.reductions) == 165
-    assert len(walks) <= 45
+    assert len(cert) == len(cert.reductions) == 165
+    assert sorted(walks) == sorted(cert.classes) and len(walks) == 45
 
 
 def test_expression_past_the_coefficient_window_exits_4(monkeypatch, capsys):
@@ -463,19 +474,29 @@ def test_expression_past_the_coefficient_window_exits_4(monkeypatch, capsys):
 
 
 def reference_verify(cert) -> bool:
-    """Re-expand every expression in Fraction arithmetic and compare.
+    """Re-expand every target's expression in Fraction arithmetic and compare.
 
-    The generators must be the restricted weights, and the table must
-    hold every sorted class of [-window, window]^r.  Every entry of a
-    generator, target or class is an int and every coefficient an int or
-    a Fraction.  Every coefficient exponent must be a multiple of f
+    The generators must be the restricted weights, and the derived table
+    must hold every sorted class of [-window, window]^r, from one stored
+    class per class of the targets modulo adding f*k to every entry: lam
+    and lam' share one when lam - lam_r and lam' - lam'_r agree and
+    lam_r = lam'_r mod f.  Every entry of a generator, class key,
+    target or B-class is an int and every coefficient an int or a
+    Fraction.  Every coefficient exponent must be a multiple of f
     inside the coefficient window.
     """
-    r, w = cert.r, cert.window
-    if sorted(cert.generators) != restricted_weights(r, cert.f):
+    r, w, f = cert.r, cert.window, cert.f
+    if sorted(cert.generators) != restricted_weights(r, f):
         return False
-    entries = [x for g in cert.generators for x in g]
-    for lam, expr in cert.reductions.items():
+    targets = {sort_class(v) for v in product(range(-w, w + 1), repeat=r)}
+    if len(cert.classes) != len({(tuple(x - lam[-1] for x in lam), lam[-1] % f) for lam in targets}):
+        return False
+    try:
+        reductions = cert.reductions
+    except KeyError:  # a target whose class has no expression
+        return False
+    entries = [x for g in cert.generators for x in g] + [x for key in cert.classes for x in key]
+    for lam, expr in reductions.items():
         entries += lam
         for gamma, coeff in expr.items():
             entries += gamma
@@ -485,15 +506,15 @@ def reference_verify(cert) -> bool:
                     return False
     if any(type(x) is not int for x in entries):
         return False
-    if set(cert.reductions) != {sort_class(v) for v in product(range(-w, w + 1), repeat=r)}:
+    if set(reductions) != targets:
         return False
-    for lam, expr in cert.reductions.items():
+    for lam, expr in reductions.items():
         if not set(expr) <= set(cert.generators):
             return False
-        if any(x % cert.f or abs(x) > cert.coefficient_window
+        if any(x % f or abs(x) > cert.coefficient_window
                for coeff in expr.values() for cls in coeff for x in cls):
             return False
-        if expand_expression(cert.r, expr) != InvariantLaurentPoly.orbit_sum(lam):
+        if expand_expression(r, expr) != InvariantLaurentPoly.orbit_sum(lam):
             return False
     return True
 
@@ -518,44 +539,47 @@ def add_term(coeff: dict, cls, value) -> dict:
 
 
 def tamper(cert, fault: str):
+    r, f = cert.r, cert.f
     if fault == "trivial expression over a non-generator":
-        # m_lam = 1 * m_lam is exact, with m_lam itself as the generator
-        lam = next(t for t in sorted(cert.reductions) if t not in cert.generators)
-        return rebuilt(cert, reductions={**cert.reductions, lam: {lam: {(0,) * cert.r: 1}}})
+        # m_key = 1 * m_key is exact, with m_key itself as the generator
+        key = next(k for k in sorted(cert.classes) if k not in cert.generators)
+        return rebuilt(cert, classes={**cert.classes, key: {key: {(0,) * r: 1}}})
     if fault == "generator missing from the list":
         gamma = max(cert.generators)
         return rebuilt(cert, generators=[g for g in cert.generators if g != gamma])
     if fault == "extra generator":
-        return rebuilt(cert, generators=cert.generators + [(9,) * cert.r])
+        return rebuilt(cert, generators=cert.generators + [(9,) * r])
     if fault == "generator given as a list":
         return rebuilt(cert, generators=[list(g) for g in cert.generators])
     if fault == "coefficient window below the largest exponent":
         return rebuilt(cert, coefficient_window=cert.max_coefficient_exponent() - 1)
-    if fault == "empty reduction table":
-        return rebuilt(cert, reductions={})
-    if fault == "target missing from the table":
-        lam = min(cert.reductions)
-        return rebuilt(cert, reductions={t: e for t, e in cert.reductions.items() if t != lam})
-    # the first target whose expression uses two or more generators
-    lam, expr = next((t, e) for t, e in sorted(cert.reductions.items()) if len(e) >= 2)
+    if fault == "empty class table":
+        return rebuilt(cert, classes={})
+    if fault == "class missing from the table":
+        key = min(cert.classes)
+        return rebuilt(cert, classes={k: e for k, e in cert.classes.items() if k != key})
+    if fault == "extra class":
+        # m_(f, ..., f) = u * m_0 is exact and in B, but (f, ..., f) is no class key
+        return rebuilt(cert, classes={**cert.classes, (f,) * r: {(0,) * r: {(f,) * r: 1}}})
+    # the first class whose expression uses two or more generators
+    key, expr = next((k, e) for k, e in sorted(cert.classes.items()) if len(e) >= 2)
     gamma = min(expr)
     coeff = expr[gamma]
-    r, f = cert.r, cert.f
     if fault == "coefficient value":
         cls = min(coeff)
         expr = {**expr, gamma: add_term(coeff, cls, 1)}
     elif fault == "exponent not divisible by f":
         expr = {**expr, gamma: add_term(coeff, (1,) + (0,) * (r - 1), 1)}
     elif fault == "expands correctly outside B":
-        # m_lam = m_lam * m_0 is exact, but m_lam is not a coefficient in B
-        expr = {(0,) * r: {lam: 1}}
+        # m_key = m_key * m_0 is exact, but m_key is not a coefficient in B
+        expr = {(0,) * r: {key: 1}}
     elif fault == "empty expression":
         expr = {}
     elif fault == "dropped generator":
         expr = {g: b for g, b in expr.items() if g != gamma}
     elif fault == "extra B-term":
         expr = {**expr, gamma: add_term(coeff, (f,) + (0,) * (r - 1), 1)}
-    return rebuilt(cert, reductions={**cert.reductions, lam: expr})
+    return rebuilt(cert, classes={**cert.classes, key: expr})
 
 
 FAULTS = [
@@ -570,8 +594,9 @@ FAULTS = [
     "extra generator",
     "generator given as a list",
     "coefficient window below the largest exponent",
-    "empty reduction table",
-    "target missing from the table",
+    "empty class table",
+    "class missing from the table",
+    "extra class",
 ]
 
 
@@ -585,16 +610,28 @@ def test_verify_rejects_tampered_certificate(r, f, fault):
     assert not reference_verify(bad)
 
 
+@pytest.mark.parametrize("r, f", [(2, 3), (3, 2)])
+def test_coefficient_window_bounds_the_targets_not_the_stored_expressions(r, f):
+    # a class key may lie outside the window, its stored expression reaching
+    # past every target's; the tightest bound on the targets still verifies
+    cert = real_certificate(r, f)
+    stored = max(abs(x) for e in cert.classes.values() for b in e.values() for mu in b for x in mu)
+    tight = rebuilt(cert, coefficient_window=cert.max_coefficient_exponent())
+    assert stored > tight.coefficient_window
+    assert tight.verify() and reference_verify(tight)
+    assert not rebuilt(cert, coefficient_window=tight.coefficient_window - 1).verify()
+
+
 @st.composite
 def perturbed_expressions(draw):
-    """A real certificate with one (target, expression) pair perhaps given a
-    few random edits: a term added to, changed in or removed from some
+    """A real certificate with one class's expression perhaps given a few
+    random edits: a term added to, changed in or removed from some
     coefficient, a generator dropped, or a new generator with its own
-    coefficient.  The rest of the table stays, so the certificate is complete."""
+    coefficient.  The other classes stay, so the certificate is complete."""
     r, f = draw(st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2)]))
     cert = real_certificate(r, f)
-    lam = draw(st.sampled_from(sorted(cert.reductions)))
-    expr = dict(cert.reductions[lam])
+    key = draw(st.sampled_from(sorted(cert.classes)))
+    expr = dict(cert.classes[key])
     classes = st.tuples(*[st.integers(-4, 4)] * r).map(sort_class)
     values = st.fractions(-3, 3, max_denominator=4)
     for _ in range(draw(st.integers(0, 3))):
@@ -619,12 +656,12 @@ def perturbed_expressions(draw):
         elif terms:
             del terms[draw(st.sampled_from(sorted(terms)))]
         expr[gamma] = nonzero(terms)
-    return rebuilt(cert, reductions={**cert.reductions, lam: expr})
+    return rebuilt(cert, classes={**cert.classes, key: expr})
 
 
 def floated(cert, **edits):
     """cert with every coefficient (values), generator (generators), expression
-    key (gammas), B-class (classes) or target (targets) made of floats, or
+    key (gammas), B-class (classes) or class key (keys) made of floats, or
     with True for each coefficient 1 (bools)."""
     def expr(e):
         return {
@@ -636,11 +673,11 @@ def floated(cert, **edits):
             for g, coeff in e.items()
         }
     generators = [tuple(map(float, g)) for g in cert.generators] if "generators" in edits else cert.generators
-    reductions = {tuple(map(float, t)) if "targets" in edits else t: expr(e) for t, e in cert.reductions.items()}
-    return rebuilt(cert, generators=generators, reductions=reductions)
+    classes = {tuple(map(float, k)) if "keys" in edits else k: expr(e) for k, e in cert.classes.items()}
+    return rebuilt(cert, generators=generators, classes=classes)
 
 
-@pytest.mark.parametrize("part", ["values", "generators", "bools", "gammas", "classes", "targets"])
+@pytest.mark.parametrize("part", ["values", "generators", "bools", "gammas", "classes", "keys"])
 def test_verify_rejects_floats_and_bools(part):
     # a float 2.0 equals 2 and a bool True equals 1, so each of these expands
     # to the right sum; the certificate promises exact ints and Fractions

@@ -56,6 +56,22 @@ def test_rejects_floats():
         GaussianRational(0.5, 0)
 
 
+@pytest.mark.parametrize("use", [
+    lambda b: GaussianRational(b, 0),
+    lambda b: GaussianRational(1, b),
+    lambda b: GaussianRational(1, 1) ** b,
+    lambda b: GaussianRational(1, 1) + b,
+    lambda b: b * GaussianRational(1, 1),
+    lambda b: b - GaussianRational(1, 1),
+    lambda b: GaussianRational(1, 1) / b,
+])
+@pytest.mark.parametrize("b", [True, False])
+def test_rejects_bools(use, b):
+    # True == 1 and False == 0, but a bool is not an exact rational
+    with pytest.raises(TypeError):
+        use(b)
+
+
 @given(gaussians(), gaussians(), gaussians())
 def test_ring_axioms(a, b, c):
     assert a + b == b + a

@@ -73,6 +73,16 @@ def test_evaluate_refuses_a_non_integer_degree():
         UnramifiedQuasicharacter(GaussianRational(1, 1)).evaluate(2.9)
 
 
+@pytest.mark.parametrize("b", [True, False])
+def test_bools_are_refused_as_degrees(b):
+    # True == 1, so each of these returned a value as if given 1 (or 0)
+    chi = UnramifiedQuasicharacter(GaussianRational(1, 1))
+    with pytest.raises(TypeError):
+        chi.evaluate(b)
+    with pytest.raises(TypeError):
+        bc_unramified_quasichar(chi, b)
+
+
 nonzero_gaussians = st.builds(
     GaussianRational,
     st.fractions(min_value=-4, max_value=4, max_denominator=5),

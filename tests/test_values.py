@@ -107,9 +107,8 @@ VALUES = {
                       "e=1, f=3, galois=True, cyclic=True))"),
     FinitenessCertificate: (lambda: finiteness_certificate(1, 2, 2), lambda: finiteness_certificate(1, 2, 3),
                               "FinitenessCertificate(r=1, f=2, window=2, coefficient_window=4, "
-                              "generators=[(0,), (1,)], reductions={(2,): {(0,): {(2,): 1}}, "
-                              "(1,): {(1,): {(0,): 1}}, (0,): {(0,): {(0,): 1}}, "
-                              "(-1,): {(1,): {(-2,): 1}}, (-2,): {(0,): {(-2,): 1}}})"),
+                              "generators=[(0,), (1,)], classes={(0,): {(0,): {(0,): 1}}, "
+                              "(1,): {(1,): {(0,): 1}}})"),
 }
 
 # records holding a dict or list are unhashable even when immutable
