@@ -226,7 +226,7 @@ def _render_reductions(cert: FinitenessCertificate, parts: list, write, indent: 
     """
     inner, templates, held_parts = indent + "  ", {}, 0
     glue, sep = "[" + inner, "," + inner
-    for lam, key, shift in sorted(cert.members()):
+    for lam, key, shift in reversed([*cert.members()]):
         if key not in templates:
             entry, slots = cert.entry(key), []
             entry["target"] = ["%d"] * len(lam)

@@ -36,7 +36,7 @@ the order of classes of one degree, so the walk for m_(lam + f*k*1)
 with 1 = (1, ..., 1) is the walk for m_lam with every coefficient
 translated by f*k.  A certificate stores one walk per class, keyed by
 the member whose last entry lies in [0, f); the window test and verify
-check every member's exponents.
+check each class's extreme coefficient exponents at its extreme shifts.
 
 constructive_reduction runs the free-basis argument forwards instead
 (t^lam = s^q * t^a with s_i = t_i^f, s^q expanded over the staircase by
@@ -64,9 +64,9 @@ from .value import Value
 
 MAX_RANK = 3
 MAX_POWER = 4
-# a certificate is written and window-checked per target; the widest
-# windows in use, (r, f, window) = (2, 4, 40) with 3,321 targets and
-# (3, 4, 10) with 1,771, stay under the cap
+# a certificate is written per target; the widest windows in use,
+# (r, f, window) = (2, 4, 40) with 3,321 targets and (3, 4, 10) with
+# 1,771, stay under the cap
 MAX_TARGETS = 5000
 
 
@@ -169,6 +169,22 @@ def _class_of(lam: ExponentVector, f: int) -> tuple[ExponentVector, int]:
     return tuple(x - shift for x in lam), shift
 
 
+def translation_classes(r: int, f: int, window: int) -> Iterator[tuple[ExponentVector, int, int]]:
+    """(key, lowest shift, highest shift) per class of the window: the lowest member's last
+    entry lies in [-w, -w + f), and the members climb by f*(1, ..., 1) while the first stays <= w."""
+    for last in range(-window, min(f - window, window + 1)):
+        for head in sorted_tuples(r - 1, last, window):
+            lowest = (*head, last)
+            key, low = _class_of(lowest, f)
+            yield key, low, low + f * ((window - lowest[0]) // f)
+
+
+def _reach(expr: Expression, low: int, high: int) -> int:
+    """The largest |exponent| in expr's coefficients moved by any shift in [low, high]; 0 if none."""
+    xs = [x for coeff in expr.values() for mu in coeff for x in mu]
+    return max(abs(min(xs) + low), abs(max(xs) + high)) if xs else 0
+
+
 class FinitenessCertificate(Value):
     """Generators plus one expression per translation class of the window.
 
@@ -176,9 +192,10 @@ class FinitenessCertificate(Value):
     over ``generators``, the f-restricted weights, with coefficients in
     the pullback subring; expression(lam) moves it by lam's shift, and
     ``reductions`` derives every target's.  ``coefficient_window`` bounds
-    every exponent in any target's coefficients; ``fallback_targets`` is
-    always empty, for the benchmark's counter.  It iterates as schema 1's
-    sorted ``reductions`` list, and its length is the target count.
+    every exponent in any target's coefficients (checked at each class's
+    extreme shifts); ``fallback_targets`` is always empty, for the
+    benchmark.  It iterates as schema 1's sorted ``reductions`` list, and
+    its length is the target count.
     """
 
     __slots__ = ("r", "f", "window", "coefficient_window", "generators", "classes")
@@ -203,24 +220,28 @@ class FinitenessCertificate(Value):
     def verify(self) -> bool:
         """Check that the certificate is complete and re-expand every class's expression exactly.
 
-        ``generators`` must be the f^r f-restricted weights, as distinct
-        tuples, and ``classes`` keyed by exactly the keys of the
-        comb(2w + r, r) targets, w the window.  Generator, key and B-class
-        entries must be ints, coefficients ints or Fractions (2.0 == 2
-        passes the rest).  Every coefficient exponent must be a multiple
-        of f, and every target's at most ``coefficient_window`` in
-        absolute value.  Each class's sum_j b_j * m_gamma_j, over
-        ``generators``, is expanded with the orbit-sum structure constants
-        in exact arithmetic and must come to m_key; multiplying by u^k is
-        exact, so each target's comes to its own m_lam.
+        The window must be an int of at least max(1, r(f-1)), the
+        builder's bound.  ``generators`` must be the f^r f-restricted
+        weights, as distinct tuples, and ``classes`` keyed by exactly the
+        keys of translation_classes.  Generator, key and B-class entries
+        must be ints, coefficients ints or Fractions (2.0 == 2 passes the
+        rest).  Every coefficient exponent must be a multiple of f, and
+        each class's extremes at its extreme shifts (so every target's) at
+        most ``coefficient_window`` in absolute value.  Each class's
+        sum_j b_j * m_gamma_j, over ``generators``, is expanded with the
+        orbit-sum structure constants in exact arithmetic and must come to
+        m_key; multiplying by u^k is exact, so each target's comes to its
+        own m_lam.
         """
         r, f = self.r, self.f
+        if type(self.window) is not int or self.window < max(1, r * (f - 1)):
+            return False
         generators = {g for g in self.generators if type(g) is tuple and {*map(type, g)} <= {int}}
         restricted = [g for g in generators if len(g) == r and 0 <= g[-1] < f
                       and all(0 <= a - b < f for a, b in zip(g, g[1:]))]
         if not len(restricted) == len(self.generators) == f**r:
             return False
-        if self.classes.keys() != {key for _, key, _ in self.members()}:
+        if self.classes.keys() != {key for key, _, _ in translation_classes(r, f, self.window)}:
             return False
         coeffs = [coeff for expr in self.classes.values() for coeff in expr.values()]
         entries = chain(*self.classes, *chain(*self.classes.values()), *chain(*coeffs))
@@ -242,16 +263,16 @@ class FinitenessCertificate(Value):
         return True
 
     def max_coefficient_exponent(self) -> int:
-        """The largest |exponent| in any target's coefficients: its class's extremes moved by its shift."""
-        exponents = {key: {x for b in expr.values() for mu in b for x in mu} for key, expr in self.classes.items()}
-        ends = {key: (min(xs), max(xs)) for key, xs in exponents.items() if xs}
-        return max((abs(x + shift) for _, key, shift in self.members() for x in ends.get(key, ())), default=0)
+        """The largest |exponent| in any target's coefficients: each class's extremes at its extreme shifts."""
+        return max((_reach(self.classes.get(key, {}), low, high)
+                    for key, low, high in translation_classes(self.r, self.f, self.window)), default=0)
 
     def entry(self, target: ExponentVector) -> dict:
-        return {"target": list(target), "terms": _terms_json(self.expression(target))}
+        key, shift = _class_of(target, self.f)
+        return {"target": list(target), "terms": _terms_json(self.classes[key], shift)}
 
     def __iter__(self) -> Iterator[dict]:
-        return map(self.entry, sorted(sorted_tuples(self.r, -self.window, self.window)))
+        return map(self.entry, reversed([*sorted_tuples(self.r, -self.window, self.window)]))
 
     def to_json(self) -> dict:
         """Schema 1, with ``reductions`` the certificate itself."""
@@ -272,10 +293,11 @@ class FinitenessCertificate(Value):
         }
 
 
-def _terms_json(expr: Expression) -> list[dict]:
-    """Schema 1's terms of one expression: sorted generators, each with its sorted coefficient."""
+def _terms_json(expr: Expression, shift: int = 0) -> list[dict]:
+    """Schema 1's terms of expr moved by shift (which keeps the order): sorted generators, sorted coefficients."""
     return [{"generator": list(gamma), "coefficient": [
-        {"exponents": list(mu), "value": f"{c.numerator}/{c.denominator}"} for mu, c in sorted(expr[gamma].items())
+        {"exponents": [x + shift for x in mu], "value": f"{c.numerator}/{c.denominator}"}
+        for mu, c in sorted(expr[gamma].items())
     ]} for gamma in sorted(expr)]
 
 
@@ -307,20 +329,18 @@ def finiteness_certificate(r: int, f: int, window: int | None = None) -> Finiten
             f"window {window} at r={r} has {targets} target classes, more than {MAX_TARGETS}"
         )
 
-    coeff_window = window + f * r
-    classes: dict[ExponentVector, Expression] = {}
-    for lam in sorted_tuples(r, -window, window):
-        key, shift = _class_of(lam, f)
-        if key not in classes:
-            classes[key] = linear_reduction(key, f)
-        if any(abs(x + shift) > coeff_window for coeff in classes[key].values() for mu in coeff for x in mu):
-            raise WindowTooSmall(
-                f"no expression for class {lam} with generators and coefficients "
-                f"inside window {window}; retry with window {window + f}",
-                suggested_window=window + f,
-            )
-
     # lam_i = a_i + ... + a_r, in schema 1's candidate order (degree, then lam)
     restricted = (tuple(sum(a[i:]) for i in range(r)) for a in product(range(f), repeat=r))
     generators = sorted(restricted, key=lambda g: (sum(g), g))
-    return FinitenessCertificate(r, f, window, coeff_window, generators, classes)
+    classes = {key: linear_reduction(key, f) for key, _, _ in translation_classes(r, f, window)}
+    cert = FinitenessCertificate(r, f, window, window + f * r, generators, classes)
+    if cert.max_coefficient_exponent() > cert.coefficient_window:
+        # name the largest target past the window, as a walk over the targets meets it first
+        lam = next(lam for lam, key, shift in cert.members()
+                   if _reach(classes[key], shift, shift) > cert.coefficient_window)
+        raise WindowTooSmall(
+            f"no expression for class {lam} with generators and coefficients "
+            f"inside window {window}; retry with window {window + f}",
+            suggested_window=window + f,
+        )
+    return cert

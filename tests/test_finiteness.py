@@ -186,7 +186,7 @@ def schema1_terms(expr) -> list[dict]:
     ]
 
 
-@pytest.mark.parametrize("r, f, window", [(1, 3, None), (2, 2, 6), (2, 4, 6), (3, 2, None)])
+@pytest.mark.parametrize("r, f, window", [(1, 3, None), (2, 2, 6), (2, 4, 6), (3, 2, None), (2, 4, 40)])
 def test_reduction_rows_iterate_as_the_plain_entries(r, f, window):
     cert = finiteness_certificate(r, f, window)
     rows = cert.to_json()["reductions"]
@@ -430,6 +430,35 @@ def test_every_target_expression_is_its_own_walk(r, f, window):
         assert cert.expression(lam) == linear_reduction(lam, f)
 
 
+# every window the builder accepts at r <= 3, f <= 4 up to 2f+6, and the widest in use
+CLASS_WINDOWS = [
+    (r, f, window)
+    for r in range(1, 4) for f in range(1, 5) for window in range(max(1, r * (f - 1)), 2 * f + 7)
+] + [(2, 4, 40), (1, 4, 200)]
+
+
+@pytest.mark.parametrize("r, f, window", CLASS_WINDOWS)
+def test_translation_classes_group_the_targets(r, f, window):
+    # lam and lam' share a class when they differ by f*k in every entry; the
+    # key is lam less its shift lam_r - (lam_r mod f), and the class spans the
+    # lowest to the highest shift of its members
+    spans = {}
+    for lam in sorted_tuples(r, -window, window):
+        shift = lam[-1] - lam[-1] % f
+        key = tuple(x - shift for x in lam)
+        low, high = spans.get(key, (shift, shift))
+        spans[key] = (min(low, shift), max(high, shift))
+    listed = list(finiteness.translation_classes(r, f, window))
+    assert sorted(listed) == sorted((key, low, high) for key, (low, high) in spans.items())
+
+
+@pytest.mark.parametrize("r, f, window", CLASS_WINDOWS)
+def test_max_coefficient_exponent_is_the_largest_over_the_targets(r, f, window):
+    cert = finiteness_certificate(r, f, window)
+    per_target = max(max_exponent(coeff) for expr in cert.reductions.values() for coeff in expr.values())
+    assert cert.max_coefficient_exponent() == per_target <= cert.coefficient_window
+
+
 def test_f1_certificate_expands_one_staircase_per_translation_class(monkeypatch):
     # at f = 1 every m_lam of the window is its own target; the 165 classes
     # of window 4 at r = 3 fall into 45 classes modulo (1, 1, 1), and the
@@ -480,12 +509,15 @@ def reference_verify(cert) -> bool:
     must hold every sorted class of [-window, window]^r, from one stored
     class per class of the targets modulo adding f*k to every entry: lam
     and lam' share one when lam - lam_r and lam' - lam'_r agree and
-    lam_r = lam'_r mod f.  Every entry of a generator, class key,
-    target or B-class is an int and every coefficient an int or a
-    Fraction.  Every coefficient exponent must be a multiple of f
-    inside the coefficient window.
+    lam_r = lam'_r mod f.  The window must be an int of at least
+    max(1, r(f-1)), so that it holds every generator.  Every entry of a
+    generator, class key, target or B-class is an int and every
+    coefficient an int or a Fraction.  Every coefficient exponent must be
+    a multiple of f inside the coefficient window.
     """
     r, w, f = cert.r, cert.window, cert.f
+    if type(w) is not int or w < max(1, max(max(g) for g in restricted_weights(r, f))):
+        return False
     if sorted(cert.generators) != restricted_weights(r, f):
         return False
     targets = {sort_class(v) for v in product(range(-w, w + 1), repeat=r)}
@@ -555,6 +587,13 @@ def tamper(cert, fault: str):
         return rebuilt(cert, coefficient_window=cert.max_coefficient_exponent() - 1)
     if fault == "empty class table":
         return rebuilt(cert, classes={})
+    if fault == "window -1 with no classes":
+        # no target, so nothing to check, and no generator is in the window
+        return rebuilt(cert, window=-1, coefficient_window=0, classes={})
+    if fault == "window 0 with only the class 0":
+        # m_0 = 1 * m_0 is the one target, and is exact
+        zero = (0,) * r
+        return rebuilt(cert, window=0, classes={zero: cert.classes[zero]})
     if fault == "class missing from the table":
         key = min(cert.classes)
         return rebuilt(cert, classes={k: e for k, e in cert.classes.items() if k != key})
@@ -595,6 +634,8 @@ FAULTS = [
     "generator given as a list",
     "coefficient window below the largest exponent",
     "empty class table",
+    "window -1 with no classes",
+    "window 0 with only the class 0",
     "class missing from the table",
     "extra class",
 ]
