@@ -15,9 +15,11 @@ Exit codes: 0 success, 2 invalid input, 3 out-of-scope mathematics,
 4 finiteness window failure.
 
 The front end is one table, COMMANDS, of help and flags; main calls the
-module's own cmd_<name>.  A small request costs less than building all
-seven subparsers, so main builds only the parser of the subcommand argv
-names; help, usage and error messages are those of the full parser.
+module's own cmd_<name>.  A small request costs less than building the
+argparse parser, so main reads a plain argv (a subcommand, then its
+flags spelt in full, each with a value that does not start with "-")
+straight from the table into argparse's Namespace.  Every other argv
+goes to the parser, whose help, usage and error messages stay its own.
 """
 
 from __future__ import annotations
@@ -399,8 +401,13 @@ def cmd_finiteness(args) -> int:
 # -- parser -------------------------------------------------------------
 
 
-# name -> (help, its own flags); build_parser adds --format and --output to
-# each first
+# the flags every subcommand takes ahead of its own
+OUTPUT_FLAGS = (
+    ("--format", {"choices": ("text", "json"), "default": "text", "help": "output format"}),
+    ("--output", {"metavar": "FILE", "help": "write output to FILE"}),
+)
+
+# name -> (help, its own flags)
 COMMANDS = {
     "extquot": ("components of (C^x)^n // S_n", (
         ("--n", {"type": int, "required": True}),
@@ -433,17 +440,12 @@ COMMANDS = {
 }
 
 
-def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The argparse front end; when argv[0] names a subcommand, only its parser is built.
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse front end: help, usage and errors, and every argv _read_plain leaves.
 
-    Building all seven costs more than a small request itself.  A lone
-    subparser gets the metavar the full set would print, so usage lines
-    and messages stay the same; with all seven built it stays unset, as
-    argparse names the action by it in "invalid choice" and "required" errors.
     The terminal width HelpFormatter would find is asked for once, not per
     argument, and the subcommands' prog is given, not rendered from a usage.
     """
-    names = argv[:1] if argv and argv[0] in COMMANDS else tuple(COMMANDS)
     formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="basechange",
@@ -451,21 +453,60 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
         "Hasse-Herbrand transitions, GL(1)/GL(2) circle maps, K-theory matrices.",
         formatter_class=formatter,
     )
-    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar, prog=parser.prog)
-    for name in names:
-        help_text, flags = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    for name, (help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text, formatter_class=formatter)
-        p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
-        p.add_argument("--output", metavar="FILE", help="write output to FILE")
-        for flag, kwargs in flags:
+        for flag, kwargs in OUTPUT_FLAGS + flags:
             p.add_argument(flag, **kwargs)
     return parser
 
 
+def _read_plain(argv: list[str]) -> argparse.Namespace | None:
+    """build_parser().parse_args(argv) for a plain argv, or None to leave argv to argparse.
+
+    Plain: the subcommand, then its flags spelt in full, each but a
+    store_true one with a value not starting with "-" that its type reads
+    and its choices hold, and every required flag.  A repeated flag keeps
+    its last value, an append flag all of them.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    flags = dict(OUTPUT_FLAGS + COMMANDS[argv[0]][1])
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kwargs = flags.get(flag)
+        if kwargs is None:
+            return None
+        action = kwargs.get("action")
+        if action == "store_true":
+            given[flag] = True
+            continue
+        text = next(tokens, "-")  # a missing value is left to argparse too
+        if text.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        if action == "append":
+            given.setdefault(flag, []).append(value)
+        else:
+            given[flag] = value
+    args = argparse.Namespace(command=argv[0])
+    for flag, kwargs in flags.items():
+        if kwargs.get("required") and flag not in given:
+            return None
+        default = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+    args = _read_plain(argv) or build_parser().parse_args(argv)
     try:
         code = globals()["cmd_" + args.command.replace("-", "_")](args)
         sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit

@@ -11,7 +11,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from basechange import cli
@@ -99,6 +99,9 @@ INT_FLAG = {"extquot": "--n", "norm-level": "--level", "bc-gl1": "--max-conducto
 def _front_end_argvs():
     yield from (["-h"], [], ["bogus"], ["bogus", "--n", "3"], ["--"], ["--", "psi", "--x", "1"],
                 ["--bogus"], ["--format", "json", "psi", "--x", "1"])
+    # argv the plain reader leaves to argparse, which ends them
+    yield from (["psi", "--x", "-1/2"], ["psi", "--x", "1", "--form", "xml"], ["extquot", "--n=x"],
+                ["extquot", "--n", "3", "--n"])
     for name, required in REQUIRED.items():
         yield from ([name, "-h"], [name], [name, "bogus"], [name, "--"], [name, "--bogus"])
         yield [name] + required[:-2] + ["--format", "json"]  # last required flag missing
@@ -118,8 +121,8 @@ def _exit(capsys, parse, argv):
 
 @pytest.mark.parametrize("argv", list(_front_end_argvs()), ids=" ".join)
 def test_front_end_matches_full_parser(capsys, argv):
-    # main builds only the named subcommand's parser; help, usage lines and
-    # messages must be those of the parser with all seven
+    # main reads a plain argv itself and hands every other one to the
+    # parser, whose help, usage lines and messages must come out unchanged
     assert _exit(capsys, main, argv) == _exit(capsys, build_parser().parse_args, argv)
 
 
@@ -146,6 +149,68 @@ def test_front_end_matches_a_stock_parser(capsys, monkeypatch, columns):
     monkeypatch.setenv("COLUMNS", columns)
     for argv in _front_end_argvs():
         assert _exit(capsys, main, argv) == _exit(capsys, _stock_parser().parse_args, argv), argv
+
+
+# values for the flags in the reader's property test: ones int() reads
+# loosely, ones starting with "-", choices and not, and a JSON object
+FLAG_VALUES = ["", "3", "1_0", " 4 ", "+2", "\u0661\u0662", "-1", "-", "7/2", "xml", "json", '{"q": 3}']
+
+
+@st.composite
+def _flag_argvs(draw):
+    """A subcommand, maybe its required flags, then its flags; one in ten has a value too many or too few."""
+    name = draw(st.sampled_from(list(COMMANDS)))
+    flags = dict(cli.OUTPUT_FLAGS + COMMANDS[name][1])
+    argv = [name] + (REQUIRED[name] if draw(st.booleans()) else [])
+    for flag in draw(st.lists(st.sampled_from(list(flags)), max_size=5)):
+        argv.append(flag)
+        if (flags[flag].get("action") != "store_true") == draw(st.integers(0, 9).map(bool)):
+            argv.append(draw(st.sampled_from(FLAG_VALUES)))
+    return argv
+
+
+@settings(max_examples=300)  # about one argv in eight is plain
+@given(_flag_argvs())
+def test_plain_reader_returns_the_stock_namespace_or_none(argv):
+    args = cli._read_plain(argv)
+    assert args is None or vars(args) == vars(_stock_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    *([name] + required for name, required in REQUIRED.items()),
+    ["psi", "--orders", "", "--x", "1"],
+    ["psi", "--x", "1", "--x", "7/2"],
+    ["extquot", "--n", "3", "--n", "5"],  # the last value wins
+    ["finiteness", "--r", "1", "--f", "1", "--verify"],
+    ["extquot", "--n", "3", "--format", "json", "--output", "FILE"],
+], ids=" ".join)
+def test_plain_reader_reads_plain_argv(argv):
+    args = cli._read_plain(argv)
+    assert args is not None
+    assert vars(args) == vars(_stock_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["psi", "-h"], ["psi", "--help"],
+    ["bc-gl1", "--extension", "{}", "--max", "3"],  # an abbreviation
+    ["psi", "--x", "1", "--format=json"],
+    ["psi", "--x", "-1"],
+    ["psi", "--", "--x", "1"],
+    ["psi", "--x", "1", "extra"],
+    ["norm-level", "--extension", "{}"],  # --level is required
+    ["extquot", "--n", "x"],
+    ["psi", "--x", "1", "--format", "xml"],
+], ids=" ".join)
+def test_plain_reader_leaves_the_rest_to_argparse(argv):
+    assert cli._read_plain(argv) is None
+
+
+def test_a_plain_argv_builds_no_parser(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("a plain argv built the argparse parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert main(["psi", "--x", "7/2"]) == 0
 
 
 def test_full_parser_offers_every_subcommand():
