@@ -49,8 +49,7 @@ from .localfield import (
     NotInPsiImage,
     RamificationFiltration,
     UnsupportedExtension,
-    json_int,
-    json_object,
+    json_field,
     norm_level_image,
     phi,
     psi,
@@ -115,7 +114,7 @@ def _load_json_arg(value: str) -> dict:
         with open(value) as file:
             value = file.read()
     try:
-        return json_object(json.loads(value), "input")
+        return json_field(json.loads(value), dict, "input")
     except RecursionError:  # the decoder recurses once per nesting level
         raise ValueError("input JSON is nested too deeply") from None
 
@@ -344,10 +343,10 @@ def _labels(value, name: str) -> tuple:
 
 def _match(m) -> tuple:
     """One kmap match: an object with string labels "from" and "to", an integer "degree"."""
-    m = json_object(m, "match")
+    m = json_field(m, dict, "match")
     if not (isinstance(m["from"], str) and isinstance(m["to"], str)):
         raise ValueError("match labels must be strings")
-    return m["from"], m["to"], json_int(m["degree"], "degree")
+    return m["from"], m["to"], json_field(m["degree"], int, "degree")
 
 
 def cmd_kmap(args) -> int:
@@ -360,10 +359,7 @@ def cmd_kmap(args) -> int:
             f" {MAX_KMAP_CELLS} matrix cells"
         )
     source, target = CircleSpace(source), CircleSpace(target)
-    matches = desc.get("matches", [])
-    if not isinstance(matches, list):
-        raise ValueError(f"matches must be a list, got {type(matches).__name__}")
-    matches = tuple(_match(m) for m in matches)
+    matches = tuple(_match(m) for m in json_field(desc.get("matches", []), list, "matches"))
     k0, k1 = induced_map(ProperCircleMap(source, target, matches))
     lines = []
     if args.format == "text":  # JSON rows come from the cells, not from entries

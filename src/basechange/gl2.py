@@ -25,9 +25,7 @@ from .localfield import (
     ExtensionData,
     RamificationFiltration,
     conductor_transport,
-    json_bool,
-    json_int,
-    json_object,
+    json_field,
     validate_extension_filtration,
 )
 from .gl1 import CharacterLabel
@@ -74,21 +72,19 @@ class AdmissiblePair(Value):
 
     @staticmethod
     def from_json(obj: dict) -> "AdmissiblePair":
-        ext, filt = ExtensionData.from_json(json_object(obj["quad"], "quad"))
-        xi = json_object(obj["xi"], "xi")
-        flags = json_object(obj.get("flags", {}), "flags")
+        ext, filt = ExtensionData.from_json(json_field(obj["quad"], dict, "quad"))
+        xi = json_field(obj["xi"], dict, "xi")
+        flags = json_field(obj.get("flags", {}), dict, "flags")
         return AdmissiblePair(
             quad=ext,
             quad_filtration=filt,
             xi=CharacterLabel(
-                json_int(xi["conductor"], "conductor"), json_int(xi.get("index", 0), "index")
+                json_field(xi["conductor"], int, "conductor"), json_field(xi.get("index", 0), int, "index")
             ),
-            unitary=json_bool(xi.get("unitary", True), "unitary"),
-            not_norm_factor=json_bool(
-                flags.get("not_norm_factor", False), "not_norm_factor"
-            ),
-            level_one_norm_factor=json_bool(
-                flags.get("level_one_norm_factor", False), "level_one_norm_factor"
+            unitary=json_field(xi.get("unitary", True), bool, "unitary"),
+            not_norm_factor=json_field(flags.get("not_norm_factor", False), bool, "not_norm_factor"),
+            level_one_norm_factor=json_field(
+                flags.get("level_one_norm_factor", False), bool, "level_one_norm_factor"
             ),
         )
 

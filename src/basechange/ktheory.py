@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable
 from fractions import Fraction
-from functools import cached_property
 
 from .value import Value
 
@@ -101,12 +100,11 @@ class KMorphism(Value):
     matched to that target component.  cells lists (row, col, value)
     for every nonzero entry in row-major order, so the work a matrix
     costs grows with its nonzeros.  Iterating yields each dense row as a
-    new list of ints; entries is that view as tuples for small callers,
-    computed once and kept in the instance __dict__.
+    new list of ints; entries is that view as tuples, for callers that
+    read a matrix once.
     """
 
-    __slots__ = ("row_labels", "col_labels", "cells", "__dict__")
-    _fields = __slots__[:3]
+    __slots__ = ("row_labels", "col_labels", "cells")
 
     def __post_init__(self):
         rows, cols = len(self.row_labels), len(self.col_labels)
@@ -126,7 +124,7 @@ class KMorphism(Value):
             dense[i][j] = value
         return iter(dense)
 
-    @cached_property
+    @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self))
 

@@ -1,13 +1,15 @@
 """Exact multivariate Laurent polynomials and their symmetric invariants.
 
 Both polynomial classes share one term core: ``r`` variables and a dict
-``terms`` from exponent tuples to nonzero exact ints or Fractions, with
-one cleaning constructor and the additive ring plumbing (zero, one, +,
--, scale, equality, hashing).  Ints stay ints wherever no denominator
-can appear; 2 == Fraction(2) with equal hashes, so equality, hashing and
-merging ignore the type.  The classes stay strict with each other: they
-are never equal, and mixing them in a ring operation raises TypeError,
-since a monomial and an orbit sum with the same exponents are different
+``terms`` from exponent tuples to nonzero exact ints or Fractions.  Every
+polynomial, whether given by a caller or returned by an operation, is
+built by the one cleaning constructor, which drops zero coefficients,
+keeps ints as ints and turns any other coefficient into a Fraction.
+Arithmetic is plain exact arithmetic on those coefficients, and 2 ==
+Fraction(2) with equal hashes, so equality, hashing and merging ignore
+the type.  The classes stay strict with each other: they are never
+equal, and mixing them in a ring operation raises TypeError, since a
+monomial and an orbit sum with the same exponents are different
 polynomials.
 
 ``LaurentPoly`` is a plain Laurent polynomial over Q, with the one
@@ -53,7 +55,7 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import factorial, lcm
+from math import factorial
 
 ExponentVector = tuple[int, ...]
 Coefficient = int | Fraction  # exact; never a float or a bool
@@ -73,11 +75,6 @@ def stabilizer_order(vec: Iterable[int]) -> int:
     for c in counts.values():
         out *= factorial(c)
     return out
-
-
-def orbit(vec: Iterable[int]) -> list[ExponentVector]:
-    """Distinct permutations of vec, in a deterministic order."""
-    return sorted(set(permutations(tuple(vec))))
 
 
 @lru_cache(maxsize=None)
@@ -110,8 +107,9 @@ def _exact(c) -> Coefficient:
 class _TermPoly:
     """The shared core: r variables, {exponent tuple: nonzero exact int or Fraction}.
 
-    Instances are immutable by convention; all operations return fresh
-    objects of the operand's own class.
+    Instances are immutable by convention.  Every operation collects its
+    terms in a plain dict, zeros included, and returns a fresh object of
+    the operand's own class through __init__, which cleans them.
     """
 
     __slots__ = ("r", "terms")
@@ -131,21 +129,12 @@ class _TermPoly:
         self.terms = clean
 
     @classmethod
-    def _trusted(cls, r: int, terms: dict[ExponentVector, Coefficient]):
-        """Wrap terms that are already clean: valid r-tuples of ints mapped
-        to nonzero ints or Fractions.  Skips the checks and coercions of __init__."""
-        poly = object.__new__(cls)
-        poly.r = r
-        poly.terms = terms
-        return poly
-
-    @classmethod
     def zero(cls, r: int):
-        return cls._trusted(r, {})
+        return cls(r)
 
     @classmethod
     def one(cls, r: int):
-        return cls._trusted(r, {(0,) * r: 1})
+        return cls(r, {(0,) * r: 1})
 
     def _check(self, other: "_TermPoly"):
         if type(other) is not type(self):
@@ -157,24 +146,18 @@ class _TermPoly:
         self._check(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            s = out.get(exp, 0) + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return self._trusted(self.r, out)
+            out[exp] = out.get(exp, 0) + c
+        return type(self)(self.r, out)
 
     def __neg__(self):
-        return self._trusted(self.r, {e: -c for e, c in self.terms.items()})
+        return type(self)(self.r, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c: Coefficient):
         c = _exact(c)
-        if not c:
-            return self.zero(self.r)
-        return self._trusted(self.r, {e: c * v for e, v in self.terms.items()})
+        return type(self)(self.r, {e: c * v for e, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.r == other.r and self.terms == other.terms
@@ -202,70 +185,42 @@ class LaurentPoly(_TermPoly):
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LaurentPoly._trusted(self.r, out)
-
-    # -- symmetry helpers --------------------------------------------------
-
-    def permuted(self, perm: tuple[int, ...]) -> "LaurentPoly":
-        """Apply the variable substitution x_i -> x_{perm[i]}, a bijection on exponents."""
-        out: dict[ExponentVector, Coefficient] = {}
-        for exp, c in self.terms.items():
-            new = [0] * self.r
-            for i, v in enumerate(exp):
-                new[perm[i]] = v
-            out[tuple(new)] = c
-        return LaurentPoly._trusted(self.r, out)
+                out[e] = out.get(e, 0) + c1 * c2
+        return LaurentPoly(self.r, out)
 
     def swap(self, i: int, j: int) -> "LaurentPoly":
-        perm = list(range(self.r))
-        perm[i], perm[j] = perm[j], perm[i]
-        return self.permuted(tuple(perm))
+        """Exchange the variables x_i and x_j."""
+        out: dict[ExponentVector, Coefficient] = {}
+        for exp, c in self.terms.items():
+            new = list(exp)
+            new[i], new[j] = exp[j], exp[i]
+            out[tuple(new)] = c
+        return LaurentPoly(self.r, out)
 
     def divexact_diff(self, i: int, j: int) -> "LaurentPoly":
-        """Exact quotient by (x_i - x_j); raises if the division is inexact.
+        """Exact quotient by (x_i - x_j); raises ArithmeticError if the division is inexact.
 
-        Works coefficientwise in x_i after shifting away negative x_i
-        exponents; the shift is legitimate because x_i is a unit in the
-        Laurent ring.
+        Synthetic division in x_i over plain dicts.  Write P = sum_k c_k x_i^k
+        for lo <= k <= hi, each c_k a dict of the terms without x_i (slot i
+        set to 0).  If P = (x_i - x_j) * sum_{k=lo}^{hi-1} d_k x_i^k, then
+        d_k = (d_{k-1} - c_k) / x_j from d_{lo-1} = 0, and the division is
+        exact exactly when the last d equals c_hi.  Dividing by x_j lowers
+        the x_j exponent by one, as x_j is a unit of the Laurent ring.
         """
-        if self.is_zero():
-            return LaurentPoly.zero(self.r)
-        lo = min(e[i] for e in self.terms)
-        hi = max(e[i] for e in self.terms)
-        # coefficient of x_i^k, as a Laurent poly with a dummy 0 in slot i
-        coeffs: dict[int, dict[ExponentVector, Coefficient]] = {}
+        by_power: dict[int, dict[ExponentVector, Coefficient]] = {}
         for exp, c in self.terms.items():
-            rest = exp[:i] + (0,) + exp[i + 1:]
-            coeffs.setdefault(exp[i], {})[rest] = c
-        c_of = {
-            k: LaurentPoly._trusted(self.r, d) for k, d in coeffs.items()
-        }
-        zero = LaurentPoly.zero(self.r)
-        xj_inv = LaurentPoly.monomial(
-            tuple(-1 if t == j else 0 for t in range(self.r))
-        )
-        # P = (x_i - x_j) Q with Q = sum_{k=lo}^{hi-1} d_k x_i^k:
-        #   d_lo = -c_lo / x_j,  d_k = (d_{k-1} - c_k)/x_j,  and d_{hi-1} = c_hi.
-        quots: dict[int, LaurentPoly] = {}
-        prev = zero
-        for k in range(lo, hi):
-            d = (prev - c_of.get(k, zero)) * xj_inv
-            if not d.is_zero():
-                quots[k] = d
-            prev = d
-        if prev != c_of.get(hi, zero):
-            raise ArithmeticError("polynomial is not divisible by (x_i - x_j)")
+            by_power.setdefault(exp[i], {})[exp[:i] + (0,) + exp[i + 1:]] = c
+        lo, hi = min(by_power, default=0), max(by_power, default=0)
         out: dict[ExponentVector, Coefficient] = {}
-        for k, poly in quots.items():
-            for exp, c in poly.terms.items():
-                e = exp[:i] + (k,) + exp[i + 1:]
-                out[e] = c  # the slot-i exponent k keeps the pieces apart
-        return LaurentPoly._trusted(self.r, out)
+        d: dict[ExponentVector, Coefficient] = {}
+        for k in range(lo, hi):
+            for rest, c in by_power.get(k, {}).items():
+                d[rest] = d.get(rest, 0) - c
+            d = {rest[:j] + (rest[j] - 1,) + rest[j + 1:]: c for rest, c in d.items() if c}
+            out.update((rest[:i] + (k,) + rest[i + 1:], c) for rest, c in d.items())
+        if d != by_power.get(hi, {}):
+            raise ArithmeticError("polynomial is not divisible by (x_i - x_j)")
+        return LaurentPoly(self.r, out)
 
     def __repr__(self):
         items = ", ".join(f"{e}: {c}" for e, c in sorted(self.terms.items()))
@@ -292,18 +247,14 @@ class InvariantLaurentPoly(_TermPoly):
     @staticmethod
     def orbit_sum(lam: Iterable[int], coeff: Coefficient = 1) -> "InvariantLaurentPoly":
         lam = sort_class(int(x) for x in lam)
-        coeff = _exact(coeff)
-        return InvariantLaurentPoly._trusted(len(lam), {lam: coeff} if coeff else {})
+        return InvariantLaurentPoly(len(lam), {lam: coeff})
 
     @staticmethod
     def from_laurent(poly: LaurentPoly) -> "InvariantLaurentPoly":
         """Collect a symmetric plain polynomial into classes; rejects asymmetric input."""
-        out: dict[ExponentVector, Coefficient] = {}
-        for exp, c in poly.terms.items():
-            lam = sort_class(exp)
-            if exp == lam:
-                out[lam] = c
-        collected = InvariantLaurentPoly._trusted(poly.r, out)  # sorted classes of clean terms
+        collected = InvariantLaurentPoly(
+            poly.r, {exp: c for exp, c in poly.terms.items() if exp == sort_class(exp)}
+        )
         if collected.expand() != poly:
             raise ValueError("polynomial is not symmetric")
         return collected
@@ -311,44 +262,30 @@ class InvariantLaurentPoly(_TermPoly):
     # -- ring operations ---------------------------------------------------
 
     def expand(self) -> LaurentPoly:
-        out: dict[ExponentVector, Coefficient] = {}
-        for lam, c in self.terms.items():
-            for w in orbit(lam):
-                out[w] = c
-        return LaurentPoly._trusted(self.r, out)  # the orbits of distinct classes are disjoint
+        """The plain polynomial: each m_lam as the distinct permutations of lam."""
+        return LaurentPoly(
+            self.r, {w: c for lam, c in self.terms.items() for w in sorted(set(permutations(lam)))}
+        )
 
     def __mul__(self, other: "InvariantLaurentPoly") -> "InvariantLaurentPoly":
         """Product in the orbit-sum basis, never expanding to monomials.
 
-        Each term pair contributes its integer structure constants
-        (``_orbit_sum_product``).  Both operands' coefficients are put
-        over one common denominator each, so the sums run in integers
-        and one Fraction is built per class of the product, none when
-        both operands have int coefficients.
+        Each term pair c*m_a, d*m_b adds c * d * mult to every class of
+        its integer structure constants (``_orbit_sum_product``).
         """
         self._check(other)
-        den_a = lcm(*(c.denominator for c in self.terms.values()))
-        den_b = lcm(*(c.denominator for c in other.terms.values()))
-        right = [(b, c.numerator * (den_b // c.denominator)) for b, c in other.terms.items()]
-        acc: dict[ExponentVector, int] = {}
+        out: dict[ExponentVector, Coefficient] = {}
         for a, c in self.terms.items():
-            num_a = c.numerator * (den_a // c.denominator)
-            for b, num_b in right:
-                num = num_a * num_b
+            for b, d in other.terms.items():
                 for lam, mult in _orbit_sum_product(a, b):
-                    acc[lam] = acc.get(lam, 0) + num * mult
-        den = den_a * den_b
-        return InvariantLaurentPoly._trusted(
-            self.r, {lam: Fraction(num, den) if den > 1 else num for lam, num in acc.items() if num}
-        )
+                    out[lam] = out.get(lam, 0) + c * d * mult
+        return InvariantLaurentPoly(self.r, out)
 
     def pullback(self, f: int) -> "InvariantLaurentPoly":
         """Substitute t_i -> t_i^f: every exponent vector scales by f."""
         if f < 1:
             raise ValueError("the substitution power must be >= 1")
-        return InvariantLaurentPoly._trusted(
-            self.r, {tuple(f * x for x in e): c for e, c in self.terms.items()}
-        )
+        return InvariantLaurentPoly(self.r, {tuple(f * x for x in e): c for e, c in self.terms.items()})
 
     def __repr__(self):
         items = ", ".join(f"m{list(e)}: {c}" for e, c in sorted(self.terms.items()))

@@ -47,24 +47,14 @@ class NotInPsiImage(ValueError):
     """A unit-filtration level on the top field is not psi(n) for integer n."""
 
 
-def json_int(value, name: str) -> int:
-    """A JSON integer input field; a string, float, bool, list, object or null is a ValueError."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
-    return value
+# the JSON types an input field may be asked to hold, as a refusal names them
+JSON_KINDS = {int: "an integer", bool: "true or false", dict: "an object", list: "a list"}
 
 
-def json_bool(value, name: str) -> bool:
-    """A JSON true/false input field; anything else is a ValueError."""
-    if type(value) is not bool:
-        raise ValueError(f"{name} must be true or false, got {type(value).__name__}")
-    return value
-
-
-def json_object(value, name: str) -> dict:
-    """A JSON object input field; anything else is a ValueError."""
-    if type(value) is not dict:
-        raise ValueError(f"{name} must be an object, got {type(value).__name__}")
+def json_field(value, kind: type, name: str):
+    """A JSON input field of exactly the type kind (so a bool is not an int); else a ValueError."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be {JSON_KINDS[kind]}, got {type(value).__name__}")
     return value
 
 
@@ -199,16 +189,16 @@ class ExtensionData(Value):
         [e]; when p divides e, G_1 is nontrivial and no default exists.
         """
         base = LocalFieldData(
-            q=json_int(obj["q"], "q"),
-            p=json_int(obj["p"], "p"),
-            char_zero=json_bool(obj.get("char_zero", True), "char_zero"),
+            q=json_field(obj["q"], int, "q"),
+            p=json_field(obj["p"], int, "p"),
+            char_zero=json_field(obj.get("char_zero", True), bool, "char_zero"),
         )
         ext = ExtensionData(
             base=base,
-            e=json_int(obj["e"], "e"),
-            f=json_int(obj["f"], "f"),
-            galois=json_bool(obj.get("galois", False), "galois"),
-            cyclic=json_bool(obj.get("cyclic", False), "cyclic"),
+            e=json_field(obj["e"], int, "e"),
+            f=json_field(obj["f"], int, "f"),
+            galois=json_field(obj.get("galois", False), bool, "galois"),
+            cyclic=json_field(obj.get("cyclic", False), bool, "cyclic"),
         )
         orders = obj.get("filtration_orders")
         if orders is None:
@@ -217,10 +207,9 @@ class ExtensionData(Value):
                     f"a wild extension (p={ext.base.p} divides e={ext.e}) must list filtration_orders"
                 )
             filt = RamificationFiltration.tame_default(ext.e)
-        elif not isinstance(orders, list):
-            raise ValueError(f"filtration_orders must be a list, got {type(orders).__name__}")
         else:
-            filt = RamificationFiltration(json_int(g, "filtration_orders") for g in orders)
+            orders = json_field(orders, list, "filtration_orders")
+            filt = RamificationFiltration(json_field(g, int, "filtration_orders") for g in orders)
         validate_extension_filtration(ext, filt)
         return ext, filt
 

@@ -1,12 +1,15 @@
 import argparse
 import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest.mock import patch
 
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from basechange import cli
+from basechange import cli, laurent
 from basechange.cli import COMMANDS, _render, build_parser, main
 from basechange.finiteness import FinitenessCertificate, finiteness_certificate
 from basechange.gl1 import MAX_CIRCLES
@@ -34,6 +37,11 @@ PAIR = json.dumps(
         "flags": {"not_norm_factor": True, "level_one_norm_factor": False},
     }
 )
+
+# the unramified cubic lift of PAIR's base field
+PAIR_LIFT = UNRAMIFIED_CUBIC.replace('"q": 3, "p": 3', '"q": 5, "p": 5')
+
+KMAP = '{"source": ["a"], "target": ["x"], "matches": [{"from": "a", "to": "x", "degree": 2}]}'
 
 
 def pair_with(**fields) -> str:
@@ -393,6 +401,66 @@ def test_mistyped_json_exits_2(capsys, argv, message):
     assert err.splitlines() == [f"error: {message}"]
 
 
+# values for the contract's property test: small numbers, so every request
+# stays fast, and for each JSON flag objects that are valid, out of scope,
+# mistyped or missing a field
+CONTRACT_NUMBERS = ["0", "1", "2", "3", "-1", "7/0", ""]
+CONTRACT_JSON = {
+    "--extension": [UNRAMIFIED_CUBIC, TAME_QUADRATIC, WILD_CUBIC, UNRAMIFIED_CUBIC.replace("3,", '"3",', 1), "[]"],
+    "--lift": [PAIR_LIFT, UNRAMIFIED_CUBIC, '{"q": 5}'],
+    "--pair": [PAIR, pair_with(xi=[2]), pair_with(flags=[]), "{}"],
+    "--map": [KMAP, KMAP.replace("2}", '"2"}'), KMAP.replace(', "degree": 2', ""), KMAP.replace('["a"]', '"a"')],
+}
+CONTRACT_TOKENS = CONTRACT_NUMBERS + ["json"] + [value for values in CONTRACT_JSON.values() for value in values]
+_seven_in_eight = st.sampled_from([True] * 7 + [False])
+
+
+@st.composite
+def _contract_argvs(draw):
+    """A subcommand, then its required flags (one in eight left out) and up to three more.
+
+    Seven flags in eight get a value: two in three one of the flag's own
+    kind (a choice, JSON for a JSON flag, else a number), else any token
+    or flag.
+    """
+    name = draw(st.sampled_from(list(COMMANDS)))
+    flags = dict(cli.OUTPUT_FLAGS + COMMANDS[name][1])
+    required = [flag for flag, kwargs in flags.items() if kwargs.get("required") and draw(_seven_in_eight)]
+    argv = [name]
+    for flag in draw(st.permutations(required)) + draw(st.lists(st.sampled_from(list(flags)), max_size=3)):
+        argv.append(flag)
+        own = flags[flag].get("choices") or CONTRACT_JSON.get(flag, CONTRACT_NUMBERS)
+        if draw(_seven_in_eight):
+            anything = st.sampled_from(CONTRACT_TOKENS + list(flags))
+            argv.append(draw(st.sampled_from(own) | st.sampled_from(own) | anything))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_contract_argvs())
+@example(["finiteness", "--r", "2", "--f", "3", "--window", "1"])  # exit 4
+@example(["bc-gl1", "--extension", WILD_CUBIC])  # exit 3
+@example(["kmap", "--map", KMAP.replace(', "degree": 2', "")])  # a missing field
+def test_every_argv_ends_in_a_documented_exit(argv):
+    # main returns 0, 2, 3 or 4, and a refusal after parsing is one stderr
+    # line; only argparse ends a request by SystemExit.  --output writes
+    # into a fresh directory.
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), \
+            redirect_stderr(io.StringIO()) as err:
+        os.chdir(tmp)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2 and err.getvalue().startswith("usage: ")
+            return
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+
+
 def test_json_file_must_hold_an_object(capsys, tmp_path):
     path = tmp_path / "extension.json"
     path.write_text("[3, 3, 2, 1]")
@@ -739,6 +807,28 @@ def test_finiteness_window_cap(capsys):
     code, _, err = run(capsys, "finiteness", "--r", "1", "--f", "1", "--window", "2500")
     assert code == 2
     assert err.splitlines() == ["error: window 2500 at r=1 has 5001 target classes, more than 5000"]
+
+
+# one request of each subcommand, and the certificate workloads' shapes
+@pytest.mark.parametrize("argv", [
+    ["extquot", "--n", "4"],
+    ["psi", "--orders", "3,3", "--x", "7/2"],
+    ["norm-level", "--level", "2", "--extension", TAME_QUADRATIC],
+    ["bc-gl1", "--extension", UNRAMIFIED_CUBIC],
+    ["bc-gl2", "--pair", PAIR, "--lift", PAIR_LIFT],
+    ["kmap", "--map", KMAP],
+    ["finiteness", "--r", "3", "--f", "2", "--verify"],
+    ["finiteness", "--r", "2", "--f", "4", "--window", "40", "--verify", "--format", "json"],
+], ids=lambda argv: argv[0])
+def test_no_request_builds_a_polynomial_object(capsys, monkeypatch, argv):
+    # laurent's polynomial classes are the tests' staircase reference; the
+    # engine works on plain {class: int} tables and never builds one
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a request built a polynomial object")
+
+    monkeypatch.setattr(laurent._TermPoly, "__init__", refuse)
+    laurent.staircase_decompose.cache_clear()  # a cached decomposition builds nothing
+    assert run(capsys, *argv)[0] == 0
 
 
 def test_output_file(tmp_path, capsys):

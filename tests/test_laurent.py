@@ -72,6 +72,31 @@ def test_divexact_inverts_multiplication(p, q):
     assert ((p - q) * diff).divexact_diff(0, 1) == p - q
 
 
+def substitute(poly, i, j):
+    """The terms of poly under x_i := x_j: each exponent of x_i merged into that of x_j."""
+    out = {}
+    for exp, c in poly.terms.items():
+        merged = list(exp)
+        merged[i], merged[j] = 0, exp[i] + exp[j]
+        out[tuple(merged)] = out.get(tuple(merged), 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+@pytest.mark.parametrize(
+    "r, i, j", [(r, i, j) for r in (2, 3, 4) for i in range(r) for j in range(r) if i != j]
+)
+@given(data=st.data())
+@settings(max_examples=10)
+def test_divexact_diff_against_multiplication_and_substitution(r, i, j, data):
+    # P is divisible by x_i - x_j exactly when P(x_i := x_j) = 0
+    p = data.draw(laurent_polys(r))
+    x = [LaurentPoly.monomial([int(t == k) for t in range(r)]) for k in range(r)]
+    assert (p * (x[i] - x[j])).divexact_diff(i, j) == p
+    if substitute(p, i, j):
+        with pytest.raises(ArithmeticError):
+            p.divexact_diff(i, j)
+
+
 def test_invariant_collects_and_expands():
     m = InvariantLaurentPoly.orbit_sum((2, 1))
     assert m.expand().terms == {(2, 1): Fraction(1), (1, 2): Fraction(1)}
