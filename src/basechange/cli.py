@@ -9,7 +9,7 @@ payload, a few thousand parts at a time, never as one document-sized
 string.  A K-theory matrix and a finiteness certificate stand in their
 own payloads as the dense entries and the reductions: the matrix's rows
 are written from its nonzero cells, the certificate's reductions from
-one template per stored translation class.
+one template per translation class, written from its stored expression.
 
 Exit codes: 0 success, 2 invalid input, 3 out-of-scope mathematics,
 4 finiteness window failure.
@@ -39,7 +39,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .extquot import extended_quotient
-from .finiteness import FinitenessCertificate, WindowTooSmall, finiteness_certificate
+from .finiteness import Expression, FinitenessCertificate, WindowTooSmall, finiteness_certificate
 from .gl1 import MAX_CIRCLES, TemperedDualGL1, bc_gl1, circle_map
 from .gl2 import AdmissiblePair, EvenDegree, NotUnramified, OutOfScope, bc_gl2
 from .ktheory import CircleSpace, KMorphism, ProperCircleMap, induced_map
@@ -217,27 +217,42 @@ def _render_dense(k: KMorphism, parts: list, write, indent: str) -> None:
     parts[-1] = indent + "]"
 
 
+def _json_list(items: list[str], indent: str) -> str:
+    """json.dumps(..., indent=2)'s layout at indent of a list whose items are already written."""
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+
+
+def _class_template(expr: Expression, r: int, indent: str) -> tuple[str, list[int]]:
+    """A class key's reduction at indent, written from its expression, and its slots.
+
+    The target and each coefficient's exponents are r %d slots; slots lists the key's exponents in order.
+    """
+    d1, d2, d3, d4, d5 = (indent + "  " * k for k in range(1, 6))
+    head, tail = f'{{{d5}"exponents": {_json_list(["%d"] * r, d5)},{d5}"value": "', f'"{d4}}}'
+    slots, terms = [], []
+    for gamma in sorted(expr):
+        coefficients = sorted(expr[gamma].items())
+        slots += [x for mu, _ in coefficients for x in mu]
+        values = [f"{head}{c.numerator}/{c.denominator}{tail}" for _, c in coefficients]
+        terms.append(f'{{{d3}"generator": {_json_list([*map(str, gamma)], d3)},'
+                     f'{d3}"coefficient": {_json_list(values, d3)}{d2}}}')
+    return f'{{{d1}"target": {_json_list(["%d"] * r, d1)},{d1}"terms": {_json_list(terms, d1)}{indent}}}', slots
+
+
 def _render_reductions(cert: FinitenessCertificate, parts: list, write, indent: str) -> None:
     """Render a certificate's reductions into parts and write, one %-template per translation class.
 
-    cert.entry(key) is rendered at this list's inner indent with its target
-    and exponents as %d slots, and filled per member (target, key, shift)
-    with the target and the exponents moved by the shift.  A member counts
-    as the parts its template took, so write gets them as from a plain list.
+    _class_template writes a class's template at this list's inner indent, filled per member
+    (target, key, shift), targets ascending, with the target and the key's exponents moved by
+    the shift.  A member counts as one part per line of its text, about what a walk of it holds.
     """
     inner, templates, held_parts = indent + "  ", {}, 0
     glue, sep = "[" + inner, "," + inner
     for lam, key, shift in reversed([*cert.members()]):
         if key not in templates:
-            entry, slots = cert.entry(key), []
-            entry["target"] = ["%d"] * len(lam)
-            for term in entry["terms"]:
-                for coefficient in term["coefficient"]:
-                    slots += coefficient["exponents"]
-                    coefficient["exponents"] = ["%d"] * len(lam)
-            held, tail = [], []
-            _render(entry, tail, held.extend, inner)
-            templates[key] = "".join(held + tail).replace('"%d"', "%d"), slots, len(held) + len(tail)
+            text, slots = _class_template(cert.classes[key], cert.r, inner)
+            templates[key] = text, slots, text.count("\n") + 1
         text, slots, size = templates[key]
         parts += (glue, text % (*lam, *map(shift.__add__, slots)))
         glue, held_parts = sep, held_parts + size
@@ -378,7 +393,7 @@ def cmd_finiteness(args) -> int:
         "coefficient_window": cert.coefficient_window,
         "generator_count": len(cert.generators),
         "reduction_count": len(cert),
-        "max_coefficient_exponent": cert.max_coefficient_exponent(),
+        "max_coefficient_exponent": cert.reach,
     }
     if verified is not None:
         summary["verified"] = verified

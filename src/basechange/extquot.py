@@ -33,16 +33,17 @@ def partitions_of(n: int) -> list[tuple[int, ...]]:
     """
     if n < 1:
         raise ValueError("partitions are enumerated for n >= 1")
-
-    def gen(remaining: int, cap: int):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    return list(gen(n, n))
+    parts, out = [n], [(n,)]
+    while parts[0] > 1:
+        # the successor: drop the trailing 1s, lower the last part k to k - 1,
+        # and refill what was taken with parts of at most k - 1, the largest first
+        ones = parts.count(1)
+        del parts[len(parts) - ones:]
+        k = parts.pop()
+        q, rest = divmod(ones + k, k - 1)
+        parts += [k - 1] * q + [rest] * (rest > 0)
+        out.append(tuple(parts))
+    return out
 
 
 def validate_partition(parts: Sequence[int], n: int | None = None) -> tuple[int, ...]:
@@ -121,7 +122,8 @@ def extended_quotient(n: int) -> ExtendedQuotient:
     """One component per partition of n; n is capped at MAX_TORUS_RANK."""
     if n < 1 or n > MAX_TORUS_RANK:
         raise ValueError(f"n must satisfy 1 <= n <= {MAX_TORUS_RANK}, got {n}")
-    comps = tuple(OrbitComponent.from_partition(p, n) for p in partitions_of(n))
+    # a generated partition needs no validation; its distinct parts come in order
+    comps = tuple(OrbitComponent(p, tuple((k, p.count(k)) for k in dict.fromkeys(p))) for p in partitions_of(n))
     return ExtendedQuotient(n, comps)
 
 

@@ -198,7 +198,9 @@ class FinitenessCertificate(Value):
     its length is the target count.
     """
 
-    __slots__ = ("r", "f", "window", "coefficient_window", "generators", "classes")
+    __slots__ = ("r", "f", "window", "coefficient_window", "generators", "classes", "reach")
+    # reach is the builder's max_coefficient_exponent, no field: a constructed copy has none
+    _fields = __slots__[:6]
     fallback_targets = ()
 
     def members(self) -> Iterator[tuple[ExponentVector, ExponentVector, int]]:
@@ -334,7 +336,8 @@ def finiteness_certificate(r: int, f: int, window: int | None = None) -> Finiten
     generators = sorted(restricted, key=lambda g: (sum(g), g))
     classes = {key: linear_reduction(key, f) for key, _, _ in translation_classes(r, f, window)}
     cert = FinitenessCertificate(r, f, window, window + f * r, generators, classes)
-    if cert.max_coefficient_exponent() > cert.coefficient_window:
+    object.__setattr__(cert, "reach", cert.max_coefficient_exponent())
+    if cert.reach > cert.coefficient_window:
         # name the largest target past the window, as a walk over the targets meets it first
         lam = next(lam for lam, key, shift in cert.members()
                    if _reach(classes[key], shift, shift) > cert.coefficient_window)

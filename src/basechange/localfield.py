@@ -200,15 +200,14 @@ class ExtensionData(Value):
             galois=json_field(obj.get("galois", False), bool, "galois"),
             cyclic=json_field(obj.get("cyclic", False), bool, "cyclic"),
         )
-        orders = obj.get("filtration_orders")
-        if orders is None:
+        if "filtration_orders" not in obj:
             if ext.is_wild:
                 raise ValueError(
                     f"a wild extension (p={ext.base.p} divides e={ext.e}) must list filtration_orders"
                 )
             filt = RamificationFiltration.tame_default(ext.e)
         else:
-            orders = json_field(orders, list, "filtration_orders")
+            orders = json_field(obj["filtration_orders"], list, "filtration_orders")
             filt = RamificationFiltration(json_field(g, int, "filtration_orders") for g in orders)
         validate_extension_filtration(ext, filt)
         return ext, filt

@@ -152,17 +152,18 @@ def test_criterion_05_gl1_ktheory_theorem():
         extra = CharacterLabel(1, 5)  # a target circle no source hits
         bc = bc_gl1(ext, RamificationFiltration(), dual, extra_targets=[extra])
         k0, k1 = induced_map(circle_map(bc))
+        entries0, entries1 = k0.entries, k1.entries  # each read builds the dense rows
         matched = {
             (k1.row_labels.index(s), k1.col_labels.index(t)) for s, t, _ in bc.pairs
         }
         for i in range(len(k1.row_labels)):
             for j in range(len(k1.col_labels)):
                 if (i, j) in matched:
-                    ok = ok and k1.entries[i][j] == f and k0.entries[i][j] == 1
+                    ok = ok and entries1[i][j] == f and entries0[i][j] == 1
                 else:
-                    ok = ok and k1.entries[i][j] == 0 and k0.entries[i][j] == 0
+                    ok = ok and entries1[i][j] == 0 and entries0[i][j] == 0
         extra_col = k1.col_labels.index(extra)
-        ok = ok and all(row[extra_col] == 0 for row in k1.entries)
+        ok = ok and all(row[extra_col] == 0 for row in entries1)
     elapsed = time.perf_counter() - start
     report(5, "GL(1) K-theory matrices (f on matches, else 0)", ok, elapsed, 1.0)
 

@@ -392,6 +392,11 @@ def test_psi_reads_exponents_and_fractions(capsys):
          "missing field 'degree'"),
         (["bc-gl2", "--lift", UNRAMIFIED_CUBIC, "--pair", json.dumps({"quad": json.loads(PAIR)["quad"]})],
          "missing field 'xi'"),
+        # null is a mistyped list, not an omitted field
+        (["norm-level", "--level", "2", "--extension",
+          TAME_QUADRATIC.replace("[2]", "null")], "filtration_orders must be a list, got NoneType"),
+        (["bc-gl1", "--max-conductor", "1", "--extension",
+          UNRAMIFIED_CUBIC.replace("[]", "null")], "filtration_orders must be a list, got NoneType"),
     ],
 )
 def test_mistyped_json_exits_2(capsys, argv, message):
@@ -1143,12 +1148,35 @@ def test_certificate_reductions_render_as_the_stock_encoder_writes_them(capsys, 
     if (r, f, window) == (2, 2, 6):
         # the class of (6, 4), key (2, 0) and shift 4, gets an expression no walk
         # gives; every member renders from it, through _emit as through iteration
-        fields = {name: getattr(rows, name) for name in FinitenessCertificate.__slots__}
+        fields = {name: getattr(rows, name) for name in FinitenessCertificate._fields}
         edited = FinitenessCertificate(**{**fields, "classes": {**rows.classes, (2, 0): {(1, 0): {(4, -12): 5}}}})
         assert not edited.verify() and edited.expression((6, 4)) == {(1, 0): {(8, -8): 5}}
         payload = {"certificate": edited.to_json()}
         expected = json.dumps({"schema_version": 1, **payload}, indent=2, default=list) + "\n"
         _assert_same_text(_emitted(capsys, payload), expected)
+
+
+def test_certificate_renders_from_its_class_expressions(monkeypatch, capsys):
+    # the CLI writes each class's template from the stored expression, not from
+    # entry(), the oracle json.dumps iterates; the summary reports the builder's
+    # max_coefficient_exponent
+    argv = ["finiteness", "--r", "2", "--f", "2", "--window", "24", "--verify", "--format", "json"]
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_emit", lambda *call: calls.append(call) or 0)
+        assert main(argv) == 0
+    payload = {"schema_version": cli.SCHEMA_VERSION, **calls[0][1]}
+    expected = json.dumps(payload, indent=2, default=list) + "\n"
+    cert = finiteness_certificate(2, 2, 24)
+    assert payload["summary"]["max_coefficient_exponent"] == cert.max_coefficient_exponent()
+
+    def refuse(self, target):
+        raise AssertionError("the CLI built a reduction entry")
+
+    monkeypatch.setattr(FinitenessCertificate, "entry", refuse)
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    _assert_same_text(stdout, expected)
 
 
 # K-matrices with empty leading and trailing rows, 0 x n, n x 0 and 0 x 0

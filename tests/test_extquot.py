@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basechange.extquot import (
+    MAX_TORUS_RANK,
     OrbitComponent,
     TorusPoint,
     base_change_point,
@@ -51,6 +52,20 @@ nonzero_gaussians = st.builds(
 
 def test_partition_order_for_four():
     assert partitions_of(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("n", range(1, MAX_TORUS_RANK + 1))
+def test_partitions_are_listed_in_reverse_lexicographic_order(n):
+    # from (n,) to (1,)*n, strictly decreasing, each a partition of n, p(n) of
+    # them: that fixes the list
+    parts = partitions_of(n)
+    assert parts[0] == (n,) and parts[-1] == (1,) * n
+    for p in parts:
+        assert type(p) is tuple and sum(p) == n
+        assert all(type(x) is int and x >= 1 for x in p)
+        assert all(a >= b for a, b in zip(p, p[1:]))
+    assert all(a > b for a, b in zip(parts, parts[1:]))
+    assert len(parts) == partition_count(n)
 
 
 def test_partition_count_oracle_values():

@@ -558,7 +558,7 @@ def real_certificate(r: int, f: int):
 
 def rebuilt(cert, **fields):
     """A certificate built through the constructor from cert's fields, some replaced."""
-    kept = {name: getattr(cert, name) for name in FinitenessCertificate.__slots__ if name not in fields}
+    kept = {name: getattr(cert, name) for name in FinitenessCertificate._fields if name not in fields}
     return FinitenessCertificate(**kept, **fields)
 
 

@@ -157,7 +157,7 @@ def test_certificate_rebuilds_through_its_constructor():
     # an edited certificate is a new one, built from the fields of the old
     cert = finiteness_certificate(1, 2, 2)
     assert cert.fallback_targets == ()
-    fields = {name: getattr(cert, name) for name in FinitenessCertificate.__slots__}
+    fields = {name: getattr(cert, name) for name in FinitenessCertificate._fields}
     assert FinitenessCertificate(**fields) == cert
     edited = FinitenessCertificate(**{**fields, "generators": cert.generators[:1]})
     assert edited != cert and cert.verify() and not edited.verify()
