@@ -8,8 +8,9 @@ Two table-driven checks, run from any directory:
   expected number of rows, each with rank ``ok`` and verified ``True``;
 - each pinned CLI request (bc-gl1 at q=3 M=7, finiteness r=2 f=4 window
   40, r=3 f=4 both as the CLI reads it directly and, with --verify
-  abbreviated, as argparse reads it, and extquot at n=30, the largest
-  rank) runs in a child of its own, writes
+  abbreviated, as argparse reads it, extquot at n=30, the largest
+  rank, and bc-gl1 at q=3 M=6 along a wild cyclic cubic, whose pairs
+  change conductor) runs in a child of its own, writes
   its JSON into a temporary directory, and must keep its sha256 prefix
   and a peak RSS below 40 MiB.
 
@@ -32,13 +33,16 @@ ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 SWEEPS = [([], 12), (["--max-r", "2", "--window", "24"], 8)]
 
 EXT = '{"q": 3, "p": 3, "e": 1, "f": 2, "galois": true, "cyclic": true, "filtration_orders": []}'
-# output file, sha256 prefix, argv; 1,458 circles, 3,321 and 1,771 targets, 5,604 components
+WILD = '{"q": 3, "p": 3, "e": 3, "f": 1, "galois": true, "cyclic": true, "filtration_orders": [3, 3]}'
+# output file, sha256 prefix, argv; 1,458 circles, 3,321 and 1,771 targets,
+# 5,604 components, 486 circles (5,416,961 bytes)
 PINS = [
     ("bc-gl1-m7.json", "c4dd9c4c6fc92a14", ["bc-gl1", "--extension", EXT, "--max-conductor", "7"]),
     ("cert-2-4-40.json", "f711c650dc704687", ["finiteness", "--r", "2", "--f", "4", "--window", "40", "--verify"]),
     ("cert-3-4.json", "fbf7afcbf008653b", ["finiteness", "--r", "3", "--f", "4", "--verify"]),
     ("cert-3-4-abbrev.json", "fbf7afcbf008653b", ["finiteness", "--r", "3", "--f", "4", "--ver"]),
     ("extquot-30.json", "4e54a73981c70990", ["extquot", "--n", "30"]),
+    ("bc-gl1-wild-m6.json", "d2ca06c757b16696", ["bc-gl1", "--extension", WILD, "--max-conductor", "6"]),
 ]
 MAX_RSS_MIB = 40
 

@@ -5,11 +5,13 @@ Every subcommand takes --format {text|json} and --output FILE; JSON
 output carries a top-level schema_version, exact rationals are rendered
 as "p/q" strings, and ordering is deterministic everywhere so output is
 diffable.  JSON goes to its destination while the renderer walks the
-payload, a few thousand parts at a time, never as one document-sized
-string.  A K-theory matrix and a finiteness certificate stand in their
-own payloads as the dense entries and the reductions: the matrix's rows
-are written from its nonzero cells, the certificate's reductions from
-one template per translation class, written from its stored expression.
+payload, in joined writes of about FLUSH_CHARS characters, never as one
+document-sized string.  A K-theory matrix, a finiteness certificate and
+a Records list stand in their own payloads as the dense entries, the
+reductions and a list of int records: the matrix's rows are written from
+its nonzero cells, the certificate's reductions from one template per
+translation class, written from its stored expression, and a record
+list from one template of its layout, filled per row.
 
 Exit codes: 0 success, 2 invalid input, 3 out-of-scope mathematics,
 4 finiteness window failure.
@@ -54,6 +56,7 @@ from .localfield import (
     phi,
     psi,
 )
+from .value import Records
 
 SCHEMA_VERSION = 1
 
@@ -68,8 +71,10 @@ SCOPE_ERRORS = (UnsupportedExtension, OutOfScope, NotUnramified, EvenDegree)
 # matrix bc-gl1 can reach under its own circle cap.
 MAX_KMAP_CELLS = MAX_CIRCLES**2
 
-# parts the renderer holds before it writes them out and starts again
-FLUSH_PARTS = 4096
+# characters the renderer holds before it joins them into one write: for a
+# 5.4 MB bc-gl1 document, 16 KiB to 512 KiB took about the same time, and
+# 2 MiB twice as long
+FLUSH_CHARS = 1 << 16
 
 
 def format_rational(x: Fraction) -> str:
@@ -132,28 +137,50 @@ def _parse_orders(text: str) -> RamificationFiltration:
     return RamificationFiltration(orders)
 
 
-def _render(value, parts: list, write, indent: str = "\n") -> None:
-    """Render json.dumps(value, indent=2) into parts and write.
+class _Chunks(list):
+    """Text parts that go to write as one joined string once they hold FLUSH_CHARS characters.
 
-    The text goes into parts.  A non-leaf list passes parts to write and
-    empties it once it holds more than FLUSH_PARTS, as _render_dense does
-    after each row with a cell; what is left in parts at the end follows
-    what write was given.  indent is the newline and spaces that open
-    this value's line, and no level copies its children's text.  A
-    KMorphism stands for its dense rows, a FinitenessCertificate for its
-    reductions list.  A list of plain ints is one part made by
-    int.__repr__; bool is an int subclass and False == 0.0 == 0, hence
-    the exact type test.
+    flush adds the length of the parts appended since its last call to
+    held, and writes and empties the list once held reaches the budget.
+    A renderer calls it where a write may fall, having added at most
+    about one budget, or a few hundred small parts, since the last call.
+    """
+
+    __slots__ = ("write", "held", "counted")
+
+    def __init__(self, write):
+        super().__init__()
+        self.write, self.held, self.counted = write, 0, 0
+
+    def flush(self) -> None:
+        self.held += sum(map(len, self[self.counted:]))
+        if self.held >= FLUSH_CHARS:
+            self.write("".join(self))
+            self.clear()
+            self.held = 0
+        self.counted = len(self)
+
+
+def _render(value, parts: _Chunks, indent: str = "\n") -> None:
+    """Render json.dumps(value, indent=2) into parts, which write it out in bounded joined chunks.
+
+    A non-leaf list flushes parts after an item once 256 parts have come
+    since the last flush; what is left in parts at the end follows what
+    was written.  indent is the newline and spaces that open this
+    value's line, and no level copies its children's text.  A KMorphism
+    stands for its dense rows, a FinitenessCertificate for its reductions
+    list and a Records for its records.  A list of plain ints or of plain
+    strs is one part; bool is an int subclass and False == 0.0 == 0,
+    hence the exact type test.
     """
     if isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
     elif type(value) is int:
         parts.append(int.__repr__(value))
     elif not isinstance(value, (list, tuple, dict)) or not value:
-        if type(value) is KMorphism:
-            _render_dense(value, parts, write, indent)
-        elif type(value) is FinitenessCertificate:
-            _render_reductions(value, parts, write, indent)
+        stand_in = STAND_INS.get(type(value))
+        if stand_in:
+            stand_in(value, parts, indent)
         else:
             parts.append(json.dumps(value))
     else:
@@ -164,31 +191,41 @@ def _render(value, parts: list, write, indent: str = "\n") -> None:
             for k, v in value.items():
                 parts.append(glue + encode_basestring_ascii(k) + ": ")
                 glue = sep
-                _render(v, parts, write, inner)
+                _render(v, parts, inner)
             parts.append(indent + "}")
-        elif set(map(type, value)) != {int}:
+        elif (kinds := set(map(type, value))) == {int} or kinds == {str}:
+            leaf = int.__repr__ if kinds == {int} else encode_basestring_ascii
+            parts.append("[" + inner + sep.join(map(leaf, value)) + indent + "]")
+        else:
             glue = "[" + inner
             for v in value:
                 parts.append(glue)
                 glue = sep
-                _render(v, parts, write, inner)
-                if len(parts) > FLUSH_PARTS:
-                    write(parts)
-                    parts.clear()
+                _render(v, parts, inner)
+                if len(parts) > parts.counted + 256:  # a flush per item slowed extquot's many small items
+                    parts.flush()
             parts.append(indent + "]")
-        else:
-            parts.append("[" + inner + sep.join(map(int.__repr__, value)) + indent + "]")
 
 
-def _render_dense(k: KMorphism, parts: list, write, indent: str) -> None:
-    """Render a KMorphism's dense rows into parts and write, each spliced from one all-zero row.
+def _text(value, indent: str) -> str:
+    """json.dumps(value, indent=2)'s text of a small value, its lines opened by indent."""
+    written = []
+    parts = _Chunks(written.append)
+    _render(value, parts, indent)
+    return "".join(written + parts)
+
+
+def _render_dense(k: KMorphism, parts: _Chunks, indent: str) -> None:
+    """Render a KMorphism's dense rows into parts, each spliced from one all-zero row.
 
     A row without cells is that string again; a row with cells is written
     as the pieces of that string around its values, with the zero of column j at
-    len("[" + row_indent) + j * len("0," + row_indent) left out, and no
-    row is joined.  The cells come in strictly increasing (row, col)
-    order, so one pass over them cuts each row left to right.  Each row is
-    followed by a separator, and the last one becomes the closing bracket.
+    len("[" + row_indent) + j * len("0," + row_indent) left out.  The
+    cells come in strictly increasing (row, col) order, so one pass over
+    them cuts each row left to right.  held counts the text added since
+    the last flush, all-zero rows included, and parts is flushed before
+    the row that would pass FLUSH_CHARS.  Each row is followed by a
+    separator, and the last one becomes the closing bracket.
     """
     rows, cols = len(k.row_labels), len(k.col_labels)
     if not rows:
@@ -198,23 +235,50 @@ def _render_dense(k: KMorphism, parts: list, write, indent: str) -> None:
     row_indent = inner + "  "
     zero = "[" + row_indent + ("," + row_indent).join("0" * cols) + inner + "]" if cols else "[]"
     sep = "," + inner
-    start, step = len("[" + row_indent), len("0," + row_indent)
+    start, step, size = len("[" + row_indent), len("0," + row_indent), len(zero + sep)
     parts.append("[" + inner)
-    done = 0
-    for i, cells in groupby(k.cells, itemgetter(0)):
-        parts += (zero, sep) * (i - done)
-        cut = 0
-        for _, j, value in cells:
-            at = start + j * step
-            parts += (zero[cut:at], int.__repr__(value))
-            cut = at + 1
-        parts.append(zero[cut:])
-        write(parts)
-        parts.clear()
-        parts.append(sep)
-        done = i + 1
-    parts += (zero, sep) * (rows - done)
+    cells = groupby(k.cells, itemgetter(0))
+    (row, row_cells), held = next(cells, (rows, ())), 0
+    for i in range(rows):
+        if held >= FLUSH_CHARS:
+            parts.flush()
+            held = 0
+        if i < row:
+            parts += (zero, sep)
+        else:
+            cut = 0
+            for _, j, value in row_cells:
+                at = start + j * step
+                text = int.__repr__(value)
+                parts += (zero[cut:at], text)
+                cut, held = at + 1, held + len(text)
+            parts += (zero[cut:], sep)
+            row, row_cells = next(cells, (rows, ()))
+        held += size
     parts[-1] = indent + "]"
+
+
+def _render_records(records: Records, parts: _Chunks, indent: str) -> None:
+    """Render a Records list into parts: one %-template of its build's layout, filled per row.
+
+    The template is the record build makes of "%d" strings, written at this
+    list's inner indent, with each quoted "%d" unquoted; a batch of rows
+    about FLUSH_CHARS long is joined into one part.
+    """
+    rows = records.rows
+    if not rows:
+        parts.append("[]")
+        return
+    inner = indent + "  "
+    text = _text(records.build(*["%d"] * len(rows[0])), inner)
+    template = text.replace("%", "%%").replace('"%%d"', "%d")
+    glue, sep = "[" + inner, "," + inner
+    batch = FLUSH_CHARS // (len(template) + len(sep)) + 1
+    for first in range(0, len(rows), batch):
+        parts += (glue, sep.join(map(template.__mod__, rows[first:first + batch])))
+        glue = sep
+        parts.flush()
+    parts.append(indent + "]")
 
 
 def _json_list(items: list[str], indent: str) -> str:
@@ -227,6 +291,7 @@ def _class_template(expr: Expression, r: int, indent: str) -> tuple[str, list[in
     """A class key's reduction at indent, written from its expression, and its slots.
 
     The target and each coefficient's exponents are r %d slots; slots lists the key's exponents in order.
+    A generator of plain ints is written with str, any other as json.dumps writes it.
     """
     d1, d2, d3, d4, d5 = (indent + "  " * k for k in range(1, 6))
     head, tail = f'{{{d5}"exponents": {_json_list(["%d"] * r, d5)},{d5}"value": "', f'"{d4}}}'
@@ -235,44 +300,46 @@ def _class_template(expr: Expression, r: int, indent: str) -> tuple[str, list[in
         coefficients = sorted(expr[gamma].items())
         slots += [x for mu, _ in coefficients for x in mu]
         values = [f"{head}{c.numerator}/{c.denominator}{tail}" for _, c in coefficients]
-        terms.append(f'{{{d3}"generator": {_json_list([*map(str, gamma)], d3)},'
+        generator = _json_list([*map(str, gamma)], d3) if set(map(type, gamma)) == {int} else _text(gamma, d3)
+        terms.append(f'{{{d3}"generator": {generator},'
                      f'{d3}"coefficient": {_json_list(values, d3)}{d2}}}')
     return f'{{{d1}"target": {_json_list(["%d"] * r, d1)},{d1}"terms": {_json_list(terms, d1)}{indent}}}', slots
 
 
-def _render_reductions(cert: FinitenessCertificate, parts: list, write, indent: str) -> None:
-    """Render a certificate's reductions into parts and write, one %-template per translation class.
+def _render_reductions(cert: FinitenessCertificate, parts: _Chunks, indent: str) -> None:
+    """Render a certificate's reductions into parts, one %-template per translation class.
 
     _class_template writes a class's template at this list's inner indent, filled per member
     (target, key, shift), targets ascending, with the target and the key's exponents moved by
-    the shift.  A member counts as one part per line of its text, about what a walk of it holds.
+    the shift.  parts is flushed once the members since the last flush hold about FLUSH_CHARS.
     """
-    inner, templates, held_parts = indent + "  ", {}, 0
+    inner, templates, held = indent + "  ", {}, 0
     glue, sep = "[" + inner, "," + inner
     for lam, key, shift in reversed([*cert.members()]):
         if key not in templates:
-            text, slots = _class_template(cert.classes[key], cert.r, inner)
-            templates[key] = text, slots, text.count("\n") + 1
-        text, slots, size = templates[key]
+            templates[key] = _class_template(cert.classes[key], cert.r, inner)
+        text, slots = templates[key]
         parts += (glue, text % (*lam, *map(shift.__add__, slots)))
-        glue, held_parts = sep, held_parts + size
-        if held_parts > FLUSH_PARTS:
-            write(parts)
-            parts.clear()
-            held_parts = 0
+        glue, held = sep, held + len(text)
+        if held >= FLUSH_CHARS:
+            parts.flush()
+            held = 0
     parts.append(indent + "]" if glue == sep else "[]")
 
 
+STAND_INS = {KMorphism: _render_dense, FinitenessCertificate: _render_reductions, Records: _render_records}
+
+
 def _emit(args, payload: dict, lines: list[str]) -> int:
-    """Write the payload (JSON, schema_version first, as it renders) or the text lines."""
+    """Write the payload (JSON, schema_version first, in bounded joined chunks as it renders) or the text lines."""
     with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
         if args.format == "json":
-            parts = []
-            _render({"schema_version": SCHEMA_VERSION, **payload}, parts, out.writelines)
+            parts = _Chunks(out.write)
+            _render({"schema_version": SCHEMA_VERSION, **payload}, parts)
+            parts.append("\n")
+            out.write("".join(parts))
         else:
-            parts = ["\n".join(lines)]
-        parts.append("\n")
-        out.writelines(parts)
+            out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

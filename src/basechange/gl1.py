@@ -36,7 +36,7 @@ from .localfield import (
     unit_quotient_order,
     validate_extension_filtration,
 )
-from .value import Value
+from .value import Records, Value
 
 
 class UnramifiedQuasicharacter(Value):
@@ -67,6 +67,14 @@ def bc_unramified_quasichar(
     return UnramifiedQuasicharacter(chi.z ** f)
 
 
+def _label_record(conductor: int, index: int) -> dict:
+    return {"conductor": conductor, "index": index}
+
+
+def _pair_record(conductor: int, index: int, to_conductor: int, to_index: int, degree: int) -> dict:
+    return {"from": _label_record(conductor, index), "to": _label_record(to_conductor, to_index), "degree": degree}
+
+
 @total_ordering
 class CharacterLabel(Value):
     """Opaque name (conductor, index) for a unit-group character.
@@ -74,11 +82,14 @@ class CharacterLabel(Value):
     conductor 0 is the unramified family; the index enumerates the
     finitely many characters of each conductor and carries no structure.
     Labels order by (conductor, index); bc-gl1's per-circle methods are written out.
+    Both are exact ints: a bool or a float would print as something else.
     """
 
     __slots__ = ("conductor", "index")
 
     def __init__(self, conductor: int, index: int):
+        if type(conductor) is not int or type(index) is not int:
+            raise TypeError(f"conductor and index must be ints, got {conductor!r} and {index!r}")
         if conductor < 0 or index < 0:
             raise ValueError("conductor and index are nonnegative")
         object.__setattr__(self, "conductor", conductor)
@@ -101,7 +112,7 @@ class CharacterLabel(Value):
         return f"c{self.conductor}.{self.index}"
 
     def to_json(self) -> dict:
-        return {"conductor": self.conductor, "index": self.index}
+        return _label_record(self.conductor, self.index)
 
 
 def labels_with_conductor(field: LocalFieldData, c: int) -> int:
@@ -186,7 +197,7 @@ class TemperedDualGL1(Value):
         return {
             "q": self.base.q,
             "M": self.bound,
-            "circles": [label.to_json() for label in self.circles],
+            "circles": Records(_label_record, tuple(map(CharacterLabel._values, self.circles))),
         }
 
 
@@ -197,18 +208,21 @@ class Gl1BaseChange(Value):
     conductor map is the transition function restricted to the occurring
     conductors.  Target labels not hit by any source (passed in
     explicitly) are retained so induced K-theory matrices show their
-    zero columns.
+    zero columns.  Degrees are exact ints, as the labels' fields are.
     """
 
     __slots__ = ("f", "pairs", "conductor_map", "extra_targets")
     _defaults = {"extra_targets": ()}
 
+    def __post_init__(self):
+        if any(type(degree) is not int for _, _, degree in self.pairs):
+            raise TypeError("circle degrees must be ints")
+
     def to_json(self) -> dict:
         return {
-            "pairs": [
-                {"from": s.to_json(), "to": t.to_json(), "degree": d}
-                for s, t, d in self.pairs
-            ],
+            "pairs": Records(_pair_record, tuple(
+                (s.conductor, s.index, t.conductor, t.index, d) for s, t, d in self.pairs
+            )),
             "conductor_map": {str(c): v for c, v in sorted(self.conductor_map.items())},
         }
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable
 from fractions import Fraction
 
-from .value import Value
+from .value import Records, Value
 
 Label = Hashable
 
@@ -92,6 +92,10 @@ def compose_maps(first: ProperCircleMap, second: ProperCircleMap) -> ProperCircl
     return ProperCircleMap(first.source, second.target, tuple(chained))
 
 
+def _triplet(row: int, col: int, value: int) -> list[int]:
+    return [row, col, value]
+
+
 class KMorphism(Value):
     """Integer matrix of an induced K-theory map, held by its nonzero cells.
 
@@ -143,12 +147,12 @@ class KMorphism(Value):
         return KMorphism(self.row_labels, other.col_labels, cells)
 
     def to_json(self) -> dict:
-        """Schema 1: the triplets, and the dense entries, which are the matrix itself."""
+        """Schema 1: the dense entries, which are the matrix itself, and the triplets, its cells."""
         return {
             "rows": [l if isinstance(l, (str, int)) else str(l) for l in self.row_labels],
             "cols": [l if isinstance(l, (str, int)) else str(l) for l in self.col_labels],
             "entries": self,
-            "triplets": [list(cell) for cell in self.cells],
+            "triplets": Records(_triplet, self.cells),
         }
 
 

@@ -6,10 +6,12 @@ then __post_init__ checks them.  Records of one class are equal when
 their fields are, hash by them, print as Class(field=value, ...) and
 refuse assignment with AttributeError.  Frozen dataclasses gave this by
 exec-generating methods at import, which cost the CLI a third of its start-up.
+Records is the one record that stands for a JSON list of records.
 """
 
 from __future__ import annotations
 
+from itertools import starmap
 from operator import attrgetter
 
 _set = object.__setattr__
@@ -64,3 +66,21 @@ class Value:
     def __reduce__(self):
         # copy and pickle rebuild through __init__, as assigning a slot is refused
         return type(self), tuple(getattr(self, field) for field in self._fields)
+
+
+class Records(Value):
+    """A JSON list of records of one layout, held as rows of ints.
+
+    build(*row) is the record of one row, using each int once and in order;
+    iterating yields the records and len counts them, so json.dumps(..., default=list) writes
+    the list, and the CLI writes it from one template of build's layout.
+    rows is a sequence of tuples of exact ints, which their owners check.
+    """
+
+    __slots__ = ("build", "rows")
+
+    def __iter__(self):
+        return starmap(self.build, self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)

@@ -909,9 +909,9 @@ def _traced_peak(call) -> int:
 
 
 def test_emit_memory_stays_near_the_output_size(tmp_path, monkeypatch):
-    # the text goes out a few thousand parts at a time and the K-matrix
+    # the text goes out in joined chunks of about 64 KiB and the K-matrix
     # rows come from their cells, so rendering holds little of what it
-    # writes (about 0.1x here)
+    # writes
     calls = []
     monkeypatch.setattr(cli, "_emit", lambda *call: calls.append(call) or 0)
     out = tmp_path / "bc.json"
@@ -1009,7 +1009,9 @@ def test_json_round_trips_module_serializers(capsys):
     code, payload, _ = run_json(
         capsys, "bc-gl1", "--extension", UNRAMIFIED_CUBIC, "--max-conductor", "2"
     )
-    assert payload["dual"] == TemperedDualGL1.enumerate(LocalFieldData(3, 3), 2).to_json()
+    # the circles are a Records stand-in, a list to json.dumps(..., default=list)
+    dual = TemperedDualGL1.enumerate(LocalFieldData(3, 3), 2).to_json()
+    assert payload["dual"] == json.loads(json.dumps(dual, default=list))
 
 
 def test_extension_from_file(tmp_path, capsys):
@@ -1061,8 +1063,9 @@ def _placements(x):
 
 def _streamed(obj) -> tuple[str, int]:
     """The rendered text of obj and the number of writes it took."""
-    written, parts = [], []
-    _render(obj, parts, lambda chunk: written.append("".join(chunk)))
+    written = []
+    parts = cli._Chunks(written.append)
+    _render(obj, parts)
     return "".join(written + parts), len(written)
 
 
@@ -1105,7 +1108,7 @@ def test_render_writes_k_matrices_from_their_cells(k):
     assert list(x["entries"]) == [list(row) for row in k.entries]
     assert _rendered(x) == json.dumps(x, indent=2, default=list)
     assert _rendered(_placements(x)) == json.dumps(_placements(x), indent=2, default=list)
-    with patch.object(cli, "FLUSH_PARTS", 1):
+    with patch.object(cli, "FLUSH_CHARS", 1):
         assert _rendered(_placements(x)) == json.dumps(_placements(x), indent=2, default=list)
 
 
@@ -1143,7 +1146,7 @@ def test_certificate_reductions_render_as_the_stock_encoder_writes_them(capsys, 
         targets = [lam for lam, _, _ in rows.members()]
         assert any(key not in targets for _, key, _ in rows.members())
     if (r, f, window) == (2, 2, 24):
-        with patch.object(cli, "FLUSH_PARTS", 1):
+        with patch.object(cli, "FLUSH_CHARS", 1):
             _assert_same_text(_emitted(capsys, payload), expected)
     if (r, f, window) == (2, 2, 6):
         # the class of (6, 4), key (2, 0) and shift 4, gets an expression no walk
@@ -1205,7 +1208,7 @@ def test_json_streamed_a_part_at_a_time_is_unchanged(monkeypatch, tmp_path, caps
         assert main([*argv, "--format", "json"]) == 0
     payload = {"schema_version": cli.SCHEMA_VERSION, **calls[0][1]}
     expected = json.dumps(payload, indent=2, default=list)
-    monkeypatch.setattr(cli, "FLUSH_PARTS", 1)
+    monkeypatch.setattr(cli, "FLUSH_CHARS", 1)
     text, writes = _streamed(payload)
     assert text == expected and writes > 1
     for x in [payload] + [k.to_json() for k in EDGE_MATRICES]:
@@ -1215,3 +1218,69 @@ def test_json_streamed_a_part_at_a_time_is_unchanged(monkeypatch, tmp_path, caps
     out = tmp_path / "out.json"
     assert run(capsys, *argv, "--format", "json", "--output", str(out)) == (0, "", "")
     assert out.read_text() == stdout
+
+
+def _captured(monkeypatch, argv) -> tuple:
+    """The (args, payload, lines) main hands _emit for argv."""
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_emit", lambda *call: calls.append(call) or 0)
+        assert main(argv) == 0
+    (call,) = calls
+    return call
+
+
+NO_MATCHES = json.dumps({"source": ["a", "b", "c"], "target": ["x", "y"], "matches": []})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bc-gl1", "--extension", TAME_QUADRATIC, "--max-conductor", "5"],
+        ["bc-gl1", "--extension", CYCLIC_WILD_CUBIC, "--max-conductor", "5"],
+        ["bc-gl1", "--extension", UNRAMIFIED_QUADRATIC, "--max-conductor", "0"],
+        ["kmap", "--map", NO_MATCHES],
+    ],
+)
+def test_record_lists_render_as_the_stock_encoder_writes_them(monkeypatch, capsys, argv):
+    # circles, pairs and triplets are written from one template each, in
+    # chunks of FLUSH_CHARS, and with a budget of 1 at every checkpoint
+    _, payload, _ = _captured(monkeypatch, [*argv, "--format", "json"])
+    expected = json.dumps({"schema_version": 1, **payload}, indent=2, default=list) + "\n"
+    _assert_same_text(_emitted(capsys, payload), expected)
+    with patch.object(cli, "FLUSH_CHARS", 1):
+        _assert_same_text(_emitted(capsys, payload), expected)
+    if argv[0] == "kmap":
+        assert payload["k1"]["triplets"].rows == () and '"triplets": []' in expected
+    elif argv[-1] == "0":
+        assert len(payload["dual"]["circles"]) == len(payload["map"]["pairs"]) == 1
+    else:
+        assert len({p["from"]["conductor"] != p["to"]["conductor"] for p in payload["map"]["pairs"]}) == 2
+
+
+def test_emit_joins_no_more_than_about_its_budget(tmp_path, monkeypatch):
+    # 599 all-zero rows before the one cell: they are written a budget at a
+    # time, so no joined chunk holds more than about FLUSH_CHARS and one row
+    labels = [f"c{i}" for i in range(600)]
+    desc = {"source": labels, "target": labels, "matches": [{"from": "c599", "to": "c0", "degree": 3}]}
+    out = tmp_path / "kmap.json"
+    call = _captured(monkeypatch, ["kmap", "--map", json.dumps(desc), "--format", "json", "--output", str(out)])
+    peak = _traced_peak(lambda: cli._emit(*call))
+    assert peak < 0.1 * out.stat().st_size
+
+
+def test_certificate_generators_holding_bools_render_as_the_stock_encoder_writes_them(capsys):
+    # a hand-built certificate whose generator entries 1 are True: the class
+    # templates write them as json.dumps does, not with str
+    cert = finiteness_certificate(1, 2, 2)
+
+    def flagged(gamma):
+        return tuple(True if type(x) is int and x == 1 else x for x in gamma)
+
+    fields = {name: getattr(cert, name) for name in FinitenessCertificate._fields}
+    classes = {key: {flagged(g): coeff for g, coeff in expr.items()} for key, expr in cert.classes.items()}
+    edited = FinitenessCertificate(**{**fields, "classes": classes})
+    payload = {"certificate": edited.to_json()}
+    expected = json.dumps({"schema_version": 1, **payload}, indent=2, default=list) + "\n"
+    assert "true" in expected  # only a generator entry can write it
+    _assert_same_text(_emitted(capsys, payload), expected)

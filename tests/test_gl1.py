@@ -8,6 +8,7 @@ from basechange.gaussian import GaussianRational, I
 from basechange.gl1 import (
     Arc,
     CharacterLabel,
+    Gl1BaseChange,
     TemperedDualGL1,
     UnramifiedQuasicharacter,
     arc_preimage,
@@ -125,6 +126,20 @@ def test_enumerated_dual():
     assert len(dual.circles) == unit_quotient_order(field(), 2)
     assert dual.circles[0] == CharacterLabel(0, 0)
     assert dual.circles[1] == CharacterLabel(1, 0)
+
+
+@pytest.mark.parametrize("conductor, index", [(True, 0), (1.0, 0), (0, False), (0, 1.0), ("1", 0)])
+def test_character_label_refuses_a_conductor_or_index_that_is_not_an_int(conductor, index):
+    # a bool or a float would print as true or 1.0, and a %d template as 1
+    with pytest.raises(TypeError):
+        CharacterLabel(conductor, index)
+
+
+def test_base_change_refuses_a_degree_that_is_not_an_int():
+    label = CharacterLabel(0, 0)
+    for degree in (2.0, True):
+        with pytest.raises(TypeError):
+            Gl1BaseChange(degree, ((label, label, degree),), {0: 0})
 
 
 def test_dual_validation():
