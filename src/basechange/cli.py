@@ -381,8 +381,8 @@ def cmd_bc_gl1(args) -> int:
         f"degree: {bc.f}",
         "conductor map: " + ", ".join(f"{c} -> {v}" for c, v in sorted(bc.conductor_map.items())),
     ]
-    for src, tgt, degree in bc.pairs:
-        lines.append(f"({src.conductor},{src.index}) -> ({tgt.conductor},{tgt.index}) degree {degree}")
+    if args.format == "text":  # JSON writes the pairs from their rows
+        lines += [f"({c},{j}) -> ({tc},{tj}) degree {degree}" for c, j, tc, tj, degree in bc.pairs]
     payload = {
         "extension": ext.to_json(filt),
         "degree": bc.f,

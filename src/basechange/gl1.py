@@ -1,15 +1,17 @@
 """The tempered dual of GL(1) and base change on it.
 
 The tempered dual of GL(1, F) is a countable disjoint union of circles,
-one per smooth character of the unit group; a character is recorded
+one per smooth character of the unit group.  A character is recorded
 here only through its conductor and an opaque enumeration index, since
-that is all base change transports.  The circle coordinate is the value
-of a character at a fixed uniformiser, an exact Gaussian rational for
-us, and base change to a degree-(e, f) extension acts by
+that is all base change transports, so a circle is a (conductor, index)
+pair of ints; circle_map formats the "c{conductor}.{index}" labels that
+K-theory prints.  The circle coordinate is the value of a character at a
+fixed uniformiser, an exact Gaussian rational for us, and base change
+to a degree-(e, f) extension acts by
 
     z -> z^f          on each circle coordinate,
     c -> psi(c)       on conductors (the convex transition function),
-    (c, j) -> (psi(c), j)   on labels.
+    (c, j) -> (psi(c), j)   on circles.
 
 Integer Weil degrees make the exponent identity testable: a Weil element
 of E-side degree m has F-side degree f*m, so an unramified
@@ -23,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import total_ordering
+from itertools import chain
 
 from .gaussian import GaussianRational
 from .ktheory import CircleSpace, ProperCircleMap
@@ -75,41 +77,30 @@ def _pair_record(conductor: int, index: int, to_conductor: int, to_index: int, d
     return {"from": _label_record(conductor, index), "to": _label_record(to_conductor, to_index), "degree": degree}
 
 
-@total_ordering
+def _check_circle_rows(rows) -> None:
+    """Refuse rows of circle data (conductors, indices, degrees) unless each entry is an exact int >= 0.
+
+    A bool or a float would print as something else: true, 1.0, or 1 from a %d template.
+    """
+    entries = [*chain.from_iterable(rows)]
+    if not {*map(type, entries)} <= {int}:
+        bad = next(x for x in entries if type(x) is not int)
+        raise TypeError(f"conductors, indices and degrees must be ints, got {bad!r}")
+    if entries and min(entries) < 0:
+        raise ValueError("conductors, indices and degrees are nonnegative")
+
+
 class CharacterLabel(Value):
-    """Opaque name (conductor, index) for a unit-group character.
+    """Opaque name (conductor, index) for a unit-group character, as a GL(2) pair holds it.
 
     conductor 0 is the unramified family; the index enumerates the
     finitely many characters of each conductor and carries no structure.
-    Labels order by (conductor, index); bc-gl1's per-circle methods are written out.
-    Both are exact ints: a bool or a float would print as something else.
     """
 
     __slots__ = ("conductor", "index")
 
-    def __init__(self, conductor: int, index: int):
-        if type(conductor) is not int or type(index) is not int:
-            raise TypeError(f"conductor and index must be ints, got {conductor!r} and {index!r}")
-        if conductor < 0 or index < 0:
-            raise ValueError("conductor and index are nonnegative")
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "index", index)
-
-    def __eq__(self, other):
-        if other.__class__ is CharacterLabel:
-            return self.conductor == other.conductor and self.index == other.index
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.conductor, self.index))
-
-    def __lt__(self, other):
-        if other.__class__ is CharacterLabel:
-            return (self.conductor, self.index) < (other.conductor, other.index)
-        return NotImplemented
-
-    def __str__(self) -> str:
-        return f"c{self.conductor}.{self.index}"
+    def __post_init__(self):
+        _check_circle_rows(((self.conductor, self.index),))
 
     def to_json(self) -> dict:
         return _label_record(self.conductor, self.index)
@@ -157,9 +148,11 @@ def circle_count(field: LocalFieldData, bound: int) -> int:
 class TemperedDualGL1(Value):
     """Truncation of the GL(1) tempered dual of base: circles for conductor <= bound.
 
-    The default enumeration lists, for each conductor, exactly the
-    number of characters the unit-quotient orders allow; any explicit
-    circle list respecting the same bounds is also accepted.
+    circles is a tuple of (conductor, index) int pairs, and a circle is
+    its position there.  The default enumeration lists, for each
+    conductor, exactly the number of characters the unit-quotient orders
+    allow; any explicit circle list respecting the same bounds is also
+    accepted.
     """
 
     __slots__ = ("base", "bound", "circles")
@@ -171,22 +164,19 @@ class TemperedDualGL1(Value):
                 f"conductor bound {bound} at q={base.q} gives more than {MAX_CIRCLES} circles"
             )
         circles = tuple(
-            CharacterLabel(c, j)
-            for c in range(bound + 1)
-            for j in range(labels_with_conductor(base, c))
+            (c, j) for c in range(bound + 1) for j in range(labels_with_conductor(base, c))
         )
         return TemperedDualGL1(base, bound, circles)
 
     def __post_init__(self):
-        seen = set()
-        for label in self.circles:
-            if label in seen:
-                raise ValueError(f"duplicate circle label {label}")
-            seen.add(label)
-            if label.conductor > self.bound:
-                raise ValueError(f"label {label} exceeds the truncation bound")
+        _check_circle_rows(self.circles)
+        if len(set(self.circles)) != len(self.circles):
+            raise ValueError("duplicate circle")
+        conductors = Counter(c for c, _ in self.circles)
+        if max(conductors, default=0) > self.bound:
+            raise ValueError(f"a circle's conductor exceeds the truncation bound {self.bound}")
         upto = 0
-        for c, count in sorted(Counter(lbl.conductor for lbl in self.circles).items()):
+        for c, count in sorted(conductors.items()):
             upto += count
             if upto > unit_quotient_order(self.base, max(c, 1)):
                 raise ValueError(
@@ -197,32 +187,31 @@ class TemperedDualGL1(Value):
         return {
             "q": self.base.q,
             "M": self.bound,
-            "circles": Records(_label_record, tuple(map(CharacterLabel._values, self.circles))),
+            "circles": Records(_label_record, self.circles),
         }
 
 
 class Gl1BaseChange(Value):
     """Component-matched description of base change on a truncated dual.
 
-    pairs lists (source label, target label, circle degree f); the
+    pairs lists (c, j, c', j', degree) int rows, one per source circle
+    (c, j), sent to the target (c', j') with that circle degree; the
     conductor map is the transition function restricted to the occurring
-    conductors.  Target labels not hit by any source (passed in
-    explicitly) are retained so induced K-theory matrices show their
-    zero columns.  Degrees are exact ints, as the labels' fields are.
+    conductors.  Target (conductor, index) pairs not hit by any source
+    (passed in explicitly) are retained so induced K-theory matrices show
+    their zero columns.
     """
 
     __slots__ = ("f", "pairs", "conductor_map", "extra_targets")
     _defaults = {"extra_targets": ()}
 
     def __post_init__(self):
-        if any(type(degree) is not int for _, _, degree in self.pairs):
-            raise TypeError("circle degrees must be ints")
+        _check_circle_rows(self.pairs)
+        _check_circle_rows(self.extra_targets)
 
     def to_json(self) -> dict:
         return {
-            "pairs": Records(_pair_record, tuple(
-                (s.conductor, s.index, t.conductor, t.index, d) for s, t, d in self.pairs
-            )),
+            "pairs": Records(_pair_record, self.pairs),
             "conductor_map": {str(c): v for c, v in sorted(self.conductor_map.items())},
         }
 
@@ -247,34 +236,33 @@ def bc_gl1(
     ext: ExtensionData,
     filt: RamificationFiltration,
     dual_f: TemperedDualGL1,
-    collisions: dict[CharacterLabel, CharacterLabel] | None = None,
-    extra_targets: Sequence[CharacterLabel] = (),
+    collisions: dict[tuple[int, int], tuple[int, int]] | None = None,
+    extra_targets: Sequence[tuple[int, int]] = (),
 ) -> Gl1BaseChange:
     """Transport every circle of the truncated dual through base change.
 
-    Each source label (c, j) goes to (psi(c), j) with circle degree
+    Each source circle (c, j) goes to (psi(c), j) with circle degree
     ext.f.  The default target assignment is injective; a collision
-    table may identify target labels explicitly, since nothing in the
-    invariant model decides whether distinct characters pull back to the
-    same one.
+    table, keyed and valued by (conductor, index) pairs, may identify
+    targets explicitly, since nothing in the invariant model decides
+    whether distinct characters pull back to the same one.
     """
     check_gl1_scope(ext)
     validate_extension_filtration(ext, filt)
     if dual_f.base.q != ext.base.q:
         raise ValueError("the dual is for a different residue field")
     collisions = collisions or {}
-    conductors = dict.fromkeys(label.conductor for label in dual_f.circles)
-    cmap = {c: conductor_transport(filt, c) for c in conductors}
+    cmap = {c: conductor_transport(filt, c) for c in dict.fromkeys(c for c, _ in dual_f.circles)}
     pairs = []
-    for label in dual_f.circles:
-        target_c = cmap[label.conductor]
-        target = collisions.get(label, CharacterLabel(target_c, label.index))
-        if target.conductor != target_c:
+    for circle in dual_f.circles:
+        c, j = circle
+        target_c, target_j = collisions.get(circle, (cmap[c], j))
+        if target_c != cmap[c]:
             raise ValueError(
-                f"collision table sends conductor {label.conductor} to "
-                f"{target.conductor}, but the transition function gives {target_c}"
+                f"collision table sends conductor {c} to "
+                f"{target_c}, but the transition function gives {cmap[c]}"
             )
-        pairs.append((label, target, ext.f))
+        pairs.append((c, j, target_c, target_j, ext.f))
     return Gl1BaseChange(
         f=ext.f,
         pairs=tuple(pairs),
@@ -286,13 +274,16 @@ def bc_gl1(
 def circle_map(bc: Gl1BaseChange) -> "ProperCircleMap":
     """The base-change description as a proper circle map for K-theory.
 
+    Circle (c, j) is labelled "c{c}.{j}", formatted once per space.
     Source components follow the dual's circle order; target components
     appear in first-hit order followed by any explicit extra targets, so
     unmatched targets contribute visible zero columns.
     """
-    source = CircleSpace(src for src, _, _ in bc.pairs)
-    target = CircleSpace(dict.fromkeys([*(tgt for _, tgt, _ in bc.pairs), *bc.extra_targets]))
-    return ProperCircleMap(source, target, bc.pairs)
+    sources = [f"c{c}.{j}" for c, j, *_ in bc.pairs]
+    hit = dict.fromkeys([*(row[2:4] for row in bc.pairs), *bc.extra_targets])
+    targets = {(c, j): f"c{c}.{j}" for c, j in hit}
+    matches = tuple((src, targets[row[2:4]], row[4]) for src, row in zip(sources, bc.pairs))
+    return ProperCircleMap(CircleSpace(sources), CircleSpace(targets.values()), matches)
 
 
 class Arc(Value):
@@ -330,11 +321,7 @@ def arc_preimage(f: int, arc: Arc) -> tuple[Arc, ...]:
 
 
 def properness_check(
-    bc: Gl1BaseChange, target: CharacterLabel, arc: Arc
-) -> dict[CharacterLabel, tuple[Arc, ...]]:
-    """Preimage arcs of a closed arc in one target circle, per source circle."""
-    out: dict[CharacterLabel, tuple[Arc, ...]] = {}
-    for src, tgt, degree in bc.pairs:
-        if tgt == target:
-            out[src] = arc_preimage(degree, arc)
-    return out
+    bc: Gl1BaseChange, target: tuple[int, int], arc: Arc
+) -> dict[tuple[int, int], tuple[Arc, ...]]:
+    """Preimage arcs of a closed arc in one target circle (c', j'), per source circle (c, j)."""
+    return {(c, j): arc_preimage(degree, arc) for c, j, tc, tj, degree in bc.pairs if (tc, tj) == target}

@@ -2,13 +2,14 @@
 
 Each circle contributes one free generator to K^0 and one to K^1, so
 the groups of a labeled union are free abelian with basis the labels,
-both of rank len(space).  A proper component-matched map (every source
-circle goes to at most one target circle, with a positive winding
-degree) induces integer matrices: on K^1 the matched entry is the
-degree, on K^0 it is 1, everything else is 0.  Matrices are stored with
-rows indexed by the source space and columns by the target space, so
-the induced map (which is contravariant) reads a column as "where this
-target generator lands".
+both of rank len(space).  A label is a string, such as bc-gl1's
+"c{conductor}.{index}", and a matrix's JSON writes its label lists as
+given.  A proper component-matched map (every source circle goes to at
+most one target circle, with a positive winding degree) induces
+integer matrices: on K^1 the matched entry is the degree, on K^0 it is
+1, everything else is 0.  Matrices are stored with rows indexed by the
+source space and columns by the target space, so the induced map (which
+is contravariant) reads a column as "where this target generator lands".
 
 A symmetric-power component is one circle here, of degree f under base
 change, for every n: the n-fold symmetric power of the circle
@@ -21,12 +22,12 @@ cross-checks that degree.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .value import Records, Value
 
-Label = Hashable
+Label = str
 
 
 class InsufficientSamples(ValueError):
@@ -149,8 +150,8 @@ class KMorphism(Value):
     def to_json(self) -> dict:
         """Schema 1: the dense entries, which are the matrix itself, and the triplets, its cells."""
         return {
-            "rows": [l if isinstance(l, (str, int)) else str(l) for l in self.row_labels],
-            "cols": [l if isinstance(l, (str, int)) else str(l) for l in self.col_labels],
+            "rows": self.row_labels,
+            "cols": self.col_labels,
             "entries": self,
             "triplets": Records(_triplet, self.cells),
         }

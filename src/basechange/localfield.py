@@ -106,6 +106,8 @@ class LocalFieldData(Value):
     _defaults = {"char_zero": True}
 
     def __post_init__(self):
+        if type(self.q) is not int or type(self.p) is not int:
+            raise TypeError(f"q and p must be ints, got {self.q!r} and {self.p!r}")
         if self.p > MAX_RESIDUE_CHARACTERISTIC:
             raise ValueError(
                 f"residue characteristic p={self.p} is above {MAX_RESIDUE_CHARACTERISTIC}"
@@ -130,6 +132,8 @@ class ExtensionData(Value):
     _defaults = {"galois": False, "cyclic": False}
 
     def __post_init__(self):
+        if type(self.e) is not int or type(self.f) is not int:
+            raise TypeError(f"e and f must be ints, got {self.e!r} and {self.f!r}")
         if self.e < 1 or self.f < 1:
             raise ValueError("e and f must be positive integers")
         if self.cyclic and not self.galois:

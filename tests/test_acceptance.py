@@ -149,12 +149,13 @@ def test_criterion_05_gl1_ktheory_theorem():
     for f in (2, 3, 5):
         ext = ExtensionData(LocalFieldData(3, 3), e=1, f=f, galois=True, cyclic=True)
         dual = TemperedDualGL1.enumerate(ext.base, 4)
-        extra = CharacterLabel(1, 5)  # a target circle no source hits
+        extra = (1, 5)  # a target circle no source hits
         bc = bc_gl1(ext, RamificationFiltration(), dual, extra_targets=[extra])
         k0, k1 = induced_map(circle_map(bc))
         entries0, entries1 = k0.entries, k1.entries  # each read builds the dense rows
         matched = {
-            (k1.row_labels.index(s), k1.col_labels.index(t)) for s, t, _ in bc.pairs
+            (k1.row_labels.index(f"c{c}.{j}"), k1.col_labels.index(f"c{tc}.{tj}"))
+            for c, j, tc, tj, _ in bc.pairs
         }
         for i in range(len(k1.row_labels)):
             for j in range(len(k1.col_labels)):
@@ -162,7 +163,7 @@ def test_criterion_05_gl1_ktheory_theorem():
                     ok = ok and entries1[i][j] == f and entries0[i][j] == 1
                 else:
                     ok = ok and entries1[i][j] == 0 and entries0[i][j] == 0
-        extra_col = k1.col_labels.index(extra)
+        extra_col = k1.col_labels.index("c1.5")
         ok = ok and all(row[extra_col] == 0 for row in entries1)
     elapsed = time.perf_counter() - start
     report(5, "GL(1) K-theory matrices (f on matches, else 0)", ok, elapsed, 1.0)

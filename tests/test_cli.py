@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from basechange import cli, laurent
 from basechange.cli import COMMANDS, _render, build_parser, main
 from basechange.finiteness import FinitenessCertificate, finiteness_certificate
-from basechange.gl1 import MAX_CIRCLES
+from basechange.gl1 import MAX_CIRCLES, CharacterLabel
 from basechange.ktheory import KMorphism, induced_map
 from test_ktheory import _grids, from_grid, proper_maps
 
@@ -834,6 +834,26 @@ def test_no_request_builds_a_polynomial_object(capsys, monkeypatch, argv):
     monkeypatch.setattr(laurent._TermPoly, "__init__", refuse)
     laurent.staircase_decompose.cache_clear()  # a cached decomposition builds nothing
     assert run(capsys, *argv)[0] == 0
+
+
+# stdout sha256 of bc-gl1 at bound 5 along the tame quadratic and the wild
+# cyclic cubic; the JSON of the second is test_bc_gl1_output_is_pinned's
+@pytest.mark.parametrize("extension, fmt, digest", [
+    (TAME_QUADRATIC, "json", "95f9303909ccfc194ec41727f75913a5e98de8af1a637cfda05ee2a61078883b"),
+    (TAME_QUADRATIC, "text", "fc823e2092a1c7dbc1c037346a0033a95d78451616006626020a602fe615f752"),
+    (CYCLIC_WILD_CUBIC, "json", "e0bfe1e549a2ffd5e24f0a45cf624c9e8a5af98a267b2052b4d8679a63bd6512"),
+    (CYCLIC_WILD_CUBIC, "text", "9f158001c2041faf52d926a56fdddfce67edc2cea762d23141f63ef3e91d55e6"),
+], ids=["tame-json", "tame-text", "wild-json", "wild-text"])
+def test_bc_gl1_builds_no_character_label(capsys, monkeypatch, extension, fmt, digest):
+    # a circle is its (conductor, index) int pair; CharacterLabel is GL(2)'s xi
+    def refuse(self, *args):
+        raise AssertionError("bc-gl1 built or hashed a CharacterLabel")
+
+    monkeypatch.setattr(CharacterLabel, "__post_init__", refuse)
+    monkeypatch.setattr(CharacterLabel, "__hash__", refuse)
+    code, out, _ = run(capsys, "bc-gl1", "--extension", extension, "--max-conductor", "5", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_output_file(tmp_path, capsys):

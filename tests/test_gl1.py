@@ -124,8 +124,8 @@ def test_labels_with_conductor_sums_to_unit_quotient_order():
 def test_enumerated_dual():
     dual = TemperedDualGL1.enumerate(field(), 2)
     assert len(dual.circles) == unit_quotient_order(field(), 2)
-    assert dual.circles[0] == CharacterLabel(0, 0)
-    assert dual.circles[1] == CharacterLabel(1, 0)
+    assert dual.circles[0] == (0, 0)
+    assert dual.circles[1] == (1, 0)
 
 
 @pytest.mark.parametrize("conductor, index", [(True, 0), (1.0, 0), (0, False), (0, 1.0), ("1", 0)])
@@ -135,23 +135,31 @@ def test_character_label_refuses_a_conductor_or_index_that_is_not_an_int(conduct
         CharacterLabel(conductor, index)
 
 
+@pytest.mark.parametrize("conductor, index", [(-1, 0), (0, -1)])
+def test_character_label_refuses_a_negative_conductor_or_index(conductor, index):
+    with pytest.raises(ValueError):
+        CharacterLabel(conductor, index)
+
+
 def test_base_change_refuses_a_degree_that_is_not_an_int():
-    label = CharacterLabel(0, 0)
     for degree in (2.0, True):
         with pytest.raises(TypeError):
-            Gl1BaseChange(degree, ((label, label, degree),), {0: 0})
+            Gl1BaseChange(degree, ((0, 0, 0, 0, degree),), {0: 0})
 
 
 def test_dual_validation():
-    with pytest.raises(ValueError):
-        TemperedDualGL1(field(), 1, (CharacterLabel(0, 0), CharacterLabel(0, 0)))
-    with pytest.raises(ValueError):
-        TemperedDualGL1(field(), 1, (CharacterLabel(2, 0),))
-    with pytest.raises(ValueError):
-        # three labels of conductor <= 1 but only q - 1 = 2 characters exist
-        TemperedDualGL1(
-            field(), 1, (CharacterLabel(0, 0), CharacterLabel(1, 0), CharacterLabel(1, 1))
-        )
+    for circles, error in [
+        (((0, 0), (0, 0)), ValueError),  # a duplicate
+        (((2, 0),), ValueError),  # over the bound
+        # three circles of conductor <= 1 but only q - 1 = 2 characters exist
+        (((0, 0), (1, 0), (1, 1)), ValueError),
+        (((0, -1),), ValueError),
+        (((True, 0),), TypeError),
+        (((1.0, 0),), TypeError),
+        (((0, 0.0),), TypeError),
+    ]:
+        with pytest.raises(error):
+            TemperedDualGL1(field(), 1, circles)
 
 
 # -- base change on the dual -------------------------------------------------------
@@ -161,9 +169,8 @@ def test_bc_gl1_unramified():
     dual = TemperedDualGL1.enumerate(field(), 2)
     bc = bc_gl1(unramified(2), RamificationFiltration(), dual)
     assert bc.f == 2
-    src = CharacterLabel(1, 0)
-    matched = [pair for pair in bc.pairs if pair[0] == src]
-    assert matched == [(src, CharacterLabel(1, 0), 2)]
+    matched = [row for row in bc.pairs if row[:2] == (1, 0)]
+    assert matched == [(1, 0, 1, 0, 2)]
     assert bc.conductor_map == {0: 0, 1: 1, 2: 2}
 
 
@@ -171,9 +178,8 @@ def test_bc_gl1_tame_conductor_doubling():
     dual = TemperedDualGL1.enumerate(field(), 2)
     bc = bc_gl1(tame_quadratic(), RamificationFiltration((2,)), dual)
     assert bc.conductor_map == {0: 0, 1: 2, 2: 4}
-    src = CharacterLabel(1, 0)
-    assert (src, CharacterLabel(2, 0), 1) in bc.pairs
-    assert (CharacterLabel(0, 0), CharacterLabel(0, 0), 1) in bc.pairs
+    assert (1, 0, 2, 0, 1) in bc.pairs
+    assert (0, 0, 0, 0, 1) in bc.pairs
 
 
 def test_bc_gl1_conductor_map_matches_transition_function():
@@ -208,33 +214,40 @@ def test_bc_gl1_refuses_a_dual_of_another_field():
 
 
 def test_bc_gl1_collision_table():
-    dual = TemperedDualGL1(field(), 1, (CharacterLabel(1, 0), CharacterLabel(1, 1)))
-    shared = CharacterLabel(1, 0)
+    dual = TemperedDualGL1(field(), 1, ((1, 0), (1, 1)))
     bc = bc_gl1(
         unramified(2),
         RamificationFiltration(),
         dual,
-        collisions={CharacterLabel(1, 1): shared},
+        collisions={(1, 1): (1, 0)},
     )
-    assert circle_map(bc).target.components == (shared,)
+    assert circle_map(bc).target.components == ("c1.0",)
     k0, k1 = induced_map(circle_map(bc))
     assert k1.entries == ((2,), (2,))
     assert k0.entries == ((1,), (1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="transition function gives 1"):
         bc_gl1(
             unramified(2),
             RamificationFiltration(),
             dual,
-            collisions={CharacterLabel(1, 1): CharacterLabel(2, 0)},
+            collisions={(1, 1): (2, 0)},
         )
+
+
+@pytest.mark.parametrize("index", [1.0, True, "0"])
+def test_bc_gl1_refuses_a_target_index_that_is_not_an_int(index):
+    dual = TemperedDualGL1(field(), 1, ((1, 0), (1, 1)))
+    with pytest.raises(TypeError):
+        bc_gl1(unramified(2), RamificationFiltration(), dual, collisions={(1, 1): (1, index)})
+    with pytest.raises(TypeError):
+        bc_gl1(unramified(2), RamificationFiltration(), dual, extra_targets=[(1, index)])
 
 
 def test_circle_map_zero_columns_for_extra_targets():
     dual = TemperedDualGL1.enumerate(field(), 1)
-    extra = CharacterLabel(1, 5)
-    bc = bc_gl1(unramified(3), RamificationFiltration(), dual, extra_targets=[extra])
+    bc = bc_gl1(unramified(3), RamificationFiltration(), dual, extra_targets=[(1, 5)])
     k0, k1 = induced_map(circle_map(bc))
-    col = k1.col_labels.index(extra)
+    col = k1.col_labels.index("c1.5")
     assert all(row[col] == 0 for row in k1.entries)
     assert all(row[col] == 0 for row in k0.entries)
 
@@ -280,7 +293,6 @@ def test_preimage_lengths_sum_to_arc_length(f, a, b):
 def test_properness_check_routes_by_target():
     dual = TemperedDualGL1.enumerate(field(), 1)
     bc = bc_gl1(unramified(2), RamificationFiltration(), dual)
-    target = CharacterLabel(1, 0)
-    out = properness_check(bc, target, Arc(Fraction(0), Fraction(1, 2)))
-    assert set(out) == {CharacterLabel(1, 0)}
-    assert len(out[CharacterLabel(1, 0)]) == 2
+    out = properness_check(bc, (1, 0), Arc(Fraction(0), Fraction(1, 2)))
+    assert set(out) == {(1, 0)}
+    assert len(out[1, 0]) == 2

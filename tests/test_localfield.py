@@ -94,6 +94,21 @@ def test_extension_validation():
         ExtensionData(base, e=1, f=1, galois=False, cyclic=True)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ExtensionData(field(), 1, 2.0),
+    lambda: ExtensionData(field(), 2.0, 1),
+    lambda: ExtensionData(field(), e=True, f=2),
+    lambda: ExtensionData(field(), e=1, f="2"),
+    lambda: LocalFieldData(3.0, 3),
+    lambda: LocalFieldData(9, 3.0),
+    lambda: LocalFieldData(True, 2),
+], ids=["f-float", "e-float", "e-bool", "f-str", "q-float", "p-float", "q-bool"])
+def test_fields_and_extensions_refuse_invariants_that_are_not_ints(build):
+    # a float or a bool standing for an int is refused, not carried along: the first would have n == 2.0
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_filtration_normalisation_and_validation():
     assert RamificationFiltration((3, 3, 1, 1)).orders == (3, 3)
     assert RamificationFiltration(()).orders == ()

@@ -91,12 +91,10 @@ VALUES = {
                        "CharacterLabel(conductor=1, index=0)"),
     TemperedDualGL1: (lambda: TemperedDualGL1.enumerate(LocalFieldData(3, 3), 1),
                         lambda: TemperedDualGL1.enumerate(LocalFieldData(3, 3), 0),
-                        f"TemperedDualGL1(base={F3}, bound=1, circles=(CharacterLabel(conductor=0, index=0), "
-                        "CharacterLabel(conductor=1, index=0)))"),
+                        f"TemperedDualGL1(base={F3}, bound=1, circles=((0, 0), (1, 0)))"),
     Gl1BaseChange: (_gl1, lambda: Gl1BaseChange(2, (), {}),
-                      "Gl1BaseChange(f=2, pairs=((CharacterLabel(conductor=0, index=0), "
-                      "CharacterLabel(conductor=0, index=0), 2), (CharacterLabel(conductor=1, index=0), "
-                      "CharacterLabel(conductor=1, index=0), 2)), conductor_map={0: 0, 1: 1}, extra_targets=())"),
+                      "Gl1BaseChange(f=2, pairs=((0, 0, 0, 0, 2), (1, 0, 1, 0, 2)), "
+                      "conductor_map={0: 0, 1: 1}, extra_targets=())"),
     Arc: (lambda: Arc(Fraction(0), Fraction(1, 2)), lambda: Arc(Fraction(0), Fraction(1)),
             "Arc(lo=Fraction(0, 1), hi=Fraction(1, 2))"),
     AdmissiblePair: (_pair, lambda: _gl2().target_pair, PAIR),
@@ -163,18 +161,6 @@ def test_certificate_rebuilds_through_its_constructor():
     assert edited != cert and cert.verify() and not edited.verify()
 
 
-def test_character_labels_order_by_conductor_then_index():
-    labels = [CharacterLabel(c, j) for c, j in [(2, 0), (0, 3), (1, 1), (0, 0), (1, 0)]]
-    assert [(x.conductor, x.index) for x in sorted(labels)] == [(0, 0), (0, 3), (1, 0), (1, 1), (2, 0)]
-    a, b = CharacterLabel(0, 5), CharacterLabel(1, 0)
-    assert a < b and a <= b and b > a and b >= a and a <= CharacterLabel(0, 5) >= a
-    assert not (b < a or b <= a or a > b or a >= b)
-    with pytest.raises(TypeError):
-        a < (0, 6)
-    with pytest.raises(ValueError):
-        CharacterLabel(-1, 0)
-
-
 def test_circle_spaces_compare_by_components_only():
     a, b = CircleSpace(["a", "b"]), CircleSpace(iter(("a", "b")))
     assert a == b and hash(a) == hash(b) and a.positions == {"a": 0, "b": 1}
@@ -198,8 +184,8 @@ def test_circle_map_checks_run_through_post_init(monkeypatch):
     m = _circle_map()
     compose_maps(m, ProperCircleMap(m.target, m.target, (("x", "x", 1),)))
     assert len(calls) == 3
-    with pytest.raises(ValueError, match=r"unknown source component CharacterLabel\(conductor=1, index=0\)"):
-        ProperCircleMap(m.source, m.target, ((CharacterLabel(1, 0), "x", 1),))
+    with pytest.raises(ValueError, match="unknown source component 'c1.0'"):
+        ProperCircleMap(m.source, m.target, (("c1.0", "x", 1),))
 
 
 def test_keyword_construction_and_defaults():
