@@ -9,9 +9,10 @@ Two table-driven checks, run from any directory:
 - each pinned CLI request (bc-gl1 at q=3 M=7, finiteness r=2 f=4 window
   40, r=3 f=4 both as the CLI reads it directly and, with --verify
   abbreviated, as argparse reads it, extquot at n=30, the largest
-  rank, and bc-gl1 at q=3 M=6 along a wild cyclic cubic, whose pairs
-  change conductor) runs in a child of its own, writes
-  its JSON into a temporary directory, and must keep its sha256 prefix
+  rank, in JSON and in text, and bc-gl1 at q=3 M=6 along a wild cyclic
+  cubic, whose pairs change conductor) runs in a child of its own,
+  writes its output into a temporary directory, in the format its file
+  name's suffix names (.json or .txt), and must keep its sha256 prefix
   and a peak RSS below 40 MiB.
 
     python3 scripts/ci_checks.py
@@ -34,8 +35,9 @@ SWEEPS = [([], 12), (["--max-r", "2", "--window", "24"], 8)]
 
 EXT = '{"q": 3, "p": 3, "e": 1, "f": 2, "galois": true, "cyclic": true, "filtration_orders": []}'
 WILD = '{"q": 3, "p": 3, "e": 3, "f": 1, "galois": true, "cyclic": true, "filtration_orders": [3, 3]}'
-# output file, sha256 prefix, argv; 1,458 circles, 3,321 and 1,771 targets,
-# 5,604 components, 486 circles (5,416,961 bytes)
+# output file, whose suffix names the format, sha256 prefix, argv; 1,458 circles,
+# 3,321 and 1,771 targets, 5,604 components, 486 circles (5,416,961 bytes),
+# 5,604 text lines (291,190 bytes)
 PINS = [
     ("bc-gl1-m7.json", "c4dd9c4c6fc92a14", ["bc-gl1", "--extension", EXT, "--max-conductor", "7"]),
     ("cert-2-4-40.json", "f711c650dc704687", ["finiteness", "--r", "2", "--f", "4", "--window", "40", "--verify"]),
@@ -43,6 +45,7 @@ PINS = [
     ("cert-3-4-abbrev.json", "fbf7afcbf008653b", ["finiteness", "--r", "3", "--f", "4", "--ver"]),
     ("extquot-30.json", "4e54a73981c70990", ["extquot", "--n", "30"]),
     ("bc-gl1-wild-m6.json", "d2ca06c757b16696", ["bc-gl1", "--extension", WILD, "--max-conductor", "6"]),
+    ("extquot-30.txt", "35d8c351ba305f52", ["extquot", "--n", "30"]),
 ]
 MAX_RSS_MIB = 40
 
@@ -67,7 +70,8 @@ def pin_failures(directory: str) -> list[str]:
     failures = []
     for name, prefix, request in PINS:
         path = os.path.join(directory, name)
-        argv = [sys.executable, "-m", "basechange.cli", *request, "--format", "json", "--output", path]
+        fmt = "text" if name.endswith(".txt") else "json"
+        argv = [sys.executable, "-m", "basechange.cli", *request, "--format", fmt, "--output", path]
         pid = os.spawnve(os.P_NOWAIT, sys.executable, argv, ENV)
         _, status, usage = os.wait4(pid, 0)  # the rusage of this child alone
         code = os.waitstatus_to_exitcode(status)

@@ -33,16 +33,13 @@ from .extquot import (
 )
 from .finiteness import FinitenessCertificate, WindowTooSmall, finiteness_certificate
 from .gl1 import (
-    Arc,
     CharacterLabel,
     Gl1BaseChange,
     TemperedDualGL1,
     UnramifiedQuasicharacter,
-    arc_preimage,
     bc_gl1,
     bc_unramified_quasichar,
     circle_map,
-    properness_check,
 )
 from .gl2 import (
     AdmissiblePair,
@@ -56,10 +53,8 @@ from .gl2 import (
 )
 from .ktheory import (
     CircleSpace,
-    InsufficientSamples,
     KMorphism,
     ProperCircleMap,
-    circle_degree_oracle,
     compose_maps,
     induced_map,
 )

@@ -11,7 +11,7 @@ a Records list stand in their own payloads as the dense entries, the
 reductions and a list of int records: the matrix's rows are written from
 its nonzero cells, the certificate's reductions from one template per
 translation class, written from its stored expression, and a record
-list from one template of its layout, filled per row.
+list from one template per row layout, filled per row.
 
 Exit codes: 0 success, 2 invalid input, 3 out-of-scope mathematics,
 4 finiteness window failure.
@@ -258,26 +258,49 @@ def _render_dense(k: KMorphism, parts: _Chunks, indent: str) -> None:
     parts[-1] = indent + "]"
 
 
-def _render_records(records: Records, parts: _Chunks, indent: str) -> None:
-    """Render a Records list into parts: one %-template of its build's layout, filled per row.
+def _record_template(build, args: list, indent: str) -> str:
+    """The %-template of build(*args), args holding "%d" strings, written at indent with each quoted "%d" unquoted."""
+    return _text(build(*args), indent).replace("%", "%%").replace('"%%d"', "%d")
 
-    The template is the record build makes of "%d" strings, written at this
-    list's inner indent, with each quoted "%d" unquoted; a batch of rows
-    about FLUSH_CHARS long is joined into one part.
+
+def _render_records(records: Records, parts: _Chunks, indent: str) -> None:
+    """Render a Records list into parts: one %-template per row layout, filled per row.
+
+    A row's layout is the lengths of its int tuples, or for a row of plain
+    ints its own length.  Rows of plain ints share the first row's
+    template, and a batch of them about FLUSH_CHARS long is joined into one
+    part.  A row of tuples fills its layout's template with its ints in
+    order, and its texts are joined into one part once they hold about
+    FLUSH_CHARS.  Each template is written at this list's inner indent.
     """
     rows = records.rows
     if not rows:
         parts.append("[]")
         return
     inner = indent + "  "
-    text = _text(records.build(*["%d"] * len(rows[0])), inner)
-    template = text.replace("%", "%%").replace('"%%d"', "%d")
     glue, sep = "[" + inner, "," + inner
-    batch = FLUSH_CHARS // (len(template) + len(sep)) + 1
-    for first in range(0, len(rows), batch):
-        parts += (glue, sep.join(map(template.__mod__, rows[first:first + batch])))
-        glue = sep
-        parts.flush()
+    if tuple not in map(type, rows[0]):
+        template = _record_template(records.build, ["%d"] * len(rows[0]), inner)
+        batch = FLUSH_CHARS // (len(template) + len(sep)) + 1
+        for first in range(0, len(rows), batch):
+            parts += (glue, sep.join(map(template.__mod__, rows[first:first + batch])))
+            glue = sep
+            parts.flush()
+    else:
+        templates, texts, held = {}, [], 0
+        for row in rows:
+            layout = tuple(map(len, row))
+            template = templates.get(layout)
+            if template is None:
+                template = templates[layout] = _record_template(records.build, [("%d",) * k for k in layout], inner)
+            texts.append(template % sum(row, ()))
+            held += len(texts[-1])
+            if held >= FLUSH_CHARS:
+                parts += (glue, sep.join(texts))
+                glue, texts, held = sep, [], 0
+                parts.flush()
+        if texts:
+            parts += (glue, sep.join(texts))
     parts.append(indent + "]")
 
 
@@ -348,7 +371,13 @@ def _emit(args, payload: dict, lines: list[str]) -> int:
 
 def cmd_extquot(args) -> int:
     eq = extended_quotient(args.n)
-    lines = [f"{'+'.join(str(p) for p in comp.partition)}: {comp.describe()}" for comp in eq.components]
+    lines, templates = [], {}
+    if args.format == "text":  # JSON writes the components from their rows
+        for partition, multiplicities in eq.rows:
+            layout = len(partition), len(multiplicities)
+            if layout not in templates:
+                templates[layout] = "+".join(["%d"] * layout[0]) + ": " + " x ".join(["Sym^%d"] * layout[1])
+            lines.append(templates[layout] % (*partition, *multiplicities))
     return _emit(args, eq.to_json(), lines)
 
 

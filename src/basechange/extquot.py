@@ -17,33 +17,46 @@ substitutes t_i -> t_i^f (``InvariantLaurentPoly.pullback``).
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Sequence
 
 from .gaussian import GaussianRational
-from .value import Value
+from .value import Records, Value
 
 MAX_TORUS_RANK = 30  # guard: cross-check oracles get factorial-ish beyond this
 
 
-def partitions_of(n: int) -> list[tuple[int, ...]]:
-    """All partitions of n as weakly decreasing tuples, reverse-lexicographic.
+def _partition_rows(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each partition of n with the multiplicities of its distinct parts, the largest part first.
 
-    The first entry is (n,) and the last is (1,)*n; this fixed order is
+    Partitions are weakly decreasing tuples in reverse-lexicographic
+    order: the first is (n,) and the last (1,)*n; this fixed order is
     what the component listing and all serialised output use.
     """
     if n < 1:
         raise ValueError("partitions are enumerated for n >= 1")
-    parts, out = [n], [(n,)]
+    parts, mults = [n], [1]
+    rows = [((n,), (1,))]
     while parts[0] > 1:
         # the successor: drop the trailing 1s, lower the last part k to k - 1,
-        # and refill what was taken with parts of at most k - 1, the largest first
-        ones = parts.count(1)
+        # and refill what was taken with parts of at most k - 1, the largest first;
+        # k - 1 and the remainder are parts the partition did not hold
+        ones = mults.pop() if parts[-1] == 1 else 0
         del parts[len(parts) - ones:]
         k = parts.pop()
+        mults[-1] -= 1
+        if not mults[-1]:
+            mults.pop()
         q, rest = divmod(ones + k, k - 1)
         parts += [k - 1] * q + [rest] * (rest > 0)
-        out.append(tuple(parts))
-    return out
+        mults += [q, 1] if rest else [q]
+        rows.append((tuple(parts), tuple(mults)))
+    return rows
+
+
+def partitions_of(n: int) -> list[tuple[int, ...]]:
+    """All partitions of n as weakly decreasing tuples, reverse-lexicographic: (n,) first, (1,)*n last."""
+    return [p for p, _ in _partition_rows(n)]
 
 
 def validate_partition(parts: Sequence[int], n: int | None = None) -> tuple[int, ...]:
@@ -78,13 +91,7 @@ class OrbitComponent(Value):
     @staticmethod
     def from_partition(parts: Sequence[int], n: int | None = None) -> "OrbitComponent":
         parts = validate_partition(parts, n)
-        distinct: list[tuple[int, int]] = []
-        for p in parts:
-            if distinct and distinct[-1][0] == p:
-                distinct[-1] = (p, distinct[-1][1] + 1)
-            else:
-                distinct.append((p, 1))
-        return OrbitComponent(parts, tuple(distinct))
+        return OrbitComponent(parts, tuple(Counter(parts).items()))
 
     @property
     def sym_powers(self) -> tuple[int, ...]:
@@ -102,29 +109,34 @@ class OrbitComponent(Value):
     def describe(self) -> str:
         return " x ".join(f"Sym^{r}" for r in self.sym_powers)
 
-    def to_json(self) -> dict:
-        return {
-            "partition": list(self.partition),
-            "factors": [{"sym_power": r} for r in self.sym_powers],
-        }
+
+def _component_record(partition: tuple[int, ...], multiplicities: tuple[int, ...]) -> dict:
+    return {"partition": list(partition), "factors": [{"sym_power": r} for r in multiplicities]}
 
 
 class ExtendedQuotient(Value):
-    """All components of (C^x)^n // S_n, in reverse-lexicographic order."""
+    """All components of (C^x)^n // S_n, in reverse-lexicographic order.
 
-    __slots__ = ("n", "components")
+    rows holds one (partition, multiplicities) int row per component,
+    the multiplicities being the exponents r_i of its Sym^{r_i} factors;
+    components builds each row's OrbitComponent on demand.
+    """
+
+    __slots__ = ("n", "rows")
+
+    @property
+    def components(self) -> tuple[OrbitComponent, ...]:
+        return tuple(OrbitComponent(p, tuple(zip(dict.fromkeys(p), m))) for p, m in self.rows)
 
     def to_json(self) -> dict:
-        return {"n": self.n, "components": [c.to_json() for c in self.components]}
+        return {"n": self.n, "components": Records(_component_record, self.rows)}
 
 
 def extended_quotient(n: int) -> ExtendedQuotient:
     """One component per partition of n; n is capped at MAX_TORUS_RANK."""
     if n < 1 or n > MAX_TORUS_RANK:
         raise ValueError(f"n must satisfy 1 <= n <= {MAX_TORUS_RANK}, got {n}")
-    # a generated partition needs no validation; its distinct parts come in order
-    comps = tuple(OrbitComponent(p, tuple((k, p.count(k)) for k in dict.fromkeys(p))) for p in partitions_of(n))
-    return ExtendedQuotient(n, comps)
+    return ExtendedQuotient(n, tuple(_partition_rows(n)))
 
 
 class TorusPoint(Value):

@@ -16,15 +16,13 @@ to a degree-(e, f) extension acts by
 Integer Weil degrees make the exponent identity testable: a Weil element
 of E-side degree m has F-side degree f*m, so an unramified
 quasicharacter with parameter z pulls back to the one with parameter
-z^f.  Angles are exact rational turns (fractions of a full revolution),
-which keeps arc preimages exact.
+z^f.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from fractions import Fraction
 from itertools import chain
 
 from .gaussian import GaussianRational
@@ -284,44 +282,3 @@ def circle_map(bc: Gl1BaseChange) -> "ProperCircleMap":
     targets = {(c, j): f"c{c}.{j}" for c, j in hit}
     matches = tuple((src, targets[row[2:4]], row[4]) for src, row in zip(sources, bc.pairs))
     return ProperCircleMap(CircleSpace(sources), CircleSpace(targets.values()), matches)
-
-
-class Arc(Value):
-    """Closed arc on a circle, endpoints in exact rational turns."""
-
-    __slots__ = ("lo", "hi")
-
-    def __post_init__(self):
-        if self.hi < self.lo:
-            raise ValueError("empty arc: the upper endpoint is below the lower one")
-
-    @property
-    def length(self) -> Fraction:
-        return min(self.hi - self.lo, Fraction(1))
-
-    @property
-    def is_full_circle(self) -> bool:
-        return self.hi - self.lo >= 1
-
-
-def arc_preimage(f: int, arc: Arc) -> tuple[Arc, ...]:
-    """Preimage of a closed arc under z -> z^f, as exact turn intervals.
-
-    The f components are [lo/f + k/f, hi/f + k/f]; a full-circle arc
-    pulls back to the full circle.  Finitely many closed components is
-    the properness witness on truncations.
-    """
-    if f < 1:
-        raise ValueError("degree must be >= 1")
-    if arc.is_full_circle:
-        return (Arc(Fraction(0), Fraction(1)),)
-    return tuple(
-        Arc((arc.lo + k) / f, (arc.hi + k) / f) for k in range(f)
-    )
-
-
-def properness_check(
-    bc: Gl1BaseChange, target: tuple[int, int], arc: Arc
-) -> dict[tuple[int, int], tuple[Arc, ...]]:
-    """Preimage arcs of a closed arc in one target circle (c', j'), per source circle (c, j)."""
-    return {(c, j): arc_preimage(degree, arc) for c, j, tc, tj, degree in bc.pairs if (tc, tj) == target}

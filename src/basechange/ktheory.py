@@ -15,23 +15,18 @@ A symmetric-power component is one circle here, of degree f under base
 change, for every n: the n-fold symmetric power of the circle
 deformation-retracts onto a circle along the product of coordinates, and
 the coordinatewise f-th power map descends to z -> z^f there, because the
-product of the f-th powers is the f-th power of the product.  An
-independent winding-number oracle over exact rational turn angles
-cross-checks that degree.
+product of the f-th powers is the f-th power of the product.  The
+tests cross-check that degree with a winding-number oracle over exact
+rational turn angles.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from fractions import Fraction
 
 from .value import Records, Value
 
 Label = str
-
-
-class InsufficientSamples(ValueError):
-    """The winding-number oracle needs at least 4f sample points."""
 
 
 class CircleSpace(Value):
@@ -112,16 +107,19 @@ class KMorphism(Value):
     __slots__ = ("row_labels", "col_labels", "cells")
 
     def __post_init__(self):
+        # one test per valid cell; only a refused cell is asked which check it fails.
+        # A cell in range sits at i * cols + j, so row-major order is increasing positions.
         rows, cols = len(self.row_labels), len(self.col_labels)
-        last = (-1, -1)
+        last = -1
         for i, j, value in self.cells:
-            if not (type(i) is int and 0 <= i < rows and type(j) is int and 0 <= j < cols):
-                raise ValueError(f"cell ({i!r}, {j!r}) is outside a {rows} x {cols} matrix")
-            if type(value) is not int or value == 0:
-                raise ValueError(f"cell ({i}, {j}) must hold a nonzero int, got {value!r}")
-            if (i, j) <= last:
+            if (type(i) is not int or type(j) is not int or type(value) is not int
+                    or not (0 <= i < rows and 0 <= j < cols and value) or (at := i * cols + j) <= last):
+                if not (type(i) is int and 0 <= i < rows and type(j) is int and 0 <= j < cols):
+                    raise ValueError(f"cell ({i!r}, {j!r}) is outside a {rows} x {cols} matrix")
+                if type(value) is not int or value == 0:
+                    raise ValueError(f"cell ({i}, {j}) must hold a nonzero int, got {value!r}")
                 raise ValueError("cells must be in strictly increasing (row, col) order")
-            last = (i, j)
+            last = at
 
     def __iter__(self):
         dense = [[0] * len(self.col_labels) for _ in self.row_labels]
@@ -171,29 +169,3 @@ def induced_map(m: ProperCircleMap) -> tuple[KMorphism, KMorphism]:
     k1 = tuple(sorted((row_of[src], col_of[tgt], degree) for src, tgt, degree in m.matches))
     k0 = tuple((i, j, 1) for i, j, _ in k1)
     return KMorphism(rows, cols, k0), KMorphism(rows, cols, k1)
-
-
-def circle_degree_oracle(f: int, samples: int) -> int:
-    """Winding number of z -> z^f from exact angle increments.
-
-    Walks the circle along `samples` equally spaced rational turn
-    angles, wraps each image increment into (-1/2, 1/2], and sums; the
-    total is the degree.  Needs samples >= 4f so every wrapped increment
-    is unambiguous.
-    """
-    if f < 1:
-        raise ValueError("degree must be >= 1")
-    if samples < 4 * f:
-        raise InsufficientSamples(f"need at least {4 * f} samples for f = {f}")
-    total = Fraction(0)
-    half = Fraction(1, 2)
-    prev = Fraction(0)
-    for k in range(1, samples + 1):
-        angle = (Fraction(f * k, samples)) % 1
-        delta = (angle - prev) % 1
-        if delta > half:
-            delta -= 1
-        total += delta
-        prev = angle
-    assert total.denominator == 1
-    return int(total)

@@ -69,12 +69,14 @@ class Value:
 
 
 class Records(Value):
-    """A JSON list of records of one layout, held as rows of ints.
+    """A JSON list of records, held as rows of ints or rows of int tuples.
 
     build(*row) is the record of one row, using each int once and in order;
     iterating yields the records and len counts them, so json.dumps(..., default=list) writes
-    the list, and the CLI writes it from one template of build's layout.
-    rows is a sequence of tuples of exact ints, which their owners check.
+    the list.  rows is a sequence of tuples, which their owners build or check:
+    all of exact ints and of one length, or all of tuples of exact ints, whose
+    lengths, the row's layout, may change from row to row.  The CLI writes the
+    list from one template of build's record per layout, filled per row.
     """
 
     __slots__ = ("build", "rows")

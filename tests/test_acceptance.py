@@ -23,12 +23,7 @@ from basechange.gl1 import (
     circle_map,
 )
 from basechange.gl2 import AdmissiblePair, bc_gl2
-from basechange.ktheory import (
-    CircleSpace,
-    ProperCircleMap,
-    circle_degree_oracle,
-    induced_map,
-)
+from basechange.ktheory import CircleSpace, ProperCircleMap, induced_map
 from basechange.localfield import (
     ExtensionData,
     LocalFieldData,
@@ -37,6 +32,7 @@ from basechange.localfield import (
     phi,
     psi,
 )
+from circle_oracles import circle_degree_oracle
 
 SEED = 20240802
 

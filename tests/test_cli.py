@@ -9,6 +9,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest.mock import patch
@@ -19,9 +20,11 @@ from hypothesis import strategies as st
 
 from basechange import cli, laurent
 from basechange.cli import COMMANDS, _render, build_parser, main
+from basechange.extquot import OrbitComponent, extended_quotient
 from basechange.finiteness import FinitenessCertificate, finiteness_certificate
 from basechange.gl1 import MAX_CIRCLES, CharacterLabel
 from basechange.ktheory import KMorphism, induced_map
+from basechange.value import Records
 from test_ktheory import _grids, from_grid, proper_maps
 
 UNRAMIFIED_CUBIC = '{"q": 3, "p": 3, "e": 1, "f": 3, "galois": true, "cyclic": true, "filtration_orders": []}'
@@ -1017,14 +1020,14 @@ def test_norm_level_wild_exits_3(capsys):
 
 
 def test_json_round_trips_module_serializers(capsys):
-    from basechange.extquot import extended_quotient
     from basechange.gl1 import TemperedDualGL1
     from basechange.localfield import LocalFieldData
 
     code, payload, _ = run_json(capsys, "extquot", "--n", "6")
     eq = payload.copy()
     eq.pop("schema_version")
-    assert eq == extended_quotient(6).to_json()
+    # the components are a Records stand-in, a list to json.dumps(..., default=list)
+    assert eq == json.loads(json.dumps(extended_quotient(6).to_json(), default=list))
 
     code, payload, _ = run_json(
         capsys, "bc-gl1", "--extension", UNRAMIFIED_CUBIC, "--max-conductor", "2"
@@ -1276,6 +1279,72 @@ def test_record_lists_render_as_the_stock_encoder_writes_them(monkeypatch, capsy
         assert len(payload["dual"]["circles"]) == len(payload["map"]["pairs"]) == 1
     else:
         assert len({p["from"]["conductor"] != p["to"]["conductor"] for p in payload["map"]["pairs"]}) == 2
+
+
+def _partitions(n, largest):
+    """Partitions of n with parts at most largest, the largest parts first: the reverse-lexicographic order."""
+    if n == 0:
+        yield ()
+    for k in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k, *rest)
+
+
+def _extquot_oracle(n, fmt) -> str:
+    """extquot's output from plain dicts and collections.Counter, sharing no code with the CLI's."""
+    powers = [(p, list(Counter(p).values())) for p in _partitions(n, n)]
+    if fmt == "text":
+        return "".join(f"{'+'.join(map(str, p))}: {' x '.join(f'Sym^{r}' for r in rs)}\n" for p, rs in powers)
+    components = [{"partition": list(p), "factors": [{"sym_power": r} for r in rs]} for p, rs in powers]
+    return json.dumps({"schema_version": 1, "n": n, "components": components}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_extquot_output_matches_an_independent_oracle(tmp_path, capsys, n):
+    out = tmp_path / "out"
+    for fmt in ("text", "json"):
+        expected = _extquot_oracle(n, fmt)
+        assert run(capsys, "extquot", "--n", str(n), "--format", fmt) == (0, expected, "")
+        assert run(capsys, "extquot", "--n", str(n), "--format", fmt, "--output", str(out)) == (0, "", "")
+        assert out.read_text() == expected
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_extquot_builds_no_orbit_component(capsys, monkeypatch, fmt):
+    # a component is its (partition, multiplicities) int row; OrbitComponent is for library callers
+    def refuse(self, *args):
+        raise AssertionError("extquot built an OrbitComponent")
+
+    monkeypatch.setattr(OrbitComponent, "__init__", refuse)
+    for n in (1, 7, 30):
+        assert run(capsys, "extquot", "--n", str(n), "--format", fmt) == (0, _extquot_oracle(n, fmt), "")
+
+
+def _layered(head, body, tail) -> dict:
+    return {"head": list(head), "body": {"cells": [[x] for x in body]}, "tail": list(tail)}
+
+
+# rows of int tuples whose layouts interleave, with empty tuples, negative and
+# big ints; a single row; no rows; rows that are empty tuples; and every
+# component of the n = 30 quotient
+LAYERED = [((1, 2), (3,), ()), ((), (), (4,)), ((-5,), (2**70, 0), (7, 8, 9)), ((1, 2), (3,), ()), ((), (), (4,))]
+
+
+@pytest.mark.parametrize("records", [
+    Records(_layered, LAYERED),
+    Records(_layered, LAYERED[2:3]),
+    Records(_layered, ()),
+    Records(dict, [(), ()]),
+    extended_quotient(30).to_json()["components"],
+], ids=["interleaved", "one-row", "no-rows", "empty-rows", "extquot-30"])
+def test_records_of_int_tuples_render_as_the_stock_encoder_writes_them(capsys, records):
+    # one template per row layout, filled per row, written in chunks of
+    # FLUSH_CHARS and with a budget of 1 after every row
+    payload = {"records": records, "nested": [{"again": records}]}
+    expected = json.dumps({"schema_version": 1, **payload}, indent=2, default=list) + "\n"
+    _assert_same_text(_emitted(capsys, payload), expected)
+    with patch.object(cli, "FLUSH_CHARS", 1):
+        _assert_same_text(_emitted(capsys, payload), expected)
 
 
 def test_emit_joins_no_more_than_about_its_budget(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,14 @@ def test_component_weights_and_dimensions(n):
     for comp in extended_quotient(n).components:
         assert sum(size * mult for size, mult in comp.distinct_parts) == n
         assert comp.dimension == len(comp.partition)
+
+
+@pytest.mark.parametrize("n", [1, 4, 12, 30])
+def test_rows_hold_each_partition_with_its_multiplicities(n):
+    eq = extended_quotient(n)
+    assert [p for p, _ in eq.rows] == partitions_of(n)
+    assert all(m == tuple(Counter(p).values()) for p, m in eq.rows)
+    assert eq.components == tuple(OrbitComponent.from_partition(p, n) for p, _ in eq.rows)
 
 
 def test_fixed_component_examples():

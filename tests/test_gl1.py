@@ -6,17 +6,14 @@ from hypothesis import strategies as st
 
 from basechange.gaussian import GaussianRational, I
 from basechange.gl1 import (
-    Arc,
     CharacterLabel,
     Gl1BaseChange,
     TemperedDualGL1,
     UnramifiedQuasicharacter,
-    arc_preimage,
     bc_gl1,
     bc_unramified_quasichar,
     circle_map,
     labels_with_conductor,
-    properness_check,
 )
 from basechange.ktheory import induced_map
 from basechange.localfield import (
@@ -27,6 +24,7 @@ from basechange.localfield import (
     conductor_transport,
     unit_quotient_order,
 )
+from circle_oracles import Arc, arc_preimage, properness_check
 
 
 def field(q=3, p=3):

@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 
 from basechange.ktheory import (
     CircleSpace,
-    InsufficientSamples,
     KMorphism,
     ProperCircleMap,
-    circle_degree_oracle,
     compose_maps,
     induced_map,
 )
+from circle_oracles import InsufficientSamples, circle_degree_oracle
 
 
 def space(*labels):

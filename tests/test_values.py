@@ -21,7 +21,6 @@ from basechange.extquot import ExtendedQuotient, OrbitComponent, TorusPoint, ext
 from basechange.finiteness import FinitenessCertificate, finiteness_certificate
 from basechange.gaussian import GaussianRational
 from basechange.gl1 import (
-    Arc,
     CharacterLabel,
     Gl1BaseChange,
     TemperedDualGL1,
@@ -31,6 +30,7 @@ from basechange.gl1 import (
 from basechange.gl2 import AdmissiblePair, Gl2BaseChange, bc_gl2
 from basechange.ktheory import CircleSpace, KMorphism, ProperCircleMap, compose_maps
 from basechange.localfield import ExtensionData, LocalFieldData, RamificationFiltration
+from circle_oracles import Arc
 
 F3 = "LocalFieldData(q=3, p=3, char_zero=True)"
 QUAD = "ExtensionData(base=LocalFieldData(q=5, p=5, char_zero=True), e=2, f=1, galois=True, cyclic=True)"
@@ -70,8 +70,7 @@ VALUES = {
     OrbitComponent: (lambda: OrbitComponent.from_partition((2, 1)), lambda: OrbitComponent.from_partition((3,)),
                        "OrbitComponent(partition=(2, 1), distinct_parts=((2, 1), (1, 1)))"),
     ExtendedQuotient: (lambda: extended_quotient(2), lambda: extended_quotient(1),
-                         "ExtendedQuotient(n=2, components=(OrbitComponent(partition=(2,), distinct_parts=((2, 1),)), "
-                         "OrbitComponent(partition=(1, 1), distinct_parts=((1, 2),))))"),
+                         "ExtendedQuotient(n=2, rows=(((2,), (1,)), ((1, 1), (2,))))"),
     TorusPoint: (lambda: TorusPoint.make([[GaussianRational(2), GaussianRational(0, 1)]]),
                    lambda: TorusPoint.make([[GaussianRational(2)]]),
                    "TorusPoint(factors=((GaussianRational(0, 1), GaussianRational(2)),))"),
