@@ -117,12 +117,21 @@ def _component_record(partition: tuple[int, ...], multiplicities: tuple[int, ...
 class ExtendedQuotient(Value):
     """All components of (C^x)^n // S_n, in reverse-lexicographic order.
 
-    rows holds one (partition, multiplicities) int row per component,
-    the multiplicities being the exponents r_i of its Sym^{r_i} factors;
-    components builds each row's OrbitComponent on demand.
+    n, an exact int in [1, MAX_TORUS_RANK], is the one field; rows is
+    derived from it, one (partition, multiplicities) int row per
+    component, the multiplicities being the exponents r_i of its
+    Sym^{r_i} factors.  components builds each row's OrbitComponent on demand.
     """
 
     __slots__ = ("n", "rows")
+    _fields = ("n",)
+
+    def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            raise TypeError(f"n must be an int, got {self.n!r}")
+        if not 1 <= self.n <= MAX_TORUS_RANK:
+            raise ValueError(f"n must satisfy 1 <= n <= {MAX_TORUS_RANK}, got {self.n}")
+        object.__setattr__(self, "rows", tuple(_partition_rows(self.n)))
 
     @property
     def components(self) -> tuple[OrbitComponent, ...]:
@@ -134,9 +143,7 @@ class ExtendedQuotient(Value):
 
 def extended_quotient(n: int) -> ExtendedQuotient:
     """One component per partition of n; n is capped at MAX_TORUS_RANK."""
-    if n < 1 or n > MAX_TORUS_RANK:
-        raise ValueError(f"n must satisfy 1 <= n <= {MAX_TORUS_RANK}, got {n}")
-    return ExtendedQuotient(n, tuple(_partition_rows(n)))
+    return ExtendedQuotient(n)
 
 
 class TorusPoint(Value):

@@ -16,7 +16,8 @@ Generating set.  The generators are the f^r f-restricted weights
 (lam_i - lam_(i+1) < f, 0 <= lam_r < f; lam_i = a_i + ... + a_r for a
 in [0, f)^r), a B-basis of A (Steinberg, Nagoya Math. J. 22, 1963; see
 linear_reduction): they are listed, not searched for, and each m_lam
-has exactly one expression over them, from one triangular walk.  (The
+has exactly one expression over them, solved from those of the
+classes below it in one memo shared by the whole certificate.  (The
 symmetrised [0, f) box alone does not generate: at r = f = 2 the
 restricted class (2,1) is outside its B-span, by a parity count.)  A
 window below r(f-1), their largest entry, is refused with WindowTooSmall
@@ -32,16 +33,18 @@ that is not a generator with its own target's reduction.
 
 Translation classes.  B holds the unit u = (t_1...t_r)^f, and u^k adds
 f*k to every exponent.  That keeps the restricted part of a class and
-the order of classes of one degree, so the walk for m_(lam + f*k*1)
-with 1 = (1, ..., 1) is the walk for m_lam with every coefficient
-translated by f*k.  A certificate stores one walk per class, keyed by
-the member whose last entry lies in [0, f); the window test and verify
-check each class's extreme coefficient exponents at its extreme shifts.
+the order of classes of one degree, so the expression of m_(lam + f*k*1)
+with 1 = (1, ..., 1) is that of m_lam with every coefficient translated
+by f*k.  A certificate solves and stores one expression per class, keyed
+by the member whose last entry lies in [0, f); the window test and
+verify check each class's extreme coefficient exponents at its extreme
+shifts, and verify multiplies out each class's product once, the one
+the solve cached, moved by u^k.
 
 constructive_reduction runs the free-basis argument forwards instead
 (t^lam = s^q * t^a with s_i = t_i^f, s^q expanded over the staircase by
 exact divided differences, then averaged): the builder does not use it,
-it is the reference the tests compare the walk with, and the only part
+it is the reference the tests compare the solve with, and the only part
 of this module that works in laurent's polynomial classes.
 """
 
@@ -126,47 +129,64 @@ def constructive_reduction(lam: ExponentVector, f: int) -> dict:
     return {g: b for g, b in terms.items() if not b.is_zero()}
 
 
-def linear_reduction(target: ExponentVector, f: int) -> Expression:
-    """Express m_target over the f-restricted weights by a triangular walk.
+def linear_reduction(target: ExponentVector, f: int, solved: dict | None = None) -> Expression:
+    """Express m_target over the f-restricted weights, solving each translation class once.
 
     Split lam = lam0 + f*mu with lam0 restricted: lam0_r = lam_r mod f,
     and lam0_i - lam0_(i+1) = (lam_i - lam_(i+1)) mod f.  Then
     m_lam0 * m_(f*mu) is m_lam plus classes of the same degree that are
     lexicographically smaller (Macdonald, Symmetric Functions and Hall
-    Polynomials, ch. I sections 2 and 6).  So the walk pops the largest
-    class of the remainder, records its coefficient on (lam0, f*mu) and
-    subtracts the rest of that product.  All it subtracts later lies
-    below, so each recorded coefficient is final: the result is the
-    unique expression over the restricted basis.  The walk ends, as a
-    degree holds finitely many weakly decreasing classes below target.
-    The certificate builds every stored expression with this walk.
+    Polynomials, ch. I sections 2 and 6), so the expression of m_lam is
+    {lam0: {f*mu: 1}} less mult times that of each smaller class.  A
+    class's expression is its key's (see _class_of) moved by its shift,
+    as u^k is a unit of B, so each key is solved once, lower keys first
+    off an explicit stack, into ``solved`` ({key: expression}), which
+    the builder shares across its calls.  The order is well founded: a
+    degree holds finitely many weakly decreasing classes below lam.  The
+    result is the unique expression over the restricted basis.
     """
+    if solved is None:
+        solved = {}
     r = len(target)
-    remainder: dict[ExponentVector, int] = {target: 1}
-    expr: Expression = {}
-    while remainder:
-        lam = max(remainder)
-        c = remainder.pop(lam)
-        rest = [lam[-1] % f]
+    key, shift = _class_of(target, f)
+    stack = [key]
+    while stack:
+        top = stack[-1]
+        if top in solved:
+            stack.pop()
+            continue
+        rest = [top[-1]]  # a key's last entry is its own residue mod f
         for i in range(r - 2, -1, -1):
-            rest.append(rest[-1] + (lam[i] - lam[i + 1]) % f)
+            rest.append(rest[-1] + (top[i] - top[i + 1]) % f)
         lam0 = tuple(reversed(rest))
-        f_mu = tuple(x - y for x, y in zip(lam, lam0))
-        expr.setdefault(lam0, {})[f_mu] = c
-        for cls, mult in _orbit_sum_product(f_mu, lam0):
-            if cls != lam:
-                n = remainder.get(cls, 0) - c * mult
-                if n:
-                    remainder[cls] = n
-                else:
-                    del remainder[cls]
-    return expr
+        f_mu = tuple(x - y for x, y in zip(top, lam0))
+        lower = [(*_class_of(cls, f), mult) for cls, mult in _orbit_sum_product(f_mu, lam0) if cls != top]
+        missing = [k for k, _, _ in lower if k not in solved]
+        if missing:
+            stack += missing
+            continue
+        stack.pop()
+        expr: Expression = {lam0: {f_mu: 1}}
+        for k, s, mult in lower:
+            for gamma, coeff in solved[k].items():
+                acc = expr.setdefault(gamma, {})
+                for mu, c in coeff.items():
+                    mu = tuple([x + s for x in mu])  # a list builds a tuple faster than a generator
+                    acc[mu] = acc.get(mu, 0) - mult * c
+        solved[top] = {gamma: kept for gamma, coeff in expr.items()
+                       if (kept := {mu: c for mu, c in coeff.items() if c})}
+    return _moved(solved[key], shift) if shift else solved[key]
+
+
+def _moved(expr: Expression, shift: int) -> Expression:
+    """expr times u^k: every B-class moved by shift = f*k."""
+    return {g: {tuple([x + shift for x in mu]): c for mu, c in coeff.items()} for g, coeff in expr.items()}
 
 
 def _class_of(lam: ExponentVector, f: int) -> tuple[ExponentVector, int]:
     """lam's class key, lam less its shift f * (lam_r // f), and that shift."""
     shift = f * (lam[-1] // f)
-    return tuple(x - shift for x in lam), shift
+    return (tuple([x - shift for x in lam]) if shift else lam), shift
 
 
 def translation_classes(r: int, f: int, window: int) -> Iterator[tuple[ExponentVector, int, int]]:
@@ -209,8 +229,7 @@ class FinitenessCertificate(Value):
 
     def expression(self, target: ExponentVector) -> Expression:
         key, shift = _class_of(target, self.f)
-        return {g: {tuple(x + shift for x in mu): c for mu, c in coeff.items()}
-                for g, coeff in self.classes[key].items()}
+        return _moved(self.classes[key], shift)
 
     @property
     def reductions(self) -> dict[ExponentVector, Expression]:
@@ -227,7 +246,7 @@ class FinitenessCertificate(Value):
         weights, as distinct tuples, and ``classes`` keyed by exactly the
         keys of translation_classes.  Generator, key and B-class entries
         must be ints, coefficients ints or Fractions (2.0 == 2 passes the
-        rest).  Every coefficient exponent must be a multiple of f, and
+        rest).  Every B-class must have r entries, each a multiple of f, and
         each class's extremes at its extreme shifts (so every target's) at
         most ``coefficient_window`` in absolute value.  Each class's
         sum_j b_j * m_gamma_j, over ``generators``, is expanded with the
@@ -252,15 +271,30 @@ class FinitenessCertificate(Value):
             return False
         if self.max_coefficient_exponent() > self.coefficient_window:
             return False
+        lowered: dict[ExponentVector, ExponentVector] = {}  # mu -> mu - mu_r*1
         for key, expr in self.classes.items():
-            acc: dict[ExponentVector, Fraction | int] = {}
+            # m_mu = u^k * m_(mu - k*1) with f | k = mu_r, so each product is one the solve
+            # cached; they are summed per k, and each sum's classes are moved by k once
+            by_shift: dict[int, dict[ExponentVector, Fraction | int]] = {}
             for gamma, coeff in expr.items():
-                if gamma not in generators or any(x % f for mu in coeff for x in mu):
+                if gamma not in generators:
                     return False
                 for mu, c in coeff.items():
-                    for cls, mult in _orbit_sum_product(mu, gamma):
+                    mu0 = lowered.get(mu)
+                    if mu0 is None:  # each B-class is checked once
+                        if len(mu) != r or any(x % f for x in mu):
+                            return False
+                        mu0 = lowered[mu] = tuple([x - mu[-1] for x in mu])
+                    acc = by_shift.setdefault(mu[-1], {})
+                    for cls, mult in _orbit_sum_product(mu0, gamma):
                         acc[cls] = acc.get(cls, 0) + c * mult
-            if {cls: n for cls, n in acc.items() if n} != {key: 1}:
+            total = by_shift.pop(0, {})
+            for k, acc in by_shift.items():
+                for cls, n in acc.items():
+                    if n:
+                        cls = tuple([x + k for x in cls])
+                        total[cls] = total.get(cls, 0) + n
+            if {cls: n for cls, n in total.items() if n} != {key: 1}:
                 return False
         return True
 
@@ -306,11 +340,14 @@ def _terms_json(expr: Expression, shift: int = 0) -> list[dict]:
 def finiteness_certificate(r: int, f: int, window: int | None = None) -> FinitenessCertificate:
     """Build and return the complete certificate for (r, f) at the window, 2f+2 by default.
 
-    Raises WindowTooSmall when the window is below r(f-1) or some
-    in-window monomial admits no expression inside the window bounds,
-    and ValueError, before anything is enumerated, when the window
-    holds more than MAX_TARGETS target classes.
+    Raises TypeError unless r, f and a given window are exact ints (a
+    bool or a float is refused), WindowTooSmall when the window is below
+    r(f-1) or some in-window monomial admits no expression inside the
+    window bounds, and ValueError, before anything is enumerated, when
+    the window holds more than MAX_TARGETS target classes.
     """
+    if type(r) is not int or type(f) is not int or type(window) not in (int, type(None)):
+        raise TypeError(f"r, f and window must be ints, got {r!r}, {f!r} and {window!r}")
     if not 1 <= r <= MAX_RANK:
         raise ValueError(f"r must be in [1, {MAX_RANK}]")
     if not 1 <= f <= MAX_POWER:
@@ -334,7 +371,8 @@ def finiteness_certificate(r: int, f: int, window: int | None = None) -> Finiten
     # lam_i = a_i + ... + a_r, in schema 1's candidate order (degree, then lam)
     restricted = (tuple(sum(a[i:]) for i in range(r)) for a in product(range(f), repeat=r))
     generators = sorted(restricted, key=lambda g: (sum(g), g))
-    classes = {key: linear_reduction(key, f) for key, _, _ in translation_classes(r, f, window)}
+    solved: dict = {}
+    classes = {key: linear_reduction(key, f, solved) for key, _, _ in translation_classes(r, f, window)}
     cert = FinitenessCertificate(r, f, window, window + f * r, generators, classes)
     object.__setattr__(cert, "reach", cert.max_coefficient_exponent())
     if cert.reach > cert.coefficient_window:

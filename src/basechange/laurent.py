@@ -84,9 +84,10 @@ def _orbit_sum_product(a: ExponentVector, b: ExponentVector) -> tuple[tuple[Expo
     The multiplicity of m_lam counts the pairs (u, v) in orbit(a) x
     orbit(b) with u + v = lam; it is read off one orbit only, by the
     product rule in the module docstring.  The shorter orbit, the one
-    with the larger stabiliser, is walked.  Cached because a certificate
-    multiplies the same few class pairs over and over (about 8 times
-    each at r=3, f=2).
+    with the larger stabiliser, is walked.  Cached so that a certificate
+    computes it once per translation class: the solve multiplies out each
+    class's (f*mu, lam0), last entry 0, and verify looks each of its
+    products up as that one moved by a unit.
     """
     stab_a, stab_b = stabilizer_order(a), stabilizer_order(b)
     if stab_a > stab_b:

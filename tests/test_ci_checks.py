@@ -12,7 +12,8 @@ def test_ci_checks_pass(tmp_path):
     proc = subprocess.run([sys.executable, str(SCRIPT)], cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert (proc.returncode, proc.stderr) == (0, "")
     lines = proc.stdout.splitlines()
-    assert sum(line.split()[-2:-1] == ["True"] for line in lines) == 12 + 8
+    # each sweep row ends in verified, build_s and verify_s
+    assert sum(line.split()[-3:-2] == ["True"] for line in lines) == 12 + 8
     assert [line.split(":")[0] for line in lines if "sha256" in line] == [
         "bc-gl1-m7.json", "cert-2-4-40.json", "cert-3-4.json", "cert-3-4-abbrev.json", "extquot-30.json",
         "bc-gl1-wild-m6.json", "extquot-30.txt",

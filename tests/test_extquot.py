@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from basechange.extquot import (
     MAX_TORUS_RANK,
+    ExtendedQuotient,
     OrbitComponent,
     TorusPoint,
+    _partition_rows,
     base_change_point,
     extended_quotient,
     partitions_of,
@@ -92,6 +94,19 @@ def test_extended_quotient_small_and_bounds():
         extended_quotient(0)
     with pytest.raises(ValueError):
         extended_quotient(31)
+
+
+def test_extended_quotient_derives_its_rows_from_n():
+    # n is the one field: rows cannot be given, and a bool or float n is refused
+    assert ExtendedQuotient(n=3) == extended_quotient(3) and ExtendedQuotient(3).rows == tuple(_partition_rows(3))
+    with pytest.raises(TypeError):
+        ExtendedQuotient(2, (((True, True), (2.0,)),))
+    for bad in (True, 2.0, "2"):
+        with pytest.raises(TypeError, match="n must be an int"):
+            ExtendedQuotient(bad)
+    for bad in (0, 31):
+        with pytest.raises(ValueError, match="1 <= n <= 30"):
+            ExtendedQuotient(bad)
 
 
 @settings(deadline=None)

@@ -55,6 +55,37 @@ def restricted_weights(r: int, f: int) -> list[tuple[int, ...]]:
     return sorted(tuple(sum(a[i:]) for i in range(r)) for a in product(range(f), repeat=r))
 
 
+def reference_walk(target, f: int) -> dict:
+    """m_target over the f-restricted weights by a triangular walk of its own.
+
+    Split lam = lam0 + f*mu with lam0 restricted; m_lam0 * m_(f*mu) is m_lam
+    plus lexicographically smaller classes of the same degree.  The walk
+    pops the largest class of the remainder, records its coefficient on
+    (lam0, f*mu) and subtracts the rest of that product, so each recorded
+    coefficient is final.  It shares no memo with linear_reduction.
+    """
+    r = len(target)
+    remainder = {tuple(target): 1}
+    expr = {}
+    while remainder:
+        lam = max(remainder)
+        c = remainder.pop(lam)
+        rest = [lam[-1] % f]
+        for i in range(r - 2, -1, -1):
+            rest.append(rest[-1] + (lam[i] - lam[i + 1]) % f)
+        lam0 = tuple(reversed(rest))
+        f_mu = tuple(x - y for x, y in zip(lam, lam0))
+        expr.setdefault(lam0, {})[f_mu] = c
+        for cls, mult in _orbit_sum_product(f_mu, lam0):
+            if cls != lam:
+                n = remainder.get(cls, 0) - c * mult
+                if n:
+                    remainder[cls] = n
+                else:
+                    del remainder[cls]
+    return expr
+
+
 def test_sorted_tuples_enumeration():
     assert list(sorted_tuples(2, 0, 1)) == [(1, 1), (1, 0), (0, 0)]
     assert list(sorted_tuples(3, -1, 1)) == [
@@ -203,6 +234,13 @@ def test_parameter_validation():
         finiteness_certificate(2, 5, 4)
     with pytest.raises(ValueError):
         finiteness_certificate(2, 2, 0)
+
+
+@pytest.mark.parametrize("args", [(True, 2), (2, True), (2, 2, 6.0)])
+def test_sizes_must_be_exact_ints(args):
+    # True == 1 and 6.0 == 6 pass every range check, and would be written as true and 6.0
+    with pytest.raises(TypeError, match="r, f and window must be ints"):
+        finiteness_certificate(*args)
 
 
 # -- the triangular reduction ---------------------------------------------
@@ -427,7 +465,16 @@ def test_every_target_expression_is_its_own_walk(r, f, window):
     targets = [lam for lam, _, _ in cert.members()]
     assert len(targets) == len(cert) > len(cert.classes)
     for lam in targets:
-        assert cert.expression(lam) == linear_reduction(lam, f)
+        assert cert.expression(lam) == reference_walk(lam, f)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_plain_solve_is_the_walk(data):
+    # a call without a shared memo solves its own classes and moves the key's expression
+    r, f = data.draw(st.integers(1, 3)), data.draw(st.integers(1, MAX_POWER))
+    lam = sort_class(data.draw(st.tuples(*[st.integers(-12, 12)] * r)))
+    assert linear_reduction(lam, f) == reference_walk(lam, f)
 
 
 # every window the builder accepts at r <= 3, f <= 4 up to 2f+6, and the widest in use
@@ -450,6 +497,24 @@ def test_translation_classes_group_the_targets(r, f, window):
         spans[key] = (min(low, shift), max(high, shift))
     listed = list(finiteness.translation_classes(r, f, window))
     assert sorted(listed) == sorted((key, low, high) for key, (low, high) in spans.items())
+
+
+@pytest.mark.parametrize("r, f, window", CLASS_WINDOWS + [(3, 4, 10)])
+def test_every_class_expression_is_its_own_walk(r, f, window):
+    # the shared solve stores, per class key, what a fresh walk from that key finds
+    cert = finiteness_certificate(r, f, window)
+    for key, expr in cert.classes.items():
+        assert expr == reference_walk(key, f)
+
+
+@pytest.mark.parametrize("r, f, window", [(2, 4, 40), (3, 2, 7)])
+def test_build_and_verify_compute_one_product_per_class(r, f, window):
+    # the solve multiplies out each class's (lam0, f*mu) once, and verify looks each
+    # m_mu * m_gamma up as that product moved by mu_r, so it computes none of its own
+    _orbit_sum_product.cache_clear()
+    cert = finiteness_certificate(r, f, window)
+    assert cert.verify()
+    assert _orbit_sum_product.cache_info().misses == len(cert.classes)
 
 
 @pytest.mark.parametrize("r, f, window", CLASS_WINDOWS)
@@ -481,8 +546,8 @@ def test_expression_past_the_coefficient_window_exits_4(monkeypatch, capsys):
     # even the first target, translated by at least 0, carries past the window
     r, f, window = 2, 2, 6
 
-    def stretched(target, f):
-        expr = linear_reduction(target, f)
+    def stretched(target, f, *rest):
+        expr = linear_reduction(target, f, *rest)
         gamma = min(expr)
         return {**expr, gamma: {**expr[gamma], (f * (window + r + 1), 0): 1}}
 
@@ -511,9 +576,10 @@ def reference_verify(cert) -> bool:
     and lam' share one when lam - lam_r and lam' - lam'_r agree and
     lam_r = lam'_r mod f.  The window must be an int of at least
     max(1, r(f-1)), so that it holds every generator.  Every entry of a
-    generator, class key, target or B-class is an int and every
-    coefficient an int or a Fraction.  Every coefficient exponent must be
-    a multiple of f inside the coefficient window.
+    generator, class key, target or B-class is an int, every B-class has
+    r entries and every coefficient is an int or a Fraction.  Every
+    coefficient exponent must be a multiple of f inside the coefficient
+    window.
     """
     r, w, f = cert.r, cert.window, cert.f
     if type(w) is not int or w < max(1, max(max(g) for g in restricted_weights(r, f))):
@@ -534,7 +600,7 @@ def reference_verify(cert) -> bool:
             entries += gamma
             for cls, c in coeff.items():
                 entries += cls
-                if type(c) not in (int, Fraction):
+                if type(c) not in (int, Fraction) or len(cls) != r:
                     return False
     if any(type(x) is not int for x in entries):
         return False
@@ -600,6 +666,17 @@ def tamper(cert, fault: str):
     if fault == "extra class":
         # m_(f, ..., f) = u * m_0 is exact and in B, but (f, ..., f) is no class key
         return rebuilt(cert, classes={**cert.classes, (f,) * r: {(0,) * r: {(f,) * r: 1}}})
+    if fault == "B-class with an extra entry":
+        # the orbit product zips a B-class with the generator, so m_0 * m_(0, ..., 0, 0)
+        # with one 0 too many still comes to m_0
+        zero = (0,) * r
+        return rebuilt(cert, classes={**cert.classes, zero: {zero: {zero + (0,): 1}}})
+    if fault == "coefficient value on a translated B-class":
+        # verify expands m_mu * m_gamma as u^(mu_r / f) times a product with last entry 0
+        key, gamma, mu = next((k, g, mu) for k, e in sorted(cert.classes.items())
+                              for g, coeff in sorted(e.items()) for mu in sorted(coeff) if mu[-1])
+        expr = cert.classes[key]
+        return rebuilt(cert, classes={**cert.classes, key: {**expr, gamma: add_term(expr[gamma], mu, 1)}})
     # the first class whose expression uses two or more generators
     key, expr = next((k, e) for k, e in sorted(cert.classes.items()) if len(e) >= 2)
     gamma = min(expr)
@@ -623,11 +700,13 @@ def tamper(cert, fault: str):
 
 FAULTS = [
     "coefficient value",
+    "coefficient value on a translated B-class",
     "exponent not divisible by f",
     "expands correctly outside B",
     "empty expression",
     "dropped generator",
     "extra B-term",
+    "B-class with an extra entry",
     "trivial expression over a non-generator",
     "generator missing from the list",
     "extra generator",

@@ -70,7 +70,7 @@ VALUES = {
     OrbitComponent: (lambda: OrbitComponent.from_partition((2, 1)), lambda: OrbitComponent.from_partition((3,)),
                        "OrbitComponent(partition=(2, 1), distinct_parts=((2, 1), (1, 1)))"),
     ExtendedQuotient: (lambda: extended_quotient(2), lambda: extended_quotient(1),
-                         "ExtendedQuotient(n=2, rows=(((2,), (1,)), ((1, 1), (2,))))"),
+                         "ExtendedQuotient(n=2)"),
     TorusPoint: (lambda: TorusPoint.make([[GaussianRational(2), GaussianRational(0, 1)]]),
                    lambda: TorusPoint.make([[GaussianRational(2)]]),
                    "TorusPoint(factors=((GaussianRational(0, 1), GaussianRational(2)),))"),
