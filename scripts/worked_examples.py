@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from basechange import (
     AdmissiblePair,
-    CharacterLabel,
     ExtensionData,
     GaussianRational,
     LocalFieldData,
@@ -68,14 +67,14 @@ def main():
     pair = AdmissiblePair(
         quad=ExtensionData(LocalFieldData(5, 5), e=2, f=1, galois=True, cyclic=True),
         quad_filtration=RamificationFiltration((2,)),
-        xi=CharacterLabel(2, 0),
+        xi=(2, 0),
         not_norm_factor=True,
         level_one_norm_factor=False,
     )
     lift = ExtensionData(LocalFieldData(5, 5), e=1, f=3, galois=True, cyclic=True)
     result = bc_gl2(pair, lift)
     print(f"  circle degree: {result.degree}")
-    print(f"  conductor: {pair.xi.conductor} -> {result.target_pair.xi.conductor}")
+    print(f"  conductor: {pair.xi[0]} -> {result.target_pair.xi[0]}")
     print(f"  EL/L: (e, f) = ({result.target_pair.quad.e}, {result.target_pair.quad.f})")
     print(f"  EL/E: (e, f) = ({result.el_over_e.e}, {result.el_over_e.f})")
     print(f"  K^1 acts by {result.degree}, K^0 by 1, torsion stays {result.torsion}")

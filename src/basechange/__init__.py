@@ -33,7 +33,6 @@ from .extquot import (
 )
 from .finiteness import FinitenessCertificate, WindowTooSmall, finiteness_certificate
 from .gl1 import (
-    CharacterLabel,
     Gl1BaseChange,
     TemperedDualGL1,
     UnramifiedQuasicharacter,

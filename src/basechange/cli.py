@@ -355,7 +355,7 @@ STAND_INS = {KMorphism: _render_dense, FinitenessCertificate: _render_reductions
 
 def _emit(args, payload: dict, lines: list[str]) -> int:
     """Write the payload (JSON, schema_version first, in bounded joined chunks as it renders) or the text lines."""
-    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
+    with open(args.output, "w") if args.output is not None else nullcontext(sys.stdout) as out:
         if args.format == "json":
             parts = _Chunks(out.write)
             _render({"schema_version": SCHEMA_VERSION, **payload}, parts)
@@ -427,14 +427,15 @@ def cmd_bc_gl2(args) -> int:
     pair = AdmissiblePair.from_json(_load_json_arg(args.pair))
     lift, _ = ExtensionData.from_json(_load_json_arg(args.lift))
     result = bc_gl2(pair, lift)
-    source = CircleSpace((f"T(E/F,c{pair.xi.conductor}.{pair.xi.index})",))
-    target = CircleSpace((f"T(EL/L,c{result.target_pair.xi.conductor}.{result.target_pair.xi.index})",))
+    (c, j), (target_c, target_j) = pair.xi, result.target_pair.xi
+    source = CircleSpace((f"T(E/F,c{c}.{j})",))
+    target = CircleSpace((f"T(EL/L,c{target_c}.{target_j})",))
     k0, k1 = induced_map(
         ProperCircleMap(source, target, ((source.components[0], target.components[0], result.degree),))
     )
     lines = [
         f"degree: {result.degree}",
-        f"conductor: {result.target_pair.xi.conductor}",
+        f"conductor: {target_c}",
         f"EL/L: e={result.target_pair.quad.e} f={result.target_pair.quad.f}",
         f"EL/E: e={result.el_over_e.e} f={result.el_over_e.f}",
         f"torsion: {result.torsion}",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Sequence
+from itertools import starmap
 
 from .gaussian import GaussianRational
 from .value import Records, Value
@@ -71,32 +72,27 @@ def validate_partition(parts: Sequence[int], n: int | None = None) -> tuple[int,
 
 
 class OrbitComponent(Value):
-    """One piece of the extended quotient, indexed by a partition.
+    """One piece of the extended quotient: its (partition, sym_powers) row.
 
     from_partition(cycle_type, n) is the piece X^g / Z(g) for a
     permutation g of S_n with that cycle type.
 
-    distinct_parts lists (part size n_i, multiplicity r_i) with the
-    n_i strictly decreasing; the geometric shape is the product of
-    Sym^{r_i}(C^x) in that order, of dimension sum r_i.  One is built per
-    partition, so __init__ is written out.
+    sym_powers lists the multiplicities r_i of the distinct part sizes
+    n_1 > ... > n_l of the partition; the geometric shape is the product
+    of Sym^{r_i}(C^x) in that order, of dimension sum r_i.
     """
 
-    __slots__ = ("partition", "distinct_parts")
-
-    def __init__(self, partition: tuple[int, ...], distinct_parts: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "distinct_parts", distinct_parts)
+    __slots__ = ("partition", "sym_powers")
 
     @staticmethod
     def from_partition(parts: Sequence[int], n: int | None = None) -> "OrbitComponent":
         parts = validate_partition(parts, n)
-        return OrbitComponent(parts, tuple(Counter(parts).items()))
+        return OrbitComponent(parts, tuple(Counter(parts).values()))
 
     @property
-    def sym_powers(self) -> tuple[int, ...]:
-        """The exponents (r_1, ..., r_l) of the symmetric-power factors."""
-        return tuple(r for _, r in self.distinct_parts)
+    def distinct_parts(self) -> tuple[tuple[int, int], ...]:
+        """The pairs (part size n_i, multiplicity r_i), the n_i strictly decreasing."""
+        return tuple(zip(dict.fromkeys(self.partition), self.sym_powers))
 
     @property
     def dimension(self) -> int:
@@ -135,7 +131,7 @@ class ExtendedQuotient(Value):
 
     @property
     def components(self) -> tuple[OrbitComponent, ...]:
-        return tuple(OrbitComponent(p, tuple(zip(dict.fromkeys(p), m))) for p, m in self.rows)
+        return tuple(starmap(OrbitComponent, self.rows))
 
     def to_json(self) -> dict:
         return {"n": self.n, "components": Records(_component_record, self.rows)}

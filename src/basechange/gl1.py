@@ -88,22 +88,6 @@ def _check_circle_rows(rows) -> None:
         raise ValueError("conductors, indices and degrees are nonnegative")
 
 
-class CharacterLabel(Value):
-    """Opaque name (conductor, index) for a unit-group character, as a GL(2) pair holds it.
-
-    conductor 0 is the unramified family; the index enumerates the
-    finitely many characters of each conductor and carries no structure.
-    """
-
-    __slots__ = ("conductor", "index")
-
-    def __post_init__(self):
-        _check_circle_rows(((self.conductor, self.index),))
-
-    def to_json(self) -> dict:
-        return _label_record(self.conductor, self.index)
-
-
 def labels_with_conductor(field: LocalFieldData, c: int) -> int:
     """How many unit-group characters of the field have conductor exactly c.
 

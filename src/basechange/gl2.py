@@ -28,7 +28,7 @@ from .localfield import (
     json_field,
     validate_extension_filtration,
 )
-from .gl1 import CharacterLabel
+from .gl1 import _check_circle_rows, _label_record
 from .value import Value
 
 
@@ -47,15 +47,18 @@ class OutOfScope(ValueError):
 class AdmissiblePair(Value):
     """Quadratic extension plus character, with certified admissibility flags.
 
-    not_norm_factor certifies that xi does not factor through the norm
-    map; level_one_norm_factor records whether the restriction of xi to
-    the first unit subgroup does; unitary certifies that xi is unitary.
+    xi is the character's (conductor, index) int pair, as a GL(1) circle is.  not_norm_factor
+    certifies that xi does not factor through the norm map; level_one_norm_factor records
+    whether the restriction of xi to the first unit subgroup does; unitary that xi is unitary.
     """
 
     __slots__ = ("quad", "quad_filtration", "xi", "not_norm_factor", "level_one_norm_factor", "unitary")
     _defaults = {"unitary": True}
 
     def __post_init__(self):
+        if type(self.xi) is not tuple or len(self.xi) != 2:
+            raise TypeError(f"xi must be a (conductor, index) pair, got {self.xi!r}")
+        _check_circle_rows((self.xi,))
         if self.quad.n != 2:
             raise ValueError("an admissible pair needs a quadratic extension")
         validate_extension_filtration(self.quad, self.quad_filtration)
@@ -63,7 +66,7 @@ class AdmissiblePair(Value):
     def to_json(self) -> dict:
         return {
             "quad": self.quad.to_json(self.quad_filtration),
-            "xi": {**self.xi.to_json(), "unitary": self.unitary},
+            "xi": {**_label_record(*self.xi), "unitary": self.unitary},
             "flags": {
                 "not_norm_factor": self.not_norm_factor,
                 "level_one_norm_factor": self.level_one_norm_factor,
@@ -78,9 +81,7 @@ class AdmissiblePair(Value):
         return AdmissiblePair(
             quad=ext,
             quad_filtration=filt,
-            xi=CharacterLabel(
-                json_field(xi["conductor"], int, "conductor"), json_field(xi.get("index", 0), int, "index")
-            ),
+            xi=(json_field(xi["conductor"], int, "conductor"), json_field(xi.get("index", 0), int, "index")),
             unitary=json_field(xi.get("unitary", True), bool, "unitary"),
             not_norm_factor=json_field(flags.get("not_norm_factor", False), bool, "not_norm_factor"),
             level_one_norm_factor=json_field(
@@ -147,10 +148,11 @@ class Gl2BaseChange(Value):
     torsion = 1
 
     def to_json(self) -> dict:
+        conductor, _ = self.target_pair.xi
         return {
             "target_pair": self.target_pair.to_json(),
             "degree": self.degree,
-            "conductor": self.target_pair.xi.conductor,
+            "conductor": conductor,
             "compositum": {"EL/L": self.target_pair.quad.to_json(), "EL/E": self.el_over_e.to_json()},
             "torsion": self.torsion,
         }
@@ -172,12 +174,12 @@ def bc_gl2(pair: AdmissiblePair, lift: ExtensionData) -> Gl2BaseChange:
         raise EvenDegree("the lifting extension must have odd degree")
 
     el_over_l, el_over_e = compositum_invariants(pair.quad, lift)
-    # conductor transport along the unramified EL/E: the empty filtration
-    conductor = conductor_transport(RamificationFiltration(), pair.xi.conductor)
+    conductor, index = pair.xi
     target_pair = AdmissiblePair(
         quad=el_over_l,
-        quad_filtration=RamificationFiltration.tame_default(2),
-        xi=CharacterLabel(conductor, pair.xi.index),
+        quad_filtration=RamificationFiltration((2,)),
+        # conductor transport along the unramified EL/E: the empty filtration
+        xi=(conductor_transport(RamificationFiltration(), conductor), index),
         not_norm_factor=True,  # the transported pair is again admissible
         level_one_norm_factor=False,
         unitary=pair.unitary,

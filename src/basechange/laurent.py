@@ -56,6 +56,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
+from operator import add
 
 ExponentVector = tuple[int, ...]
 Coefficient = int | Fraction  # exact; never a float or a bool
@@ -84,20 +85,21 @@ def _orbit_sum_product(a: ExponentVector, b: ExponentVector) -> tuple[tuple[Expo
     The multiplicity of m_lam counts the pairs (u, v) in orbit(a) x
     orbit(b) with u + v = lam; it is read off one orbit only, by the
     product rule in the module docstring.  The shorter orbit, the one
-    with the larger stabiliser, is walked.  Cached so that a certificate
-    computes it once per translation class: the solve multiplies out each
-    class's (f*mu, lam0), last entry 0, and verify looks each of its
-    products up as that one moved by a unit.
+    with the larger stabiliser, is walked, counting the v that land in
+    each class sort(a + v); |Stab(a + v)| depends only on that class, so
+    it is taken once per class.  Cached so that a certificate computes it
+    once per translation class: the solve multiplies out each class's
+    (f*mu, lam0), last entry 0, and verify looks each of its products up
+    as that one moved by a unit.
     """
     stab_a, stab_b = stabilizer_order(a), stabilizer_order(b)
     if stab_a > stab_b:
         a, b, stab_a = b, a, stab_b
     counts: dict[ExponentVector, int] = {}
     for v in set(permutations(b)):
-        w = tuple(x + y for x, y in zip(a, v))
-        lam = sort_class(w)
-        counts[lam] = counts.get(lam, 0) + stabilizer_order(w)
-    return tuple((lam, n // stab_a) for lam, n in counts.items())
+        lam = sort_class(map(add, a, v))
+        counts[lam] = counts.get(lam, 0) + 1
+    return tuple((lam, n * stabilizer_order(lam) // stab_a) for lam, n in counts.items())
 
 
 def _exact(c) -> Coefficient:

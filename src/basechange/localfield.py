@@ -172,9 +172,7 @@ class ExtensionData(Value):
 
     def to_json(self, filtration: RamificationFiltration | None = None) -> dict:
         out = {
-            "q": self.base.q,
-            "p": self.base.p,
-            "char_zero": self.base.char_zero,
+            **self.base.to_json(),
             "e": self.e,
             "f": self.f,
             "galois": self.galois,
@@ -204,15 +202,12 @@ class ExtensionData(Value):
             galois=json_field(obj.get("galois", False), bool, "galois"),
             cyclic=json_field(obj.get("cyclic", False), bool, "cyclic"),
         )
-        if "filtration_orders" not in obj:
-            if ext.is_wild:
-                raise ValueError(
-                    f"a wild extension (p={ext.base.p} divides e={ext.e}) must list filtration_orders"
-                )
-            filt = RamificationFiltration.tame_default(ext.e)
-        else:
-            orders = json_field(obj["filtration_orders"], list, "filtration_orders")
-            filt = RamificationFiltration(json_field(g, int, "filtration_orders") for g in orders)
+        if "filtration_orders" not in obj and ext.is_wild:
+            raise ValueError(
+                f"a wild extension (p={ext.base.p} divides e={ext.e}) must list filtration_orders"
+            )
+        orders = json_field(obj.get("filtration_orders", [ext.e]), list, "filtration_orders")
+        filt = RamificationFiltration(json_field(g, int, "filtration_orders") for g in orders)
         validate_extension_filtration(ext, filt)
         return ext, filt
 
@@ -244,11 +239,6 @@ class RamificationFiltration(Value):
         while orders and orders[-1] == 1:
             orders = orders[:-1]
         object.__setattr__(self, "orders", orders)
-
-    @staticmethod
-    def tame_default(e: int) -> "RamificationFiltration":
-        """The filtration forced by tameness: G_0 of order e, G_1 trivial."""
-        return RamificationFiltration((e,) if e > 1 else ())
 
     @property
     def e(self) -> int:

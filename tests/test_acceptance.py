@@ -15,7 +15,6 @@ from basechange.extquot import extended_quotient
 from basechange.finiteness import finiteness_certificate
 from basechange.gaussian import GaussianRational
 from basechange.gl1 import (
-    CharacterLabel,
     TemperedDualGL1,
     UnramifiedQuasicharacter,
     bc_gl1,
@@ -188,13 +187,13 @@ def test_criterion_07_gl2_theorem():
             pair = AdmissiblePair(
                 quad=ExtensionData(LocalFieldData(5, 5), e=2, f=1, galois=True, cyclic=True),
                 quad_filtration=RamificationFiltration((2,)),
-                xi=CharacterLabel(conductor, 0),
+                xi=(conductor, 0),
                 not_norm_factor=True,
                 level_one_norm_factor=False,
             )
             lift = ExtensionData(LocalFieldData(5, 5), e=1, f=lift_f, galois=True, cyclic=True)
             result = bc_gl2(pair, lift)
-            ok = ok and result.target_pair.xi.conductor == conductor
+            ok = ok and result.target_pair.xi[0] == conductor
             ok = ok and result.degree == lift_f
             ok = ok and result.target_pair.quad.e == 2
             source = CircleSpace(("T_source",))

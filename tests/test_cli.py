@@ -22,7 +22,7 @@ from basechange import cli, laurent
 from basechange.cli import COMMANDS, _render, build_parser, main
 from basechange.extquot import OrbitComponent, extended_quotient
 from basechange.finiteness import FinitenessCertificate, finiteness_certificate
-from basechange.gl1 import MAX_CIRCLES, CharacterLabel
+from basechange.gl1 import MAX_CIRCLES
 from basechange.ktheory import KMorphism, induced_map
 from basechange.value import Records
 from test_ktheory import _grids, from_grid, proper_maps
@@ -847,13 +847,7 @@ def test_no_request_builds_a_polynomial_object(capsys, monkeypatch, argv):
     (CYCLIC_WILD_CUBIC, "json", "e0bfe1e549a2ffd5e24f0a45cf624c9e8a5af98a267b2052b4d8679a63bd6512"),
     (CYCLIC_WILD_CUBIC, "text", "9f158001c2041faf52d926a56fdddfce67edc2cea762d23141f63ef3e91d55e6"),
 ], ids=["tame-json", "tame-text", "wild-json", "wild-text"])
-def test_bc_gl1_builds_no_character_label(capsys, monkeypatch, extension, fmt, digest):
-    # a circle is its (conductor, index) int pair; CharacterLabel is GL(2)'s xi
-    def refuse(self, *args):
-        raise AssertionError("bc-gl1 built or hashed a CharacterLabel")
-
-    monkeypatch.setattr(CharacterLabel, "__post_init__", refuse)
-    monkeypatch.setattr(CharacterLabel, "__hash__", refuse)
+def test_bc_gl1_output_digests_at_bound_5(capsys, extension, fmt, digest):
     code, out, _ = run(capsys, "bc-gl1", "--extension", extension, "--max-conductor", "5", "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -874,6 +868,13 @@ def test_output_file(tmp_path, capsys):
         assert code == 0
         assert run(capsys, *argv, "--output", str(out)) == (0, "", "")
         assert out.read_bytes() == stdout.encode()
+
+
+def test_an_empty_output_path_is_refused(capsys):
+    # an empty --output names no file; it is not read as "write to stdout"
+    assert run(capsys, "psi", "--orders", "3", "--x", "1", "--output", "") == (
+        2, "", "error: [Errno 2] No such file or directory: ''\n"
+    )
 
 
 # the pinned wide certificate, and the pinned q=3 M=5 bc-gl1 JSON, with

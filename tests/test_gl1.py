@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from basechange.gaussian import GaussianRational, I
 from basechange.gl1 import (
-    CharacterLabel,
     Gl1BaseChange,
     TemperedDualGL1,
     UnramifiedQuasicharacter,
@@ -124,19 +123,6 @@ def test_enumerated_dual():
     assert len(dual.circles) == unit_quotient_order(field(), 2)
     assert dual.circles[0] == (0, 0)
     assert dual.circles[1] == (1, 0)
-
-
-@pytest.mark.parametrize("conductor, index", [(True, 0), (1.0, 0), (0, False), (0, 1.0), ("1", 0)])
-def test_character_label_refuses_a_conductor_or_index_that_is_not_an_int(conductor, index):
-    # a bool or a float would print as true or 1.0, and a %d template as 1
-    with pytest.raises(TypeError):
-        CharacterLabel(conductor, index)
-
-
-@pytest.mark.parametrize("conductor, index", [(-1, 0), (0, -1)])
-def test_character_label_refuses_a_negative_conductor_or_index(conductor, index):
-    with pytest.raises(ValueError):
-        CharacterLabel(conductor, index)
 
 
 def test_base_change_refuses_a_degree_that_is_not_an_int():

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from basechange.gl1 import CharacterLabel
 from basechange.gl2 import (
     AdmissiblePair,
     EvenDegree,
@@ -28,11 +27,11 @@ def ramified_quadratic(base=None):
     return ExtensionData(base or base_field(), e=2, f=1, galois=True, cyclic=True)
 
 
-def make_pair(conductor=2, base=None, not_norm=True, level_one=False, unitary=True, orders=(2,)):
+def make_pair(conductor=2, base=None, not_norm=True, level_one=False, unitary=True, orders=(2,), index=0):
     return AdmissiblePair(
         quad=ramified_quadratic(base),
         quad_filtration=RamificationFiltration(orders),
-        xi=CharacterLabel(conductor, 0),
+        xi=(conductor, index),
         not_norm_factor=not_norm,
         level_one_norm_factor=level_one,
         unitary=unitary,
@@ -60,11 +59,30 @@ def test_validate_admissible_examples():
     assert validate_admissible(make_pair(not_norm=False, level_one=True)) == [CONDITION_1, CONDITION_2]
 
 
+@pytest.mark.parametrize("conductor, index", [(True, 0), (1.0, 0), (0, False), (0, 1.0), ("1", 0)])
+def test_admissible_pair_refuses_a_conductor_or_index_that_is_not_an_int(conductor, index):
+    # a bool or a float would print as true or 1.0, and a %d template as 1
+    with pytest.raises(TypeError):
+        make_pair(conductor=conductor, index=index)
+
+
+@pytest.mark.parametrize("conductor, index", [(-1, 0), (0, -1)])
+def test_admissible_pair_refuses_a_negative_conductor_or_index(conductor, index):
+    with pytest.raises(ValueError):
+        make_pair(conductor=conductor, index=index)
+
+
+@pytest.mark.parametrize("xi", [(2,), (2, 0, 0), [2, 0], "20", 2, None], ids=repr)
+def test_admissible_pair_refuses_a_xi_that_is_not_a_pair(xi):
+    with pytest.raises(TypeError, match="xi must be a"):
+        AdmissiblePair(ramified_quadratic(), RamificationFiltration((2,)), xi, True, False)
+
+
 def test_level_one_factoring_is_fine_for_unramified_pairs():
     pair = AdmissiblePair(
         quad=ExtensionData(base_field(), e=1, f=2, galois=True, cyclic=True),
         quad_filtration=RamificationFiltration(),
-        xi=CharacterLabel(1, 0),
+        xi=(1, 0),
         not_norm_factor=True,
         level_one_norm_factor=True,
     )
@@ -122,7 +140,7 @@ def test_compositum_multiplicativity_both_routes(f, qp):
 def test_bc_gl2_example():
     result = bc_gl2(make_pair(conductor=2), unramified_lift(3))
     assert result.degree == 3
-    assert result.target_pair.xi.conductor == 2
+    assert result.target_pair.xi[0] == 2
     assert result.target_pair.quad.e == 2
     assert result.target_pair.quad.f == 1
     assert result.el_over_e.f == 3
@@ -134,7 +152,7 @@ def test_bc_gl2_identity_lift():
     pair = make_pair(conductor=1)
     result = bc_gl2(pair, unramified_lift(1))
     assert result.degree == 1
-    assert result.target_pair.xi.conductor == 1
+    assert result.target_pair.xi[0] == 1
     assert result.target_pair.quad == pair.quad
     assert result.target_pair.xi == pair.xi
 
@@ -147,7 +165,7 @@ def test_bc_gl2_degree_five():
     assert psi(RamificationFiltration(), 1) == 1
     result = bc_gl2(make_pair(conductor=1), unramified_lift(5))
     assert result.degree == 5
-    assert result.target_pair.xi.conductor == 1
+    assert result.target_pair.xi[0] == 1
 
 
 @given(st.integers(1, 8), st.sampled_from([1, 3, 5, 7]), st.sampled_from(BASES))
@@ -156,7 +174,7 @@ def test_bc_gl2_preserves_conductor(conductor, f, qp):
     base = base_field(*qp)
     pair = make_pair(conductor=conductor, base=base)
     result = bc_gl2(pair, unramified_lift(f, base))
-    assert result.to_json()["conductor"] == result.target_pair.xi.conductor == conductor
+    assert result.to_json()["conductor"] == result.target_pair.xi[0] == conductor
 
 
 def test_bc_gl2_errors():
@@ -190,7 +208,7 @@ def test_bc_gl2_tower_coherence(f1, f2):
     second = bc_gl2(first.target_pair, lift2)
     direct = bc_gl2(pair, unramified_lift(f1 * f2))
     assert second.degree * first.degree == direct.degree == f1 * f2
-    assert second.target_pair.xi.conductor == direct.target_pair.xi.conductor == 3
+    assert second.target_pair.xi[0] == direct.target_pair.xi[0] == 3
     assert second.target_pair.quad.base == direct.target_pair.quad.base
 
 

@@ -1,5 +1,7 @@
 import operator
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 from math import factorial
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from basechange.laurent import (
     InvariantLaurentPoly,
     LaurentPoly,
+    _orbit_sum_product,
     sort_class,
     stabilizer_order,
     staircase_basis,
@@ -182,6 +185,16 @@ def test_orbit_sum_product_matches_expansion(r, data):
     assert (ia * ib).expand() == ia.expand() * ib.expand()
     for product in (ia * ib, ia * one, ia.expand() * ib.expand()):
         assert all(type(c) is int for c in product.terms.values())
+
+
+def test_orbit_sum_product_counts_orbit_pairs_at_rank_4():
+    # the multiplicity of m_lam is the number of (u, v) in orbit(a) x orbit(b) with u + v = lam
+    classes = [sort_class(c) for c in combinations_with_replacement((-1, 0, 1, 3), 4)]
+    orbits = {a: set(permutations(a)) for a in classes}
+    for a in classes:
+        for b in classes:
+            sums = Counter(tuple(map(operator.add, u, v)) for u in orbits[a] for v in orbits[b])
+            assert dict(_orbit_sum_product(a, b)) == {lam: n for lam, n in sums.items() if lam == sort_class(lam)}
 
 
 def test_orbit_sum_product_with_stabilisers():

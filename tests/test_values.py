@@ -21,7 +21,6 @@ from basechange.extquot import ExtendedQuotient, OrbitComponent, TorusPoint, ext
 from basechange.finiteness import FinitenessCertificate, finiteness_certificate
 from basechange.gaussian import GaussianRational
 from basechange.gl1 import (
-    CharacterLabel,
     Gl1BaseChange,
     TemperedDualGL1,
     UnramifiedQuasicharacter,
@@ -35,13 +34,13 @@ from circle_oracles import Arc
 F3 = "LocalFieldData(q=3, p=3, char_zero=True)"
 QUAD = "ExtensionData(base=LocalFieldData(q=5, p=5, char_zero=True), e=2, f=1, galois=True, cyclic=True)"
 PAIR = (f"AdmissiblePair(quad={QUAD}, quad_filtration=RamificationFiltration(orders=(2,)), "
-        "xi=CharacterLabel(conductor=2, index=0), not_norm_factor=True, "
+        "xi=(2, 0), not_norm_factor=True, "
         "level_one_norm_factor=False, unitary=True)")
 
 
 def _pair():
     quad = ExtensionData(LocalFieldData(5, 5), 2, 1, galois=True, cyclic=True)
-    return AdmissiblePair(quad, RamificationFiltration((2,)), CharacterLabel(2, 0), True, False)
+    return AdmissiblePair(quad, RamificationFiltration((2,)), (2, 0), True, False)
 
 
 def _gl2():
@@ -68,7 +67,7 @@ VALUES = {
     RamificationFiltration: (lambda: RamificationFiltration([3, 3, 1]), lambda: RamificationFiltration([3]),
                                "RamificationFiltration(orders=(3, 3))"),
     OrbitComponent: (lambda: OrbitComponent.from_partition((2, 1)), lambda: OrbitComponent.from_partition((3,)),
-                       "OrbitComponent(partition=(2, 1), distinct_parts=((2, 1), (1, 1)))"),
+                       "OrbitComponent(partition=(2, 1), sym_powers=(1, 1))"),
     ExtendedQuotient: (lambda: extended_quotient(2), lambda: extended_quotient(1),
                          "ExtendedQuotient(n=2)"),
     TorusPoint: (lambda: TorusPoint.make([[GaussianRational(2), GaussianRational(0, 1)]]),
@@ -86,8 +85,6 @@ VALUES = {
     UnramifiedQuasicharacter: (lambda: UnramifiedQuasicharacter(GaussianRational(0, 1)),
                                  lambda: UnramifiedQuasicharacter(GaussianRational(1)),
                                  "UnramifiedQuasicharacter(z=GaussianRational(0, 1))"),
-    CharacterLabel: (lambda: CharacterLabel(1, 0), lambda: CharacterLabel(0, 1),
-                       "CharacterLabel(conductor=1, index=0)"),
     TemperedDualGL1: (lambda: TemperedDualGL1.enumerate(LocalFieldData(3, 3), 1),
                         lambda: TemperedDualGL1.enumerate(LocalFieldData(3, 3), 0),
                         f"TemperedDualGL1(base={F3}, bound=1, circles=((0, 0), (1, 0)))"),
