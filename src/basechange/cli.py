@@ -202,7 +202,7 @@ def _render(value, parts: _Chunks, indent: str = "\n") -> None:
                 parts.append(glue)
                 glue = sep
                 _render(v, parts, inner)
-                if len(parts) > parts.counted + 256:  # a flush per item slowed extquot's many small items
+                if len(parts) > parts.counted + 256:  # a flush per item would slow lists of many small items
                     parts.flush()
             parts.append(indent + "]")
 
@@ -411,7 +411,7 @@ def cmd_bc_gl1(args) -> int:
         "conductor map: " + ", ".join(f"{c} -> {v}" for c, v in sorted(bc.conductor_map.items())),
     ]
     if args.format == "text":  # JSON writes the pairs from their rows
-        lines += [f"({c},{j}) -> ({tc},{tj}) degree {degree}" for c, j, tc, tj, degree in bc.pairs]
+        lines += [f"({c},{j}) -> ({tc},{tj}) degree {bc.f}" for c, j, tc, tj in bc.pairs]
     payload = {
         "extension": ext.to_json(filt),
         "degree": bc.f,

@@ -6,7 +6,8 @@ pieces X^g / Z(g), one for each conjugacy class of S_n, i.e. one for
 each partition of n.  If the partition has distinct part sizes
 n_1 > ... > n_l with multiplicities r_1, ..., r_l, the piece is the
 product Sym^{r_1}(C^x) x ... x Sym^{r_l}(C^x) of symmetric powers of the
-punctured line.
+punctured line.  An OrbitComponent is held as its partition alone, and
+the r_i are read off it.
 
 Points carry exact Gaussian rational coordinates, with multiset
 semantics inside each symmetric-power factor, and base change for an
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from itertools import starmap
 
 from .gaussian import GaussianRational
 from .value import Records, Value
@@ -72,22 +72,27 @@ def validate_partition(parts: Sequence[int], n: int | None = None) -> tuple[int,
 
 
 class OrbitComponent(Value):
-    """One piece of the extended quotient: its (partition, sym_powers) row.
+    """One piece of the extended quotient, held as its partition.
 
     from_partition(cycle_type, n) is the piece X^g / Z(g) for a
-    permutation g of S_n with that cycle type.
+    permutation g of S_n with that cycle type, checked to sum to n.
 
-    sym_powers lists the multiplicities r_i of the distinct part sizes
-    n_1 > ... > n_l of the partition; the geometric shape is the product
-    of Sym^{r_i}(C^x) in that order, of dimension sum r_i.
+    sym_powers, derived from the validated partition, lists the
+    multiplicities r_i of the distinct part sizes n_1 > ... > n_l; the
+    geometric shape is the product of Sym^{r_i}(C^x) in that order, of
+    dimension sum r_i.
     """
 
     __slots__ = ("partition", "sym_powers")
+    _fields = ("partition",)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "partition", validate_partition(self.partition))
+        object.__setattr__(self, "sym_powers", tuple(Counter(self.partition).values()))
 
     @staticmethod
     def from_partition(parts: Sequence[int], n: int | None = None) -> "OrbitComponent":
-        parts = validate_partition(parts, n)
-        return OrbitComponent(parts, tuple(Counter(parts).values()))
+        return OrbitComponent(validate_partition(parts, n))
 
     @property
     def distinct_parts(self) -> tuple[tuple[int, int], ...]:
@@ -116,7 +121,8 @@ class ExtendedQuotient(Value):
     n, an exact int in [1, MAX_TORUS_RANK], is the one field; rows is
     derived from it, one (partition, multiplicities) int row per
     component, the multiplicities being the exponents r_i of its
-    Sym^{r_i} factors.  components builds each row's OrbitComponent on demand.
+    Sym^{r_i} factors.  components builds an OrbitComponent from each
+    row's partition on demand.
     """
 
     __slots__ = ("n", "rows")
@@ -131,7 +137,7 @@ class ExtendedQuotient(Value):
 
     @property
     def components(self) -> tuple[OrbitComponent, ...]:
-        return tuple(starmap(OrbitComponent, self.rows))
+        return tuple(OrbitComponent(p) for p, _ in self.rows)
 
     def to_json(self) -> dict:
         return {"n": self.n, "components": Records(_component_record, self.rows)}

@@ -129,4 +129,3 @@ def _coerce(x) -> GaussianRational:
 
 I = GaussianRational(0, 1)
 ONE = GaussianRational(1)
-ZERO = GaussianRational(0)

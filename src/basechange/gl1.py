@@ -11,7 +11,7 @@ to a degree-(e, f) extension acts by
 
     z -> z^f          on each circle coordinate,
     c -> psi(c)       on conductors (the convex transition function),
-    (c, j) -> (psi(c), j)   on circles.
+    (c, j) -> (psi(c), j)   on circles, each of circle degree f.
 
 Integer Weil degrees make the exponent identity testable: a Weil element
 of E-side degree m has F-side degree f*m, so an unramified
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
+from functools import partial
 from itertools import chain
 
 from .gaussian import GaussianRational
@@ -92,15 +93,15 @@ def labels_with_conductor(field: LocalFieldData, c: int) -> int:
     """How many unit-group characters of the field have conductor exactly c.
 
     Differences of the unit-quotient orders: 1 for c = 0, q - 2 for
-    c = 1, (q-1)^2 * q^(c-2) beyond.
+    c = 1, (q-1)^2 * q^(c-2) beyond, the last formed with one power.
     """
     if c < 0:
         raise ValueError("conductors are nonnegative")
     if c == 0:
         return 1
     if c == 1:
-        return unit_quotient_order(field, 1) - 1
-    return unit_quotient_order(field, c) - unit_quotient_order(field, c - 1)
+        return field.q - 2
+    return (field.q - 1) ** 2 * field.q ** (c - 2)
 
 
 # Most circles TemperedDualGL1.enumerate builds.  KMorphism stores only its
@@ -132,9 +133,9 @@ class TemperedDualGL1(Value):
 
     circles is a tuple of (conductor, index) int pairs, and a circle is
     its position there.  The default enumeration lists, for each
-    conductor, exactly the number of characters the unit-quotient orders
-    allow; any explicit circle list respecting the same bounds is also
-    accepted.
+    conductor c, the labels_with_conductor(base, c) characters of that
+    conductor; an explicit circle list is accepted when it holds no more
+    circles of any conductor than that.
     """
 
     __slots__ = ("base", "bound", "circles")
@@ -157,13 +158,9 @@ class TemperedDualGL1(Value):
         conductors = Counter(c for c, _ in self.circles)
         if max(conductors, default=0) > self.bound:
             raise ValueError(f"a circle's conductor exceeds the truncation bound {self.bound}")
-        upto = 0
-        for c, count in sorted(conductors.items()):
-            upto += count
-            if upto > unit_quotient_order(self.base, max(c, 1)):
-                raise ValueError(
-                    f"more labels with conductor <= {c} than characters exist"
-                )
+        for c, count in conductors.items():
+            if count > labels_with_conductor(self.base, c):
+                raise ValueError(f"more circles of conductor {c} than characters exist")
 
     def to_json(self) -> dict:
         return {
@@ -176,24 +173,31 @@ class TemperedDualGL1(Value):
 class Gl1BaseChange(Value):
     """Component-matched description of base change on a truncated dual.
 
-    pairs lists (c, j, c', j', degree) int rows, one per source circle
-    (c, j), sent to the target (c', j') with that circle degree; the
-    conductor map is the transition function restricted to the occurring
-    conductors.  Target (conductor, index) pairs not hit by any source
-    (passed in explicitly) are retained so induced K-theory matrices show
-    their zero columns.
+    f is the circle degree of every pair, and pairs lists (c, j, c', j')
+    int rows, one per source circle (c, j), sent to the target (c', j');
+    conductor_map, the transition function restricted to the occurring
+    conductors, is read off the rows in first-appearance order, and rows
+    that send one conductor to two are refused.  Target (conductor, index)
+    pairs not hit by any source (passed in explicitly) are retained so
+    induced K-theory matrices show their zero columns.
     """
 
-    __slots__ = ("f", "pairs", "conductor_map", "extra_targets")
+    __slots__ = ("f", "pairs", "extra_targets", "conductor_map")
+    _fields = ("f", "pairs", "extra_targets")
     _defaults = {"extra_targets": ()}
 
     def __post_init__(self):
-        _check_circle_rows(self.pairs)
-        _check_circle_rows(self.extra_targets)
+        _check_circle_rows([(self.f,), *self.pairs, *self.extra_targets])
+        if {*map(len, self.pairs)} - {4}:
+            raise TypeError("a pair is a (c, j, c', j') row of four ints")
+        links = dict.fromkeys(row[:3:2] for row in self.pairs)  # the distinct (c, c'), in order
+        object.__setattr__(self, "conductor_map", dict(links.keys()))
+        if len(self.conductor_map) < len(links):
+            raise ValueError("the pairs send one conductor to two")
 
     def to_json(self) -> dict:
         return {
-            "pairs": Records(_pair_record, self.pairs),
+            "pairs": Records(partial(_pair_record, degree=self.f), self.pairs),
             "conductor_map": {str(c): v for c, v in sorted(self.conductor_map.items())},
         }
 
@@ -244,13 +248,8 @@ def bc_gl1(
                 f"collision table sends conductor {c} to "
                 f"{target_c}, but the transition function gives {cmap[c]}"
             )
-        pairs.append((c, j, target_c, target_j, ext.f))
-    return Gl1BaseChange(
-        f=ext.f,
-        pairs=tuple(pairs),
-        conductor_map=cmap,
-        extra_targets=tuple(extra_targets),
-    )
+        pairs.append((c, j, target_c, target_j))
+    return Gl1BaseChange(ext.f, tuple(pairs), tuple(extra_targets))
 
 
 def circle_map(bc: Gl1BaseChange) -> "ProperCircleMap":
@@ -262,7 +261,7 @@ def circle_map(bc: Gl1BaseChange) -> "ProperCircleMap":
     unmatched targets contribute visible zero columns.
     """
     sources = [f"c{c}.{j}" for c, j, *_ in bc.pairs]
-    hit = dict.fromkeys([*(row[2:4] for row in bc.pairs), *bc.extra_targets])
+    hit = dict.fromkeys([*(row[2:] for row in bc.pairs), *bc.extra_targets])
     targets = {(c, j): f"c{c}.{j}" for c, j in hit}
-    matches = tuple((src, targets[row[2:4]], row[4]) for src, row in zip(sources, bc.pairs))
+    matches = tuple((src, targets[row[2:]], bc.f) for src, row in zip(sources, bc.pairs))
     return ProperCircleMap(CircleSpace(sources), CircleSpace(targets.values()), matches)

@@ -16,18 +16,13 @@ the compositum EL/L is again totally ramified quadratic, EL/E is
 unramified of degree f(L/F), the transported character keeps its
 conductor (the transition function of an unramified extension is the
 identity), and on circles base change is z -> z^{f(L/F)}.  The torsion
-number (order of the unramified twist stabiliser) stays 1.
+number (order of the unramified twist stabiliser) stays 1.  The result
+stores the target pair and EL/E only: the degree is f(EL/E) = f(L/F).
 """
 
 from __future__ import annotations
 
-from .localfield import (
-    ExtensionData,
-    RamificationFiltration,
-    conductor_transport,
-    json_field,
-    validate_extension_filtration,
-)
+from .localfield import ExtensionData, RamificationFiltration, json_field, validate_extension_filtration
 from .gl1 import _check_circle_rows, _label_record
 from .value import Value
 
@@ -141,11 +136,15 @@ def compositum_invariants(quad: ExtensionData, lift: ExtensionData) -> tuple[Ext
 class Gl2BaseChange(Value):
     """Result of base change along an unramified odd-degree lift.
 
-    to_json reads EL/L and the conductor off the target pair; the torsion is always 1.
+    degree is f(EL/E); to_json reads EL/L and the conductor off the target pair; torsion is 1.
     """
 
-    __slots__ = ("target_pair", "degree", "el_over_e")
+    __slots__ = ("target_pair", "el_over_e")
     torsion = 1
+
+    @property
+    def degree(self) -> int:
+        return self.el_over_e.f
 
     def to_json(self) -> dict:
         conductor, _ = self.target_pair.xi
@@ -161,10 +160,10 @@ class Gl2BaseChange(Value):
 def bc_gl2(pair: AdmissiblePair, lift: ExtensionData) -> Gl2BaseChange:
     """Base change of a cuspidal circle along unramified odd-degree L/F.
 
-    Returns the target pair (EL/L, xi composed with the EL/E norm), the
-    circle degree f(L/F) and EL/E.  The conductor is preserved because
-    the conductor transition of the unramified extension EL/E is the
-    identity.
+    Returns the target pair (EL/L, xi composed with the EL/E norm) and
+    EL/E, whose residue degree f(L/F) is the circle degree.  xi keeps its
+    (conductor, index) pair because the conductor transition of the
+    unramified extension EL/E is the identity.
     """
     failures = validate_admissible(pair)
     if failures:
@@ -174,14 +173,12 @@ def bc_gl2(pair: AdmissiblePair, lift: ExtensionData) -> Gl2BaseChange:
         raise EvenDegree("the lifting extension must have odd degree")
 
     el_over_l, el_over_e = compositum_invariants(pair.quad, lift)
-    conductor, index = pair.xi
     target_pair = AdmissiblePair(
         quad=el_over_l,
         quad_filtration=RamificationFiltration((2,)),
-        # conductor transport along the unramified EL/E: the empty filtration
-        xi=(conductor_transport(RamificationFiltration(), conductor), index),
+        xi=pair.xi,
         not_norm_factor=True,  # the transported pair is again admissible
         level_one_norm_factor=False,
         unitary=pair.unitary,
     )
-    return Gl2BaseChange(target_pair=target_pair, degree=lift.f, el_over_e=el_over_e)
+    return Gl2BaseChange(target_pair, el_over_e)

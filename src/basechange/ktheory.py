@@ -26,8 +26,6 @@ from collections.abc import Iterable
 
 from .value import Records, Value
 
-Label = str
-
 
 class CircleSpace(Value):
     """Ordered finite union of labeled circles; labels must be unique.
@@ -40,7 +38,7 @@ class CircleSpace(Value):
     __slots__ = ("components", "positions")
     _fields = ("components",)
 
-    def __init__(self, components: Iterable[Label]):
+    def __init__(self, components: Iterable[str]):
         components = tuple(components)
         positions = {label: i for i, label in enumerate(components)}
         if len(positions) != len(components):

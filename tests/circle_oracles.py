@@ -85,4 +85,4 @@ def properness_check(
     bc: Gl1BaseChange, target: tuple[int, int], arc: Arc
 ) -> dict[tuple[int, int], tuple[Arc, ...]]:
     """Preimage arcs of a closed arc in one target circle (c', j'), per source circle (c, j)."""
-    return {(c, j): arc_preimage(degree, arc) for c, j, tc, tj, degree in bc.pairs if (tc, tj) == target}
+    return {(c, j): arc_preimage(bc.f, arc) for c, j, tc, tj in bc.pairs if (tc, tj) == target}

@@ -150,7 +150,7 @@ def test_criterion_05_gl1_ktheory_theorem():
         entries0, entries1 = k0.entries, k1.entries  # each read builds the dense rows
         matched = {
             (k1.row_labels.index(f"c{c}.{j}"), k1.col_labels.index(f"c{tc}.{tj}"))
-            for c, j, tc, tj, _ in bc.pairs
+            for c, j, tc, tj in bc.pairs
         }
         for i in range(len(k1.row_labels)):
             for j in range(len(k1.col_labels)):

@@ -138,6 +138,12 @@ def test_fixed_component_examples():
         OrbitComponent.from_partition((3, 2), 4)
     with pytest.raises(ValueError):
         OrbitComponent.from_partition((1, 3), 4)
+    # a component is its partition alone, checked however it is built
+    with pytest.raises(TypeError):
+        OrbitComponent((2, 1), (5,))
+    with pytest.raises(ValueError):
+        OrbitComponent((1, 2))
+    assert OrbitComponent([3, 1, 1]) == OrbitComponent.from_partition((3, 1, 1), 5)
 
 
 def test_partition_parts_must_be_ints():

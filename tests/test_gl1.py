@@ -128,15 +128,20 @@ def test_enumerated_dual():
 def test_base_change_refuses_a_degree_that_is_not_an_int():
     for degree in (2.0, True):
         with pytest.raises(TypeError):
-            Gl1BaseChange(degree, ((0, 0, 0, 0, degree),), {0: 0})
+            Gl1BaseChange(degree, ((0, 0, 0, 0),))
+    # the degree is f alone: a row carrying its own degree is refused
+    with pytest.raises(TypeError):
+        Gl1BaseChange(2, ((0, 0, 0, 0, 2),))
 
 
 def test_dual_validation():
     for circles, error in [
         (((0, 0), (0, 0)), ValueError),  # a duplicate
         (((2, 0),), ValueError),  # over the bound
-        # three circles of conductor <= 1 but only q - 1 = 2 characters exist
+        # two circles of conductor 1 but only q - 2 = 1 such character exists
         (((0, 0), (1, 0), (1, 1)), ValueError),
+        # two circles of conductor 0 but only the trivial character has it
+        (((0, 0), (0, 1)), ValueError),
         (((0, -1),), ValueError),
         (((True, 0),), TypeError),
         (((1.0, 0),), TypeError),
@@ -154,16 +159,17 @@ def test_bc_gl1_unramified():
     bc = bc_gl1(unramified(2), RamificationFiltration(), dual)
     assert bc.f == 2
     matched = [row for row in bc.pairs if row[:2] == (1, 0)]
-    assert matched == [(1, 0, 1, 0, 2)]
+    assert matched == [(1, 0, 1, 0)]
     assert bc.conductor_map == {0: 0, 1: 1, 2: 2}
+    assert circle_map(bc).matches[1] == ("c1.0", "c1.0", 2)
 
 
 def test_bc_gl1_tame_conductor_doubling():
     dual = TemperedDualGL1.enumerate(field(), 2)
     bc = bc_gl1(tame_quadratic(), RamificationFiltration((2,)), dual)
     assert bc.conductor_map == {0: 0, 1: 2, 2: 4}
-    assert (1, 0, 2, 0, 1) in bc.pairs
-    assert (0, 0, 0, 0, 1) in bc.pairs
+    assert (1, 0, 2, 0) in bc.pairs
+    assert (0, 0, 0, 0) in bc.pairs
 
 
 def test_bc_gl1_conductor_map_matches_transition_function():
@@ -173,6 +179,8 @@ def test_bc_gl1_conductor_map_matches_transition_function():
     bc = bc_gl1(ext, filt, dual)
     for c, v in bc.conductor_map.items():
         assert v == conductor_transport(filt, c)
+    # the map is the one the pairs carry, in the order they first show each conductor
+    assert list(bc.conductor_map.items()) == list(dict((c, tc) for c, _, tc, _ in bc.pairs).items())
 
 
 def test_bc_gl1_scope():
@@ -198,9 +206,10 @@ def test_bc_gl1_refuses_a_dual_of_another_field():
 
 
 def test_bc_gl1_collision_table():
-    dual = TemperedDualGL1(field(), 1, ((1, 0), (1, 1)))
+    # q = 5 has q - 2 = 3 characters of conductor 1
+    dual = TemperedDualGL1(field(5, 5), 1, ((1, 0), (1, 1)))
     bc = bc_gl1(
-        unramified(2),
+        unramified(2, q=5, p=5),
         RamificationFiltration(),
         dual,
         collisions={(1, 1): (1, 0)},
@@ -211,20 +220,23 @@ def test_bc_gl1_collision_table():
     assert k0.entries == ((1,), (1,))
     with pytest.raises(ValueError, match="transition function gives 1"):
         bc_gl1(
-            unramified(2),
+            unramified(2, q=5, p=5),
             RamificationFiltration(),
             dual,
             collisions={(1, 1): (2, 0)},
         )
+    # a record whose pairs send conductor 1 to both 3 and 5 has no conductor map
+    with pytest.raises(ValueError, match="one conductor to two"):
+        Gl1BaseChange(2, ((1, 0, 3, 0), (1, 1, 5, 0)))
 
 
 @pytest.mark.parametrize("index", [1.0, True, "0"])
 def test_bc_gl1_refuses_a_target_index_that_is_not_an_int(index):
-    dual = TemperedDualGL1(field(), 1, ((1, 0), (1, 1)))
+    dual = TemperedDualGL1(field(5, 5), 1, ((1, 0), (1, 1)))
     with pytest.raises(TypeError):
-        bc_gl1(unramified(2), RamificationFiltration(), dual, collisions={(1, 1): (1, index)})
+        bc_gl1(unramified(2, q=5, p=5), RamificationFiltration(), dual, collisions={(1, 1): (1, index)})
     with pytest.raises(TypeError):
-        bc_gl1(unramified(2), RamificationFiltration(), dual, extra_targets=[(1, index)])
+        bc_gl1(unramified(2, q=5, p=5), RamificationFiltration(), dual, extra_targets=[(1, index)])
 
 
 def test_circle_map_zero_columns_for_extra_targets():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from basechange.gl2 import (
     AdmissiblePair,
     EvenDegree,
+    Gl2BaseChange,
     NotUnramified,
     OutOfScope,
     bc_gl2,
@@ -144,6 +145,8 @@ def test_bc_gl2_example():
     assert result.target_pair.quad.e == 2
     assert result.target_pair.quad.f == 1
     assert result.el_over_e.f == 3
+    # the degree is EL/E's residue degree, not a second stored value
+    assert Gl2BaseChange(result.target_pair, result.el_over_e).degree == result.el_over_e.f
     assert result.torsion == 1
     assert validate_admissible(result.target_pair) == []
 
