@@ -11,7 +11,6 @@ from fractions import Fraction
 from basechange import (
     AdmissiblePair,
     ExtensionData,
-    GaussianRational,
     LocalFieldData,
     RamificationFiltration,
     TemperedDualGL1,
@@ -49,9 +48,11 @@ def main():
         assert all(phi(filt, psi(filt, x)) == x for x in points)
 
     banner("Steinberg curve, z -> z^f")
-    z = GaussianRational(1, 1)
+    re, im = 1, 0  # (1+i)^f as an int pair
     for f in (1, 2, 3, 4):
-        print(f"  (1+i)^{f} = {z ** f}")
+        re, im = re - im, re + im  # times 1+i
+        text = str(re) if im == 0 else f"{im}*i" if re == 0 else f"{re}{im:+d}*i"
+        print(f"  (1+i)^{f} = {text}")
 
     banner("GL(1) base change, tame quadratic over q=3, conductors <= 3")
     ext = ExtensionData(LocalFieldData(3, 3), e=2, f=1, galois=True, cyclic=True)

@@ -3,11 +3,10 @@
 Local-field invariants and transition functions, extended quotients of
 tori by symmetric groups, the tempered duals of GL(1) and GL(2) as
 circle unions, and the induced integer matrices on topological
-K-theory.  Everything is exact (rationals and Gaussian rationals); a
-CLI exposes the computations for batch use.
+K-theory.  Everything is exact (rationals); a CLI exposes the
+computations for batch use.
 """
 
-from .gaussian import GaussianRational
 from .localfield import (
     ExtensionData,
     LocalFieldData,
@@ -26,8 +25,6 @@ from .laurent import InvariantLaurentPoly, LaurentPoly
 from .extquot import (
     ExtendedQuotient,
     OrbitComponent,
-    TorusPoint,
-    base_change_point,
     extended_quotient,
     partitions_of,
 )
@@ -35,9 +32,7 @@ from .finiteness import FinitenessCertificate, WindowTooSmall, finiteness_certif
 from .gl1 import (
     Gl1BaseChange,
     TemperedDualGL1,
-    UnramifiedQuasicharacter,
     bc_gl1,
-    bc_unramified_quasichar,
     circle_map,
 )
 from .gl2 import (

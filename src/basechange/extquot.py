@@ -1,4 +1,4 @@
-"""The extended quotient (C^x)^n // S_n and base change on its points.
+"""The extended quotient (C^x)^n // S_n, listed by its components.
 
 The symmetric group S_n acts on the n-torus (C^x)^n by permuting
 coordinates.  The extended quotient decomposes as a disjoint union of
@@ -9,19 +9,17 @@ product Sym^{r_1}(C^x) x ... x Sym^{r_l}(C^x) of symmetric powers of the
 punctured line.  An OrbitComponent is held as its partition alone, and
 the r_i are read off it.
 
-Points carry exact Gaussian rational coordinates, with multiset
-semantics inside each symmetric-power factor, and base change for an
-extension of residue degree f raises every coordinate to the f-th
-power.  The induced pullback on the invariant Laurent coordinate ring
-substitutes t_i -> t_i^f (``InvariantLaurentPoly.pullback``).
+Base change for an extension of residue degree f raises every
+coordinate to the f-th power; no point is held here, and the induced
+pullback on the invariant Laurent coordinate ring substitutes
+t_i -> t_i^f (``InvariantLaurentPoly.pullback``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
-from .gaussian import GaussianRational
 from .value import Records, Value
 
 MAX_TORUS_RANK = 30  # guard: cross-check oracles get factorial-ish beyond this
@@ -60,14 +58,12 @@ def partitions_of(n: int) -> list[tuple[int, ...]]:
     return [p for p, _ in _partition_rows(n)]
 
 
-def validate_partition(parts: Sequence[int], n: int | None = None) -> tuple[int, ...]:
+def validate_partition(parts: Sequence[int]) -> tuple[int, ...]:
     parts = tuple(parts)
     if not parts or any(type(p) is not int or p < 1 for p in parts):
         raise ValueError(f"{parts} is not a partition: parts must be positive ints")
     if any(a < b for a, b in zip(parts, parts[1:])):
         raise ValueError(f"{parts} is not weakly decreasing")
-    if n is not None and sum(parts) != n:
-        raise ValueError(f"{parts} does not sum to {n}")
     return parts
 
 
@@ -92,7 +88,10 @@ class OrbitComponent(Value):
 
     @staticmethod
     def from_partition(parts: Sequence[int], n: int | None = None) -> "OrbitComponent":
-        return OrbitComponent(validate_partition(parts, n))
+        component = OrbitComponent(parts)
+        if n is not None and component.n != n:
+            raise ValueError(f"{component.partition} does not sum to {n}")
+        return component
 
     @property
     def distinct_parts(self) -> tuple[tuple[int, int], ...]:
@@ -146,45 +145,3 @@ class ExtendedQuotient(Value):
 def extended_quotient(n: int) -> ExtendedQuotient:
     """One component per partition of n; n is capped at MAX_TORUS_RANK."""
     return ExtendedQuotient(n)
-
-
-class TorusPoint(Value):
-    """A point of a component: one multiset of coordinates per factor.
-
-    Coordinates are nonzero Gaussian rationals; each factor's tuple is
-    stored sorted by a fixed key so equality is multiset equality.
-    """
-
-    __slots__ = ("factors",)
-
-    @staticmethod
-    def make(coords_per_factor: Iterable[Iterable[GaussianRational]]) -> "TorusPoint":
-        canonical = []
-        for coords in coords_per_factor:
-            coords = tuple(coords)
-            for z in coords:
-                if not isinstance(z, GaussianRational):
-                    raise TypeError("coordinates must be Gaussian rationals")
-                if z.is_zero():
-                    raise ValueError("torus coordinates are nonzero")
-            canonical.append(tuple(sorted(coords, key=GaussianRational.sort_key)))
-        return TorusPoint(tuple(canonical))
-
-    def lies_on(self, component: OrbitComponent) -> bool:
-        powers = component.sym_powers
-        return len(self.factors) == len(powers) and all(
-            len(coords) == r for coords, r in zip(self.factors, powers)
-        )
-
-    def on_unit_torus(self) -> bool:
-        return all(z.on_unit_circle() for coords in self.factors for z in coords)
-
-
-def base_change_point(component: OrbitComponent, point: TorusPoint, f: int) -> TorusPoint:
-    """Raise every coordinate to the f-th power, exactly, factor by factor."""
-    if f < 1:
-        raise ValueError("the residue degree f must be >= 1")
-    if not point.lies_on(component):
-        raise ValueError("point does not lie on the given component")
-    return TorusPoint.make(tuple(z ** f for z in coords) for coords in point.factors)
-

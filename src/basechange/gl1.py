@@ -6,17 +6,14 @@ here only through its conductor and an opaque enumeration index, since
 that is all base change transports, so a circle is a (conductor, index)
 pair of ints; circle_map formats the "c{conductor}.{index}" labels that
 K-theory prints.  The circle coordinate is the value of a character at a
-fixed uniformiser, an exact Gaussian rational for us, and base change
-to a degree-(e, f) extension acts by
+fixed uniformiser, and base change to a degree-(e, f) extension acts by
 
     z -> z^f          on each circle coordinate,
     c -> psi(c)       on conductors (the convex transition function),
     (c, j) -> (psi(c), j)   on circles, each of circle degree f.
 
-Integer Weil degrees make the exponent identity testable: a Weil element
-of E-side degree m has F-side degree f*m, so an unramified
-quasicharacter with parameter z pulls back to the one with parameter
-z^f.
+No coordinate is held: base change records the degree f of z -> z^f
+on each circle, which is all K-theory reads.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from collections.abc import Sequence
 from functools import partial
 from itertools import chain
 
-from .gaussian import GaussianRational
 from .ktheory import CircleSpace, ProperCircleMap
 from .localfield import (
     ExtensionData,
@@ -38,34 +34,6 @@ from .localfield import (
     validate_extension_filtration,
 )
 from .value import Records, Value
-
-
-class UnramifiedQuasicharacter(Value):
-    """w -> z^(degree of w), determined by the nonzero parameter z."""
-
-    __slots__ = ("z",)
-
-    def __post_init__(self):
-        if self.z.is_zero():
-            raise ValueError("the parameter of a quasicharacter is nonzero")
-
-    def evaluate(self, m: int) -> GaussianRational:
-        return self.z ** m
-
-    @property
-    def tempered(self) -> bool:
-        return self.z.on_unit_circle()
-
-
-def bc_unramified_quasichar(
-    chi: UnramifiedQuasicharacter, f: int
-) -> UnramifiedQuasicharacter:
-    """Base change of an unramified quasicharacter: parameter z -> z^f."""
-    if type(f) is not int:
-        raise TypeError("residue degree f must be an int")
-    if f < 1:
-        raise ValueError("residue degree f must be >= 1")
-    return UnramifiedQuasicharacter(chi.z ** f)
 
 
 def _label_record(conductor: int, index: int) -> dict:
@@ -89,21 +57,6 @@ def _check_circle_rows(rows) -> None:
         raise ValueError("conductors, indices and degrees are nonnegative")
 
 
-def labels_with_conductor(field: LocalFieldData, c: int) -> int:
-    """How many unit-group characters of the field have conductor exactly c.
-
-    Differences of the unit-quotient orders: 1 for c = 0, q - 2 for
-    c = 1, (q-1)^2 * q^(c-2) beyond, the last formed with one power.
-    """
-    if c < 0:
-        raise ValueError("conductors are nonnegative")
-    if c == 0:
-        return 1
-    if c == 1:
-        return field.q - 2
-    return (field.q - 1) ** 2 * field.q ** (c - 2)
-
-
 # Most circles TemperedDualGL1.enumerate builds.  KMorphism stores only its
 # nonzero cells and the CLI streams the JSON, so memory stays small, but
 # schema 1 writes each K-theory matrix densely and output grows with the
@@ -111,21 +64,42 @@ def labels_with_conductor(field: LocalFieldData, c: int) -> int:
 MAX_CIRCLES = 2000
 
 
+def _capped_product(count: int, q: int, k: int, cap: int) -> int:
+    """count * q^k, except that the product stops growing once it passes cap.
+
+    A huge k then costs a handful of multiplications, and the returned
+    count is only known to exceed cap; it is exact whenever it is at most cap.
+    """
+    for _ in range(k):
+        if count > cap:
+            break
+        count *= q
+    return count
+
+
+def labels_with_conductor(field: LocalFieldData, c: int, cap: int = MAX_CIRCLES) -> int:
+    """How many unit-group characters of the field have conductor exactly c.
+
+    Differences of the unit-quotient orders: 1 for c = 0, q - 2 for
+    c = 1, (q-1)^2 * q^(c-2) beyond, the last a _capped_product, so a
+    count above cap is only known to exceed it.
+    """
+    if c < 0:
+        raise ValueError("conductors are nonnegative")
+    if c < 2:
+        return field.q - 2 if c else 1
+    return _capped_product((field.q - 1) ** 2, field.q, c - 2, cap)
+
+
 def circle_count(field: LocalFieldData, bound: int) -> int:
     """Circles of the truncation at bound: 1 for bound 0, else (q-1)*q^(bound-1).
 
-    The product stops growing once it passes MAX_CIRCLES, so a huge bound
-    costs a handful of multiplications; the returned count is then only
-    known to exceed the cap.
+    The latter is a _capped_product, so a count above MAX_CIRCLES is only
+    known to exceed it.
     """
     if bound < 0:
         raise ValueError("the truncation bound is nonnegative")
-    count = 1 if bound == 0 else unit_quotient_order(field, 1)
-    for _ in range(bound - 1):
-        if count > MAX_CIRCLES:
-            break
-        count *= field.q
-    return count
+    return 1 if bound == 0 else _capped_product(unit_quotient_order(field, 1), field.q, bound - 1, MAX_CIRCLES)
 
 
 class TemperedDualGL1(Value):
@@ -159,7 +133,7 @@ class TemperedDualGL1(Value):
         if max(conductors, default=0) > self.bound:
             raise ValueError(f"a circle's conductor exceeds the truncation bound {self.bound}")
         for c, count in conductors.items():
-            if count > labels_with_conductor(self.base, c):
+            if count > labels_with_conductor(self.base, c, cap=count):  # no power past the count is formed
                 raise ValueError(f"more circles of conductor {c} than characters exist")
 
     def to_json(self) -> dict:

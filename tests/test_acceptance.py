@@ -13,14 +13,7 @@ from math import comb
 from basechange.cli import main
 from basechange.extquot import extended_quotient
 from basechange.finiteness import finiteness_certificate
-from basechange.gaussian import GaussianRational
-from basechange.gl1 import (
-    TemperedDualGL1,
-    UnramifiedQuasicharacter,
-    bc_gl1,
-    bc_unramified_quasichar,
-    circle_map,
-)
+from basechange.gl1 import TemperedDualGL1, bc_gl1, circle_map
 from basechange.gl2 import AdmissiblePair, bc_gl2
 from basechange.ktheory import CircleSpace, ProperCircleMap, induced_map
 from basechange.localfield import (
@@ -32,6 +25,7 @@ from basechange.localfield import (
     psi,
 )
 from circle_oracles import circle_degree_oracle
+from points import GaussianRational, UnramifiedQuasicharacter, bc_unramified_quasichar
 
 SEED = 20240802
 

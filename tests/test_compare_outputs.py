@@ -9,7 +9,7 @@ SCRIPT = ROOT / "scripts" / "compare_outputs.py"
 
 
 def test_a_tree_compared_with_itself_shows_no_difference():
-    # every benchmark argv, each under the tree twice, in children of their own
+    # every benchmark argv under the tree twice, in two children of their own, one per tree
     proc = subprocess.run([sys.executable, str(SCRIPT), str(ROOT)], capture_output=True, text=True, timeout=600)
     assert (proc.returncode, proc.stdout) == (0, "")
     count, rest = proc.stderr.split(" argvs, ")

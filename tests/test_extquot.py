@@ -9,13 +9,11 @@ from basechange.extquot import (
     MAX_TORUS_RANK,
     ExtendedQuotient,
     OrbitComponent,
-    TorusPoint,
     _partition_rows,
-    base_change_point,
     extended_quotient,
     partitions_of,
 )
-from basechange.gaussian import GaussianRational, I
+from points import GaussianRational, I, TorusPoint, base_change_point
 
 
 def partition_count(n):

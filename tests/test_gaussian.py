@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from basechange.gaussian import GaussianRational, I, ONE
+from points import GaussianRational, I, ONE
 
 
 rationals = st.fractions(

@@ -1,16 +1,14 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from basechange.gaussian import GaussianRational, I
 from basechange.gl1 import (
     Gl1BaseChange,
     TemperedDualGL1,
-    UnramifiedQuasicharacter,
     bc_gl1,
-    bc_unramified_quasichar,
     circle_map,
     labels_with_conductor,
 )
@@ -24,6 +22,7 @@ from basechange.localfield import (
     unit_quotient_order,
 )
 from circle_oracles import Arc, arc_preimage, properness_check
+from points import GaussianRational, I, UnramifiedQuasicharacter, bc_unramified_quasichar
 
 
 def field(q=3, p=3):
@@ -149,6 +148,21 @@ def test_dual_validation():
     ]:
         with pytest.raises(error):
             TemperedDualGL1(field(), 1, circles)
+
+
+def test_a_huge_conductor_is_validated_without_its_power():
+    # (q-1)^2 q^(c-2) characters have conductor c; the check stops the product
+    # once it passes the count of circles given, instead of forming q^(10^7 - 2)
+    start = time.perf_counter()
+    assert TemperedDualGL1(field(), 10**7, ((10**7, 0),)).circles == ((10**7, 0),)
+    assert time.perf_counter() - start < 0.5
+    for circles in (((10**7, 0), (1, 0), (1, 1)), ((10**7, 0), (0, 0), (0, 1))):
+        with pytest.raises(ValueError, match="more circles of conductor"):
+            TemperedDualGL1(field(), 10**7, circles)
+    # at q = 2 every count is a power of two, and the cap must not stop short of it
+    assert TemperedDualGL1(field(2, 2), 5, tuple((5, j) for j in range(8))).bound == 5
+    with pytest.raises(ValueError, match="more circles of conductor 5"):
+        TemperedDualGL1(field(2, 2), 5, tuple((5, j) for j in range(9)))
 
 
 # -- base change on the dual -------------------------------------------------------

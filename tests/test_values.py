@@ -17,19 +17,14 @@ from pathlib import Path
 
 import pytest
 
-from basechange.extquot import ExtendedQuotient, OrbitComponent, TorusPoint, extended_quotient
+from basechange.extquot import ExtendedQuotient, OrbitComponent, extended_quotient
 from basechange.finiteness import FinitenessCertificate, finiteness_certificate
-from basechange.gaussian import GaussianRational
-from basechange.gl1 import (
-    Gl1BaseChange,
-    TemperedDualGL1,
-    UnramifiedQuasicharacter,
-    bc_gl1,
-)
+from basechange.gl1 import Gl1BaseChange, TemperedDualGL1, bc_gl1
 from basechange.gl2 import AdmissiblePair, Gl2BaseChange, bc_gl2
 from basechange.ktheory import CircleSpace, KMorphism, ProperCircleMap, compose_maps
 from basechange.localfield import ExtensionData, LocalFieldData, RamificationFiltration
 from circle_oracles import Arc
+from points import GaussianRational, TorusPoint, UnramifiedQuasicharacter
 
 F3 = "LocalFieldData(q=3, p=3, char_zero=True)"
 QUAD = "ExtensionData(base=LocalFieldData(q=5, p=5, char_zero=True), e=2, f=1, galois=True, cyclic=True)"
