@@ -10,8 +10,9 @@ Two table-driven checks, run from any directory:
   40, r=3 f=4 both as the CLI reads it directly and, with --verify
   abbreviated, as argparse reads it, extquot at n=30, the largest
   rank, in JSON and in text, bc-gl1 at q=3 M=6 along a wild cyclic
-  cubic, whose pairs change conductor, and bc-gl2 for a pair whose xi
-  has a nonzero index) runs in a child of its own,
+  cubic, whose pairs change conductor, bc-gl2 for a pair whose xi
+  has a nonzero index, and kmap's text for a 2000 x 2000 map with one
+  cell, at the MAX_KMAP_CELLS cap) runs in a child of its own,
   writes its output into a temporary directory, in the format its file
   name's suffix names (.json or .txt), and must keep its sha256 prefix
   and a peak RSS below 40 MiB.
@@ -22,6 +23,7 @@ Both print what they ran, and the failures go to stderr, one per line.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -40,9 +42,13 @@ PAIR = ('{"quad": {"q": 5, "p": 5, "e": 2, "f": 1, "galois": true, "cyclic": tru
         '"xi": {"conductor": 3, "index": 1, "unitary": true}, '
         '"flags": {"not_norm_factor": true, "level_one_norm_factor": false}}')
 LIFT = '{"q": 5, "p": 5, "e": 1, "f": 3, "galois": true, "cyclic": true, "filtration_orders": []}'
+LABELS = [f"c{i}" for i in range(2000)]
+# 33,861 bytes inline, well under the 128 KiB a single argument may hold on Linux
+KMAP = json.dumps({"source": LABELS, "target": LABELS, "matches": [{"from": "c1999", "to": "c0", "degree": 3}]})
 # output file, whose suffix names the format, sha256 prefix, argv; 1,458 circles,
 # 3,321 and 1,771 targets, 5,604 components, 486 circles (5,416,961 bytes),
-# 5,604 text lines (291,190 bytes), one GL(2) circle whose xi has index 1
+# 5,604 text lines (291,190 bytes), one GL(2) circle whose xi has index 1,
+# two 2000 x 2000 K-matrices as 4,002 text lines (16,008,008 bytes)
 PINS = [
     ("bc-gl1-m7.json", "c4dd9c4c6fc92a14", ["bc-gl1", "--extension", EXT, "--max-conductor", "7"]),
     ("cert-2-4-40.json", "f711c650dc704687", ["finiteness", "--r", "2", "--f", "4", "--window", "40", "--verify"]),
@@ -52,6 +58,7 @@ PINS = [
     ("bc-gl1-wild-m6.json", "d2ca06c757b16696", ["bc-gl1", "--extension", WILD, "--max-conductor", "6"]),
     ("extquot-30.txt", "35d8c351ba305f52", ["extquot", "--n", "30"]),
     ("bc-gl2-index-1.json", "0b475c4c25dae5df", ["bc-gl2", "--pair", PAIR, "--lift", LIFT]),
+    ("kmap-2000.txt", "58eaa1ac0e8afb2a", ["kmap", "--map", KMAP]),
 ]
 MAX_RSS_MIB = 40
 

@@ -8,10 +8,14 @@ diffable.  JSON goes to its destination while the renderer walks the
 payload, in joined writes of about FLUSH_CHARS characters, never as one
 document-sized string.  A K-theory matrix, a finiteness certificate and
 a Records list stand in their own payloads as the dense entries, the
-reductions and a list of int records: the matrix's rows are written from
-its nonzero cells, the certificate's reductions from one template per
-translation class, written from its stored expression, and a record
-list from one template per row layout, filled per row.
+reductions and a list of int records, and each yields its items already
+written: the matrix's rows spliced from its nonzero cells, the
+certificate's reductions from one template per translation class,
+written from its stored expression, and the records from one template
+per row layout, filled per row.  One list writer, _render_list, lays
+those items out and decides where each write falls.  Text output is
+written line by line as it is made; kmap's text rows are spliced from
+the cells as its JSON rows are.
 
 Exit codes: 0 success, 2 invalid input, 3 out-of-scope mathematics,
 4 finiteness window failure.
@@ -35,8 +39,8 @@ import sys
 from collections.abc import Sequence
 from contextlib import nullcontext
 from fractions import Fraction
-from functools import partial
-from itertools import groupby
+from functools import cache, partial
+from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -138,51 +142,38 @@ def _parse_orders(text: str) -> RamificationFiltration:
 
 
 class _Chunks(list):
-    """Text parts that go to write as one joined string once they hold FLUSH_CHARS characters.
+    """Text parts that flush writes out as one joined string, emptying the list; _render_list says when."""
 
-    flush adds the length of the parts appended since its last call to
-    held, and writes and empties the list once held reaches the budget.
-    A renderer calls it where a write may fall, having added at most
-    about one budget, or a few hundred small parts, since the last call.
-    """
-
-    __slots__ = ("write", "held", "counted")
+    __slots__ = ("write",)
 
     def __init__(self, write):
-        super().__init__()
-        self.write, self.held, self.counted = write, 0, 0
+        self.write = write
 
     def flush(self) -> None:
-        self.held += sum(map(len, self[self.counted:]))
-        if self.held >= FLUSH_CHARS:
-            self.write("".join(self))
-            self.clear()
-            self.held = 0
-        self.counted = len(self)
+        self.write("".join(self))
+        self.clear()
 
 
 def _render(value, parts: _Chunks, indent: str = "\n") -> None:
     """Render json.dumps(value, indent=2) into parts, which write it out in bounded joined chunks.
 
-    A non-leaf list flushes parts after an item once 256 parts have come
-    since the last flush; what is left in parts at the end follows what
-    was written.  indent is the newline and spaces that open this
-    value's line, and no level copies its children's text.  A KMorphism
-    stands for its dense rows, a FinitenessCertificate for its reductions
-    list and a Records for its records.  A list of plain ints or of plain
-    strs is one part; bool is an int subclass and False == 0.0 == 0,
-    hence the exact type test.
+    indent is the newline and spaces that open this value's line, and no
+    level copies its children's text.  A KMorphism stands for its dense
+    rows, a FinitenessCertificate for its reductions list and a Records for
+    its records: STAND_INS maps each to a generator of its items, already
+    written, and _render_list lays them out and flushes parts.  No other
+    list flushes, as every large list of a payload is a stand-in.  A list
+    of plain ints or of plain strs is one part; bool is an int subclass and
+    False == 0.0 == 0, hence the exact type test.
     """
     if isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
     elif type(value) is int:
         parts.append(int.__repr__(value))
+    elif type(value) in STAND_INS:
+        _render_list(STAND_INS[type(value)](value, indent + "  "), parts, indent)
     elif not isinstance(value, (list, tuple, dict)) or not value:
-        stand_in = STAND_INS.get(type(value))
-        if stand_in:
-            stand_in(value, parts, indent)
-        else:
-            parts.append(json.dumps(value))
+        parts.append(json.dumps(value))
     else:
         inner = indent + "  "
         sep = "," + inner
@@ -202,9 +193,27 @@ def _render(value, parts: _Chunks, indent: str = "\n") -> None:
                 parts.append(glue)
                 glue = sep
                 _render(v, parts, inner)
-                if len(parts) > parts.counted + 256:  # a flush per item would slow lists of many small items
-                    parts.flush()
             parts.append(indent + "]")
+
+
+def _render_list(items, parts: _Chunks, indent: str) -> None:
+    """Lay out at indent a list whose items are already written, flushing parts every FLUSH_CHARS characters.
+
+    The characters counted are this list's items and separators; parts is
+    flushed after the item that brings them to FLUSH_CHARS since the last
+    flush, so a write holds at most about FLUSH_CHARS, one item and the
+    text parts held when the list began.
+    """
+    inner = indent + "  "
+    glue, sep, held = "[" + inner, "," + inner, 0
+    for item in items:
+        parts += (glue, item)
+        held += len(glue) + len(item)
+        glue = sep
+        if held >= FLUSH_CHARS:
+            parts.flush()
+            held = 0
+    parts.append(indent + "]" if glue == sep else "[]")
 
 
 def _text(value, indent: str) -> str:
@@ -215,47 +224,31 @@ def _text(value, indent: str) -> str:
     return "".join(written + parts)
 
 
-def _render_dense(k: KMorphism, parts: _Chunks, indent: str) -> None:
-    """Render a KMorphism's dense rows into parts, each spliced from one all-zero row.
+def _spliced_rows(k: KMorphism, zero: str, start: int, step: int):
+    """Each dense row of k: zero, an all-zero row's text, with each cell's value for the 0 at start + col * step.
 
-    A row without cells is that string again; a row with cells is written
-    as the pieces of that string around its values, with the zero of column j at
-    len("[" + row_indent) + j * len("0," + row_indent) left out.  The
-    cells come in strictly increasing (row, col) order, so one pass over
-    them cuts each row left to right.  held counts the text added since
-    the last flush, all-zero rows included, and parts is flushed before
-    the row that would pass FLUSH_CHARS.  Each row is followed by a
-    separator, and the last one becomes the closing bracket.
+    The cells come in strictly increasing (row, col) order, so one pass
+    over them cuts each row left to right.
     """
-    rows, cols = len(k.row_labels), len(k.col_labels)
-    if not rows:
-        parts.append("[]")
-        return
-    inner = indent + "  "
-    row_indent = inner + "  "
-    zero = "[" + row_indent + ("," + row_indent).join("0" * cols) + inner + "]" if cols else "[]"
-    sep = "," + inner
-    start, step, size = len("[" + row_indent), len("0," + row_indent), len(zero + sep)
-    parts.append("[" + inner)
-    cells = groupby(k.cells, itemgetter(0))
-    (row, row_cells), held = next(cells, (rows, ())), 0
-    for i in range(rows):
-        if held >= FLUSH_CHARS:
-            parts.flush()
-            held = 0
-        if i < row:
-            parts += (zero, sep)
-        else:
-            cut = 0
-            for _, j, value in row_cells:
-                at = start + j * step
-                text = int.__repr__(value)
-                parts += (zero[cut:at], text)
-                cut, held = at + 1, held + len(text)
-            parts += (zero[cut:], sep)
-            row, row_cells = next(cells, (rows, ()))
-        held += size
-    parts[-1] = indent + "]"
+    done = 0
+    for i, row_cells in groupby(k.cells, itemgetter(0)):
+        yield from repeat(zero, i - done)
+        pieces, cut = [], 0
+        for _, j, value in row_cells:
+            at = start + j * step
+            pieces += (zero[cut:at], int.__repr__(value))
+            cut = at + 1
+        pieces.append(zero[cut:])
+        yield "".join(pieces)
+        done = i + 1
+    yield from repeat(zero, len(k.row_labels) - done)
+
+
+def _dense_rows(k: KMorphism, indent: str):
+    """A KMorphism's dense rows written at indent, each spliced from one all-zero row."""
+    row_indent = indent + "  "
+    zero = "[" + row_indent + ("," + row_indent).join("0" * len(k.col_labels)) + indent + "]" if k.col_labels else "[]"
+    return _spliced_rows(k, zero, len("[" + row_indent), len("0," + row_indent))
 
 
 def _record_template(build, args: list, indent: str) -> str:
@@ -263,45 +256,25 @@ def _record_template(build, args: list, indent: str) -> str:
     return _text(build(*args), indent).replace("%", "%%").replace('"%%d"', "%d")
 
 
-def _render_records(records: Records, parts: _Chunks, indent: str) -> None:
-    """Render a Records list into parts: one %-template per row layout, filled per row.
+def _records(records: Records, indent: str):
+    """A Records list's records written at indent: one %-template per row layout, filled per row.
 
     A row's layout is the lengths of its int tuples, or for a row of plain
     ints its own length.  Rows of plain ints share the first row's
-    template, and a batch of them about FLUSH_CHARS long is joined into one
-    part.  A row of tuples fills its layout's template with its ints in
-    order, and its texts are joined into one part once they hold about
-    FLUSH_CHARS.  Each template is written at this list's inner indent.
+    template, and are joined in batches about FLUSH_CHARS long, each batch
+    one item.  A row of tuples fills its layout's template with its ints in
+    order.
     """
     rows = records.rows
-    if not rows:
-        parts.append("[]")
-        return
-    inner = indent + "  "
-    glue, sep = "[" + inner, "," + inner
-    if tuple not in map(type, rows[0]):
-        template = _record_template(records.build, ["%d"] * len(rows[0]), inner)
-        batch = FLUSH_CHARS // (len(template) + len(sep)) + 1
+    if rows and tuple not in map(type, rows[0]):
+        template = _record_template(records.build, ["%d"] * len(rows[0]), indent)
+        batch = FLUSH_CHARS // (len(template) + len("," + indent)) + 1
         for first in range(0, len(rows), batch):
-            parts += (glue, sep.join(map(template.__mod__, rows[first:first + batch])))
-            glue = sep
-            parts.flush()
+            yield ("," + indent).join(map(template.__mod__, rows[first:first + batch]))
     else:
-        templates, texts, held = {}, [], 0
+        template = cache(lambda layout: _record_template(records.build, [("%d",) * k for k in layout], indent))
         for row in rows:
-            layout = tuple(map(len, row))
-            template = templates.get(layout)
-            if template is None:
-                template = templates[layout] = _record_template(records.build, [("%d",) * k for k in layout], inner)
-            texts.append(template % sum(row, ()))
-            held += len(texts[-1])
-            if held >= FLUSH_CHARS:
-                parts += (glue, sep.join(texts))
-                glue, texts, held = sep, [], 0
-                parts.flush()
-        if texts:
-            parts += (glue, sep.join(texts))
-    parts.append(indent + "]")
+            yield template(tuple(map(len, row))) % sum(row, ())
 
 
 def _json_list(items: list[str], indent: str) -> str:
@@ -329,40 +302,32 @@ def _class_template(expr: Expression, r: int, indent: str) -> tuple[str, list[in
     return f'{{{d1}"target": {_json_list(["%d"] * r, d1)},{d1}"terms": {_json_list(terms, d1)}{indent}}}', slots
 
 
-def _render_reductions(cert: FinitenessCertificate, parts: _Chunks, indent: str) -> None:
-    """Render a certificate's reductions into parts, one %-template per translation class.
+def _reductions(cert: FinitenessCertificate, indent: str):
+    """A certificate's reductions written at indent, one %-template per translation class.
 
-    _class_template writes a class's template at this list's inner indent, filled per member
-    (target, key, shift), targets ascending, with the target and the key's exponents moved by
-    the shift.  parts is flushed once the members since the last flush hold about FLUSH_CHARS.
+    _class_template writes a class's template, filled per member (target,
+    key, shift), targets ascending, with the target and the key's exponents
+    moved by the shift.
     """
-    inner, templates, held = indent + "  ", {}, 0
-    glue, sep = "[" + inner, "," + inner
+    template = cache(lambda key: _class_template(cert.classes[key], cert.r, indent))
     for lam, key, shift in reversed([*cert.members()]):
-        if key not in templates:
-            templates[key] = _class_template(cert.classes[key], cert.r, inner)
-        text, slots = templates[key]
-        parts += (glue, text % (*lam, *map(shift.__add__, slots)))
-        glue, held = sep, held + len(text)
-        if held >= FLUSH_CHARS:
-            parts.flush()
-            held = 0
-    parts.append(indent + "]" if glue == sep else "[]")
+        text, slots = template(key)
+        yield text % (*lam, *map(shift.__add__, slots))
 
 
-STAND_INS = {KMorphism: _render_dense, FinitenessCertificate: _render_reductions, Records: _render_records}
+STAND_INS = {KMorphism: _dense_rows, FinitenessCertificate: _reductions, Records: _records}
 
 
-def _emit(args, payload: dict, lines: list[str]) -> int:
-    """Write the payload (JSON, schema_version first, in bounded joined chunks as it renders) or the text lines."""
+def _emit(args, payload: dict, lines) -> int:
+    """Write the payload (JSON, schema_version first, in joined chunks as it renders) or the text lines as they come."""
     with open(args.output, "w") if args.output is not None else nullcontext(sys.stdout) as out:
         if args.format == "json":
             parts = _Chunks(out.write)
             _render({"schema_version": SCHEMA_VERSION, **payload}, parts)
             parts.append("\n")
-            out.write("".join(parts))
+            parts.flush()
         else:
-            out.write("\n".join(lines) + "\n")
+            out.writelines(line + "\n" for line in lines)
     return EXIT_OK
 
 
@@ -371,13 +336,9 @@ def _emit(args, payload: dict, lines: list[str]) -> int:
 
 def cmd_extquot(args) -> int:
     eq = extended_quotient(args.n)
-    lines, templates = [], {}
-    if args.format == "text":  # JSON writes the components from their rows
-        for partition, multiplicities in eq.rows:
-            layout = len(partition), len(multiplicities)
-            if layout not in templates:
-                templates[layout] = "+".join(["%d"] * layout[0]) + ": " + " x ".join(["Sym^%d"] * layout[1])
-            lines.append(templates[layout] % (*partition, *multiplicities))
+    # one %-template per layout: the numbers of parts and of Sym factors
+    template = cache(lambda parts, factors: "+".join(["%d"] * parts) + ": " + " x ".join(["Sym^%d"] * factors))
+    lines = (template(len(p), len(m)) % (*p, *m) for p, m in eq.rows)
     return _emit(args, eq.to_json(), lines)
 
 
@@ -406,12 +367,10 @@ def cmd_bc_gl1(args) -> int:
     dual = TemperedDualGL1.enumerate(ext.base, args.max_conductor)
     bc = bc_gl1(ext, filt, dual)
     k0, k1 = induced_map(circle_map(bc))
-    lines = [
-        f"degree: {bc.f}",
-        "conductor map: " + ", ".join(f"{c} -> {v}" for c, v in sorted(bc.conductor_map.items())),
-    ]
-    if args.format == "text":  # JSON writes the pairs from their rows
-        lines += [f"({c},{j}) -> ({tc},{tj}) degree {bc.f}" for c, j, tc, tj in bc.pairs]
+    lines = chain(
+        [f"degree: {bc.f}", "conductor map: " + ", ".join(f"{c} -> {v}" for c, v in sorted(bc.conductor_map.items()))],
+        (f"({c},{j}) -> ({tc},{tj}) degree {bc.f}" for c, j, tc, tj in bc.pairs),
+    )
     payload = {
         "extension": ext.to_json(filt),
         "degree": bc.f,
@@ -473,10 +432,10 @@ def cmd_kmap(args) -> int:
     source, target = CircleSpace(source), CircleSpace(target)
     matches = tuple(_match(m) for m in json_field(desc.get("matches", []), list, "matches"))
     k0, k1 = induced_map(ProperCircleMap(source, target, matches))
-    lines = []
-    if args.format == "text":  # JSON rows come from the cells, not from entries
-        for name, k in (("K0", k0), ("K1", k1)):
-            lines += [f"{name}:"] + ["  " + " ".join(str(v) for v in row) for row in k.entries]
+    lines = chain.from_iterable(
+        chain([f"{name}:"], _spliced_rows(k, "  " + " ".join("0" * len(k.col_labels)), 2, 2))
+        for name, k in (("K0", k0), ("K1", k1))
+    )
     return _emit(args, {"k0": k0.to_json(), "k1": k1.to_json()}, lines)
 
 

@@ -7,7 +7,7 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "ci_checks.py"
 
 
 def test_ci_checks_pass(tmp_path):
-    # the sweeps and the eight pins, as the workflow runs them; the pinned
+    # the sweeps and the nine pins, as the workflow runs them; the pinned
     # files go to a temporary directory, not the working one
     proc = subprocess.run([sys.executable, str(SCRIPT)], cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert (proc.returncode, proc.stderr) == (0, "")
@@ -16,7 +16,7 @@ def test_ci_checks_pass(tmp_path):
     assert sum(line.split()[-3:-2] == ["True"] for line in lines) == 12 + 8
     assert [line.split(":")[0] for line in lines if "sha256" in line] == [
         "bc-gl1-m7.json", "cert-2-4-40.json", "cert-3-4.json", "cert-3-4-abbrev.json", "extquot-30.json",
-        "bc-gl1-wild-m6.json", "extquot-30.txt", "bc-gl2-index-1.json",
+        "bc-gl1-wild-m6.json", "extquot-30.txt", "bc-gl2-index-1.json", "kmap-2000.txt",
     ]
     assert list(tmp_path.iterdir()) == []
 

@@ -23,7 +23,7 @@ from basechange.cli import COMMANDS, _render, build_parser, main
 from basechange.extquot import OrbitComponent, extended_quotient
 from basechange.finiteness import FinitenessCertificate, finiteness_certificate
 from basechange.gl1 import MAX_CIRCLES
-from basechange.ktheory import KMorphism, induced_map
+from basechange.ktheory import CircleSpace, KMorphism, ProperCircleMap, induced_map
 from basechange.value import Records
 from test_ktheory import _grids, from_grid, proper_maps
 
@@ -779,6 +779,39 @@ def test_kmap_size_cap(capsys):
     assert payload["k1"]["entries"] == [[0]] * MAX_CIRCLES
 
 
+def _kmap_desc(m: ProperCircleMap) -> str:
+    matches = [{"from": s, "to": t, "degree": d} for s, t, d in m.matches]
+    return json.dumps({"source": [*m.source.components], "target": [*m.target.components], "matches": matches})
+
+
+# besides the drawn maps, the 0 x n, n x 0 and 0 x 0 shapes
+@given(proper_maps())
+@example(ProperCircleMap(CircleSpace(()), CircleSpace(("t0", "t1")), ()))
+@example(ProperCircleMap(CircleSpace(("s0", "s1")), CircleSpace(()), ()))
+@example(ProperCircleMap(CircleSpace(()), CircleSpace(()), ()))
+def test_kmap_text_rows_are_the_dense_entries(m):
+    # the CLI splices each text row from the cells; the oracle joins each row of entries
+    expected = "".join(
+        f"{name}:\n" + "".join("  " + " ".join(map(str, row)) + "\n" for row in k.entries)
+        for name, k in zip(("K0", "K1"), induced_map(m))
+    )
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(["kmap", "--map", _kmap_desc(m)]) == 0
+    assert out.getvalue() == expected
+
+
+def test_kmap_text_memory_stays_far_below_its_output(tmp_path):
+    # a 2000 x 2000 map, at the cell cap, with one cell: its 16 MB of text
+    # rows are spliced from the cells and written as they come, where
+    # building them from entries held 85 MiB
+    labels = [f"c{i}" for i in range(2000)]
+    desc = {"source": labels, "target": labels, "matches": [{"from": "c1999", "to": "c0", "degree": 3}]}
+    out = tmp_path / "kmap.txt"
+    peak = _traced_peak(lambda: main(["kmap", "--map", json.dumps(desc), "--output", str(out)]))
+    assert out.stat().st_size == 16_008_008
+    assert peak < 0.1 * out.stat().st_size
+
+
 def test_finiteness(capsys):
     code, payload, _ = run_json(
         capsys, "finiteness", "--r", "1", "--f", "2", "--window", "4", "--verify"
@@ -1357,6 +1390,35 @@ def test_emit_joins_no_more_than_about_its_budget(tmp_path, monkeypatch):
     call = _captured(monkeypatch, ["kmap", "--map", json.dumps(desc), "--format", "json", "--output", str(out)])
     peak = _traced_peak(lambda: cli._emit(*call))
     assert peak < 0.1 * out.stat().st_size
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["finiteness", "--r", "2", "--f", "4", "--window", "40"],
+        ["extquot", "--n", "30"],
+        ["bc-gl1", "--extension", UNRAMIFIED_QUADRATIC, "--max-conductor", "6"],
+    ],
+    ids=["reductions", "records-of-tuples", "dense-rows-and-records-of-ints"],
+)
+def test_every_stand_in_writes_about_its_budget_at_a_time(monkeypatch, argv):
+    # a write falls inside a stand-in's list and holds at most FLUSH_CHARS,
+    # that list's longest item with its separator, and the text held when
+    # the list began
+    _, payload, _ = _captured(monkeypatch, [*argv, "--format", "json"])
+    render_list, bounds, writes = cli._render_list, [], []
+
+    def bounded(items, parts, indent):
+        items = [*items]
+        longest = max(map(len, items), default=0) + len("," + indent + "  ")
+        bounds.append(cli.FLUSH_CHARS + longest + sum(map(len, parts)))
+        render_list(items, parts, indent)
+
+    monkeypatch.setattr(cli, "_render_list", bounded)
+    parts = cli._Chunks(lambda text: writes.append((len(text), bounds[-1])))
+    _render({"schema_version": 1, **payload}, parts)
+    assert len(writes) > 10
+    assert [(size, bound) for size, bound in writes if size > bound] == []
 
 
 def test_certificate_generators_holding_bools_render_as_the_stock_encoder_writes_them(capsys):
