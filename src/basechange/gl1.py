@@ -14,6 +14,10 @@ fixed uniformiser, and base change to a degree-(e, f) extension acts by
 
 No coordinate is held: base change records the degree f of z -> z^f
 on each circle, which is all K-theory reads.
+
+Conductor c >= 2 has (q-1)^2 q^(c-2) characters and the truncation at M
+holds (q-1) q^(M-1) circles; each power of q is a localfield.capped_power,
+so a count past its cap is refused without being formed.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from .localfield import (
     LocalFieldData,
     RamificationFiltration,
     UnsupportedExtension,
+    capped_power,
     conductor_transport,
-    unit_quotient_order,
     validate_extension_filtration,
 )
 from .value import Records, Value
@@ -64,42 +68,26 @@ def _check_circle_rows(rows) -> None:
 MAX_CIRCLES = 2000
 
 
-def _capped_product(count: int, q: int, k: int, cap: int) -> int:
-    """count * q^k, except that the product stops growing once it passes cap.
-
-    A huge k then costs a handful of multiplications, and the returned
-    count is only known to exceed cap; it is exact whenever it is at most cap.
-    """
-    for _ in range(k):
-        if count > cap:
-            break
-        count *= q
-    return count
-
-
 def labels_with_conductor(field: LocalFieldData, c: int, cap: int = MAX_CIRCLES) -> int:
     """How many unit-group characters of the field have conductor exactly c.
 
     Differences of the unit-quotient orders: 1 for c = 0, q - 2 for
-    c = 1, (q-1)^2 * q^(c-2) beyond, the last a _capped_product, so a
+    c = 1, (q-1)^2 * q^(c-2) beyond, the power a capped_power, so a
     count above cap is only known to exceed it.
     """
     if c < 0:
         raise ValueError("conductors are nonnegative")
     if c < 2:
         return field.q - 2 if c else 1
-    return _capped_product((field.q - 1) ** 2, field.q, c - 2, cap)
+    return (field.q - 1) ** 2 * capped_power(field.q, c - 2, cap)
 
 
-def circle_count(field: LocalFieldData, bound: int) -> int:
-    """Circles of the truncation at bound: 1 for bound 0, else (q-1)*q^(bound-1).
-
-    The latter is a _capped_product, so a count above MAX_CIRCLES is only
-    known to exceed it.
-    """
+def _check_bound(bound) -> None:
+    """Refuse a truncation bound unless it is an exact int >= 0, as _check_circle_rows refuses rows."""
+    if type(bound) is not int:
+        raise TypeError(f"the truncation bound must be an int, got {bound!r}")
     if bound < 0:
         raise ValueError("the truncation bound is nonnegative")
-    return 1 if bound == 0 else _capped_product(unit_quotient_order(field, 1), field.q, bound - 1, MAX_CIRCLES)
 
 
 class TemperedDualGL1(Value):
@@ -116,16 +104,16 @@ class TemperedDualGL1(Value):
 
     @staticmethod
     def enumerate(base: LocalFieldData, bound: int) -> "TemperedDualGL1":
-        if circle_count(base, bound) > MAX_CIRCLES:
-            raise ValueError(
-                f"conductor bound {bound} at q={base.q} gives more than {MAX_CIRCLES} circles"
-            )
+        _check_bound(bound)
+        if bound and (base.q - 1) * capped_power(base.q, bound - 1, MAX_CIRCLES) > MAX_CIRCLES:
+            raise ValueError(f"conductor bound {bound} at q={base.q} gives more than {MAX_CIRCLES} circles")
         circles = tuple(
             (c, j) for c in range(bound + 1) for j in range(labels_with_conductor(base, c))
         )
         return TemperedDualGL1(base, bound, circles)
 
     def __post_init__(self):
+        _check_bound(self.bound)
         _check_circle_rows(self.circles)
         if len(set(self.circles)) != len(self.circles):
             raise ValueError("duplicate circle")

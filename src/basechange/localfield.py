@@ -70,6 +70,17 @@ MAX_RESIDUE_CHARACTERISTIC = 2**20
 # Python's default limit on int <-> str conversion: a number within it can
 # always be printed back
 MAX_RATIONAL_DIGITS = 4300
+# the least number with more digits, formed once
+LIMIT = 10**MAX_RATIONAL_DIGITS
+
+
+def capped_power(q: int, k: int, cap: int) -> int:
+    """q^k when that is at most cap; otherwise some number above cap (q >= 1, k >= 0).
+
+    q^k >= 2^(k*(bits of q - 1)), so past cap's bits the power exceeds cap
+    and cap + 1 stands in for it; an exact result has at most twice cap's bits.
+    """
+    return q**k if k * (q.bit_length() - 1) <= cap.bit_length() else cap + 1
 
 
 def is_prime(n: int) -> bool:
@@ -147,15 +158,13 @@ class ExtensionData(Value):
     def top_field(self) -> LocalFieldData:
         """The residue field of E, of q^f elements; refused past MAX_RATIONAL_DIGITS digits.
 
-        q^f >= 2^(f*(bits of q - 1)) and 2^(10/3) > 10, so a large f is
-        refused before the power is formed.
+        q^f is a capped_power, so a large f is refused before the power is formed.
         """
         q, f = self.base.q, self.f
-        if f * (q.bit_length() - 1) > 10 * MAX_RATIONAL_DIGITS // 3 or q**f >= 10**MAX_RATIONAL_DIGITS:
-            raise ValueError(
-                f"the top field's q^f = {q}^{f} has more than {MAX_RATIONAL_DIGITS} digits"
-            )
-        return LocalFieldData(q**f, self.base.p, self.base.char_zero)
+        size = capped_power(q, f, LIMIT)
+        if size >= LIMIT:
+            raise ValueError(f"the top field's q^f = {q}^{f} has more than {MAX_RATIONAL_DIGITS} digits")
+        return LocalFieldData(size, self.base.p, self.base.char_zero)
 
     @property
     def is_unramified(self) -> bool:

@@ -1007,6 +1007,9 @@ P3_PAIR = PAIR.replace('"q": 5, "p": 5', '"q": 3, "p": 3')
          "the top field's q^f = 3^100001 has more than 4300 digits"),
         (["bc-gl2", "--pair", P3_PAIR, "--lift", '{"q": 3, "p": 3, "e": 1, "f": 99999999}'],
          "the top field's q^f = 3^99999999 has more than 4300 digits"),
+        # 3**9013 has 4,301 digits, one past the cap (9012 is even)
+        (["bc-gl2", "--pair", P3_PAIR, "--lift", '{"q": 3, "p": 3, "e": 1, "f": 9013}'],
+         "the top field's q^f = 3^9013 has more than 4300 digits"),
     ],
 )
 def test_field_size_guards_exit_2(capsys, argv, message):
@@ -1045,6 +1048,16 @@ def test_fields_within_the_guards_run(capsys):
     )
     assert code == 0
     assert payload["result"]["target_pair"]["quad"]["q"] == 3**101
+    # 3**9011, the largest odd-degree top field at q = 3, has 4,300 digits and is written out
+    code, out, _ = run(
+        capsys, "bc-gl2", "--pair", P3_PAIR, "--lift", '{"q": 3, "p": 3, "e": 1, "f": 9011}', "--format", "json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ded74d25e5a41c08d71cc6ddd75752b3317c1fe4232ef929e1b3672ccad463f1"
+    )
+    top = json.loads(out)["result"]["compositum"]["EL/L"]["q"]
+    assert (len(str(top)), top) == (4300, 3**9011)
 
 
 def test_norm_level_wild_exits_3(capsys):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from basechange.gl1 import (
+    MAX_CIRCLES,
     Gl1BaseChange,
     TemperedDualGL1,
     bc_gl1,
@@ -122,6 +123,35 @@ def test_enumerated_dual():
     assert len(dual.circles) == unit_quotient_order(field(), 2)
     assert dual.circles[0] == (0, 0)
     assert dual.circles[1] == (1, 0)
+
+
+def test_enumerate_gate_at_max_circles():
+    # (q-1) q^(M-1) circles: 1,024 at q=2, M=11, and 2,048 at M=12; 1,998 at q=1999, M=1
+    assert MAX_CIRCLES == 2000
+    for q, bound, count in ((2, 11, 1024), (1999, 1, 1998)):
+        assert len(TemperedDualGL1.enumerate(field(q, q), bound).circles) == count
+    for q, bound in ((2, 12), (2003, 1)):
+        with pytest.raises(ValueError, match=f"conductor bound {bound} at q={q} gives more than 2000 circles"):
+            TemperedDualGL1.enumerate(field(q, q), bound)
+
+
+def test_a_bound_that_is_not_an_exact_int_is_refused():
+    # a bool or a float would be written as "M": true or "M": 2.5
+    for bound in (True, False, 2.5, 2.0):
+        with pytest.raises(TypeError, match="the truncation bound must be an int"):
+            TemperedDualGL1(field(), bound, ((0, 0),))
+        with pytest.raises(TypeError, match="the truncation bound must be an int"):
+            TemperedDualGL1.enumerate(field(), bound)
+
+
+def test_a_negative_bound_is_refused_as_such():
+    # with no circles, no circle's conductor can exceed it: the bound itself is refused
+    for circles in ((), ((0, 0),)):
+        with pytest.raises(ValueError, match="the truncation bound is nonnegative"):
+            TemperedDualGL1(field(), -1, circles)
+    for bound in (-1, -(10**9)):
+        with pytest.raises(ValueError, match="the truncation bound is nonnegative"):
+            TemperedDualGL1.enumerate(field(), bound)
 
 
 def test_base_change_refuses_a_degree_that_is_not_an_int():

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from basechange.localfield import (
     NotInPsiImage,
     RamificationFiltration,
     UnsupportedExtension,
+    capped_power,
     compose_tower,
     conductor_transport,
     norm_level_image,
@@ -74,6 +76,26 @@ def test_residue_characteristic_cap():
             LocalFieldData(12, small)
 
 
+def decimal_digits(n: int) -> int:
+    """len(str(n)) for n >= 1, read in chunks so that no int-to-str limit applies."""
+    count = 0
+    while n >= 10**1000:
+        n //= 10**1000
+        count += 1000
+    return count + len(str(n))
+
+
+def test_capped_power_is_exact_up_to_the_cap():
+    for cap in (1, 2000, 10**50):
+        for q in range(2, 41):
+            for k in range(61):
+                power = capped_power(q, k, cap)
+                assert power == q**k if q**k <= cap else power > cap
+    start = time.perf_counter()
+    assert capped_power(3, 10**9, 10**50) > 10**50
+    assert time.perf_counter() - start < 0.1
+
+
 def test_top_field_digit_cap():
     # 3**9012 has 4,300 digits, 3**9013 one more
     base = field()
@@ -81,6 +103,18 @@ def test_top_field_digit_cap():
     for f in (9013, 100001, 99999999):
         with pytest.raises(ValueError, match="more than 4300 digits"):
             ExtensionData(base, e=1, f=f).top_field
+    # at each residue size, accepted exactly when q^f has at most 4,300 digits
+    for q, p, last in ((2, 2, 14284), (4, 2, 7142), (9, 3, 4506), (1048573, 1048573, 714)):
+        for f in range(last - 1, last + 3):
+            ext = ExtensionData(field(q, p), e=1, f=f)
+            if decimal_digits(q**f) <= 4300:
+                assert f <= last
+                top = ext.top_field
+                assert (top.q, top.p) == (q**f, p)
+            else:
+                assert f > last
+                with pytest.raises(ValueError, match=f"q\\^f = {q}\\^{f} has more than 4300 digits"):
+                    ext.top_field
 
 
 def test_extension_validation():
