@@ -32,8 +32,9 @@ def banner(title):
 
 def main():
     banner("Extended quotient (C^x)^4 // S_4")
-    for comp in extended_quotient(4).components:
-        print(f"  {'+'.join(map(str, comp.partition)):>10}  ->  {comp.describe()}")
+    for partition, multiplicities in extended_quotient(4).components:
+        factors = " x ".join(f"Sym^{r}" for r in multiplicities)
+        print(f"  {'+'.join(map(str, partition)):>10}  ->  {factors}")
 
     banner("Transition functions psi / phi")
     shapes = [

@@ -24,7 +24,6 @@ from .localfield import (
 from .laurent import InvariantLaurentPoly, LaurentPoly
 from .extquot import (
     ExtendedQuotient,
-    OrbitComponent,
     extended_quotient,
     partitions_of,
 )

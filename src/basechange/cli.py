@@ -338,7 +338,7 @@ def cmd_extquot(args) -> int:
     eq = extended_quotient(args.n)
     # one %-template per layout: the numbers of parts and of Sym factors
     template = cache(lambda parts, factors: "+".join(["%d"] * parts) + ": " + " x ".join(["Sym^%d"] * factors))
-    lines = (template(len(p), len(m)) % (*p, *m) for p, m in eq.rows)
+    lines = (template(len(p), len(m)) % (*p, *m) for p, m in eq.components)
     return _emit(args, eq.to_json(), lines)
 
 

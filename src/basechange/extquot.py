@@ -6,8 +6,8 @@ pieces X^g / Z(g), one for each conjugacy class of S_n, i.e. one for
 each partition of n.  If the partition has distinct part sizes
 n_1 > ... > n_l with multiplicities r_1, ..., r_l, the piece is the
 product Sym^{r_1}(C^x) x ... x Sym^{r_l}(C^x) of symmetric powers of the
-punctured line.  An OrbitComponent is held as its partition alone, and
-the r_i are read off it.
+punctured line.  A component is held as the int row (partition,
+multiplicities), the multiplicities being the r_i in that order.
 
 Base change for an extension of residue degree f raises every
 coordinate to the f-th power; no point is held here, and the induced
@@ -16,9 +16,6 @@ t_i -> t_i^f (``InvariantLaurentPoly.pullback``).
 """
 
 from __future__ import annotations
-
-from collections import Counter
-from collections.abc import Sequence
 
 from .value import Records, Value
 
@@ -32,8 +29,6 @@ def _partition_rows(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     order: the first is (n,) and the last (1,)*n; this fixed order is
     what the component listing and all serialised output use.
     """
-    if n < 1:
-        raise ValueError("partitions are enumerated for n >= 1")
     parts, mults = [n], [1]
     rows = [((n,), (1,))]
     while parts[0] > 1:
@@ -54,60 +49,8 @@ def _partition_rows(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
 
 
 def partitions_of(n: int) -> list[tuple[int, ...]]:
-    """All partitions of n as weakly decreasing tuples, reverse-lexicographic: (n,) first, (1,)*n last."""
-    return [p for p, _ in _partition_rows(n)]
-
-
-def validate_partition(parts: Sequence[int]) -> tuple[int, ...]:
-    parts = tuple(parts)
-    if not parts or any(type(p) is not int or p < 1 for p in parts):
-        raise ValueError(f"{parts} is not a partition: parts must be positive ints")
-    if any(a < b for a, b in zip(parts, parts[1:])):
-        raise ValueError(f"{parts} is not weakly decreasing")
-    return parts
-
-
-class OrbitComponent(Value):
-    """One piece of the extended quotient, held as its partition.
-
-    from_partition(cycle_type, n) is the piece X^g / Z(g) for a
-    permutation g of S_n with that cycle type, checked to sum to n.
-
-    sym_powers, derived from the validated partition, lists the
-    multiplicities r_i of the distinct part sizes n_1 > ... > n_l; the
-    geometric shape is the product of Sym^{r_i}(C^x) in that order, of
-    dimension sum r_i.
-    """
-
-    __slots__ = ("partition", "sym_powers")
-    _fields = ("partition",)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "partition", validate_partition(self.partition))
-        object.__setattr__(self, "sym_powers", tuple(Counter(self.partition).values()))
-
-    @staticmethod
-    def from_partition(parts: Sequence[int], n: int | None = None) -> "OrbitComponent":
-        component = OrbitComponent(parts)
-        if n is not None and component.n != n:
-            raise ValueError(f"{component.partition} does not sum to {n}")
-        return component
-
-    @property
-    def distinct_parts(self) -> tuple[tuple[int, int], ...]:
-        """The pairs (part size n_i, multiplicity r_i), the n_i strictly decreasing."""
-        return tuple(zip(dict.fromkeys(self.partition), self.sym_powers))
-
-    @property
-    def dimension(self) -> int:
-        return sum(self.sym_powers)
-
-    @property
-    def n(self) -> int:
-        return sum(self.partition)
-
-    def describe(self) -> str:
-        return " x ".join(f"Sym^{r}" for r in self.sym_powers)
+    """All partitions of n, reverse-lexicographic from (n,) to (1,)*n; n is checked as ExtendedQuotient checks it."""
+    return [p for p, _ in ExtendedQuotient(n).components]
 
 
 def _component_record(partition: tuple[int, ...], multiplicities: tuple[int, ...]) -> dict:
@@ -117,14 +60,13 @@ def _component_record(partition: tuple[int, ...], multiplicities: tuple[int, ...
 class ExtendedQuotient(Value):
     """All components of (C^x)^n // S_n, in reverse-lexicographic order.
 
-    n, an exact int in [1, MAX_TORUS_RANK], is the one field; rows is
-    derived from it, one (partition, multiplicities) int row per
+    n, an exact int in [1, MAX_TORUS_RANK], is the one field; components
+    is derived from it, one (partition, multiplicities) int row per
     component, the multiplicities being the exponents r_i of its
-    Sym^{r_i} factors.  components builds an OrbitComponent from each
-    row's partition on demand.
+    Sym^{r_i} factors.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "components")
     _fields = ("n",)
 
     def __post_init__(self) -> None:
@@ -132,14 +74,10 @@ class ExtendedQuotient(Value):
             raise TypeError(f"n must be an int, got {self.n!r}")
         if not 1 <= self.n <= MAX_TORUS_RANK:
             raise ValueError(f"n must satisfy 1 <= n <= {MAX_TORUS_RANK}, got {self.n}")
-        object.__setattr__(self, "rows", tuple(_partition_rows(self.n)))
-
-    @property
-    def components(self) -> tuple[OrbitComponent, ...]:
-        return tuple(OrbitComponent(p) for p, _ in self.rows)
+        object.__setattr__(self, "components", tuple(_partition_rows(self.n)))
 
     def to_json(self) -> dict:
-        return {"n": self.n, "components": Records(_component_record, self.rows)}
+        return {"n": self.n, "components": Records(_component_record, self.components)}
 
 
 def extended_quotient(n: int) -> ExtendedQuotient:

@@ -97,11 +97,21 @@ def is_prime(n: int) -> bool:
 
 
 def is_power_of(q: int, p: int) -> bool:
-    """q = p^k for some k >= 1 (p >= 2), by repeated division."""
+    """q = p^k for some k >= 1 (p >= 2).
+
+    q is divided by p^(2^i) wherever it can be, from the largest such
+    power <= q down to p: each step leaves a p-adic valuation below 2^i,
+    so O(log k) big-int divisions strip every factor p.
+    """
     if q < p:
         return False
-    while q % p == 0:
-        q //= p
+    powers = [p]
+    while (square := powers[-1] * powers[-1]) <= q:
+        powers.append(square)
+    for power in reversed(powers):
+        quotient, rest = divmod(q, power)
+        if not rest:
+            q = quotient
     return q == 1
 
 
@@ -319,6 +329,8 @@ def norm_level_image(
     level_e is not psi(v) for any integer v, UnsupportedExtension when
     the hypotheses fail (in particular for uncertified wild extensions).
     """
+    if type(level_e) is not int:
+        raise TypeError(f"a unit filtration level must be an int, got {level_e!r}")
     if level_e < 0:
         raise ValueError("unit filtration levels are nonnegative")
     validate_extension_filtration(ext, filt)
@@ -347,11 +359,11 @@ def conductor_transport(filt: RamificationFiltration, c_f: int) -> int:
     The unramified case c = 0 stays 0 (psi fixes 0), so a single formula
     covers both.
     """
+    if type(c_f) is not int:
+        raise TypeError(f"a conductor must be an int, got {c_f!r}")
     if c_f < 0:
         raise ValueError("conductors are nonnegative")
-    value = psi(filt, c_f)
-    assert value.denominator == 1  # psi is integer-valued on integers
-    return int(value)
+    return int(psi(filt, c_f))  # exact: psi is integer-valued on integers
 
 
 def compose_tower(lower: ExtensionData, upper: ExtensionData) -> ExtensionData:

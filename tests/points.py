@@ -15,7 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-from basechange.extquot import OrbitComponent
 from basechange.value import Value
 
 
@@ -119,18 +118,19 @@ class TorusPoint(Value):
                 raise ValueError("torus coordinates are nonzero")
         return TorusPoint(tuple(tuple(sorted(coords, key=GaussianRational.sort_key)) for coords in factors))
 
-    def lies_on(self, component: OrbitComponent) -> bool:
-        return tuple(map(len, self.factors)) == component.sym_powers
+    def lies_on(self, multiplicities: tuple[int, ...]) -> bool:
+        """The point has one factor of r coordinates per Sym^r, the r_i in a component row's order."""
+        return tuple(map(len, self.factors)) == multiplicities
 
     def on_unit_torus(self) -> bool:
         return all(z.on_unit_circle() for z in chain.from_iterable(self.factors))
 
 
-def base_change_point(component: OrbitComponent, point: TorusPoint, f: int) -> TorusPoint:
-    """Raise every coordinate to the f-th power, factor by factor."""
+def base_change_point(multiplicities: tuple[int, ...], point: TorusPoint, f: int) -> TorusPoint:
+    """Raise every coordinate of a point on the component with these multiplicities to the f-th power."""
     if f < 1:
         raise ValueError("the residue degree f must be >= 1")
-    if not point.lies_on(component):
+    if not point.lies_on(multiplicities):
         raise ValueError("point does not lie on the given component")
     return TorusPoint.make([z ** f for z in coords] for coords in point.factors)
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from basechange import cli, laurent
 from basechange.cli import COMMANDS, _render, build_parser, main
-from basechange.extquot import OrbitComponent, extended_quotient
+from basechange.extquot import extended_quotient
 from basechange.finiteness import FinitenessCertificate, finiteness_certificate
 from basechange.gl1 import MAX_CIRCLES
 from basechange.ktheory import CircleSpace, KMorphism, ProperCircleMap, induced_map
@@ -1354,17 +1354,6 @@ def test_extquot_output_matches_an_independent_oracle(tmp_path, capsys, n):
         assert run(capsys, "extquot", "--n", str(n), "--format", fmt) == (0, expected, "")
         assert run(capsys, "extquot", "--n", str(n), "--format", fmt, "--output", str(out)) == (0, "", "")
         assert out.read_text() == expected
-
-
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_extquot_builds_no_orbit_component(capsys, monkeypatch, fmt):
-    # a component is its (partition, multiplicities) int row; OrbitComponent is for library callers
-    def refuse(self, *args):
-        raise AssertionError("extquot built an OrbitComponent")
-
-    monkeypatch.setattr(OrbitComponent, "__init__", refuse)
-    for n in (1, 7, 30):
-        assert run(capsys, "extquot", "--n", str(n), "--format", fmt) == (0, _extquot_oracle(n, fmt), "")
 
 
 def _layered(head, body, tail) -> dict:

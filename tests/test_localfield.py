@@ -16,6 +16,7 @@ from basechange.localfield import (
     capped_power,
     compose_tower,
     conductor_transport,
+    is_power_of,
     norm_level_image,
     phi,
     psi,
@@ -93,6 +94,25 @@ def test_capped_power_is_exact_up_to_the_cap():
                 assert power == q**k if q**k <= cap else power > cap
     start = time.perf_counter()
     assert capped_power(3, 10**9, 10**50) > 10**50
+    assert time.perf_counter() - start < 0.1
+
+
+def test_is_power_of_matches_repeated_division():
+    def by_repeated_division(q, p):  # oracle: strip one factor p at a time
+        if q < p:
+            return False
+        while q % p == 0:
+            q //= p
+        return q == 1
+
+    for p in (2, 3, 5, 7, 11, 13, 97):
+        for q in range(1, 20000):
+            assert is_power_of(q, p) == by_repeated_division(q, p), (q, p)
+        for k in range(1, 200):
+            for q in (p**k, p**k - 1, p**k + 1, 2 * p**k, 3 * p**k, p ** (k - 1) * (p + 1)):
+                assert is_power_of(q, p) == by_repeated_division(q, p), (q, p, k)
+    start = time.perf_counter()
+    assert is_power_of(2**14284, 2) and not is_power_of(3**9011 + 3, 3)
     assert time.perf_counter() - start < 0.1
 
 
@@ -323,6 +343,15 @@ def test_norm_level_image_examples():
         norm_level_image(tame, filt2, 5)
 
 
+def test_norm_level_image_refuses_a_level_that_is_no_int():
+    # a float or bool level is refused, not read as the int it equals
+    tame = ExtensionData(field(), e=2, f=1)
+    for bad in (2.0, 4.0, True, Fraction(4)):
+        with pytest.raises(TypeError, match="level must be an int"):
+            norm_level_image(tame, RamificationFiltration((2,)), bad)
+    assert norm_level_image(tame, RamificationFiltration((2,)), 4) == 2
+
+
 def test_norm_level_image_wild_certification():
     wild = ExtensionData(field(), e=3, f=1, galois=True, cyclic=True)
     filt = RamificationFiltration((3, 3))
@@ -362,6 +391,16 @@ def test_conductor_transport_examples():
     assert conductor_transport(RamificationFiltration(), 3) == 3
     assert conductor_transport(RamificationFiltration((2,)), 1) == 2
     assert conductor_transport(RamificationFiltration((7, 7)), 0) == 0
+
+
+def test_conductor_transport_refuses_a_conductor_that_is_no_int():
+    # a float, bool or Fraction conductor is refused, also where psi is the identity
+    for filt in (RamificationFiltration((2,)), RamificationFiltration()):
+        for bad in (2.5, True, 3.0, Fraction(3)):
+            with pytest.raises(TypeError, match="conductor must be an int"):
+                conductor_transport(filt, bad)
+    with pytest.raises(ValueError, match="nonnegative"):
+        conductor_transport(RamificationFiltration(), -1)
 
 
 # -- towers -------------------------------------------------------------------

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from basechange.extquot import ExtendedQuotient, OrbitComponent, extended_quotient
+from basechange.extquot import ExtendedQuotient, extended_quotient
 from basechange.finiteness import FinitenessCertificate, finiteness_certificate
 from basechange.gl1 import Gl1BaseChange, TemperedDualGL1, bc_gl1
 from basechange.gl2 import AdmissiblePair, Gl2BaseChange, bc_gl2
@@ -61,8 +61,6 @@ VALUES = {
                       lambda: ExtensionData(LocalFieldData(5, 5), 2, 1, galois=True), QUAD),
     RamificationFiltration: (lambda: RamificationFiltration([3, 3, 1]), lambda: RamificationFiltration([3]),
                                "RamificationFiltration(orders=(3, 3))"),
-    OrbitComponent: (lambda: OrbitComponent.from_partition((2, 1)), lambda: OrbitComponent.from_partition((3,)),
-                       "OrbitComponent(partition=(2, 1))"),
     ExtendedQuotient: (lambda: extended_quotient(2), lambda: extended_quotient(1),
                          "ExtendedQuotient(n=2)"),
     TorusPoint: (lambda: TorusPoint.make([[GaussianRational(2), GaussianRational(0, 1)]]),
@@ -184,7 +182,7 @@ def test_keyword_construction_and_defaults():
     # a derived value is no field: the constructor takes only what the record owns
     assert Gl1BaseChange._fields == ("f", "pairs", "extra_targets")
     assert Gl2BaseChange._fields == ("target_pair", "el_over_e")
-    assert OrbitComponent._fields == ("partition",)
+    assert ExtendedQuotient._fields == ("n",)
     for bad in (lambda: LocalFieldData(3), lambda: LocalFieldData(3, 3, True, 1),
                 lambda: LocalFieldData(3, 3, q=3), lambda: LocalFieldData(3, 3, size=9)):
         with pytest.raises(TypeError):
