@@ -19,7 +19,6 @@ from .localfield import (
     norm_level_image,
     phi,
     psi,
-    unit_quotient_order,
 )
 from .laurent import InvariantLaurentPoly, LaurentPoly
 from .extquot import (

@@ -13,7 +13,10 @@ fixed uniformiser, and base change to a degree-(e, f) extension acts by
     (c, j) -> (psi(c), j)   on circles, each of circle degree f.
 
 No coordinate is held: base change records the degree f of z -> z^f
-on each circle, which is all K-theory reads.
+on each circle, which is all K-theory reads.  bc_gl1 is that injective
+map and nothing else; the invariants decide neither which characters
+collide nor, on a ramified extension, every conductor, so a caller who
+knows more states it as the rows of a Gl1BaseChange.
 
 Conductor c >= 2 has (q-1)^2 q^(c-2) characters and the truncation at M
 holds (q-1) q^(M-1) circles; each power of q is a localfield.capped_power,
@@ -23,7 +26,6 @@ so a count past its cap is refused without being formed.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
 from functools import partial
 from itertools import chain
 
@@ -75,6 +77,8 @@ def labels_with_conductor(field: LocalFieldData, c: int, cap: int = MAX_CIRCLES)
     c = 1, (q-1)^2 * q^(c-2) beyond, the power a capped_power, so a
     count above cap is only known to exceed it.
     """
+    if type(c) is not int:
+        raise TypeError(f"a conductor must be an int, got {c!r}")
     if c < 0:
         raise ValueError("conductors are nonnegative")
     if c < 2:
@@ -137,11 +141,11 @@ class Gl1BaseChange(Value):
 
     f is the circle degree of every pair, and pairs lists (c, j, c', j')
     int rows, one per source circle (c, j), sent to the target (c', j');
-    conductor_map, the transition function restricted to the occurring
-    conductors, is read off the rows in first-appearance order, and rows
-    that send one conductor to two are refused.  Target (conductor, index)
-    pairs not hit by any source (passed in explicitly) are retained so
-    induced K-theory matrices show their zero columns.
+    two sources may share a target, and c' need not be psi(c).
+    conductor_map is read off the rows in first-appearance order, and
+    rows that send one conductor to two are refused.
+    extra_targets lists (conductor, index) targets no source hits, kept
+    so induced K-theory matrices show their zero columns.
     """
 
     __slots__ = ("f", "pairs", "extra_targets", "conductor_map")
@@ -180,38 +184,20 @@ def check_gl1_scope(ext: ExtensionData) -> None:
     )
 
 
-def bc_gl1(
-    ext: ExtensionData,
-    filt: RamificationFiltration,
-    dual_f: TemperedDualGL1,
-    collisions: dict[tuple[int, int], tuple[int, int]] | None = None,
-    extra_targets: Sequence[tuple[int, int]] = (),
-) -> Gl1BaseChange:
+def bc_gl1(ext: ExtensionData, filt: RamificationFiltration, dual_f: TemperedDualGL1) -> Gl1BaseChange:
     """Transport every circle of the truncated dual through base change.
 
     Each source circle (c, j) goes to (psi(c), j) with circle degree
-    ext.f.  The default target assignment is injective; a collision
-    table, keyed and valued by (conductor, index) pairs, may identify
-    targets explicitly, since nothing in the invariant model decides
-    whether distinct characters pull back to the same one.
+    ext.f, injectively: that is all the invariants decide.  Which
+    characters collide, a conductor psi does not give, or targets no
+    source hits are stated by building a Gl1BaseChange directly.
     """
     check_gl1_scope(ext)
     validate_extension_filtration(ext, filt)
     if dual_f.base.q != ext.base.q:
         raise ValueError("the dual is for a different residue field")
-    collisions = collisions or {}
     cmap = {c: conductor_transport(filt, c) for c in dict.fromkeys(c for c, _ in dual_f.circles)}
-    pairs = []
-    for circle in dual_f.circles:
-        c, j = circle
-        target_c, target_j = collisions.get(circle, (cmap[c], j))
-        if target_c != cmap[c]:
-            raise ValueError(
-                f"collision table sends conductor {c} to "
-                f"{target_c}, but the transition function gives {cmap[c]}"
-            )
-        pairs.append((c, j, target_c, target_j))
-    return Gl1BaseChange(ext.f, tuple(pairs), tuple(extra_targets))
+    return Gl1BaseChange(ext.f, tuple((c, j, cmap[c], j) for c, j in dual_f.circles))
 
 
 def circle_map(bc: Gl1BaseChange) -> "ProperCircleMap":

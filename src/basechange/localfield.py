@@ -273,6 +273,8 @@ class RamificationFiltration(Value):
 
 def phi(filt: RamificationFiltration, u: Rational) -> Fraction:
     """Transition to the upper numbering: phi(u) = int_0^u dt/(G_0:G_t)."""
+    if type(u) not in (int, Fraction):  # a float, bool or str would be read as another number
+        raise TypeError(f"phi takes an int or a Fraction, got {u!r}")
     u = Fraction(u)
     if u < 0:
         raise ValueError("phi is evaluated on u >= 0")
@@ -285,6 +287,8 @@ def phi(filt: RamificationFiltration, u: Rational) -> Fraction:
 
 def psi(filt: RamificationFiltration, x: Rational) -> Fraction:
     """Transition to the lower numbering, the exact inverse of phi."""
+    if type(x) not in (int, Fraction):  # a float, bool or str would be read as another number
+        raise TypeError(f"psi takes an int or a Fraction, got {x!r}")
     x = Fraction(x)
     if x < 0:
         raise ValueError("psi is evaluated on x >= 0")
@@ -386,9 +390,3 @@ def compose_tower(lower: ExtensionData, upper: ExtensionData) -> ExtensionData:
         cyclic=lower.cyclic and upper.cyclic,
     )
 
-
-def unit_quotient_order(field: LocalFieldData, m: int) -> int:
-    """Order (q-1)*q^(m-1) of the unit quotient U/U^m of the field, m >= 1."""
-    if m < 1:
-        raise ValueError("unit quotient U/U^m needs m >= 1")
-    return (field.q - 1) * field.q ** (m - 1)

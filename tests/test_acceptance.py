@@ -13,7 +13,7 @@ from math import comb
 from basechange.cli import main
 from basechange.extquot import extended_quotient
 from basechange.finiteness import finiteness_certificate
-from basechange.gl1 import TemperedDualGL1, bc_gl1, circle_map
+from basechange.gl1 import Gl1BaseChange, TemperedDualGL1, bc_gl1, circle_map
 from basechange.gl2 import AdmissiblePair, bc_gl2
 from basechange.ktheory import CircleSpace, ProperCircleMap, induced_map
 from basechange.localfield import (
@@ -139,7 +139,8 @@ def test_criterion_05_gl1_ktheory_theorem():
         ext = ExtensionData(LocalFieldData(3, 3), e=1, f=f, galois=True, cyclic=True)
         dual = TemperedDualGL1.enumerate(ext.base, 4)
         extra = (1, 5)  # a target circle no source hits
-        bc = bc_gl1(ext, RamificationFiltration(), dual, extra_targets=[extra])
+        bc = bc_gl1(ext, RamificationFiltration(), dual)
+        bc = Gl1BaseChange(bc.f, bc.pairs, (extra,))
         k0, k1 = induced_map(circle_map(bc))
         entries0, entries1 = k0.entries, k1.entries  # each read builds the dense rows
         matched = {

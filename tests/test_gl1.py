@@ -20,7 +20,6 @@ from basechange.localfield import (
     RamificationFiltration,
     UnsupportedExtension,
     conductor_transport,
-    unit_quotient_order,
 )
 from circle_oracles import Arc, arc_preimage, properness_check
 from points import GaussianRational, I, UnramifiedQuasicharacter, bc_unramified_quasichar
@@ -115,12 +114,12 @@ def test_labels_with_conductor_sums_to_unit_quotient_order():
     for q, p in ((2, 2), (3, 3), (4, 2), (5, 5), (9, 3)):
         for c in range(1, 5):
             total = sum(labels_with_conductor(field(q, p), k) for k in range(c + 1))
-            assert total == unit_quotient_order(field(q, p), c)
+            assert total == (q - 1) * q ** (c - 1)  # the order of U/U^c
 
 
 def test_enumerated_dual():
     dual = TemperedDualGL1.enumerate(field(), 2)
-    assert len(dual.circles) == unit_quotient_order(field(), 2)
+    assert len(dual.circles) == (3 - 1) * 3 ** (2 - 1)
     assert dual.circles[0] == (0, 0)
     assert dual.circles[1] == (1, 0)
 
@@ -250,46 +249,47 @@ def test_bc_gl1_refuses_a_dual_of_another_field():
 
 
 def test_bc_gl1_collision_table():
-    # q = 5 has q - 2 = 3 characters of conductor 1
-    dual = TemperedDualGL1(field(5, 5), 1, ((1, 0), (1, 1)))
-    bc = bc_gl1(
-        unramified(2, q=5, p=5),
-        RamificationFiltration(),
-        dual,
-        collisions={(1, 1): (1, 0)},
-    )
+    # q = 5 has q - 2 = 3 characters of conductor 1; the record states that two collide
+    bc = Gl1BaseChange(2, ((1, 0, 1, 0), (1, 1, 1, 0)))
     assert circle_map(bc).target.components == ("c1.0",)
     k0, k1 = induced_map(circle_map(bc))
     assert k1.entries == ((2,), (2,))
     assert k0.entries == ((1,), (1,))
-    with pytest.raises(ValueError, match="transition function gives 1"):
-        bc_gl1(
-            unramified(2, q=5, p=5),
-            RamificationFiltration(),
-            dual,
-            collisions={(1, 1): (2, 0)},
-        )
     # a record whose pairs send conductor 1 to both 3 and 5 has no conductor map
     with pytest.raises(ValueError, match="one conductor to two"):
         Gl1BaseChange(2, ((1, 0, 3, 0), (1, 1, 5, 0)))
+    # Q_3(sqrt 3), tame e = 2: the brute-force conductors send 1 to 0, so the conductor-1
+    # character meets the trivial one, and 2 to 3, where psi gives 4
+    dual = TemperedDualGL1.enumerate(field(), 2)
+    rows = tuple((c, j, {0: 0, 1: 0, 2: 3}[c], j) for c, j in dual.circles)
+    assert Gl1BaseChange(1, rows).conductor_map == {0: 0, 1: 0, 2: 3}
 
 
 @pytest.mark.parametrize("index", [1.0, True, "0"])
 def test_bc_gl1_refuses_a_target_index_that_is_not_an_int(index):
-    dual = TemperedDualGL1(field(5, 5), 1, ((1, 0), (1, 1)))
     with pytest.raises(TypeError):
-        bc_gl1(unramified(2, q=5, p=5), RamificationFiltration(), dual, collisions={(1, 1): (1, index)})
+        Gl1BaseChange(2, ((1, 0, 1, 0), (1, 1, 1, index)))
     with pytest.raises(TypeError):
-        bc_gl1(unramified(2, q=5, p=5), RamificationFiltration(), dual, extra_targets=[(1, index)])
+        Gl1BaseChange(2, ((1, 0, 1, 0),), ((1, index),))
 
 
 def test_circle_map_zero_columns_for_extra_targets():
     dual = TemperedDualGL1.enumerate(field(), 1)
-    bc = bc_gl1(unramified(3), RamificationFiltration(), dual, extra_targets=[(1, 5)])
+    bc = bc_gl1(unramified(3), RamificationFiltration(), dual)
+    bc = Gl1BaseChange(bc.f, bc.pairs, ((1, 5),))
     k0, k1 = induced_map(circle_map(bc))
     col = k1.col_labels.index("c1.5")
     assert all(row[col] == 0 for row in k1.entries)
     assert all(row[col] == 0 for row in k0.entries)
+
+
+def test_labels_with_conductor_refuses_a_conductor_that_is_not_an_int():
+    # at q = 3 these read as the float 4.0, 3**0.5 times 4, and conductor 1
+    for c in (2.0, 2.5, True):
+        with pytest.raises(TypeError, match="conductor must be an int"):
+            labels_with_conductor(field(), c)
+    with pytest.raises(ValueError, match="nonnegative"):
+        labels_with_conductor(field(), -1)
 
 
 # -- properness ---------------------------------------------------------------------

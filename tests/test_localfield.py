@@ -20,7 +20,6 @@ from basechange.localfield import (
     norm_level_image,
     phi,
     psi,
-    unit_quotient_order,
     validate_extension_filtration,
 )
 
@@ -234,6 +233,14 @@ def test_negative_arguments_rejected():
         psi(filt, Fraction(-1, 2))
 
 
+@pytest.mark.parametrize("transition", [phi, psi])
+@pytest.mark.parametrize("inexact", [0.1, True, "1/2"])
+def test_inexact_arguments_refused(transition, inexact):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, a bool reads as 0 or 1, a str is parsed
+    with pytest.raises(TypeError, match="takes an int or a Fraction"):
+        transition(RamificationFiltration((2,)), inexact)
+
+
 @given(filtrations(max_length=12))
 def test_phi_concave_psi_convex(filt):
     # chords between samples 1/4 apart: positive, falling for phi and rising for psi
@@ -435,15 +442,3 @@ def test_compose_tower_associative(e1, f1, e2, f2, e3, f3):
     right = compose_tower(a, compose_tower(b, c))
     assert left == right
     assert left.e == e1 * e2 * e3 and left.f == f1 * f2 * f3
-
-
-# -- unit quotients ------------------------------------------------------------
-
-
-def test_unit_quotient_order():
-    assert unit_quotient_order(field(), 1) == 2
-    assert unit_quotient_order(field(), 2) == 6
-    assert unit_quotient_order(field(q=2, p=2), 1) == 1
-    assert unit_quotient_order(field(q=9), 2) == 72
-    with pytest.raises(ValueError):
-        unit_quotient_order(field(), 0)
